@@ -152,10 +152,7 @@ def matmul(a, b):
 
     def back(g):
         if a.requires_grad:
-            if a.data.ndim == 1:
-                a._accum(g @ b.data.T)
-            else:
-                a._accum(g @ b.data.T)
+            a._accum(g @ b.data.T)
         if b.requires_grad:
             if a.data.ndim == 1:
                 b._accum(np.outer(a.data, g))
@@ -182,17 +179,6 @@ def tanh(a):
     def back(g):
         if a.requires_grad:
             a._accum(g * (1.0 - out_data * out_data))
-
-    return Tensor(out_data, parents=(a,), backward=back)
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g * out_data * (1.0 - out_data))
 
     return Tensor(out_data, parents=(a,), backward=back)
 
@@ -384,6 +370,82 @@ def conv1d(x, w, b=None):
     idx = np.arange(t - k + 1)[:, None] + np.arange(k)[None, :]
     windows = reshape(gather_rows(x, idx), (t - k + 1, k * d))
     return linear(windows, w, b)
+
+
+def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False):
+    """One LSTM direction over the rows of x (T, d); returns H (T, h).
+
+    Gate columns of wx (d, 4h), wh (h, 4h) and b (4h,) are ordered input,
+    forget, cell, output. rmask, a fixed array of h values or None,
+    multiplies h_{t-1} before it enters the gates (variational recurrent
+    dropout). With reverse=True the sequence is read from its last row;
+    row t of H is always the state after reading row t of x.
+
+    The input projection X·Wx + b is one matmul over all T, and
+    backpropagation through time runs inside the backward closure, so each
+    weight gradient is one matmul over the sequence (Appleyard, Kočiský &
+    Blunsom 2016, arXiv 1604.01946).
+    """
+    x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
+    t_len, h_dim = x.data.shape[0], wh.data.shape[0]
+    mask = None if rmask is None else np.asarray(rmask, dtype=_DTYPE).reshape(h_dim)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    act = x.data @ wx.data + b.data  # gate pre-activations, then activations
+    dtype = act.dtype
+    act4 = act.reshape(t_len, 4, h_dim)
+    h_in = np.zeros((t_len, h_dim), dtype)    # h_{t-1} as fed to wh
+    c_prev = np.zeros((t_len, h_dim), dtype)  # c_{t-1}
+    tc = np.empty((t_len, h_dim), dtype)      # tanh(c_t)
+    out = np.empty((t_len, h_dim), dtype)
+    h = cell = np.zeros(h_dim, dtype)
+    # exp(-z) may overflow on the cell-gate columns, whose sigmoid is
+    # overwritten, and on saturated gates, where 1/(1+inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        for t in order:
+            h_in[t] = h if mask is None else h * mask
+            z = act[t]
+            z += h_in[t] @ wh.data
+            g = np.tanh(z[2 * h_dim:3 * h_dim])
+            np.divide(1.0, 1.0 + np.exp(-z), out=z)
+            z[2 * h_dim:3 * h_dim] = g
+            i, f, g, o = act4[t]
+            c_prev[t] = cell
+            cell = f * cell + i * g
+            np.tanh(cell, out=tc[t])
+            h = np.multiply(o, tc[t], out=out[t])
+
+    def back(g_out):
+        i, f, g, o = act4.transpose(1, 0, 2)
+        # dL/dz = dc * q for the i, f and g columns and dh * q for the o column
+        q = np.empty_like(act4)
+        q[:, 0] = g * i * (1.0 - i)
+        q[:, 1] = c_prev * f * (1.0 - f)
+        q[:, 2] = i * (1.0 - g * g)
+        q[:, 3] = tc * o * (1.0 - o)
+        dc_dh = o * (1.0 - tc * tc)
+        d_gates = np.empty_like(act)
+        d_gates4 = d_gates.reshape(t_len, 4, h_dim)
+        dh_rec = dc_next = np.zeros(h_dim, dtype)
+        wh_t = wh.data.T
+        for t in reversed(order):
+            dh = g_out[t] + dh_rec
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(q[t, :3], dc, out=d_gates4[t, :3])
+            np.multiply(q[t, 3], dh, out=d_gates4[t, 3])
+            dc_next = dc * f[t]
+            dh_rec = d_gates[t] @ wh_t
+            if mask is not None:
+                dh_rec *= mask
+        if x.requires_grad:
+            x._accum(d_gates @ wx.data.T)
+        if wx.requires_grad:
+            wx._accum(x.data.T @ d_gates)
+        if wh.requires_grad:
+            wh._accum(h_in.T @ d_gates)
+        if b.requires_grad:
+            b._accum(d_gates.sum(axis=0))
+
+    return Tensor(out, parents=(x, wx, wh, b), backward=back)
 
 
 def gradcheck(fn, params, eps=1e-5):

@@ -356,7 +356,6 @@ def build_parser():
     u.set_defaults(func=cmd_suite)
 
     c = sub.add_parser("gradcheck", help="gradient-check all ops and encoders")
-    c.add_argument("--all", action="store_true")
     c.set_defaults(func=cmd_gradcheck)
 
     r = sub.add_parser("report", help="render a CSV as an aligned text table")

@@ -257,35 +257,16 @@ class REModel:
         return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
 
     def _lstm_direction(self, x, layer, dirn, train):
+        """H (T, h) of one direction ("f" or "b") of one BiLSTM layer."""
         enc = self.enc_cfg
-        h_dim = enc.lstm_hidden
-        wx = self.params["lstm%d_%s_wx" % (layer, dirn)]
-        wh = self.params["lstm%d_%s_wh" % (layer, dirn)]
-        b = self.params["lstm%d_%s_b" % (layer, dirn)]
-        t_len = x.shape[0]
         # variational recurrent dropout: one mask reused across time steps
+        rmask = None
         if train and enc.recurrent_dropout > 0:
             keep = 1.0 - enc.recurrent_dropout
-            mask = (self.rng.random((1, h_dim)) < keep).astype(ad.current_dtype()) / keep
-            rmask = ad.constant(mask)
-        else:
-            rmask = None
-        h = ad.constant(np.zeros((1, h_dim)))
-        c = ad.constant(np.zeros((1, h_dim)))
-        order = range(t_len) if dirn == "f" else range(t_len - 1, -1, -1)
-        outputs = [None] * t_len
-        for t in order:
-            x_t = ad.slice_rows(x, t, t + 1)
-            h_in = ad.mul(h, rmask) if rmask is not None else h
-            gates = ad.add(ad.add(ad.matmul(x_t, wx), ad.matmul(h_in, wh)), b)
-            i = ad.sigmoid(ad.slice_cols(gates, 0, h_dim))
-            f = ad.sigmoid(ad.slice_cols(gates, h_dim, 2 * h_dim))
-            g = ad.tanh(ad.slice_cols(gates, 2 * h_dim, 3 * h_dim))
-            o = ad.sigmoid(ad.slice_cols(gates, 3 * h_dim, 4 * h_dim))
-            c = ad.add(ad.mul(f, c), ad.mul(i, g))
-            h = ad.mul(o, ad.tanh(c))
-            outputs[t] = h
-        return outputs
+            rmask = (self.rng.random((1, enc.lstm_hidden)) < keep).astype(ad.current_dtype()) / keep
+        name = "lstm%d_%s_" % (layer, dirn)
+        return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
+                                self.params[name + "b"], rmask=rmask, reverse=dirn == "b")
 
     def _encode_bilstm(self, x, train):
         enc = self.enc_cfg
@@ -293,8 +274,7 @@ class REModel:
         for layer in range(enc.lstm_layers):
             fwd = self._lstm_direction(h, layer, "f", train)
             bwd = self._lstm_direction(h, layer, "b", train)
-            rows = [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-            h = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+            h = ad.concat([fwd, bwd], axis=1)
         return ad.amax(h, axis=0)
 
     def _encode_gcn(self, x, sentence, tree, train):

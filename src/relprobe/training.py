@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -273,25 +274,46 @@ def save_checkpoint(model: REModel, path):
         f.write(json.dumps(model.config_blob(), sort_keys=True).encode("utf-8"))
 
 
+def _read(f, n, path, size):
+    """Exactly n bytes from f; ValueError naming path and offset on a short read."""
+    offset = f.tell()
+    data = f.read(n) if n <= size - offset else b""
+    if len(data) != n:
+        raise ValueError("%s: truncated checkpoint: %d bytes needed at byte offset %d, "
+                         "%d left" % (path, n, offset, size - offset))
+    return data
+
+
 def load_checkpoint(path) -> REModel:
+    """Model from an RPCK file; ValueError on a malformed or incomplete one."""
     with open(path, "rb") as f:
-        magic = f.read(4)
+        size = os.fstat(f.fileno()).st_size
+
+        def unpack(fmt):
+            return struct.unpack(fmt, _read(f, struct.calcsize(fmt), path, size))
+
+        magic = _read(f, 4, path, size)
         if magic != CKPT_MAGIC:
             raise ValueError("%s: bad checkpoint magic %r" % (path, magic))
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = unpack("<I")
         if version != 1:
             raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = unpack("<I")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack("<%dQ" % rank, f.read(8 * rank))
-            size = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(f.read(4 * size), dtype="<f4").reshape(dims)
+            (name_len,) = unpack("<I")
+            name = _read(f, name_len, path, size).decode("utf-8")
+            (rank,) = unpack("<I")
+            dims = unpack("<%dQ" % rank)
+            n_values = int(np.prod(dims)) if rank else 1
+            data = np.frombuffer(_read(f, 4 * n_values, path, size), dtype="<f4").reshape(dims)
             tensors[name] = data
-        blob = json.loads(f.read().decode("utf-8"))
+        offset = f.tell()
+        try:
+            blob = json.loads(f.read().decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError("%s: bad config blob at byte offset %d: %s"
+                             % (path, offset, e)) from None
     input_cfg = InputConfig(**{k: tuple(v) if isinstance(v, list) else v
                                for k, v in blob["input_cfg"].items()})
     enc_cfg = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
@@ -301,8 +323,11 @@ def load_checkpoint(path) -> REModel:
                     negative_label=blob.get("negative_label"))
     for name, data in tensors.items():
         if name not in model.params:
-            raise ValueError("checkpoint parameter %s not in model" % name)
+            raise ValueError("%s: checkpoint parameter %s not in model" % (path, name))
         if model.params[name].data.shape != data.shape:
-            raise ValueError("shape mismatch for %s" % name)
+            raise ValueError("%s: shape mismatch for %s" % (path, name))
         model.params[name].data = data.astype(ad.current_dtype()).copy()
+    missing = sorted(set(model.params) - set(tensors))
+    if missing:
+        raise ValueError("%s: checkpoint lacks parameters %s" % (path, ", ".join(missing)))
     return model

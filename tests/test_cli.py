@@ -4,7 +4,9 @@ import os
 import pytest
 
 from relprobe import cli
+from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import load_reps
+from relprobe.training import save_checkpoint
 
 
 def run(capsys, *argv):
@@ -135,6 +137,25 @@ def test_extract_requires_source(capsys, corpus_dir, tmp_path):
                        "--out", str(tmp_path / "r.repr"))
     assert code == 2
     assert "checkpoint" in err
+
+
+@pytest.mark.parametrize("defect", ("truncated", "incomplete"))
+def test_extract_bad_checkpoint_fails_cleanly(capsys, corpus_dir, tmp_path, defect):
+    model = REModel(Vocab(["a"]), ("x", "y"), InputConfig(word_dim=2, pos_dim=1, max_offset=1),
+                    EncoderConfig(kind="boe"))
+    if defect == "incomplete":
+        del model.params["cls_b"]
+    path = str(tmp_path / "model.rpck")
+    save_checkpoint(model, path)
+    if defect == "truncated":
+        raw = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(raw[:len(raw) // 2])
+    code, _, err = run(capsys, "extract", "--corpus", corpus_dir, "--checkpoint", path,
+                       "--out", str(tmp_path / "r.repr"))
+    assert code == 1
+    assert err.startswith("error: %s: " % path)
+    assert "Traceback" not in err
 
 
 def test_suite_smoke_and_determinism(capsys, tmp_path, corpus_dir):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from relprobe import synth
-from relprobe.encoders import EncoderConfig
+from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.optim import EpochDecay
 from relprobe.training import (HyperProfile, desk_encoder_config,
                                desk_input_config, load_checkpoint,
@@ -213,3 +215,29 @@ def test_checkpoint_cnn_roundtrip(tiny_corpus, tmp_path):
     loaded = load_checkpoint(path)
     s = tiny_corpus.test[0]
     np.testing.assert_array_equal(loaded.logits(s).data, model.logits(s).data)
+
+
+def _tiny_model():
+    return REModel(Vocab(["a", "b"]), ("x", "y"), InputConfig(word_dim=2, pos_dim=1, max_offset=1),
+                   desk_encoder_config("boe"))
+
+
+def test_checkpoint_truncated_at_any_offset_is_value_error(tmp_path):
+    full = str(tmp_path / "full.rpck")
+    save_checkpoint(_tiny_model(), full)
+    raw = open(full, "rb").read()
+    cut = str(tmp_path / "cut.rpck")
+    for n in range(len(raw)):
+        with open(cut, "wb") as f:
+            f.write(raw[:n])
+        with pytest.raises(ValueError, match=re.escape(cut)):
+            load_checkpoint(cut)
+
+
+def test_checkpoint_missing_parameter_is_rejected(tmp_path):
+    model = _tiny_model()
+    del model.params["pos_tail_emb"]
+    path = str(tmp_path / "partial.rpck")
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match="lacks parameters pos_tail_emb"):
+        load_checkpoint(path)
