@@ -118,10 +118,6 @@ def add(a, b):
     return Tensor(out_data, parents=(a, b), backward=back)
 
 
-def sub(a, b):
-    return add(a, scale(b, -1.0))
-
-
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import probegen, probing, synth
 from .corpus import (CorpusFormatError, load_contextual, load_corpus,
                      load_embeddings, random_embeddings, write_corpus)
 from .encoders import InputConfig
-from .probegen import PROFILES, TASKS, build_task, load_dataset, save_dataset
+from .probegen import TASKS, build_all, build_tasks, load_dataset, save_dataset
 from .probing import (L2_GRID, baseline_reps, extract_reps, load_reps,
                       render_csv, render_text_table, run_suite, save_reps,
                       suite_table, train_probe)
@@ -33,11 +34,12 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 
 
 def read_config(path):
-    """Plain key=value config; '#' starts a comment; unknown keys rejected."""
+    """Plain key=value config; unknown keys rejected. '#' starts a comment at
+    the start of a line or after whitespace, so /data/a#b keeps its '#'."""
     cfg = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -107,14 +109,12 @@ def cmd_synth(args):
 def cmd_probegen(args):
     corpus = load_corpus(args.corpus, args.format)
     tasks = list(TASKS) if args.task == "all" else [args.task]
+    if args.all_skip_excluded:
+        tasks = [t for t in tasks if t not in probegen.EXCLUDED.get(args.profile, ())]
+    datasets = build_tasks(tasks, corpus, args.profile)
     os.makedirs(args.out, exist_ok=True)
-    trees = probegen.TreeCache()
-    for task in tasks:
-        if args.all_skip_excluded and isinstance(args.profile, str) \
-                and task in probegen.EXCLUDED.get(args.profile, ()):
-            continue
-        ds = build_task(task, corpus, args.profile, trees)
-        path = os.path.join(args.out, "%s.jsonl" % task)
+    for ds in datasets:
+        path = os.path.join(args.out, "%s.jsonl" % ds.task)
         save_dataset(ds, path)
         print("wrote %s (%d labels)" % (path, len(ds.labels)))
     return 0
@@ -221,12 +221,9 @@ def cmd_suite(args):
     task_profile = cfg.get("task_profile", "tacred")
     task_names = cfg.get("tasks", "all")
     if task_names == "all":
-        excluded = probegen.EXCLUDED.get(task_profile, ())
-        names = [t for t in TASKS if t not in excluded]
+        tasks = build_all(corpus, task_profile)
     else:
-        names = [t.strip() for t in task_names.split(",")]
-    trees = probegen.TreeCache()
-    tasks = [build_task(t, corpus, task_profile, trees) for t in names]
+        tasks = build_tasks([t.strip() for t in task_names.split(",")], corpus, task_profile)
     split_sents = {"train": corpus.train, "validation": corpus.validation,
                    "test": corpus.test}
     source_names = [s.strip() for s in cfg.get("sources", "length,argdist,boe").split(",")]

@@ -82,26 +82,7 @@ def validate_sentence(s: Sentence):
         if s.head.start <= s.tail.end and s.tail.start <= s.head.end:
             problems.append("head and tail spans overlap")
     if len(s.dep_head) == n:
-        roots = [i for i, h in enumerate(s.dep_head) if h == 0]
-        if not roots:
-            problems.append("no root token")
-        elif len(roots) > 1:
-            problems.append("multiple root tokens")
-        out_of_range = [h for h in s.dep_head if not (0 <= h <= n)]
-        if out_of_range:
-            problems.append("dep_head value out of range")
-        else:
-            # walk up from every token; more than n steps means a cycle
-            for i in range(n):
-                steps, j = 0, i
-                while s.dep_head[j] != 0:
-                    j = s.dep_head[j] - 1
-                    steps += 1
-                    if steps > n:
-                        problems.append("cycle detected")
-                        break
-                if steps > n:
-                    break
+        problems += deptree.head_problems(s.dep_head)
     return problems
 
 
@@ -270,15 +251,16 @@ def mask_entities(s: Sentence) -> Sentence:
     Head tokens become SUBJ-<TYPE>, tail tokens OBJ-<TYPE>, where <TYPE> is
     the NE tag of the span-root token. Length-preserving and idempotent.
     """
-    tree = deptree.build_tree(s.dep_head)
+    return replace(s, tokens=masked_tokens(s, deptree.build_tree(s.dep_head)))
+
+
+def masked_tokens(s: Sentence, tree) -> tuple:
+    """The tokens of mask_entities(s), given the sentence's DepTree."""
     tokens = list(s.tokens)
     for prefix, span in (("SUBJ", s.head), ("OBJ", s.tail)):
-        root = deptree.span_root(tree, span)
-        ne_type = s.ner[root]
-        mask = "%s-%s" % (prefix, ne_type)
-        for i in range(span.start, span.end + 1):
-            tokens[i] = mask
-    return replace(s, tokens=tuple(tokens))
+        mask = "%s-%s" % (prefix, s.ner[deptree.span_root(tree, span)])
+        tokens[span.start:span.end + 1] = [mask] * len(span)
+    return tuple(tokens)
 
 
 @dataclass
@@ -327,6 +309,37 @@ def random_embeddings(tokens, dim, seed=0) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors, unk_vector=unk)
 
 
+class ExactReader:
+    """Exact-size reads from an open binary file (RPCK, REPR, CTXV).
+
+    A read past the end raises ValueError naming the path, the byte offset
+    and the bytes needed, and never asks the file for more than it has left.
+    """
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.size = os.fstat(f.fileno()).st_size
+
+    def read(self, n):
+        offset = self.f.tell()
+        if n > self.size - offset:
+            raise ValueError("%s: truncated file: %d bytes needed at byte offset %d, %d left"
+                             % (self.path, n, offset, self.size - offset))
+        return self.f.read(n)
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def header(self, magic, version):
+        """Check the magic bytes and the u32 version each format starts with."""
+        got = self.read(len(magic))
+        if got != magic:
+            raise ValueError("%s: bad magic %r" % (self.path, got))
+        (got,) = self.unpack("<I")
+        if got != version:
+            raise ValueError("%s: unsupported version %d" % (self.path, got))
+
+
 CTX_MAGIC = b"CTXV"
 
 
@@ -357,20 +370,13 @@ def load_contextual(path) -> ContextualStore:
     """Read the CTXV binary format of per-token contextual vectors."""
     matrices = {}
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CTX_MAGIC:
-            raise CorpusFormatError("%s: bad magic %r" % (path, magic))
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != 1:
-            raise CorpusFormatError("%s: unsupported version %d" % (path, version))
-        while True:
-            raw = f.read(4)
-            if not raw:
-                break
-            (id_len,) = struct.unpack("<I", raw)
-            sid = f.read(id_len).decode("utf-8")
-            t, d = struct.unpack("<II", f.read(8))
-            data = np.frombuffer(f.read(4 * t * d), dtype="<f4").reshape(t, d)
+        r = ExactReader(f, path)
+        r.header(CTX_MAGIC, 1)
+        while f.tell() < r.size:
+            (id_len,) = r.unpack("<I")
+            sid = r.read(id_len).decode("utf-8")
+            t, d = r.unpack("<II")
+            data = np.frombuffer(r.read(4 * t * d), dtype="<f4").reshape(t, d)
             matrices[sid] = data.astype(np.float32)
     return ContextualStore(matrices=matrices)
 

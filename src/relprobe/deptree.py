@@ -33,40 +33,46 @@ class SdpResult:
     depth: int
 
 
-def build_tree(dep_head):
-    """Build a DepTree from 1-based parent indices (0 marks the root token)."""
+def head_problems(dep_head):
+    """Why 1-based parent indices (0 marks the root) are not one tree; empty
+    if they are. O(n): all tokens must be reachable from a root (no cycles)."""
     n = len(dep_head)
     if n == 0:
-        raise ValueError("empty dep_head")
+        return ["empty dep_head"]
+    problems = []
     roots = [i for i, h in enumerate(dep_head) if h == 0]
     if not roots:
-        raise ValueError("no root token (no dep_head value of 0)")
-    if len(roots) > 1:
-        raise ValueError("multiple root tokens at indices %s" % (roots,))
-    for i, h in enumerate(dep_head):
-        if not (0 <= h <= n):
-            raise ValueError("dep_head[%d]=%d out of range [0, %d]" % (i, h, n))
-    parent = [h - 1 if h > 0 else None for h in dep_head]
+        problems.append("no root token")
+    elif len(roots) > 1:
+        problems.append("multiple root tokens")
+    if not all(0 <= h <= n for h in dep_head):
+        return problems + ["dep_head value out of range"]
     children = [[] for _ in range(n)]
+    for i, h in enumerate(dep_head):
+        if h:
+            children[h - 1].append(i)
+    stack, reached = roots, len(roots)
+    while stack:
+        below = children[stack.pop()]
+        reached += len(below)
+        stack.extend(below)
+    if reached < n:
+        problems.append("cycle detected")
+    return problems
+
+
+def build_tree(dep_head):
+    """Build a DepTree from 1-based parent indices (0 marks the root token)."""
+    problems = head_problems(dep_head)
+    if problems:
+        raise ValueError("; ".join(problems))
+    parent = tuple(h - 1 if h > 0 else None for h in dep_head)
+    children = [[] for _ in parent]
     for i, p in enumerate(parent):
         if p is not None:
             children[p].append(i)
-    # every node must reach the root without revisiting anything
-    for i in range(n):
-        seen = set()
-        j = i
-        while parent[j] is not None:
-            if j in seen:
-                raise ValueError("cycle detected through token %d" % i)
-            seen.add(j)
-            j = parent[j]
-            if len(seen) > n:
-                raise ValueError("cycle detected through token %d" % i)
-    return DepTree(
-        root=roots[0],
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-    )
+    return DepTree(root=parent.index(None), parent=parent,
+                   children=tuple(tuple(c) for c in children))
 
 
 def tree_depth(t: DepTree) -> int:

@@ -2,7 +2,8 @@
 multi-headed self-attention, bag-of-embeddings) plus the relation
 classification head.
 
-Every token is embedded as the concatenation of its word vector, a learned
+REModel.featurize turns a sentence into its Features once per run. Every
+token is then embedded as the concatenation of its word vector, a learned
 head-offset embedding, a learned tail-offset embedding and (optionally) a
 precomputed contextual vector. Encoders map the resulting T x d_in matrix
 to a fixed-size sentence representation.
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import deptree
-from .corpus import mask_entities
+from .corpus import masked_tokens
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -104,6 +105,16 @@ def position_offsets(span, length, clip):
     off = np.where(idx < span.start, idx - span.start,
                    np.where(idx > span.end, idx - span.end, 0))
     return np.clip(off, -clip, clip)
+
+
+@dataclass(frozen=True)
+class Features:
+    """Model inputs of one sentence, as REModel.featurize prepares them."""
+
+    ids: np.ndarray          # vocab ids of the (masked) tokens
+    offsets: tuple           # head and tail offset-embedding rows; () when pos_dim == 0
+    ctx: np.ndarray | None   # contextual rows when the input config uses them
+    graph: tuple | None      # gcn: kept tokens, normalized adjacency, head and tail pooling rows
 
 
 def _glorot(rng, shape):
@@ -205,46 +216,75 @@ class REModel:
 
     # -------------------------------------------------------------- forward
 
-    def embed_inputs(self, sentence, train=False, ctx_row=None):
+    def featurize(self, sentence, ctx_row=None):
+        """The sentence's Features, computed once and reused by every forward
+        pass. For GCN: the tokens kept around the SDP, their row-normalized
+        adjacency (self loops included) and the head and tail pooling rows."""
+        cfg, enc = self.input_cfg, self.enc_cfg
+        if cfg.use_contextual and ctx_row is None:
+            raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
+        tree = None
+        if cfg.masking or enc.kind == "gcn":
+            tree = deptree.build_tree(sentence.dep_head)
+        tokens = masked_tokens(sentence, tree) if cfg.masking else sentence.tokens
+        offsets = ()
+        if cfg.pos_dim > 0:
+            offsets = tuple(position_offsets(span, len(sentence), cfg.max_offset) + cfg.max_offset
+                            for span in (sentence.head, sentence.tail))
+        graph = None
+        if enc.kind == "gcn":
+            path = deptree.sdp(tree, sentence.head, sentence.tail)
+            k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k
+            kept = sorted(deptree.prune(tree, path, k))
+            if not kept:
+                raise ValueError("pruning removed every token")
+            pos = {tok: i for i, tok in enumerate(kept)}
+            adj = np.eye(len(kept), dtype=ad.current_dtype())
+            for tok in kept:
+                p = tree.parent[tok]
+                if p is not None and p in pos:
+                    adj[pos[tok], pos[p]] = 1.0
+                    adj[pos[p], pos[tok]] = 1.0
+            adj /= adj.sum(axis=1, keepdims=True)
+            pools = [[pos[t] for t in kept if t in span] or [pos[deptree.span_root(tree, span)]]
+                     for span in (sentence.head, sentence.tail)]
+            graph = (np.asarray(kept), adj, *map(np.asarray, pools))
+        return Features(self.vocab.ids(tokens), offsets,
+                        ctx_row if cfg.use_contextual else None, graph)
+
+    def embed_inputs(self, features, train=False):
         """Per-token input matrix (T x width) as an autodiff tensor."""
         cfg = self.input_cfg
-        s = mask_entities(sentence) if cfg.masking else sentence
-        ids = self.vocab.ids(s.tokens)
+        ids = features.ids
         if train and cfg.word_dropout > 0:
             drop = self.rng.random(len(ids)) < cfg.word_dropout
             ids = np.where(drop, self.vocab.stoi[UNK], ids)
         parts = [ad.gather_rows(self.params["word_emb"], ids)]
-        if cfg.pos_dim > 0:
-            h_idx = position_offsets(s.head, len(s), cfg.max_offset) + cfg.max_offset
-            t_idx = position_offsets(s.tail, len(s), cfg.max_offset) + cfg.max_offset
-            parts.append(ad.gather_rows(self.params["pos_head_emb"], h_idx))
-            parts.append(ad.gather_rows(self.params["pos_tail_emb"], t_idx))
-        if cfg.use_contextual:
-            if ctx_row is None:
-                raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
-            parts.append(ad.constant(ctx_row))
+        for table, rows in zip(("pos_head_emb", "pos_tail_emb"), features.offsets):
+            parts.append(ad.gather_rows(self.params[table], rows))
+        if features.ctx is not None:
+            parts.append(ad.constant(features.ctx))
         x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
         return ad.dropout(x, cfg.embedding_dropout, self.rng, train)
 
-    def encode(self, sentence, train=False, ctx_row=None, tree=None):
+    def encode(self, features, train=False):
         """Fixed-size sentence representation tensor."""
         enc = self.enc_cfg
-        x = self.embed_inputs(sentence, train=train, ctx_row=ctx_row)
+        x = self.embed_inputs(features, train=train)
         if enc.kind == "cnn":
             rep = self._encode_cnn(x)
         elif enc.kind == "bilstm":
             rep = self._encode_bilstm(x, train)
         elif enc.kind == "gcn":
-            tree = tree or deptree.build_tree(sentence.dep_head)
-            rep = self._encode_gcn(x, sentence, tree, train)
+            rep = self._encode_gcn(x, features.graph, train)
         elif enc.kind == "attn":
             rep = self._encode_attn(x, train)
         else:
             rep = ad.sum_axis(x, axis=0)
         return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
 
-    def logits(self, sentence, train=False, ctx_row=None, tree=None):
-        rep = self.encode(sentence, train=train, ctx_row=ctx_row, tree=tree)
+    def logits(self, features, train=False):
+        rep = self.encode(features, train=train)
         return ad.linear(rep, self.params["cls_w"], self.params["cls_b"])
 
     def _encode_cnn(self, x):
@@ -277,35 +317,19 @@ class REModel:
             h = ad.concat([fwd, bwd], axis=1)
         return ad.amax(h, axis=0)
 
-    def _encode_gcn(self, x, sentence, tree, train):
+    def _encode_gcn(self, x, graph, train):
         enc = self.enc_cfg
-        path = deptree.sdp(tree, sentence.head, sentence.tail)
-        k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k
-        kept = sorted(deptree.prune(tree, path, k))
-        if not kept:
-            raise ValueError("pruning removed every token")
-        pos = {tok: i for i, tok in enumerate(kept)}
-        n = len(kept)
-        adj = np.eye(n, dtype=ad.current_dtype())
-        for tok in kept:
-            p = tree.parent[tok]
-            if p is not None and p in pos:
-                adj[pos[tok], pos[p]] = 1.0
-                adj[pos[p], pos[tok]] = 1.0
-        adj /= adj.sum(axis=1, keepdims=True)
+        kept, adj, head_rows, tail_rows = graph
         m = ad.constant(adj)
-        h = ad.gather_rows(x, np.asarray(kept))
+        h = ad.gather_rows(x, kept)
         for layer in range(enc.gcn_layers):
             h = ad.relu(ad.matmul(m, ad.linear(h, self.params["gcn%d_w" % layer],
                                                self.params["gcn%d_b" % layer])))
             if layer < enc.gcn_layers - 1:
                 h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
         pools = [ad.amax(h, axis=0)]
-        for span in (sentence.head, sentence.tail):
-            rows = [pos[t] for t in kept if span.start <= t <= span.end]
-            if not rows:
-                rows = [pos[deptree.span_root(tree, span)]]
-            pools.append(ad.amax(ad.gather_rows(h, np.asarray(rows)), axis=0))
+        for rows in (head_rows, tail_rows):
+            pools.append(ad.amax(ad.gather_rows(h, rows), axis=0))
         rep = ad.concat(pools, axis=0)
         for j in range(enc.gcn_ff_layers):
             rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
@@ -342,11 +366,11 @@ class REModel:
 
     def encode_np(self, sentence, ctx_row=None):
         """Eval-mode representation as a plain float32 vector."""
-        rep = self.encode(sentence, train=False, ctx_row=ctx_row)
+        rep = self.encode(self.featurize(sentence, ctx_row))
         return np.asarray(rep.data, dtype=np.float32)
 
     def predict(self, sentence, ctx_row=None):
-        logits = self.logits(sentence, train=False, ctx_row=ctx_row)
+        logits = self.logits(self.featurize(sentence, ctx_row))
         return self.labels[int(np.argmax(logits.data))]
 
     def zero_grads(self):

@@ -20,6 +20,9 @@ TASKS = (
 
 BINNED_TASKS = ("SentLen", "ArgDist", "TreeDepth", "SDPTreeDepth")
 
+# tasks whose raw label reads the dependency tree
+TREE_TASKS = ("TreeDepth", "SDPTreeDepth", "TypeHead", "TypeTail", "GRHead", "GRTail")
+
 # grammatical roles kept verbatim; everything else maps to "other"
 GR_CLASSES = ("nsubj", "nsubjpass", "dobj", "iobj")
 
@@ -95,22 +98,8 @@ class ProbingDataset:
     bin_spec: BinSpec | None = None
 
 
-class TreeCache:
-    """Lazily built DepTrees keyed by sentence id."""
-
-    def __init__(self):
-        self._trees = {}
-
-    def get(self, s):
-        t = self._trees.get(s.id)
-        if t is None:
-            t = deptree.build_tree(s.dep_head)
-            self._trees[s.id] = t
-        return t
-
-
-def extract(task, s, trees: TreeCache):
-    """Raw probing label of one sentence; a pure function of the annotations."""
+def extract(task, s, tree):
+    """Raw probing label of one sentence, from its annotations and DepTree."""
     if task == "SentLen":
         return len(s)
     if task == "ArgDist":
@@ -120,10 +109,9 @@ def extract(task, s, trees: TreeCache):
         hi = max(s.head.start, s.tail.start)
         return "yes" if any(s.ner[i] != "O" for i in range(lo, hi)) else "no"
     if task == "TreeDepth":
-        return min(deptree.tree_depth(trees.get(s)), TREE_DEPTH_CLAMP)
+        return min(deptree.tree_depth(tree), TREE_DEPTH_CLAMP)
     if task == "SDPTreeDepth":
-        t = trees.get(s)
-        return deptree.sdp(t, s.head, s.tail).depth
+        return deptree.sdp(tree, s.head, s.tail).depth
     if task == "ArgOrd":
         return "head-first" if s.head.end < s.tail.start else "tail-first"
     if task in ("PosHeadL", "PosHeadR", "PosTailL", "PosTailR"):
@@ -133,10 +121,10 @@ def extract(task, s, trees: TreeCache):
         return s.pos[span.end + 1] if span.end + 1 < len(s) else BOUNDARY_RIGHT
     if task in ("TypeHead", "TypeTail"):
         span = s.head if task == "TypeHead" else s.tail
-        return s.ner[deptree.span_root(trees.get(s), span)]
+        return s.ner[deptree.span_root(tree, span)]
     if task in ("GRHead", "GRTail"):
         span = s.head if task == "GRHead" else s.tail
-        label = s.dep_label[deptree.span_root(trees.get(s), span)]
+        label = s.dep_label[deptree.span_root(tree, span)]
         return label if label in GR_CLASSES else "other"
     raise ValueError("unknown task: %s" % task)
 
@@ -148,24 +136,31 @@ def _arg_distance(s):
     return s.head.start - s.tail.end - 1
 
 
-def build_task(task, corpus, profile="tacred", trees=None) -> ProbingDataset:
-    """Build one probing dataset; bins are fitted on train raw values only."""
-    if task not in TASKS:
-        raise ValueError("unknown task: %s" % task)
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise ValueError("unknown profile: %s" % profile)
-        if task in EXCLUDED[profile]:
+def build_tasks(tasks, corpus, profile="tacred"):
+    """Probing datasets for `tasks`, in the order given; each sentence's tree
+    is built once, if a task reads it. Bins are fitted on train raw values only."""
+    if isinstance(profile, str) and profile not in PROFILES:
+        raise ValueError("unknown profile: %s" % profile)
+    excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
+    for task in tasks:
+        if task not in TASKS:
+            raise ValueError("unknown task: %s" % task)
+        if task in excluded:
             raise ValueError("task %s excluded for this profile" % task)
-        bin_counts = PROFILES[profile]
-    else:
-        bin_counts = dict(profile)
-    trees = trees or TreeCache()
-    raw = {
-        name: [(s.id, extract(task, s, trees)) for s in split]
-        for name, split in (("train", corpus.train), ("validation", corpus.validation),
-                            ("test", corpus.test))
-    }
+    bin_counts = PROFILES[profile] if isinstance(profile, str) else dict(profile)
+    splits = (("train", corpus.train), ("validation", corpus.validation), ("test", corpus.test))
+    raw = {task: {name: [] for name, _ in splits} for task in tasks}
+    needs_tree = any(task in TREE_TASKS for task in tasks)
+    for name, split in splits:
+        for s in split:
+            tree = deptree.build_tree(s.dep_head) if needs_tree else None
+            for task in tasks:
+                raw[task][name].append((s.id, extract(task, s, tree)))
+    return [_dataset(task, raw[task], bin_counts) for task in tasks]
+
+
+def _dataset(task, raw, bin_counts) -> ProbingDataset:
+    """One task's dataset from its raw values per split."""
     if task in BINNED_TASKS:
         spec = quantile_bins([v for _, v in raw["train"]], bin_counts[task])
         splits = {name: tuple((sid, spec.label(v)) for sid, v in items)
@@ -184,10 +179,14 @@ def build_task(task, corpus, profile="tacred", trees=None) -> ProbingDataset:
     return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=None)
 
 
+def build_task(task, corpus, profile="tacred") -> ProbingDataset:
+    """One probing dataset; see build_tasks."""
+    return build_tasks([task], corpus, profile)[0]
+
+
 def build_all(corpus, profile="tacred"):
-    trees = TreeCache()
-    excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
-    return [build_task(t, corpus, profile, trees) for t in TASKS if t not in excluded]
+    excluded = EXCLUDED.get(profile, ()) if isinstance(profile, str) else ()
+    return build_tasks([t for t in TASKS if t not in excluded], corpus, profile)
 
 
 def save_dataset(ds: ProbingDataset, path):

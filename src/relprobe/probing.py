@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import probegen
+from .corpus import ExactReader
 from .optim import Adam
 
 L2_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
@@ -64,24 +65,18 @@ def save_reps(rep: RepMatrix, path):
 
 
 def load_reps(path) -> RepMatrix:
+    """RepMatrix from a REPR file; ValueError on a malformed or truncated one."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != REP_MAGIC:
-            raise ValueError("%s: bad magic %r" % (path, magic))
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != 1:
-            raise ValueError("%s: unsupported version %d" % (path, version))
-        n, d = struct.unpack("<QQ", f.read(16))
+        r = ExactReader(f, path)
+        r.header(REP_MAGIC, 1)
+        n, d = r.unpack("<QQ")
         ids = []
         for _ in range(n):
-            (ln,) = struct.unpack("<I", f.read(4))
-            ids.append(f.read(ln).decode("utf-8"))
-        rows = np.frombuffer(f.read(4 * n * d), dtype="<f4").reshape(n, d).copy()
-        source = "unknown"
-        raw = f.read(4)
-        if raw:
-            (ln,) = struct.unpack("<I", raw)
-            source = f.read(ln).decode("utf-8")
+            (ln,) = r.unpack("<I")
+            ids.append(r.read(ln).decode("utf-8"))
+        rows = np.frombuffer(r.read(4 * n * d), dtype="<f4").reshape(n, d).copy()
+        (ln,) = r.unpack("<I")
+        source = r.read(ln).decode("utf-8")
     return RepMatrix(ids=tuple(ids), rows=rows, source=source)
 
 

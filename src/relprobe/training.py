@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from . import deptree
+from .corpus import ExactReader, mask_entities
 from .encoders import EncoderConfig, InputConfig, REModel, Vocab
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
@@ -176,13 +175,8 @@ class TrainHistory:
         return max((r["f1"] for r in self.epochs), default=0.0)
 
 
-def _evaluate(model, sentences, trees, contextual=None):
-    preds, golds = [], []
-    for s in sentences:
-        ctx = contextual.get(s.id) if contextual is not None else None
-        logits = model.logits(s, train=False, ctx_row=ctx, tree=trees.get(s.id))
-        preds.append(model.labels[int(np.argmax(logits.data))])
-        golds.append(s.relation)
+def _evaluate(model, features, golds):
+    preds = [model.labels[int(np.argmax(model.logits(f).data))] for f in features]
     return micro_f1(preds, golds, model.negative_label)
 
 
@@ -192,21 +186,21 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
 
     Gradients are averaged over each shuffled minibatch (sentences are
     processed one at a time; no padding needed). The checkpointed parameters
-    are those of the best validation-F1 epoch.
+    are those of the best validation-F1 epoch. The train and validation
+    sentences are featurized once per call.
     """
     train_sentences = corpus.train
-    if input_cfg.masking:
-        from .corpus import mask_entities
-        vocab_source = [mask_entities(s) for s in train_sentences]
-    else:
-        vocab_source = train_sentences
-    vocab = Vocab.from_sentences(vocab_source)
+    vocab = Vocab.from_sentences([mask_entities(s) for s in train_sentences]
+                                 if input_cfg.masking else train_sentences)
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
                     embeddings=embeddings, negative_label=corpus.negative_label)
     opt = make_optimizer(profile.optimizer, profile.lr, l2_groups=profile.l2_groups)
     sched = Scheduler(profile.schedule, profile.lr) if profile.schedule else None
-    trees = {s.id: deptree.build_tree(s.dep_head) for s in corpus.all_sentences()}
-    val = corpus.validation or corpus.train
+    ctx = contextual or {}
+    train_features = [model.featurize(s, ctx.get(s.id)) for s in train_sentences]
+    val_features = [model.featurize(s, ctx.get(s.id)) for s in corpus.validation] \
+        or train_features
+    val_golds = [s.relation for s in corpus.validation or train_sentences]
     order_rng = np.random.default_rng(seed)
     model.rng = np.random.default_rng(seed + 1)  # dropout stream
     history = TrainHistory()
@@ -217,13 +211,13 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
         perm = order_rng.permutation(len(train_sentences))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(perm), profile.batch_size):
-            batch = [train_sentences[i] for i in perm[start:start + profile.batch_size]]
+            batch = perm[start:start + profile.batch_size]
             model.zero_grads()
             batch_loss = 0.0
-            for s in batch:
-                ctx = contextual.get(s.id) if contextual is not None else None
-                logits = model.logits(s, train=True, ctx_row=ctx, tree=trees.get(s.id))
-                loss = ad.cross_entropy_logits(logits, model.label_index[s.relation])
+            for i in batch:
+                logits = model.logits(train_features[i], train=True)
+                loss = ad.cross_entropy_logits(
+                    logits, model.label_index[train_sentences[i].relation])
                 loss = ad.scale(loss, 1.0 / len(batch))
                 loss.backward()
                 batch_loss += loss.item() * len(batch)
@@ -232,7 +226,7 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
             opt.step(model.params)
             epoch_loss += batch_loss / len(batch)
             n_batches += 1
-        p, r, f1 = _evaluate(model, val, trees, contextual)
+        p, r, f1 = _evaluate(model, val_features, val_golds)
         if sched:
             opt.lr = sched.end_epoch(f1)
         history.epochs.append({"epoch": epoch, "loss": epoch_loss / max(n_batches, 1),
@@ -274,40 +268,20 @@ def save_checkpoint(model: REModel, path):
         f.write(json.dumps(model.config_blob(), sort_keys=True).encode("utf-8"))
 
 
-def _read(f, n, path, size):
-    """Exactly n bytes from f; ValueError naming path and offset on a short read."""
-    offset = f.tell()
-    data = f.read(n) if n <= size - offset else b""
-    if len(data) != n:
-        raise ValueError("%s: truncated checkpoint: %d bytes needed at byte offset %d, "
-                         "%d left" % (path, n, offset, size - offset))
-    return data
-
-
 def load_checkpoint(path) -> REModel:
     """Model from an RPCK file; ValueError on a malformed or incomplete one."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-
-        def unpack(fmt):
-            return struct.unpack(fmt, _read(f, struct.calcsize(fmt), path, size))
-
-        magic = _read(f, 4, path, size)
-        if magic != CKPT_MAGIC:
-            raise ValueError("%s: bad checkpoint magic %r" % (path, magic))
-        (version,) = unpack("<I")
-        if version != 1:
-            raise ValueError("%s: unsupported checkpoint version %d" % (path, version))
-        (count,) = unpack("<I")
+        r = ExactReader(f, path)
+        r.header(CKPT_MAGIC, 1)
+        (count,) = r.unpack("<I")
         tensors = {}
         for _ in range(count):
-            (name_len,) = unpack("<I")
-            name = _read(f, name_len, path, size).decode("utf-8")
-            (rank,) = unpack("<I")
-            dims = unpack("<%dQ" % rank)
+            (name_len,) = r.unpack("<I")
+            name = r.read(name_len).decode("utf-8")
+            (rank,) = r.unpack("<I")
+            dims = r.unpack("<%dQ" % rank)
             n_values = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(_read(f, 4 * n_values, path, size), dtype="<f4").reshape(dims)
-            tensors[name] = data
+            tensors[name] = np.frombuffer(r.read(4 * n_values), dtype="<f4").reshape(dims)
         offset = f.tell()
         try:
             blob = json.loads(f.read().decode("utf-8"))

@@ -135,9 +135,10 @@ def encoder_checks(eps=1e-5):
             vocab = Vocab.from_sentences([s])
             model = REModel(vocab, ("a", "b"), input_cfg, _toy_encoder_config(kind),
                             seed=7)
+            features = model.featurize(s)
 
             def loss():
-                return ad.cross_entropy_logits(model.logits(s, train=False),
+                return ad.cross_entropy_logits(model.logits(features),
                                                model.label_index[s.relation])
 
             results["encoder:%s" % kind] = ad.gradcheck(loss, model.params, eps=eps)

@@ -96,6 +96,12 @@ def test_config_comments_and_unknown_profile(capsys, tmp_path, corpus_dir):
     assert "unknown profile" in err
 
 
+def test_config_hash_inside_value_is_kept(tmp_path):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("# a comment\ncorpus = /data/a#b  # trailing comment\nout = run#2\t# tab\n")
+    assert cli.read_config(str(cfg)) == {"corpus": "/data/a#b", "out": "run#2"}
+
+
 def test_train_desk_small(capsys, tmp_path, corpus_dir):
     out = str(tmp_path / "run")
     cfg = tmp_path / "train.cfg"
@@ -130,6 +136,26 @@ def test_extract_baseline_and_probe(capsys, tmp_path, corpus_dir):
     assert code == 0
     assert stdout.startswith("task,source,chosen_l2,val_accuracy,test_accuracy")
     assert os.path.exists(out_csv)
+
+
+def test_probe_truncated_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
+    tasks = str(tmp_path / "tasks")
+    assert cli.main(["probegen", "--corpus", corpus_dir, "--task", "SentLen",
+                     "--out", tasks]) == 0
+    reps = {}
+    for split in ("train", "validation", "test"):
+        reps[split] = str(tmp_path / ("%s.repr" % split))
+        assert cli.main(["extract", "--corpus", corpus_dir, "--split", split,
+                         "--baseline", "length", "--out", reps[split]]) == 0
+    raw = open(reps["train"], "rb").read()
+    with open(reps["train"], "wb") as f:
+        f.write(raw[:-3])  # inside the source label
+    code, _, err = run(capsys, "probe", "--task", os.path.join(tasks, "SentLen.jsonl"),
+                       "--train", reps["train"], "--val", reps["validation"],
+                       "--test", reps["test"])
+    assert code == 1
+    assert err.startswith("error: %s: " % reps["train"])
+    assert "Traceback" not in err
 
 
 def test_extract_requires_source(capsys, corpus_dir, tmp_path):

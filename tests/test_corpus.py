@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -224,3 +225,23 @@ def test_contextual_empty_file(tmp_path):
     p = str(tmp_path / "ctx.bin")
     write_contextual(ContextualStore({}), p)
     assert len(load_contextual(p)) == 0
+
+
+def test_contextual_truncated_is_value_error_unless_at_record_boundary(tmp_path):
+    store = ContextualStore({"s1": np.ones((2, 3), np.float32),
+                             "s22": np.zeros((1, 2), np.float32)})
+    full = str(tmp_path / "full.ctx")
+    write_contextual(store, full)
+    raw = open(full, "rb").read()
+    # CTXV has no record count: a cut after the header or a whole record
+    # leaves a shorter valid file
+    boundaries = {8: 0, 8 + 4 + 2 + 8 + 24: 1}
+    cut = str(tmp_path / "cut.ctx")
+    for n in range(len(raw)):
+        with open(cut, "wb") as f:
+            f.write(raw[:n])
+        if n in boundaries:
+            assert len(load_contextual(cut)) == boundaries[n]
+        else:
+            with pytest.raises(ValueError, match=re.escape(cut)):
+                load_contextual(cut)

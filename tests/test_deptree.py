@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from relprobe.corpus import Span
-from relprobe.deptree import build_tree, prune, sdp, span_root, tree_depth
+from relprobe.deptree import build_tree, head_problems, prune, sdp, span_root, tree_depth
 
 from conftest import random_parents
 
@@ -85,6 +86,75 @@ def test_build_tree_reserializes_parents():
         t = build_tree(dep_head)
         rebuilt = [0 if t.parent[i] is None else t.parent[i] + 1 for i in range(len(t))]
         assert rebuilt == list(dep_head)
+
+
+def walk_problems_oracle(dep_head):
+    """head_problems by definition: count roots, check the range, then walk
+    up from every token; more than n steps means a cycle."""
+    n = len(dep_head)
+    roots = sum(1 for h in dep_head if h == 0)
+    problems = ["no root token"] if roots == 0 else ["multiple root tokens"] if roots > 1 else []
+    if any(not (0 <= h <= n) for h in dep_head):
+        return problems + ["dep_head value out of range"]
+    for i in range(n):
+        steps = 0
+        while dep_head[i] != 0 and steps <= n:
+            i, steps = dep_head[i] - 1, steps + 1
+        if steps > n:
+            return problems + ["cycle detected"]
+    return problems
+
+
+def _random_heads(rng, n, case):
+    if case == "tree":
+        return random_parents(rng, n)
+    if case == "any":  # mostly cycles, zero or several roots
+        return [int(h) for h in rng.integers(0, n + 1, size=n)]
+    heads = random_parents(rng, n)
+    i = int(rng.integers(n))
+    if case == "two roots":
+        heads[i] = 0
+        heads[(heads.index(0) + 1 + int(rng.integers(n - 1))) % n] = 0
+    elif case == "cycle":  # point a token at one of its descendants or itself
+        below = [j for j in range(n) if _reaches(heads, j, i)]
+        heads[i] = below[int(rng.integers(len(below)))] + 1
+    else:  # out of range
+        heads[i] = int(rng.choice([-1, n + 1, n + 5]))
+    return heads
+
+
+def _reaches(heads, j, i):
+    """Whether token i lies on the walk from token j up to the root."""
+    while True:
+        if j == i:
+            return True
+        if heads[j] == 0:
+            return False
+        j = heads[j] - 1
+
+
+def test_head_problems_property_random_heads():
+    rng = np.random.default_rng(11)
+    seen = Counter()
+    for trial in range(3000):
+        case = ("tree", "any", "two roots", "cycle", "out of range")[trial % 5]
+        heads = _random_heads(rng, int(rng.integers(2 if case == "two roots" else 1, 12)), case)
+        problems = head_problems(heads)
+        assert problems == walk_problems_oracle(heads), heads
+        seen.update(problems or ["valid"])
+        if problems:
+            with pytest.raises(ValueError) as err:
+                build_tree(heads)
+            assert str(err.value) == "; ".join(problems)
+        else:
+            assert len(build_tree(heads)) == len(heads)
+    assert set(seen) == {"valid", "no root token", "multiple root tokens",
+                         "dep_head value out of range", "cycle detected"}, seen
+
+
+def test_head_problems_no_root_cycle():
+    assert head_problems([2, 3, 1]) == ["no root token", "cycle detected"]
+    assert head_problems([]) == ["empty dep_head"]
 
 
 # ------------------------------------------------------------------- depth

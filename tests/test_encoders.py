@@ -68,7 +68,7 @@ def test_vocab_reserved_ids():
 def test_embed_inputs_shape_and_pad_row():
     m = _model("boe")
     s = make_sentence([2, 0, 2, 2], head=Span(0, 0), tail=Span(3, 3))
-    x = m.embed_inputs(s)
+    x = m.embed_inputs(m.featurize(s))
     assert x.shape == (4, m.input_cfg.width)
     np.testing.assert_array_equal(m.params["word_emb"].data[0], 0.0)
 
@@ -78,9 +78,9 @@ def test_contextual_rows_required_and_used():
     m = _model("boe", input_cfg=cfg)
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
     with pytest.raises(ValueError, match="contextual"):
-        m.embed_inputs(s)
+        m.featurize(s)
     ctx = np.arange(9, dtype=np.float32).reshape(3, 3)
-    x = m.embed_inputs(s, ctx_row=ctx)
+    x = m.embed_inputs(m.featurize(s, ctx_row=ctx))
     np.testing.assert_allclose(x.data[:, -3:], ctx)
 
 
@@ -146,7 +146,7 @@ def test_attn_uniform_weights_with_zero_qk():
     for name in ("attn0_wq", "attn0_wk"):
         m.params[name].data[:] = 0.0
     s = make_sentence([2, 0, 2, 2], head=Span(0, 0), tail=Span(3, 3))
-    x = m.embed_inputs(s)
+    x = m.embed_inputs(m.featurize(s))
     h = (x.data @ m.params["attn_in_w"].data) + m.params["attn_in_b"].data
     v = h @ m.params["attn0_wv"].data
     ctx = np.tile(v.mean(axis=0), (h.shape[0], 1))
@@ -159,7 +159,7 @@ def test_attn_uniform_weights_with_zero_qk():
 def test_attn_softmax_scaling():
     m = _model("attn", attn_layers=1, attn_heads=2, attn_kv_dim=8)
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
-    x = m.embed_inputs(s)
+    x = m.embed_inputs(m.featurize(s))
     h = (x.data @ m.params["attn_in_w"].data) + m.params["attn_in_b"].data
     q = h @ m.params["attn0_wq"].data
     k = h @ m.params["attn0_wk"].data
@@ -209,7 +209,7 @@ def test_masking_hides_mention_strings():
 def test_logits_shape_and_predict():
     m = _model("boe", labels=("x", "y", "z"))
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
-    logits = m.logits(s)
+    logits = m.logits(m.featurize(s))
     assert logits.shape == (3,)
     assert m.predict(s) in ("x", "y", "z")
 
@@ -219,7 +219,7 @@ def test_zero_classifier_gives_uniform_probs():
     m.params["cls_w"].data[:] = 0.0
     m.params["cls_b"].data[:] = 0.0
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
-    probs = ad.softmax(ad.reshape(m.logits(s), (1, 3))).data
+    probs = ad.softmax(ad.reshape(m.logits(m.featurize(s)), (1, 3))).data
     np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), rtol=1e-6)
 
 

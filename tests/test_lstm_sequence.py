@@ -56,7 +56,7 @@ def _train_step(model, sentence):
     """Logits, parameter gradients and dropout-rng state after one step."""
     model.rng = np.random.default_rng(11)
     model.zero_grads()
-    logits = model.logits(sentence, train=True)
+    logits = model.logits(model.featurize(sentence), train=True)
     ad.cross_entropy_logits(logits, model.label_index[sentence.relation]).backward()
     grads = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
     return logits.data.copy(), grads, model.rng.bit_generator.state

@@ -4,9 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relprobe import probegen, synth
+from relprobe import deptree, probegen, synth
 from relprobe.corpus import Span
-from relprobe.probegen import (BinSpec, TreeCache, build_all, build_task,
+from relprobe.probegen import (BinSpec, build_all, build_task, build_tasks,
                                extract, load_dataset, quantile_bins,
                                save_dataset)
 
@@ -62,62 +62,63 @@ def _rich_sentence():
     return make_sentence([2, 0, 6, 6, 6, 2], head=Span(0, 0), tail=Span(5, 5))
 
 
+def _tree(s):
+    return deptree.build_tree(s.dep_head)
+
+
 def test_extract_sentlen_and_argdist():
     s = _rich_sentence()
-    trees = TreeCache()
-    assert extract("SentLen", s, trees) == 6
-    assert extract("ArgDist", s, trees) == 4
+    assert extract("SentLen", s, _tree(s)) == 6
+    assert extract("ArgDist", s, _tree(s)) == 4
 
 
 def test_argdist_adjacent_spans_is_zero():
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(1, 1))
-    assert extract("ArgDist", s, TreeCache()) == 0
+    assert extract("ArgDist", s, _tree(s)) == 0
 
 
 def test_argdist_symmetric_in_order():
     fwd = make_sentence([2, 0, 2, 2], head=Span(0, 0), tail=Span(3, 3))
     rev = make_sentence([2, 0, 2, 2], head=Span(3, 3), tail=Span(0, 0))
-    trees = TreeCache()
-    assert extract("ArgDist", fwd, trees) == extract("ArgDist", rev, trees) == 2
+    assert extract("ArgDist", fwd, _tree(fwd)) == extract("ArgDist", rev, _tree(rev)) == 2
 
 
 def test_extract_entexist():
     from dataclasses import replace
     s = _rich_sentence()
-    assert extract("EntExist", s, TreeCache()) == "no"
+    assert extract("EntExist", s, _tree(s)) == "no"
     marked = replace(s, ner=("O", "O", "O", "ORG", "O", "O"))
-    assert extract("EntExist", marked, TreeCache()) == "yes"
+    assert extract("EntExist", marked, _tree(marked)) == "yes"
 
 
 def test_extract_argord():
     s = _rich_sentence()
-    assert extract("ArgOrd", s, TreeCache()) == "head-first"
+    assert extract("ArgOrd", s, _tree(s)) == "head-first"
     swapped = make_sentence([2, 0, 2], head=Span(2, 2), tail=Span(0, 0))
-    assert extract("ArgOrd", swapped, TreeCache()) == "tail-first"
+    assert extract("ArgOrd", swapped, _tree(swapped)) == "tail-first"
 
 
 def test_extract_depth_tasks():
     # chain of depth 3; args at the two ends
     s = make_sentence([0, 1, 2, 3], head=Span(0, 0), tail=Span(3, 3))
-    trees = TreeCache()
-    assert extract("TreeDepth", s, trees) == 3
-    assert extract("SDPTreeDepth", s, trees) == 3
+    assert extract("TreeDepth", s, _tree(s)) == 3
+    assert extract("SDPTreeDepth", s, _tree(s)) == 3
 
 
 def test_tree_depth_clamped():
     n = 25
     s = make_sentence([i for i in range(n)], head=Span(0, 0), tail=Span(n - 1, n - 1))
-    assert extract("TreeDepth", s, TreeCache()) == probegen.TREE_DEPTH_CLAMP
+    assert extract("TreeDepth", s, _tree(s)) == probegen.TREE_DEPTH_CLAMP
 
 
 def test_extract_pos_neighbors():
     from dataclasses import replace
     s = replace(_rich_sentence(), pos=("NNP", "VBD", "DT", "NNP", "NN", "NNP"))
-    trees = TreeCache()
-    assert extract("PosHeadL", s, trees) == probegen.BOUNDARY_LEFT
-    assert extract("PosHeadR", s, trees) == "VBD"
-    assert extract("PosTailL", s, trees) == "NN"
-    assert extract("PosTailR", s, trees) == probegen.BOUNDARY_RIGHT
+    t = _tree(s)
+    assert extract("PosHeadL", s, t) == probegen.BOUNDARY_LEFT
+    assert extract("PosHeadR", s, t) == "VBD"
+    assert extract("PosTailL", s, t) == "NN"
+    assert extract("PosTailR", s, t) == probegen.BOUNDARY_RIGHT
 
 
 def test_extract_types_and_roles():
@@ -125,22 +126,22 @@ def test_extract_types_and_roles():
     s = replace(_rich_sentence(),
                 ner=("PER", "O", "O", "ORG", "O", "PER"),
                 dep_label=("nsubj", "root", "det", "compound", "compound", "dobj"))
-    trees = TreeCache()
-    assert extract("TypeHead", s, trees) == "PER"
-    assert extract("TypeTail", s, trees) == "PER"
-    assert extract("GRHead", s, trees) == "nsubj"
-    assert extract("GRTail", s, trees) == "dobj"
+    t = _tree(s)
+    assert extract("TypeHead", s, t) == "PER"
+    assert extract("TypeTail", s, t) == "PER"
+    assert extract("GRHead", s, t) == "nsubj"
+    assert extract("GRTail", s, t) == "dobj"
 
 
 def test_gr_non_core_role_maps_to_other():
     from dataclasses import replace
     s = replace(make_sentence([2, 0, 2]), dep_label=("nmod", "root", "dobj"))
-    assert extract("GRHead", s, TreeCache()) == "other"
+    assert extract("GRHead", s, _tree(s)) == "other"
 
 
 def test_extract_unknown_task():
     with pytest.raises(ValueError, match="unknown task"):
-        extract("Nope", _rich_sentence(), TreeCache())
+        extract("Nope", _rich_sentence(), _tree(_rich_sentence()))
 
 
 # ------------------------------------------------------------ build_task

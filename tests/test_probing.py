@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,18 @@ def test_rep_roundtrip(tmp_path):
     assert loaded.source == rep.source
     np.testing.assert_array_equal(loaded.rows, rep.rows)
     assert loaded.sha256() == rep.sha256()
+
+
+def test_rep_truncated_at_any_offset_is_value_error(tmp_path):
+    full = str(tmp_path / "full.repr")
+    save_reps(_rep(["a", "bc"], np.ones((2, 3)), source="encoder:bilstm"), full)
+    raw = open(full, "rb").read()
+    cut = str(tmp_path / "cut.repr")
+    for n in range(len(raw)):
+        with open(cut, "wb") as f:
+            f.write(raw[:n])
+        with pytest.raises(ValueError, match=re.escape(cut)):
+            load_reps(cut)
 
 
 def test_rep_bad_magic(tmp_path):

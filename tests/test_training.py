@@ -143,10 +143,9 @@ def test_train_seed_changes_run(tiny_corpus):
 
 def test_best_epoch_params_restored(tiny_corpus):
     from relprobe.training import _evaluate
-    from relprobe import deptree
     model, history = _train(tiny_corpus, seed=0)
-    trees = {s.id: deptree.build_tree(s.dep_head) for s in tiny_corpus.all_sentences()}
-    _, _, f1 = _evaluate(model, tiny_corpus.validation, trees)
+    val = tiny_corpus.validation
+    _, _, f1 = _evaluate(model, [model.featurize(s) for s in val], [s.relation for s in val])
     assert f1 == pytest.approx(history.best_f1())
 
 
@@ -196,7 +195,8 @@ def test_checkpoint_roundtrip_bit_exact(tiny_corpus, tmp_path):
     for name in model.params:
         np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
     for s in tiny_corpus.test[:5]:
-        np.testing.assert_array_equal(loaded.logits(s).data, model.logits(s).data)
+        np.testing.assert_array_equal(loaded.logits(loaded.featurize(s)).data,
+                                      model.logits(model.featurize(s)).data)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -214,7 +214,8 @@ def test_checkpoint_cnn_roundtrip(tiny_corpus, tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     s = tiny_corpus.test[0]
-    np.testing.assert_array_equal(loaded.logits(s).data, model.logits(s).data)
+    np.testing.assert_array_equal(loaded.logits(loaded.featurize(s)).data,
+                                  model.logits(model.featurize(s)).data)
 
 
 def _tiny_model():
