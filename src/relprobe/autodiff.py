@@ -53,8 +53,17 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
+            # a copy: add and reshape pass one g (or a view) to several tensors
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
+
+    def _grad_buffer(self):
+        """The gradient array, zero-filled on first use, for scatter-adds."""
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        return self.grad
 
     def backward(self):
         if self.data.size != 1:
@@ -226,9 +235,7 @@ def gather_rows(a, idx):
 
     def back(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+            np.add.at(a._grad_buffer(), idx, g)
 
     return Tensor(out_data, parents=(a,), backward=back)
 
@@ -238,9 +245,7 @@ def slice_rows(a, start, stop):
 
     def back(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
+            a._grad_buffer()[start:stop] += g
 
     return Tensor(a.data[start:stop], parents=(a,), backward=back)
 
@@ -250,9 +255,7 @@ def slice_cols(a, start, stop):
 
     def back(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[..., start:stop] += g
+            a._grad_buffer()[..., start:stop] += g
 
     return Tensor(a.data[..., start:stop], parents=(a,), backward=back)
 
@@ -265,12 +268,10 @@ def amax(a, axis=0):
 
     def back(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
             grid = np.indices(out_data.shape)
             index = list(grid)
             index.insert(axis, arg)
-            np.add.at(a.grad, tuple(index), g)
+            np.add.at(a._grad_buffer(), tuple(index), g)
 
     return Tensor(out_data, parents=(a,), backward=back)
 

@@ -172,19 +172,20 @@ def cmd_train(args):
     return 0
 
 
-def _baseline_table(args_or_cfg, sentences):
-    if getattr(args_or_cfg, "embeddings", None):
-        return load_embeddings(args_or_cfg.embeddings, args_or_cfg.boe_dim)
-    tokens = {t for s in sentences for t in s.tokens}
-    return random_embeddings(tokens, getattr(args_or_cfg, "boe_dim", 16),
-                             getattr(args_or_cfg, "boe_seed", 0))
+def _boe_table(embeddings_path, dim, seed, sentences):
+    """The BoE baseline's table: the embeddings file if one is given, else a
+    seeded random table over every token of `sentences`."""
+    if embeddings_path:
+        return load_embeddings(embeddings_path, dim)
+    return random_embeddings({t for s in sentences for t in s.tokens}, dim, seed)
 
 
 def cmd_extract(args):
     corpus = load_corpus(args.corpus, args.format)
     sentences = corpus.split(args.split)
     if args.baseline:
-        table = _baseline_table(args, corpus.all_sentences()) if args.baseline == "boe" else None
+        table = _boe_table(args.embeddings, args.boe_dim, args.boe_seed,
+                           corpus.all_sentences()) if args.baseline == "boe" else None
         rep = baseline_reps(args.baseline, sentences, table)
     else:
         if not args.checkpoint:
@@ -228,12 +229,10 @@ def cmd_suite(args):
                    "test": corpus.test}
     source_names = [s.strip() for s in cfg.get("sources", "length,argdist,boe").split(",")]
     boe_dim = int(cfg.get("boe_dim", 16))
-    boe_seed = int(cfg.get("boe_seed", seed))
     if "embeddings" in cfg:
-        table = load_embeddings(cfg["embeddings"], int(cfg.get("embeddings_dim", boe_dim)))
-    else:
-        tokens = {t for s in corpus.all_sentences() for t in s.tokens}
-        table = random_embeddings(tokens, boe_dim, boe_seed)
+        boe_dim = int(cfg.get("embeddings_dim", boe_dim))
+    table = _boe_table(cfg.get("embeddings"), boe_dim, int(cfg.get("boe_seed", seed)),
+                       corpus.all_sentences())
     contextual = load_contextual(cfg["contextual"]) if "contextual" in cfg else None
     sources = []
     for name in source_names:

@@ -330,6 +330,16 @@ class ExactReader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
+    def text(self):
+        """A UTF-8 string stored as its u32 byte length and its bytes."""
+        (n,) = self.unpack("<I")
+        offset = self.f.tell()
+        try:
+            return self.read(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError("%s: bad UTF-8 at byte offset %d"
+                             % (self.path, offset + e.start)) from None
+
     def header(self, magic, version):
         """Check the magic bytes and the u32 version each format starts with."""
         got = self.read(len(magic))
@@ -338,6 +348,13 @@ class ExactReader:
         (got,) = self.unpack("<I")
         if got != version:
             raise ValueError("%s: unsupported version %d" % (self.path, got))
+
+
+def write_text(f, text):
+    """Write a string the way ExactReader.text reads it."""
+    raw = text.encode("utf-8")
+    f.write(struct.pack("<I", len(raw)))
+    f.write(raw)
 
 
 CTX_MAGIC = b"CTXV"
@@ -373,8 +390,7 @@ def load_contextual(path) -> ContextualStore:
         r = ExactReader(f, path)
         r.header(CTX_MAGIC, 1)
         while f.tell() < r.size:
-            (id_len,) = r.unpack("<I")
-            sid = r.read(id_len).decode("utf-8")
+            sid = r.text()
             t, d = r.unpack("<II")
             data = np.frombuffer(r.read(4 * t * d), dtype="<f4").reshape(t, d)
             matrices[sid] = data.astype(np.float32)
@@ -387,8 +403,6 @@ def write_contextual(store: ContextualStore, path):
         f.write(struct.pack("<I", 1))
         for sid in store.matrices:
             m = np.asarray(store.matrices[sid], dtype="<f4")
-            raw = sid.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
+            write_text(f, sid)
             f.write(struct.pack("<II", m.shape[0], m.shape[1]))
             f.write(m.tobytes())

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import probegen
-from .corpus import ExactReader
+from .corpus import ExactReader, write_text
 from .optim import Adam
 
 L2_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
@@ -55,28 +55,30 @@ def save_reps(rep: RepMatrix, path):
         n, d = rep.rows.shape
         f.write(struct.pack("<QQ", n, d))
         for sid in rep.ids:
-            raw = sid.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
+            write_text(f, sid)
         f.write(np.ascontiguousarray(rep.rows, dtype="<f4").tobytes())
-        raw = rep.source.encode("utf-8")
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
+        write_text(f, rep.source)
 
 
 def load_reps(path) -> RepMatrix:
-    """RepMatrix from a REPR file; ValueError on a malformed or truncated one."""
+    """RepMatrix from a REPR file; ValueError on a malformed, truncated or
+    overlong one and on a repeated id."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(REP_MAGIC, 1)
         n, d = r.unpack("<QQ")
-        ids = []
+        ids = {}
         for _ in range(n):
-            (ln,) = r.unpack("<I")
-            ids.append(r.read(ln).decode("utf-8"))
+            sid = r.text()
+            if sid in ids:
+                raise ValueError("%s: duplicate id %r" % (path, sid))
+            ids[sid] = None
         rows = np.frombuffer(r.read(4 * n * d), dtype="<f4").reshape(n, d).copy()
-        (ln,) = r.unpack("<I")
-        source = r.read(ln).decode("utf-8")
+        source = r.text()
+        offset = f.tell()
+        if offset < r.size:
+            raise ValueError("%s: %d trailing bytes at byte offset %d"
+                             % (path, r.size - offset, offset))
     return RepMatrix(ids=tuple(ids), rows=rows, source=source)
 
 
@@ -129,7 +131,8 @@ def _design(reps: RepMatrix, items, labels):
 
 
 def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_seed=None):
-    """Full-batch multinomial logistic regression via adaptive-moment updates."""
+    """Full-batch multinomial logistic regression via adaptive-moment updates
+    on the closed-form gradient of mean cross-entropy + l2 * sum(w**2)."""
     d = x.shape[1]
     if init_seed is None:
         w0 = np.zeros((d, n_classes))
@@ -144,20 +147,29 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
     opt = Adam(lr)
     mask = y >= 0
     y_fit = y[mask]
-    x_fit = x[mask]
-    xt = ad.constant(x_fit)
+    x_fit = np.asarray(x[mask], dtype=w.data.dtype)
+    rows = np.arange(len(y_fit))
+    inv_n = w.data.dtype.type(1.0) / len(y_fit)
+    l2_t = w.data.dtype.type(l2)
     prev = np.inf
     loss_val = np.inf
     for _ in range(max_epochs):
-        w.zero_grad()
-        b.zero_grad()
-        logits = ad.linear(xt, w, b)
-        loss = ad.cross_entropy_logits(logits, y_fit)
+        z = x_fit @ w.data + b.data
+        shifted = z - z.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = -logp[rows, y_fit].mean()
+        g = np.exp(logp)
+        g[rows, y_fit] -= 1.0
+        g *= inv_n
+        w.grad = x_fit.T @ g
+        b.grad = g.sum(axis=0)
         if l2:
-            loss = ad.add(loss, ad.scale(ad.sum_all(ad.mul(w, w)), l2))
-        loss.backward()
+            l2w = l2_t * w.data
+            w.grad += l2w  # once per factor of w*w, rounded as the chain rule adds it
+            w.grad += l2w
+            loss = loss + (w.data * w.data).sum() * l2_t
         opt.step(params)
-        loss_val = loss.item()
+        loss_val = float(loss)
         if abs(prev - loss_val) < tol:
             break
         prev = loss_val

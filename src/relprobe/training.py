@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import ExactReader, mask_entities
+from .corpus import ExactReader, mask_entities, write_text
 from .encoders import EncoderConfig, InputConfig, REModel, Vocab
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
@@ -257,9 +257,7 @@ def save_checkpoint(model: REModel, path):
         f.write(struct.pack("<I", 1))
         f.write(struct.pack("<I", len(model.params)))
         for name, t in model.params.items():
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
+            write_text(f, name)
             data = np.asarray(t.data, dtype="<f4")
             f.write(struct.pack("<I", data.ndim))
             for dim in data.shape:
@@ -276,8 +274,7 @@ def load_checkpoint(path) -> REModel:
         (count,) = r.unpack("<I")
         tensors = {}
         for _ in range(count):
-            (name_len,) = r.unpack("<I")
-            name = r.read(name_len).decode("utf-8")
+            name = r.text()
             (rank,) = r.unpack("<I")
             dims = r.unpack("<%dQ" % rank)
             n_values = int(np.prod(dims)) if rank else 1

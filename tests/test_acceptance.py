@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import relprobe
 from relprobe import deptree, probegen, synth
 from relprobe.corpus import Span, random_embeddings
 from relprobe.encoders import REModel, Vocab
@@ -253,7 +254,10 @@ def test_criterion_8_binning_uniformity(big_corpus):
 
 def test_criterion_9_suite_determinism(tmp_path):
     corpus_dir = str(tmp_path / "corpus")
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    # the subprocesses import the same relprobe as this test
+    src = os.path.dirname(os.path.dirname(relprobe.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
     subprocess.run([sys.executable, "-m", "relprobe.cli", "synth",
                     "--out", corpus_dir, "--n-train", "60", "--n-val", "20",
                     "--n-test", "20", "--seed", "3", "--pad-max", "5"],

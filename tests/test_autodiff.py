@@ -18,6 +18,16 @@ def test_add_broadcast_and_grad():
     np.testing.assert_allclose(b.grad, 8.0 * np.ones(3))
 
 
+def test_shared_gradient_array_is_not_aliased():
+    # the outer add hands one array to the inner add and to a; if a kept it
+    # as its gradient, the inner add's contribution to a would also land in b
+    a = ad.param(np.ones(3))
+    b = ad.param(np.ones(3))
+    ad.sum_all(ad.add(ad.add(a, b), a)).backward()
+    np.testing.assert_array_equal(a.grad, 2.0 * np.ones(3))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
 def test_matmul_forward():
     a = ad.constant([[1.0, 2.0], [3.0, 4.0]])
     b = ad.constant([[5.0, 6.0], [7.0, 8.0]])

@@ -138,7 +138,7 @@ def test_extract_baseline_and_probe(capsys, tmp_path, corpus_dir):
     assert os.path.exists(out_csv)
 
 
-def test_probe_truncated_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
+def _probe_with_damaged_train_reps(capsys, tmp_path, corpus_dir, damage):
     tasks = str(tmp_path / "tasks")
     assert cli.main(["probegen", "--corpus", corpus_dir, "--task", "SentLen",
                      "--out", tasks]) == 0
@@ -149,13 +149,26 @@ def test_probe_truncated_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
                          "--baseline", "length", "--out", reps[split]]) == 0
     raw = open(reps["train"], "rb").read()
     with open(reps["train"], "wb") as f:
-        f.write(raw[:-3])  # inside the source label
+        f.write(damage(raw))
     code, _, err = run(capsys, "probe", "--task", os.path.join(tasks, "SentLen.jsonl"),
                        "--train", reps["train"], "--val", reps["validation"],
                        "--test", reps["test"])
     assert code == 1
     assert err.startswith("error: %s: " % reps["train"])
     assert "Traceback" not in err
+    return err
+
+
+def test_probe_truncated_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
+    # cut inside the source label
+    _probe_with_damaged_train_reps(capsys, tmp_path, corpus_dir, lambda raw: raw[:-3])
+
+
+def test_probe_bad_utf8_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
+    # 0xff as the first byte of the first id
+    err = _probe_with_damaged_train_reps(capsys, tmp_path, corpus_dir,
+                                         lambda raw: raw[:28] + b"\xff" + raw[29:])
+    assert "bad UTF-8 at byte offset 28" in err
 
 
 def test_extract_requires_source(capsys, corpus_dir, tmp_path):

@@ -227,6 +227,16 @@ def test_contextual_empty_file(tmp_path):
     assert len(load_contextual(p)) == 0
 
 
+def test_contextual_bad_utf8_id_names_path_and_offset(tmp_path):
+    p = str(tmp_path / "bad.ctx")
+    write_contextual(ContextualStore({"s1": np.ones((1, 2), np.float32)}), p)
+    raw = bytearray(open(p, "rb").read())
+    raw[12] = 0xFF  # first id byte, after magic, version and the id length
+    open(p, "wb").write(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape("%s: bad UTF-8 at byte offset 12" % p)):
+        load_contextual(p)
+
+
 def test_contextual_truncated_is_value_error_unless_at_record_boundary(tmp_path):
     store = ContextualStore({"s1": np.ones((2, 3), np.float32),
                              "s22": np.zeros((1, 2), np.float32)})

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from relprobe import autodiff as ad
 from relprobe import probegen, probing, synth
 from relprobe.corpus import random_embeddings
 from relprobe.encoders import EncoderConfig
@@ -12,6 +13,7 @@ from relprobe.probing import (RepMatrix, baseline_features, baseline_reps,
                               suite_table, train_probe)
 from relprobe.training import desk_input_config
 from relprobe.encoders import REModel, Vocab
+from relprobe.optim import Adam
 
 from conftest import make_sentence
 
@@ -57,6 +59,34 @@ def test_rep_truncated_at_any_offset_is_value_error(tmp_path):
             f.write(raw[:n])
         with pytest.raises(ValueError, match=re.escape(cut)):
             load_reps(cut)
+
+
+def test_rep_bad_utf8_id_names_path_and_offset(tmp_path):
+    p = str(tmp_path / "bad.repr")
+    save_reps(_rep(["s1"], np.ones((1, 2))), p)
+    raw = bytearray(open(p, "rb").read())
+    raw[28] = 0xFF  # first id byte, after magic, version, N, D and the id length
+    open(p, "wb").write(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape("%s: bad UTF-8 at byte offset 28" % p)):
+        load_reps(p)
+
+
+def test_rep_trailing_bytes_rejected(tmp_path):
+    p = str(tmp_path / "long.repr")
+    save_reps(_rep(["a", "b"], np.ones((2, 3))), p)
+    size = len(open(p, "rb").read())
+    with open(p, "ab") as f:
+        f.write(b"junk")
+    with pytest.raises(ValueError, match=re.escape(
+            "%s: 4 trailing bytes at byte offset %d" % (p, size))):
+        load_reps(p)
+
+
+def test_rep_duplicate_id_rejected(tmp_path):
+    p = str(tmp_path / "dup.repr")
+    save_reps(_rep(["s1", "s2", "s1"], np.arange(6.0).reshape(3, 2)), p)
+    with pytest.raises(ValueError, match=re.escape("%s: duplicate id 's1'" % p)):
+        load_reps(p)
 
 
 def test_rep_bad_magic(tmp_path):
@@ -108,6 +138,70 @@ def test_unknown_baseline():
 
 
 # ----------------------------------------------------------------- probes
+
+def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
+                      init_seed=None):
+    """Reference fit: the same loss and Adam steps, differentiated by the
+    autodiff tape."""
+    d = x.shape[1]
+    if init_seed is None:
+        w0 = np.zeros((d, n_classes))
+        b0 = np.zeros(n_classes)
+    else:
+        rng = np.random.default_rng(init_seed)
+        w0 = rng.normal(0, 0.01, size=(d, n_classes))
+        b0 = rng.normal(0, 0.01, size=n_classes)
+    w = ad.param(w0, name="w")
+    b = ad.param(b0, name="b")
+    params = {"w": w, "b": b}
+    opt = Adam(lr)
+    mask = y >= 0
+    xt = ad.constant(x[mask])
+    y_fit = y[mask]
+    prev = np.inf
+    loss_val = np.inf
+    for _ in range(max_epochs):
+        w.zero_grad()
+        b.zero_grad()
+        loss = ad.cross_entropy_logits(ad.linear(xt, w, b), y_fit)
+        if l2:
+            loss = ad.add(loss, ad.scale(ad.sum_all(ad.mul(w, w)), l2))
+        loss.backward()
+        opt.step(params)
+        loss_val = loss.item()
+        if abs(prev - loss_val) < tol:
+            break
+        prev = loss_val
+    return w.data.copy(), b.data.copy(), loss_val
+
+
+@pytest.mark.parametrize("n,d,c,unlabeled", [(1, 3, 2, False), (40, 5, 1, False),
+                                             (60, 6, 4, True), (25, 1, 3, True)])
+@pytest.mark.parametrize("init_seed", (None, 7))
+def test_fit_softmax_bitwise_equals_tape_fit(n, d, c, unlabeled, init_seed):
+    rng = np.random.default_rng(n * 100 + d * 10 + c)
+    x = rng.normal(size=(n, d)).astype(np.float32)
+    y = rng.integers(0, c, size=n)
+    if unlabeled:
+        y[::3] = -1
+    for l2 in probing.L2_GRID:
+        want = _tape_fit_softmax(x, y, c, l2, init_seed=init_seed)
+        got = probing._fit_softmax(x, y, c, l2, init_seed=init_seed)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+
+def test_probes_fit_without_the_tape(monkeypatch):
+    def no_tape(self):
+        raise AssertionError("probe fit used the autodiff tape")
+
+    monkeypatch.setattr(ad.Tensor, "backward", no_tape)
+    sources, tasks = _suite_inputs()
+    assert len(run_suite(sources, tasks, grid=(0.0, 0.1))) == 4
+    reps, task = _separable_setup()
+    assert train_probe(reps, task).test_accuracy == 1.0
+
 
 def _toy_task(ids_by_split, labels_by_split, task="Toy", labels=None):
     splits = {name: tuple(zip(ids_by_split[name], labels_by_split[name]))

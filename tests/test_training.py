@@ -235,6 +235,16 @@ def test_checkpoint_truncated_at_any_offset_is_value_error(tmp_path):
             load_checkpoint(cut)
 
 
+def test_checkpoint_bad_utf8_name_names_path_and_offset(tmp_path):
+    p = str(tmp_path / "bad.rpck")
+    save_checkpoint(_tiny_model(), p)
+    raw = bytearray(open(p, "rb").read())
+    raw[16] = 0xFF  # first name byte, after magic, version, count and the name length
+    open(p, "wb").write(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape("%s: bad UTF-8 at byte offset 16" % p)):
+        load_checkpoint(p)
+
+
 def test_checkpoint_missing_parameter_is_rejected(tmp_path):
     model = _tiny_model()
     del model.params["pos_tail_emb"]
