@@ -8,6 +8,7 @@ checking switches to float64 via use_dtype().
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -443,6 +444,52 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False):
             b._accum(d_gates.sum(axis=0))
 
     return Tensor(out, parents=(x, wx, wh, b), backward=back)
+
+
+def multihead_attention(q, k, v, heads, drop=None):
+    """Scaled dot-product attention of `heads` heads over q, k, v (T, H·d).
+
+    Head i reads columns [i·d, (i+1)·d) of each input: its weights are
+    softmax(q_i k_iᵀ / √d) over the last axis, multiplied by drop[i] when a
+    fixed (H, T, T) dropout array is given, and its output (weights · v_i)
+    fills the same columns of the (T, H·d) result (Vaswani et al. 2017,
+    arXiv 1706.03762). The layer is one tape node: the heads run as stacked
+    (H, T, d) matmuls over views of the inputs, and the backward closure
+    applies the chain rule of scale, softmax, dropout and both products in
+    the order the per-head ops did, so results match them bit for bit.
+    """
+    q, k, v = (_as_tensor(t) for t in (q, k, v))
+    t_len, width = q.data.shape
+    d = width // heads
+    s = _DTYPE(1.0 / math.sqrt(d))
+    if drop is not None:
+        drop = np.asarray(drop, dtype=_DTYPE).reshape(heads, t_len, t_len)
+    qh, kh, vh = (t.data.reshape(t_len, heads, d).swapaxes(0, 1) for t in (q, k, v))
+    scores = (qh @ kh.swapaxes(1, 2)) * s
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    pd = p if drop is None else p * drop
+    out = (pd @ vh).swapaxes(0, 1).reshape(t_len, width)
+
+    def add_heads(t, dh):
+        """Add the (H, T, d) head gradients dh into t's (T, H·d) gradient."""
+        t._grad_buffer()[...] += dh.swapaxes(0, 1).reshape(t_len, width)
+
+    def back(g):
+        gh = np.ascontiguousarray(g.reshape(t_len, heads, d).swapaxes(0, 1))
+        if v.requires_grad:
+            add_heads(v, pd.swapaxes(1, 2) @ gh)
+        if q.requires_grad or k.requires_grad:
+            dp = gh @ vh.swapaxes(1, 2)
+            if drop is not None:
+                dp *= drop
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                add_heads(q, ds @ kh)
+            if k.requires_grad:
+                add_heads(k, (qh.swapaxes(1, 2) @ ds).swapaxes(1, 2))
+
+    return Tensor(out, parents=(q, k, v), backward=back)
 
 
 def gradcheck(fn, params, eps=1e-5):

@@ -231,13 +231,15 @@ def cmd_suite(args):
     boe_dim = int(cfg.get("boe_dim", 16))
     if "embeddings" in cfg:
         boe_dim = int(cfg.get("embeddings_dim", boe_dim))
-    table = _boe_table(cfg.get("embeddings"), boe_dim, int(cfg.get("boe_seed", seed)),
-                       corpus.all_sentences())
+    table = None
+    if "boe" in source_names:
+        table = _boe_table(cfg.get("embeddings"), boe_dim, int(cfg.get("boe_seed", seed)),
+                           corpus.all_sentences())
     contextual = load_contextual(cfg["contextual"]) if "contextual" in cfg else None
     sources = []
     for name in source_names:
         if name in probing.BASELINES:
-            reps = {sp: baseline_reps(name, ss, table if name == "boe" else None)
+            reps = {sp: baseline_reps(name, ss, table)
                     for sp, ss in split_sents.items()}
             sources.append((name, reps))
         elif name.startswith("ck:"):

@@ -282,7 +282,8 @@ class EmbeddingTable:
 
 
 def load_embeddings(path, dim) -> EmbeddingTable:
-    """Parse whitespace-separated `token f1 ... fd` lines into a table."""
+    """Parse whitespace-separated `token f1 ... fd` lines into a table;
+    CorpusFormatError naming `path:lineno` on a bad or non-finite value."""
     vectors = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -293,7 +294,15 @@ def load_embeddings(path, dim) -> EmbeddingTable:
                 raise CorpusFormatError(
                     "%s:%d: expected %d values, got %d" % (path, lineno, dim, len(parts) - 1)
                 )
-            vectors[parts[0]] = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
+            try:
+                # beyond the float32 range a value becomes inf, rejected below
+                with np.errstate(over="ignore"):
+                    vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
+            except ValueError as e:
+                raise CorpusFormatError("%s:%d: %s" % (path, lineno, e)) from None
+            if not np.isfinite(vec).all():
+                raise CorpusFormatError("%s:%d: non-finite value" % (path, lineno))
+            vectors[parts[0]] = vec
     if vectors:
         unk = np.mean(np.stack(list(vectors.values())), axis=0).astype(np.float32)
     else:
@@ -384,7 +393,8 @@ class ContextualStore:
 
 
 def load_contextual(path) -> ContextualStore:
-    """Read the CTXV binary format of per-token contextual vectors."""
+    """Read the CTXV binary format of per-token contextual vectors; ValueError
+    on a malformed or truncated file and on a NaN or infinite value."""
     matrices = {}
     with open(path, "rb") as f:
         r = ExactReader(f, path)
@@ -393,6 +403,8 @@ def load_contextual(path) -> ContextualStore:
             sid = r.text()
             t, d = r.unpack("<II")
             data = np.frombuffer(r.read(4 * t * d), dtype="<f4").reshape(t, d)
+            if not np.isfinite(data).all():
+                raise ValueError("%s: non-finite value in sentence %r" % (path, sid))
             matrices[sid] = data.astype(np.float32)
     return ContextualStore(matrices=matrices)
 

@@ -339,20 +339,19 @@ class REModel:
     def _encode_attn(self, x, train):
         enc = self.enc_cfg
         h = ad.linear(x, self.params["attn_in_w"], self.params["attn_in_b"])
-        d_head = enc.attn_kv_dim // enc.attn_heads
+        t_len = h.shape[0]
         for layer in range(enc.attn_layers):
             q = ad.matmul(h, self.params["attn%d_wq" % layer])
             k = ad.matmul(h, self.params["attn%d_wk" % layer])
             v = ad.matmul(h, self.params["attn%d_wv" % layer])
-            head_outs = []
-            for hd in range(enc.attn_heads):
-                lo, hi = hd * d_head, (hd + 1) * d_head
-                qh, kh, vh = (ad.slice_cols(t, lo, hi) for t in (q, k, v))
-                scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(d_head))
-                attn = ad.softmax(scores)
-                attn = ad.dropout(attn, enc.attn_dropout, self.rng, train)
-                head_outs.append(ad.matmul(attn, vh))
-            merged = ad.concat(head_outs, axis=1) if len(head_outs) > 1 else head_outs[0]
+            # one draw for all heads: the stream of one (T, T) draw per head
+            drop = None
+            if train and enc.attn_dropout > 0:
+                keep = 1.0 - enc.attn_dropout
+                dtype = ad.current_dtype()
+                drop = (self.rng.random((enc.attn_heads, t_len, t_len)) < keep).astype(dtype) \
+                    / dtype(keep)
+            merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop)
             h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                     self.params["attn%d_bo" % layer]))
             ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],

@@ -62,7 +62,7 @@ def save_reps(rep: RepMatrix, path):
 
 def load_reps(path) -> RepMatrix:
     """RepMatrix from a REPR file; ValueError on a malformed, truncated or
-    overlong one and on a repeated id."""
+    overlong one, on a repeated id and on a NaN or infinite value."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(REP_MAGIC, 1)
@@ -79,7 +79,11 @@ def load_reps(path) -> RepMatrix:
         if offset < r.size:
             raise ValueError("%s: %d trailing bytes at byte offset %d"
                              % (path, r.size - offset, offset))
-    return RepMatrix(ids=tuple(ids), rows=rows, source=source)
+    ids = tuple(ids)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError("%s: non-finite value in row %r" % (path, ids[np.argmin(finite)]))
+    return RepMatrix(ids=ids, rows=rows, source=source)
 
 
 def extract_reps(model, sentences, source=None, contextual=None) -> RepMatrix:

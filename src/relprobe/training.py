@@ -267,7 +267,8 @@ def save_checkpoint(model: REModel, path):
 
 
 def load_checkpoint(path) -> REModel:
-    """Model from an RPCK file; ValueError on a malformed or incomplete one."""
+    """Model from an RPCK file; ValueError on a malformed or incomplete one
+    and on a NaN or infinite parameter value."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(CKPT_MAGIC, 1)
@@ -279,6 +280,8 @@ def load_checkpoint(path) -> REModel:
             dims = r.unpack("<%dQ" % rank)
             n_values = int(np.prod(dims)) if rank else 1
             tensors[name] = np.frombuffer(r.read(4 * n_values), dtype="<f4").reshape(dims)
+            if not np.isfinite(tensors[name]).all():
+                raise ValueError("%s: non-finite value in parameter %s" % (path, name))
         offset = f.tell()
         try:
             blob = json.loads(f.read().decode("utf-8"))

@@ -93,6 +93,17 @@ def op_checks(seed=0, eps=1e-5):
                   lambda r: {"x": _rand(r, t_len, 2), "wx": _rand(r, 2, 12),
                              "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
                   lstm_loss)
+        for heads, t_len, dropped in itertools.product((1, 2), (1, 4), (False, True)):
+            drop = rng.uniform(0.0, 2.0, size=(heads, t_len, t_len)) if dropped else None
+
+            def attention_loss(p):
+                out = ad.multihead_attention(p["q"], p["k"], p["v"], heads, drop=drop)
+                return ad.sum_all(ad.mul(out, out))
+
+            check("multihead_attention:H%d:T%d%s" % (heads, t_len, ":drop" * dropped),
+                  lambda r: {"q": _rand(r, t_len, 4), "k": _rand(r, t_len, 4),
+                             "v": _rand(r, t_len, 4)},
+                  attention_loss)
     return results
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -171,6 +172,17 @@ def test_probe_bad_utf8_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
     assert "bad UTF-8 at byte offset 28" in err
 
 
+def test_probe_non_finite_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
+    def nan_first_row(raw):
+        n, d = struct.unpack("<QQ", raw[8:24])
+        start = len(raw) - (4 + len(b"baseline:length")) - 4 * n * d
+        return raw[:start] + struct.pack("<f", float("nan")) + raw[start + 4:]
+
+    err = _probe_with_damaged_train_reps(capsys, tmp_path, corpus_dir, nan_first_row)
+    assert len(err.splitlines()) == 1
+    assert "non-finite value in row" in err
+
+
 def test_extract_requires_source(capsys, corpus_dir, tmp_path):
     code, _, err = run(capsys, "extract", "--corpus", corpus_dir,
                        "--out", str(tmp_path / "r.repr"))
@@ -212,6 +224,17 @@ def test_suite_smoke_and_determinism(capsys, tmp_path, corpus_dir):
     assert results[0] == results[1]
     header = results[0].decode().splitlines()[0]
     assert header == "source,SentLen,ArgOrd"
+
+
+def test_suite_without_boe_reads_no_embeddings(capsys, tmp_path, corpus_dir):
+    out = str(tmp_path / "s")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("corpus = %s\ntasks = SentLen\nsources = length\ngrid = 0\n"
+                   "embeddings = %s\nout = %s\n"
+                   % (corpus_dir, str(tmp_path / "missing.txt"), out))
+    code, _, err = run(capsys, "suite", "--config", str(cfg))
+    assert code == 0, err
+    assert os.path.exists(os.path.join(out, "suite.csv"))
 
 
 def test_suite_unknown_source(capsys, tmp_path, corpus_dir):

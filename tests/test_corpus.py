@@ -193,6 +193,14 @@ def test_load_embeddings_dim_mismatch(tmp_path):
         load_embeddings(str(p), 4)
 
 
+@pytest.mark.parametrize("line", ("foo nan inf", "foo 1.0 x", "foo 1e39 0"))
+def test_load_embeddings_rejects_bad_values(tmp_path, line):
+    p = tmp_path / "emb.txt"
+    p.write_text("cat 1.0 2.0\n%s\n" % line)
+    with pytest.raises(CorpusFormatError, match=re.escape("%s:2: " % p)):
+        load_embeddings(str(p), 2)
+
+
 def test_unknown_token_maps_to_mean(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0 3.0 4.0\ndog 5.0 6.0 7.0 8.0\n")
@@ -212,6 +220,15 @@ def test_contextual_roundtrip(tmp_path):
     loaded = load_contextual(p)
     assert len(loaded) == 1
     np.testing.assert_array_equal(loaded.get("s1"), store.get("s1"))
+
+
+def test_contextual_non_finite_vector_rejected(tmp_path):
+    m = np.ones((2, 3), np.float32)
+    m[1, 2] = np.nan
+    p = str(tmp_path / "nan.ctx")
+    write_contextual(ContextualStore({"s1": np.ones((1, 3), np.float32), "s2": m}), p)
+    with pytest.raises(ValueError, match=re.escape("%s: non-finite value in sentence 's2'" % p)):
+        load_contextual(p)
 
 
 def test_contextual_row_mismatch(tmp_path):

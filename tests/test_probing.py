@@ -89,6 +89,16 @@ def test_rep_duplicate_id_rejected(tmp_path):
         load_reps(p)
 
 
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+def test_rep_non_finite_row_rejected(tmp_path, value):
+    p = str(tmp_path / "nan.repr")
+    rows = np.ones((3, 2))
+    rows[1, 1] = value
+    save_reps(_rep(["s1", "s2", "s3"], rows), p)
+    with pytest.raises(ValueError, match=re.escape("%s: non-finite value in row 's2'" % p)):
+        load_reps(p)
+
+
 def test_rep_bad_magic(tmp_path):
     p = str(tmp_path / "bad.bin")
     with open(p, "wb") as f:

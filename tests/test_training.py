@@ -245,6 +245,16 @@ def test_checkpoint_bad_utf8_name_names_path_and_offset(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_non_finite_parameter_is_rejected(tmp_path):
+    model = _tiny_model()
+    model.params["pos_head_emb"].data[1, 0] = np.nan
+    path = str(tmp_path / "nan.rpck")
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError, match=re.escape(
+            "%s: non-finite value in parameter pos_head_emb" % path)):
+        load_checkpoint(path)
+
+
 def test_checkpoint_missing_parameter_is_rejected(tmp_path):
     model = _tiny_model()
     del model.params["pos_tail_emb"]
