@@ -14,7 +14,7 @@ import sys
 
 from . import probegen, probing, synth
 from .corpus import (CorpusFormatError, load_contextual, load_corpus,
-                     load_embeddings, random_embeddings, write_corpus)
+                     load_embeddings, random_embeddings, read_lines, write_corpus)
 from .encoders import InputConfig
 from .probegen import TASKS, build_all, build_tasks, load_dataset, save_dataset
 from .probing import (L2_GRID, baseline_reps, extract_reps, load_reps,
@@ -30,29 +30,34 @@ KNOWN_KEYS = {
     "jobs", "boe_dim", "boe_seed",
 }
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
 
 def read_config(path):
     """Plain key=value config; unknown keys rejected. '#' starts a comment at
     the start of a line or after whitespace, so /data/a#b keeps its '#'."""
     cfg = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError("%s:%d: expected key=value" % (path, lineno))
-            key, value = (x.strip() for x in line.split("=", 1))
-            if key not in KNOWN_KEYS:
-                raise UsageError("%s:%d: unknown config key %r" % (path, lineno, key))
-            cfg[key] = value
+    for lineno, line in read_lines(path, UsageError):
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError("%s:%d: expected key=value" % (path, lineno))
+        key, value = (x.strip() for x in line.split("=", 1))
+        if key not in KNOWN_KEYS:
+            raise UsageError("%s:%d: unknown config key %r" % (path, lineno, key))
+        cfg[key] = value
     return cfg
 
 
 class UsageError(Exception):
     pass
+
+
+def _bool_from(cfg, key):
+    value = cfg.get(key, "false")
+    if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise UsageError("config key %r: expected true/false, yes/no or 1/0, got %r"
+                         % (key, value))
+    return value.lower() in ("true", "yes", "1")
 
 
 def _seed_from(cfg, default=0):
@@ -135,7 +140,7 @@ def cmd_train(args):
     elif enc_cfg.kind != kind and "encoder" in cfg:
         raise UsageError("profile %s is for encoder %s" % (profile_name, enc_cfg.kind))
     input_kwargs = {
-        "masking": _BOOL.get(cfg.get("masking", "false").lower(), False),
+        "masking": _bool_from(cfg, "masking"),
         "word_dropout": profile.word_dropout,
         "embedding_dropout": profile.embedding_dropout,
         "pos_dim": int(cfg.get("pos_dim", profile.pos_dim)),
@@ -217,6 +222,7 @@ def cmd_probe(args):
 
 def cmd_suite(args):
     cfg = read_config(args.config)
+    standardize = _bool_from(cfg, "standardize")
     corpus = _load_corpus_cfg(cfg)
     seed = _seed_from(cfg)
     task_profile = cfg.get("task_profile", "tacred")
@@ -252,7 +258,6 @@ def cmd_suite(args):
             raise UsageError("unknown source %r (use length|argdist|boe|ck:<path>)" % name)
     grid = tuple(float(x) for x in cfg.get("grid", "").split(",")) if cfg.get("grid") \
         else L2_GRID
-    standardize = _BOOL.get(cfg.get("standardize", "false").lower(), False)
     jobs = args.jobs or int(cfg.get("jobs", 1))
     results = run_suite(sources, tasks, grid=grid, standardize=standardize, jobs=jobs)
     header, rows = suite_table(results, sources, tasks)
@@ -271,10 +276,11 @@ def cmd_gradcheck(args):
     from .verify import gradcheck_all
     results = gradcheck_all()
     worst = 0.0
+    width = max(map(len, results))
     for name in sorted(results):
         err = results[name]
         worst = max(worst, err)
-        print("%-24s %.3e %s" % (name, err, "ok" if err < 1e-4 else "FAIL"))
+        print("%-*s %.3e %s" % (width, name, err, "ok" if err < 1e-4 else "FAIL"))
     print("max relative error: %.3e" % worst)
     return 0 if worst < 1e-4 else 1
 

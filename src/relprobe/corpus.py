@@ -3,7 +3,9 @@
 Sentences carry tokens, POS/NER tags, a dependency tree (1-based heads,
 0 = root), the head/tail argument spans and a relation label. Two input
 profiles are supported: generic-jsonl (one record per line) and tacred-json
-(one array per split file, TACRED field names).
+(one array per split file, TACRED field names). Their records, and synth's
+template files, become Sentences through one decoder that checks JSON types
+and validates each sentence.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,82 +93,107 @@ class CorpusFormatError(ValueError):
     pass
 
 
-_GENERIC_FIELDS = (
-    "id",
-    "tokens",
-    "pos",
-    "ner",
-    "dep_head",
-    "dep_label",
-    "head_start",
-    "head_end",
-    "tail_start",
-    "tail_end",
-    "relation",
-)
+# Record keys of the two input profiles, in Sentence field order
+GENERIC_KEYS = ("id", "tokens", "pos", "ner", "dep_head", "dep_label",
+                "head_start", "head_end", "tail_start", "tail_end", "relation")
+TACRED_KEYS = ("id", "token", "stanford_pos", "stanford_ner", "stanford_head", "stanford_deprel",
+               "subj_start", "subj_end", "obj_start", "obj_end", "relation")
+# The JSON types each key may hold, and the type of an array's items
+_INTEGER, _STRING, _STRINGS = ((int,), None), ((str,), None), ((list,), str)
+_KEY_TYPES = (((str, int), None), _STRINGS, _STRINGS, _STRINGS, ((list,), int), _STRINGS,
+              _INTEGER, _INTEGER, _INTEGER, _INTEGER, _STRING)
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
 
 
-def _sentence_from_generic(rec):
-    return Sentence(
-        id=str(rec["id"]),
-        tokens=tuple(rec["tokens"]),
-        pos=tuple(rec["pos"]),
-        ner=tuple(rec["ner"]),
-        dep_head=tuple(int(h) for h in rec["dep_head"]),
-        dep_label=tuple(rec["dep_label"]),
-        head=Span(int(rec["head_start"]), int(rec["head_end"])),
-        tail=Span(int(rec["tail_start"]), int(rec["tail_end"])),
-        relation=str(rec["relation"]),
-    )
+def _type_problem(keys, values):
+    """Describe the first record value of a JSON type _KEY_TYPES does not allow."""
+    for key, (types, item_type), value in zip(keys, _KEY_TYPES, values):
+        if type(value) not in types:
+            return "field %s: expected %s, got %s" % (
+                key, " or ".join(map(_JSON_NAMES.get, types)), _JSON_NAMES[type(value)])
+        for i, item in enumerate(value if item_type else ()):
+            if type(item) is not item_type:
+                return "field %s: item %d: expected %s, got %s" % (
+                    key, i, _JSON_NAMES[item_type], _JSON_NAMES[type(item)])
 
 
-def _sentence_from_tacred(rec):
-    return Sentence(
-        id=str(rec["id"]),
-        tokens=tuple(rec["token"]),
-        pos=tuple(rec["stanford_pos"]),
-        ner=tuple(rec["stanford_ner"]),
-        dep_head=tuple(int(h) for h in rec["stanford_head"]),
-        dep_label=tuple(rec["stanford_deprel"]),
-        head=Span(int(rec["subj_start"]), int(rec["subj_end"])),
-        tail=Span(int(rec["obj_start"]), int(rec["obj_end"])),
-        relation=str(rec["relation"]),
-    )
+def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
+    """The Sentence a decoded JSON record holds under the key names `keys`;
+    CorpusFormatError prefixed with `where`, the record's place, if the record
+    is not an object, lacks a key, holds a value of another JSON type (none is
+    coerced) or fails validate_sentence."""
+    if type(rec) is not dict:
+        raise CorpusFormatError("%s: expected a JSON object, got %s"
+                                % (where, _JSON_NAMES[type(rec)]))
+    try:
+        values = itemgetter(*keys)(rec)
+    except KeyError as e:  # the first key missing, in field order
+        raise CorpusFormatError("%s: missing field %s" % (where, e.args[0])) from None
+    sid, tokens, pos, ner, dep_head, dep_label, hs, he, ts, te, relation = values
+    try:
+        "".join(tokens + pos + ner + dep_label)  # TypeError unless all are strings
+        ok = ((type(sid) is str or type(sid) is int) and type(relation) is str
+              and type(hs) is int and type(he) is int and type(ts) is int and type(te) is int
+              and type(tokens) is list and type(pos) is list and type(ner) is list
+              and type(dep_label) is list and type(dep_head) is list
+              and {int}.issuperset(map(type, dep_head)))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise CorpusFormatError("%s: %s" % (where, _type_problem(keys, values)))
+    s = Sentence(str(sid), tuple(tokens), tuple(pos), tuple(ner), tuple(dep_head),
+                 tuple(dep_label), Span(hs, he), Span(ts, te), relation)
+    problems = validate_sentence(s)
+    if problems:
+        raise CorpusFormatError("%s: sentence %s: %s" % (where, s.id, "; ".join(problems)))
+    return s
+
+
+def _sentence_from_tacred(rec, where):
+    return _sentence_from_generic(rec, where, TACRED_KEYS)
+
+
+def read_lines(path, error=CorpusFormatError):
+    """Yield (lineno, text) for each line of a UTF-8 text file; a byte that
+    is not UTF-8 raises `error` naming path:lineno."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise error("%s:%d: %s" % (path, lineno, e)) from None
+            yield lineno, line
+
+
+def jsonl_records(path):
+    """Yield ("path:lineno", record) for each non-blank line of a JSONL file;
+    CorpusFormatError on a line that is not UTF-8 JSON."""
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line:
+            try:
+                rec = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep
+                raise CorpusFormatError("%s:%d: malformed json (%s)" % (path, lineno, e)) from None
+            yield "%s:%d" % (path, lineno), rec
 
 
 def _read_jsonl_split(path):
-    sentences = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError("%s:%d: malformed json (%s)" % (path, lineno, e))
-            missing = [k for k in _GENERIC_FIELDS if k not in rec]
-            if missing:
-                raise CorpusFormatError(
-                    "%s:%d: missing field %s" % (path, lineno, missing[0])
-                )
-            sentences.append(_sentence_from_generic(rec))
-    return sentences
+    return [_sentence_from_generic(rec, where) for where, rec in jsonl_records(path)]
 
 
 def _read_tacred_split(path):
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         try:
-            records = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError("%s: malformed json (%s)" % (path, e))
-    sentences = []
-    for i, rec in enumerate(records):
-        try:
-            sentences.append(_sentence_from_tacred(rec))
-        except KeyError as e:
-            raise CorpusFormatError("%s: record %d: missing field %s" % (path, i, e))
-    return sentences
+            records = json.loads(f.read().decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # JSON, UTF-8 or nesting too deep
+            raise CorpusFormatError("%s: malformed json (%s)" % (path, e)) from None
+    if type(records) is not list:
+        raise CorpusFormatError("%s: expected a JSON array, got %s"
+                                % (path, _JSON_NAMES[type(records)]))
+    return [_sentence_from_tacred(rec, "%s: record %d" % (path, i))
+            for i, rec in enumerate(records)]
 
 
 _NEGATIVE_CANDIDATES = ("no_relation", "Other", "NA", "none")
@@ -184,7 +212,7 @@ def load_corpus(path, format_profile=GENERIC_JSONL, negative_label=None) -> Corp
         reader, names = _read_tacred_split, ("train.json", "dev.json", "test.json")
     else:
         raise CorpusFormatError("unknown format profile: %s" % format_profile)
-    splits = []
+    splits, seen_ids = [], set()
     for i, name in enumerate(names):
         p = os.path.join(path, name)
         if os.path.exists(p):
@@ -193,14 +221,9 @@ def load_corpus(path, format_profile=GENERIC_JSONL, negative_label=None) -> Corp
             raise CorpusFormatError("missing train split file: %s" % p)
         else:
             splits.append([])
-    seen_ids = set()
-    for sentences in splits:
-        for s in sentences:
-            problems = validate_sentence(s)
-            if problems:
-                raise CorpusFormatError("sentence %s: %s" % (s.id, "; ".join(problems)))
+        for s in splits[-1]:
             if s.id in seen_ids:
-                raise CorpusFormatError("duplicate sentence id: %s" % s.id)
+                raise CorpusFormatError("%s: duplicate sentence id: %s" % (p, s.id))
             seen_ids.add(s.id)
     inventory = tuple(sorted({s.relation for s in splits[0]}))
     if negative_label is None:
@@ -215,19 +238,10 @@ def load_corpus(path, format_profile=GENERIC_JSONL, negative_label=None) -> Corp
 
 
 def sentence_to_record(s: Sentence) -> dict:
-    return {
-        "id": s.id,
-        "tokens": list(s.tokens),
-        "pos": list(s.pos),
-        "ner": list(s.ner),
-        "dep_head": list(s.dep_head),
-        "dep_label": list(s.dep_label),
-        "head_start": s.head.start,
-        "head_end": s.head.end,
-        "tail_start": s.tail.start,
-        "tail_end": s.tail.end,
-        "relation": s.relation,
-    }
+    """The generic-jsonl record of a sentence, its keys in GENERIC_KEYS order."""
+    return dict(zip(GENERIC_KEYS, (s.id, list(s.tokens), list(s.pos), list(s.ner),
+                                   list(s.dep_head), list(s.dep_label), s.head.start,
+                                   s.head.end, s.tail.start, s.tail.end, s.relation)))
 
 
 def write_corpus(corpus: Corpus, path):
@@ -283,26 +297,26 @@ class EmbeddingTable:
 
 def load_embeddings(path, dim) -> EmbeddingTable:
     """Parse whitespace-separated `token f1 ... fd` lines into a table;
-    CorpusFormatError naming `path:lineno` on a bad or non-finite value."""
+    CorpusFormatError naming `path:lineno` on a bad or non-finite value and
+    on a byte that is not UTF-8."""
     vectors = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise CorpusFormatError(
-                    "%s:%d: expected %d values, got %d" % (path, lineno, dim, len(parts) - 1)
-                )
-            try:
-                # beyond the float32 range a value becomes inf, rejected below
-                with np.errstate(over="ignore"):
-                    vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
-            except ValueError as e:
-                raise CorpusFormatError("%s:%d: %s" % (path, lineno, e)) from None
-            if not np.isfinite(vec).all():
-                raise CorpusFormatError("%s:%d: non-finite value" % (path, lineno))
-            vectors[parts[0]] = vec
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != dim + 1:
+            raise CorpusFormatError(
+                "%s:%d: expected %d values, got %d" % (path, lineno, dim, len(parts) - 1)
+            )
+        try:
+            # beyond the float32 range a value becomes inf, rejected below
+            with np.errstate(over="ignore"):
+                vec = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
+        except ValueError as e:
+            raise CorpusFormatError("%s:%d: %s" % (path, lineno, e)) from None
+        if not np.isfinite(vec).all():
+            raise CorpusFormatError("%s:%d: non-finite value" % (path, lineno))
+        vectors[parts[0]] = vec
     if vectors:
         unk = np.mean(np.stack(list(vectors.values())), axis=0).astype(np.float32)
     else:

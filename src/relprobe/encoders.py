@@ -69,6 +69,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in ("cnn", "bilstm", "gcn", "attn", "boe"):
             raise ValueError("unknown encoder kind: %s" % self.kind)
+        if self.cnn_activation not in ("tanh", "relu"):
+            raise ValueError("unknown cnn_activation: %s" % self.cnn_activation)
         if self.kind == "attn" and self.attn_kv_dim % self.attn_heads != 0:
             raise ValueError("attn_kv_dim must be divisible by attn_heads")
 

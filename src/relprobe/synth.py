@@ -1,9 +1,10 @@
 """Deterministic synthetic-corpus generator with authored dependency trees.
 
-Templates are generic-jsonl records whose tokens may contain slot markers
-like "[PER]"; slots are filled from per-type lexicons. The marker "[ANY]"
-draws the entity type itself at random (used for the entity-type
-experiments), and relation strings may reference the drawn types via
+Templates are Sentences with the id "" whose tokens may contain slot
+markers like "[PER]"; on disk they are generic-jsonl records without an id.
+Slots are filled from per-type lexicons. The marker "[ANY]" draws the
+entity type itself at random (used for the entity-type experiments), and
+relation strings may reference the drawn types via
 "{head}" / "{tail}" placeholders. Optional padding clauses ("in the X of
 the Y ...") are appended to vary sentence length and tree depth.
 """
@@ -16,21 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, Sentence, Span, sentence_to_record, validate_sentence
+from .corpus import (Corpus, Sentence, Span, _sentence_from_generic, jsonl_records,
+                     sentence_to_record, validate_sentence)
 
 _SLOT_RE = re.compile(r"^\[([A-Z_]+)\]$")
-
-
-@dataclass(frozen=True)
-class Template:
-    tokens: tuple
-    pos: tuple
-    ner: tuple
-    dep_head: tuple
-    dep_label: tuple
-    head: Span
-    tail: Span
-    relation: str
 
 
 @dataclass
@@ -63,8 +53,8 @@ def default_lexicons():
 def default_templates():
     return (
         # "[PER] , [TITLE] of [ORG] ," -> per:title
-        Template(
-            tokens=("[PER]", ",", "[TITLE]", "of", "[ORG]", ","),
+        Sentence(
+            id="", tokens=("[PER]", ",", "[TITLE]", "of", "[ORG]", ","),
             pos=("NNP", ",", "NN", "IN", "NNP", ","),
             ner=("PER", "O", "O", "O", "ORG", "O"),
             dep_head=(0, 1, 1, 5, 3, 1),
@@ -74,8 +64,8 @@ def default_templates():
             relation="per:title",
         ),
         # "[ORG] [VERB] [ORG]" -> org:deal
-        Template(
-            tokens=("[ORG]", "[VERB]", "[ORG]"),
+        Sentence(
+            id="", tokens=("[ORG]", "[VERB]", "[ORG]"),
             pos=("NNP", "VBD", "NNP"),
             ner=("ORG", "O", "ORG"),
             dep_head=(2, 0, 2),
@@ -85,8 +75,8 @@ def default_templates():
             relation="org:deal",
         ),
         # "[PER] [VERB] [LOC]" -> per:visited
-        Template(
-            tokens=("[PER]", "[VERB]", "[LOC]"),
+        Sentence(
+            id="", tokens=("[PER]", "[VERB]", "[LOC]"),
             pos=("NNP", "VBD", "NNP"),
             ner=("PER", "O", "LOC"),
             dep_head=(2, 0, 2),
@@ -96,8 +86,8 @@ def default_templates():
             relation="per:visited",
         ),
         # "[PER] [VERB] the [ORG] chief [PER]" -> per:employee_of (entity between args)
-        Template(
-            tokens=("[PER]", "[VERB]", "the", "[ORG]", "chief", "[PER]"),
+        Sentence(
+            id="", tokens=("[PER]", "[VERB]", "the", "[ORG]", "chief", "[PER]"),
             pos=("NNP", "VBD", "DT", "NNP", "NN", "NNP"),
             ner=("PER", "O", "O", "ORG", "O", "PER"),
             dep_head=(2, 0, 6, 6, 6, 2),
@@ -107,8 +97,8 @@ def default_templates():
             relation="per:employee_of",
         ),
         # "[ORG] was [VERB] by [PER]" -> per:agent_of (tail precedes head)
-        Template(
-            tokens=("[ORG]", "was", "[VERB]", "by", "[PER]"),
+        Sentence(
+            id="", tokens=("[ORG]", "was", "[VERB]", "by", "[PER]"),
             pos=("NNP", "VBD", "VBN", "IN", "NNP"),
             ner=("ORG", "O", "O", "O", "PER"),
             dep_head=(3, 3, 0, 5, 3),
@@ -123,8 +113,8 @@ def default_templates():
 def type_pair_templates():
     """Templates whose relation label is a function of the argument types."""
     return (
-        Template(
-            tokens=("[ANY]", "[VERB]", "[ANY]"),
+        Sentence(
+            id="", tokens=("[ANY]", "[VERB]", "[ANY]"),
             pos=("NNP", "VBD", "NNP"),
             ner=("*", "O", "*"),
             dep_head=(2, 0, 2),
@@ -133,8 +123,8 @@ def type_pair_templates():
             tail=Span(2, 2),
             relation="rel:{head}:{tail}",
         ),
-        Template(
-            tokens=("[ANY]", "[VERB]", "[ANY]", "in", "the", "[NOUN]"),
+        Sentence(
+            id="", tokens=("[ANY]", "[VERB]", "[ANY]", "in", "the", "[NOUN]"),
             pos=("NNP", "VBD", "NNP", "IN", "DT", "NN"),
             ner=("*", "O", "*", "O", "O", "O"),
             dep_head=(2, 0, 2, 6, 6, 2),
@@ -147,27 +137,12 @@ def type_pair_templates():
 
 
 def load_templates(path):
-    """Read templates from a jsonl file with the generic-jsonl record schema."""
+    """Read templates from a jsonl file of generic-jsonl records without ids."""
     templates = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError("%s:%d: malformed template (%s)" % (path, lineno, e))
-            templates.append(Template(
-                tokens=tuple(rec["tokens"]),
-                pos=tuple(rec["pos"]),
-                ner=tuple(rec["ner"]),
-                dep_head=tuple(rec["dep_head"]),
-                dep_label=tuple(rec["dep_label"]),
-                head=Span(rec["head_start"], rec["head_end"]),
-                tail=Span(rec["tail_start"], rec["tail_end"]),
-                relation=rec["relation"],
-            ))
+    for where, rec in jsonl_records(path):
+        if type(rec) is dict:  # anything else is the decoder's to report
+            rec["id"] = ""
+        templates.append(_sentence_from_generic(rec, where))
     return tuple(templates)
 
 
@@ -175,10 +150,9 @@ def _choice(rng, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _fill_template(tpl: Template, cfg: SynthConfig, rng, sid):
+def _fill_template(tpl: Sentence, cfg: SynthConfig, rng, sid):
     tokens = list(tpl.tokens)
     ner = list(tpl.ner)
-    slot_types = {}  # token index -> drawn entity type (for [ANY] slots)
     for i, tok in enumerate(tokens):
         m = _SLOT_RE.match(tok)
         if not m:
@@ -190,7 +164,6 @@ def _fill_template(tpl: Template, cfg: SynthConfig, rng, sid):
         if slot not in cfg.lexicons:
             raise ValueError("no lexicon for slot %s" % slot)
         tokens[i] = _choice(rng, cfg.lexicons[slot])
-        slot_types[i] = slot
     relation = tpl.relation
     if "{head}" in relation or "{tail}" in relation:
         head_type = ner[tpl.head.start]
@@ -287,10 +260,7 @@ def generate_order_controlled(config: SynthConfig, seed=None) -> Corpus:
 
 def write_templates(templates, path):
     with open(path, "w", encoding="utf-8") as f:
-        for i, tpl in enumerate(templates):
-            s = Sentence(id="tpl-%d" % i, tokens=tpl.tokens, pos=tpl.pos, ner=tpl.ner,
-                         dep_head=tpl.dep_head, dep_label=tpl.dep_label,
-                         head=tpl.head, tail=tpl.tail, relation=tpl.relation)
-            rec = sentence_to_record(s)
+        for tpl in templates:
+            rec = sentence_to_record(tpl)
             del rec["id"]
             f.write(json.dumps(rec) + "\n")

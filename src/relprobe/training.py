@@ -267,8 +267,9 @@ def save_checkpoint(model: REModel, path):
 
 
 def load_checkpoint(path) -> REModel:
-    """Model from an RPCK file; ValueError on a malformed or incomplete one
-    and on a NaN or infinite parameter value."""
+    """Model from an RPCK file; ValueError on a malformed or incomplete one,
+    on a config blob the configs cannot be built from and on a NaN or
+    infinite parameter value."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(CKPT_MAGIC, 1)
@@ -288,13 +289,18 @@ def load_checkpoint(path) -> REModel:
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError("%s: bad config blob at byte offset %d: %s"
                              % (path, offset, e)) from None
-    input_cfg = InputConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in blob["input_cfg"].items()})
-    enc_cfg = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
-                               for k, v in blob["encoder_cfg"].items()})
-    vocab = Vocab.from_itos(blob["vocab"])
-    model = REModel(vocab, blob["labels"], input_cfg, enc_cfg, seed=blob.get("seed", 0),
-                    negative_label=blob.get("negative_label"))
+    try:
+        input_cfg = InputConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in blob["input_cfg"].items()})
+        enc_cfg = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                   for k, v in blob["encoder_cfg"].items()})
+        vocab = Vocab.from_itos(blob["vocab"])
+        model = REModel(vocab, blob["labels"], input_cfg, enc_cfg, seed=blob.get("seed", 0),
+                        negative_label=blob.get("negative_label"))
+    except KeyError as e:
+        raise ValueError("%s: bad config blob: missing key %s" % (path, e)) from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError("%s: bad config blob: %s" % (path, e)) from None
     for name, data in tensors.items():
         if name not in model.params:
             raise ValueError("%s: checkpoint parameter %s not in model" % (path, name))

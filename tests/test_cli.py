@@ -51,6 +51,117 @@ def test_validate_missing_dir(capsys, tmp_path):
     assert "error:" in err
 
 
+_GOOD = {
+    "id": "r0",
+    "tokens": ["Bayer", "acquired", "Monsanto"],
+    "pos": ["NNP", "VBD", "NNP"],
+    "ner": ["ORG", "O", "ORG"],
+    "dep_head": [2, 0, 2],
+    "dep_label": ["nsubj", "root", "dobj"],
+    "head_start": 0, "head_end": 0,
+    "tail_start": 2, "tail_end": 2,
+    "relation": "org:deal",
+}
+_TACRED_NAMES = dict(zip(_GOOD, ("id", "token", "stanford_pos", "stanford_ner", "stanford_head",
+                                  "stanford_deprel", "subj_start", "subj_end", "obj_start",
+                                  "obj_end", "relation")))
+
+
+def _record(drop=(), tacred=False, **fields):
+    rec = {k: v for k, v in {**_GOOD, "id": "r1", **fields}.items() if k not in drop}
+    return {_TACRED_NAMES[k]: v for k, v in rec.items()} if tacred else rec
+
+
+def _jsonl(second):
+    """Two lines, the first a good record; `second` is a record or raw bytes."""
+    if not isinstance(second, bytes):
+        second = json.dumps(second).encode()
+    return json.dumps(_GOOD).encode() + b"\n" + second + b"\n"
+
+
+def _template(second):
+    good = dict(_GOOD)
+    del good["id"]
+    return json.dumps(good).encode() + b"\n" + json.dumps(second).encode() + b"\n"
+
+
+def _tacred(*records):
+    return json.dumps([_record(tacred=True, id="r0")] + list(records)).encode()
+
+
+# (input kind, file bytes, where the error says the problem is, what it says)
+_MALFORMED = {
+    "tokens-int": ("jsonl", _jsonl(_record(tokens=5)), ":2: ", "field tokens:"),
+    "line-int": ("jsonl", _jsonl(b"5"), ":2: ", "expected a JSON object, got integer"),
+    "line-array": ("jsonl", _jsonl(b"[1, 2]"), ":2: ", "expected a JSON object, got array"),
+    "line-not-json": ("jsonl", _jsonl(b"{not json"), ":2: ", "malformed json"),
+    "line-nested-too-deep": ("jsonl", _jsonl(b"[" * 100000), ":2: ", "malformed json"),
+    "head-null": ("jsonl", _jsonl(_record(dep_head=[None, 0, 2])), ":2: ", "field dep_head:"),
+    "head-float": ("jsonl", _jsonl(_record(dep_head=[2.7, 0, 2])), ":2: ", "field dep_head:"),
+    "head-numeric-strings": ("jsonl", _jsonl(_record(dep_head=["2", "0", "2"])), ":2: ",
+                             "field dep_head:"),
+    "span-string": ("jsonl", _jsonl(_record(head_start="x")), ":2: ", "field head_start:"),
+    "span-float": ("jsonl", _jsonl(_record(head_start=0.5)), ":2: ", "field head_start:"),
+    "span-bool": ("jsonl", _jsonl(_record(head_start=False, head_end=False)), ":2: ",
+                  "field head_start:"),
+    "id-null": ("jsonl", _jsonl(_record(id=None)), ":2: ", "field id:"),
+    "tokens-string": ("jsonl", _jsonl(_record(tokens="xyz")), ":2: ", "field tokens:"),
+    "annotations-all-strings": ("jsonl", _jsonl(_record(tokens="abc", pos="abc", ner="abc",
+                                                        dep_label="abc")), ":2: ", "field tokens:"),
+    "label-int": ("jsonl", _jsonl(_record(dep_label=["nsubj", 1, "dobj"])), ":2: ",
+                  "field dep_label: item 1:"),
+    "relation-int": ("jsonl", _jsonl(_record(relation=3)), ":2: ", "field relation:"),
+    "missing-field": ("jsonl", _jsonl(_record(drop=("ner",))), ":2: ", "missing field ner"),
+    "span-inverted": ("jsonl", _jsonl(_record(head_start=2, head_end=1)), ":2: ",
+                      "sentence r1: head span start > end"),
+    "spans-overlap": ("jsonl", _jsonl(_record(tail_start=0, tail_end=1)), ":2: ", "overlap"),
+    "bad-utf8": ("jsonl", _jsonl(json.dumps(_record()).encode().replace(b"Bayer", b"Ba\xffer")),
+                 ":2: ", "can't decode byte 0xff"),
+    "duplicate-id": ("jsonl", _jsonl(_record(id="r0")), ": ", "duplicate sentence id: r0"),
+    "tacred-object": ("tacred", json.dumps(_record(tacred=True)).encode(), ": ",
+                      "expected a JSON array, got object"),
+    "tacred-record-int": ("tacred", _tacred(5), ": record 1: ",
+                          "expected a JSON object, got integer"),
+    "tacred-missing-field": ("tacred", _tacred(_record(tacred=True, drop=("ner",))),
+                             ": record 1: ", "missing field stanford_ner"),
+    "tacred-head-float": ("tacred", _tacred(_record(tacred=True, dep_head=[2.7, 0, 2])),
+                          ": record 1: ", "field stanford_head:"),
+    "tacred-nested-too-deep": ("tacred", b"[" * 100000, ": ", "malformed json"),
+    "tacred-bad-utf8": ("tacred", _tacred(_record(tacred=True)).replace(b"Bayer", b"Ba\xffer"),
+                        ": ", "can't decode byte 0xff"),
+    "template-missing-ner": ("template", _template(_record(drop=("id", "ner"))), ":2: ",
+                             "missing field ner"),
+    "template-tokens-int": ("template", _template(_record(drop=("id",), tokens=5)), ":2: ",
+                            "field tokens:"),
+    "template-span-inverted": ("template", _template(_record(drop=("id",), head_start=2)),
+                               ":2: ", "head span start > end"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_record_is_one_error_line(capsys, tmp_path, case):
+    kind, raw, where, message = _MALFORMED[case]
+    d = tmp_path / "corpus"
+    d.mkdir()
+    out = str(tmp_path / "out")
+    path = str(d / {"jsonl": "train.jsonl", "tacred": "train.json",
+                    "template": "templates.jsonl"}[kind])
+    with open(path, "wb") as f:
+        f.write(raw)
+    if kind == "template":
+        argv = ["synth", "--templates", path, "--out", out]
+    else:
+        argv = ["validate", "--corpus", str(d)]
+        argv += ["--format", "tacred-json"] if kind == "tacred" else []
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == "" and not os.path.exists(out)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: %s%s" % (path, where))
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_probegen_all(capsys, corpus_dir, tmp_path):
     out_dir = str(tmp_path / "tasks")
     code, out, _ = run(capsys, "probegen", "--corpus", corpus_dir,
@@ -95,6 +206,26 @@ def test_config_comments_and_unknown_profile(capsys, tmp_path, corpus_dir):
     code, _, err = run(capsys, "train", "--config", str(cfg))
     assert code == 2
     assert "unknown profile" in err
+
+
+@pytest.mark.parametrize("command,key", (("train", "masking"), ("suite", "standardize")))
+def test_unknown_bool_value_is_usage_error(capsys, tmp_path, corpus_dir, command, key):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("corpus = %s\n%s = yes please\nout = %s\n"
+                   % (corpus_dir, key, str(tmp_path / "o")))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: config key %r: " % key)
+    assert "'yes please'" in err
+    assert not os.path.exists(str(tmp_path / "o"))
+
+
+def test_config_bad_utf8_names_path_and_line(capsys, tmp_path):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_bytes(b"corpus = /nowhere\nout = r\xffn\n")
+    code, _, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: %s:2: 'utf-8' codec can't decode byte 0xff" % cfg)
 
 
 def test_config_hash_inside_value_is_kept(tmp_path):
@@ -190,7 +321,16 @@ def test_extract_requires_source(capsys, corpus_dir, tmp_path):
     assert "checkpoint" in err
 
 
-@pytest.mark.parametrize("defect", ("truncated", "incomplete"))
+# RPCK config-blob defects: each maps the saved blob to the one written instead
+_BLOB_DEFECTS = {
+    "gelu": lambda b: {**b, "encoder_cfg": {**b["encoder_cfg"], "cnn_activation": "gelu"}},
+    "unknown-key": lambda b: {**b, "encoder_cfg": {**b["encoder_cfg"], "cnn_pooling": "mean"}},
+    "no-input-cfg": lambda b: {k: v for k, v in b.items() if k != "input_cfg"},
+    "list-blob": lambda b: [1, 2],
+}
+
+
+@pytest.mark.parametrize("defect", ("truncated", "incomplete") + tuple(_BLOB_DEFECTS))
 def test_extract_bad_checkpoint_fails_cleanly(capsys, corpus_dir, tmp_path, defect):
     model = REModel(Vocab(["a"]), ("x", "y"), InputConfig(word_dim=2, pos_dim=1, max_offset=1),
                     EncoderConfig(kind="boe"))
@@ -198,14 +338,22 @@ def test_extract_bad_checkpoint_fails_cleanly(capsys, corpus_dir, tmp_path, defe
         del model.params["cls_b"]
     path = str(tmp_path / "model.rpck")
     save_checkpoint(model, path)
+    raw = open(path, "rb").read()
     if defect == "truncated":
-        raw = open(path, "rb").read()
-        with open(path, "wb") as f:
-            f.write(raw[:len(raw) // 2])
+        raw = raw[:len(raw) // 2]
+    elif defect in _BLOB_DEFECTS:
+        blob = json.dumps(model.config_blob(), sort_keys=True).encode()
+        assert raw.endswith(blob)
+        raw = raw[:-len(blob)] + json.dumps(_BLOB_DEFECTS[defect](json.loads(blob))).encode()
+    with open(path, "wb") as f:
+        f.write(raw)
     code, _, err = run(capsys, "extract", "--corpus", corpus_dir, "--checkpoint", path,
                        "--out", str(tmp_path / "r.repr"))
     assert code == 1
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: %s: " % path)
+    if defect in _BLOB_DEFECTS:
+        assert err.startswith("error: %s: bad config blob: " % path)
     assert "Traceback" not in err
 
 
@@ -261,6 +409,10 @@ def test_gradcheck_command(capsys):
     assert code == 0
     assert "max relative error" in out
     assert "FAIL" not in out
+    results = out.splitlines()[:-1]
+    width = max(len(line.split()[0]) for line in results)
+    # every error column starts right after the longest name and one space
+    assert all(line[width] == " " and line[width + 1] != " " for line in results)
 
 
 def test_seed_env_override(monkeypatch):

@@ -201,6 +201,14 @@ def test_load_embeddings_rejects_bad_values(tmp_path, line):
         load_embeddings(str(p), 2)
 
 
+def test_load_embeddings_bad_utf8_names_line(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"cat 1.0 2.0\nd\xffg 3.0 4.0\n")
+    with pytest.raises(CorpusFormatError,
+                       match=re.escape("%s:2: 'utf-8' codec can't decode byte 0xff" % p)):
+        load_embeddings(str(p), 2)
+
+
 def test_unknown_token_maps_to_mean(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0 3.0 4.0\ndog 5.0 6.0 7.0 8.0\n")
