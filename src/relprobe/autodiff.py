@@ -3,17 +3,20 @@
 Dynamic tape: every op returns a Tensor holding its inputs and a closure
 that scatters the incoming gradient back to them. The operator set is
 exactly what the sentence encoders need. float32 by default; gradient
-checking switches to float64 via use_dtype().
+checking switches to float64 via use_dtype(). Eval-mode forward passes run
+inside no_tape(), which records no tape.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 
 import numpy as np
 
 _DTYPE = np.float32
+_RECORD = True  # whether new tensors keep their parents and backward closure
 
 
 def current_dtype():
@@ -31,12 +34,28 @@ def use_dtype(dtype):
         _DTYPE = old
 
 
+@contextmanager
+def no_tape():
+    """Ops inside record no tape: their results keep no parents and no
+    backward closure, so each intermediate array is freed as soon as nothing
+    else holds it. For forward passes that never call backward."""
+    global _RECORD
+    old = _RECORD
+    _RECORD = False
+    try:
+        yield
+    finally:
+        _RECORD = old
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.grad = None
+        if not _RECORD:
+            parents, backward = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
@@ -160,7 +179,9 @@ def matmul(a, b):
         if a.requires_grad:
             a._accum(g @ b.data.T)
         if b.requires_grad:
-            if a.data.ndim == 1:
+            # one row of a: an outer product, which BLAS gemm runs several
+            # times slower with its inner dimension of 1
+            if a.data.ndim == 1 or a.data.shape[0] == 1:
                 b._accum(np.outer(a.data, g))
             else:
                 b._accum(a.data.T @ g)
@@ -261,20 +282,52 @@ def slice_cols(a, start, stop):
     return Tensor(a.data[..., start:stop], parents=(a,), backward=back)
 
 
-def amax(a, axis=0):
-    """Max along an axis; gradient flows to the first argmax per slice."""
+def _segments(starts, n_rows):
+    """Segment starts (B+1 row bounds covering n_rows rows) as a list of ints.
+
+    An empty segment is a ValueError: reduceat-style code would silently
+    read the next segment's first row for it.
+    """
+    bounds = starts.tolist() if isinstance(starts, np.ndarray) else list(starts)
+    if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n_rows:
+        raise ValueError("segment starts %s do not cover %d rows" % (bounds, n_rows))
+    if not all(map(operator.lt, bounds, bounds[1:])):
+        empty = next(i for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi <= lo)
+        raise ValueError("empty segment %d in starts %s" % (empty, bounds))
+    return bounds
+
+
+def amax(a, axis=0, starts=None):
+    """Max along an axis; gradient flows to the first argmax per slice.
+
+    With segment starts (B+1 row bounds), the max over each segment's rows
+    of a 2-D tensor: one output row per segment.
+    """
     a = _as_tensor(a)
-    out_data = a.data.max(axis=axis)
-    arg = a.data.argmax(axis=axis)
+    if starts is None:
+        out_data = a.data.max(axis=axis)
+        arg = a.data.argmax(axis=axis)
 
-    def back(g):
+        def back(g):
+            if a.requires_grad:
+                grid = np.indices(out_data.shape)
+                index = list(grid)
+                index.insert(axis, arg)
+                np.add.at(a._grad_buffer(), tuple(index), g)
+
+        return Tensor(out_data, parents=(a,), backward=back)
+    if axis != 0:
+        raise ValueError("segment max runs over axis 0")
+    bounds = _segments(starts, a.data.shape[0])
+    # not np.maximum.reduceat, which runs several times slower on wide rows
+    out_data = np.array([a.data[lo:hi].max(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+
+    def back_segments(g):
         if a.requires_grad:
-            grid = np.indices(out_data.shape)
-            index = list(grid)
-            index.insert(axis, arg)
-            np.add.at(a._grad_buffer(), tuple(index), g)
+            rows = [lo + a.data[lo:hi].argmax(axis=0) for lo, hi in zip(bounds, bounds[1:])]
+            np.add.at(a._grad_buffer(), (np.array(rows), np.arange(g.shape[1])), g)
 
-    return Tensor(out_data, parents=(a,), backward=back)
+    return Tensor(out_data, parents=(a,), backward=back_segments)
 
 
 def sum_all(a):
@@ -287,14 +340,28 @@ def sum_all(a):
     return Tensor(a.data.sum(), parents=(a,), backward=back)
 
 
-def sum_axis(a, axis=0):
+def sum_axis(a, axis=0, starts=None):
+    """Sum along an axis. With segment starts (B+1 row bounds), the sum over
+    each segment's rows of a 2-D tensor, one output row per segment, each
+    reduced exactly as the whole-tensor sum reduces its rows."""
     a = _as_tensor(a)
+    if starts is None:
+        def back(g):
+            if a.requires_grad:
+                a._accum(np.repeat(np.expand_dims(g, axis), a.data.shape[axis], axis=axis))
 
-    def back(g):
+        return Tensor(a.data.sum(axis=axis), parents=(a,), backward=back)
+    if axis != 0:
+        raise ValueError("segment sum runs over axis 0")
+    bounds = _segments(starts, a.data.shape[0])
+    # not np.add.reduceat, whose summation order differs from sum(axis=0)
+    out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+
+    def back_segments(g):
         if a.requires_grad:
-            a._accum(np.repeat(np.expand_dims(g, axis), a.data.shape[axis], axis=axis))
+            a._accum(g.repeat([hi - lo for lo, hi in zip(bounds, bounds[1:])], axis=0))
 
-    return Tensor(a.data.sum(axis=axis), parents=(a,), backward=back)
+    return Tensor(out_data, parents=(a,), backward=back_segments)
 
 
 def softmax(a):
@@ -354,20 +421,58 @@ def linear(x, w, b=None):
     return add(out, b) if b is not None else out
 
 
-def conv1d(x, w, b=None):
+def conv1d(x, w, b=None, starts=None):
     """Valid 1-d convolution over rows of x (T, d) with filters w (k*d, F).
 
-    x is zero-padded on the right when T < k so at least one window exists.
+    starts (B+1 row bounds; default: all of x) splits the rows into
+    segments, and windows never cross a segment. The result holds each
+    segment's max(len - k + 1, 1) window rows in segment order: a segment
+    shorter than k is zero-padded on the right so that one window exists.
     """
-    k = w.data.shape[0] // x.data.shape[1]
+    x = _as_tensor(x)
     t, d = x.data.shape
-    if t < k:
-        pad = Tensor(np.zeros((k - t, d)))
-        x = concat([x, pad], axis=0)
-        t = k
-    idx = np.arange(t - k + 1)[:, None] + np.arange(k)[None, :]
-    windows = reshape(gather_rows(x, idx), (t - k + 1, k * d))
+    k = w.data.shape[0] // d
+    bounds = _segments((0, t) if starts is None else starts, t)
+    if len(bounds) == 2:  # one segment: windows start at rows 0 .. max(t - k, 0)
+        idx = np.arange(max(t - k + 1, 1))[:, None] + np.arange(k)
+    else:
+        starts = np.asarray(bounds)
+        n_win = np.maximum(starts[1:] - starts[:-1] - (k - 1), 1)
+        ends = n_win.cumsum()
+        # window j of segment i starts at row starts[i] + j
+        idx = (np.arange(ends[-1]) + (starts[:-1] - ends + n_win).repeat(n_win))[:, None] \
+            + np.arange(k)
+        # rows past a short segment's end read the zero rows appended below
+        end = starts[1:].repeat(n_win)[:, None]
+        idx = np.where(idx < end, idx, t + idx - end)
+    shortest = min(map(operator.sub, bounds[1:], bounds))
+    if shortest < k:
+        x = concat([x, Tensor(np.zeros((k - shortest, d)))], axis=0)
+    windows = reshape(gather_rows(x, idx), (len(idx), k * d))
     return linear(windows, w, b)
+
+
+def segment_matmul(mats, x, starts):
+    """Rows [starts[i], starts[i+1]) of x (N, d) multiplied by the constant
+    square matrix mats[i], for each segment i.
+
+    Each product is one matmul of the segment's own rows, so the result
+    equals per-segment matmuls bit for bit; no block-diagonal matrix is
+    formed. Gradients flow to x only.
+    """
+    x = _as_tensor(x)
+    bounds = _segments(starts, x.data.shape[0])
+    if len(mats) != len(bounds) - 1:
+        raise ValueError("%d matrices for %d segments" % (len(mats), len(bounds) - 1))
+    mats = [np.asarray(m, dtype=_DTYPE) for m in mats]
+    pairs = list(zip(bounds, bounds[1:]))
+    out_data = np.concatenate([m @ x.data[lo:hi] for m, (lo, hi) in zip(mats, pairs)])
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(np.concatenate([m.T @ g[lo:hi] for m, (lo, hi) in zip(mats, pairs)]))
+
+    return Tensor(out_data, parents=(x,), backward=back)
 
 
 def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False):

@@ -146,7 +146,8 @@ def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
                  tuple(dep_label), Span(hs, he), Span(ts, te), relation)
     problems = validate_sentence(s)
     if problems:
-        raise CorpusFormatError("%s: sentence %s: %s" % (where, s.id, "; ".join(problems)))
+        subject = "sentence %s: " % s.id if s.id else ""  # templates have no id
+        raise CorpusFormatError("%s: %s%s" % (where, subject, "; ".join(problems)))
     return s
 
 

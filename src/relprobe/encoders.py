@@ -2,15 +2,20 @@
 multi-headed self-attention, bag-of-embeddings) plus the relation
 classification head.
 
-REModel.featurize turns a sentence into its Features once per run. Every
-token is then embedded as the concatenation of its word vector, a learned
-head-offset embedding, a learned tail-offset embedding and (optionally) a
-precomputed contextual vector. Encoders map the resulting T x d_in matrix
-to a fixed-size sentence representation.
+REModel.featurize_batch turns B sentences into one packed Features record
+once per run: their token rows one after another, with segment starts.
+Every token is then embedded as the concatenation of its word vector, a
+learned head-offset embedding, a learned tail-offset embedding and
+(optionally) a precomputed contextual vector. Encoders map the resulting
+ΣT x d_in matrix to one fixed-size representation row per sentence; no
+padding is involved, so each row is computed from its own sentence only.
+Training passes one sentence at a time; eval-mode passes take chunks of
+EVAL_BATCH sentences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -18,10 +23,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import deptree
-from .corpus import masked_tokens
+from .corpus import Span, masked_tokens
 
 PAD = "<PAD>"
 UNK = "<UNK>"
+EVAL_BATCH = 50  # sentences per eval-mode forward pass: the paper's TACRED batch size
 
 
 @dataclass(frozen=True)
@@ -94,29 +100,47 @@ class Vocab:
         return v
 
     def ids(self, tokens):
-        unk = self.stoi[UNK]
-        return np.asarray([self.stoi.get(t, unk) for t in tokens], dtype=np.int64)
+        return np.fromiter(map(self.stoi.get, tokens, itertools.repeat(self.stoi[UNK])),
+                           dtype=np.int64)
 
     def __len__(self):
         return len(self.itos)
 
 
 def position_offsets(span, length, clip):
-    """Signed clipped distance of each token to the span (0 inside it)."""
+    """Signed clipped distance of each of `length` tokens to the span (0
+    inside it). The span bounds may also be arrays, one bound per token."""
     idx = np.arange(length)
-    off = np.where(idx < span.start, idx - span.start,
-                   np.where(idx > span.end, idx - span.end, 0))
-    return np.clip(off, -clip, clip)
+    off = np.minimum(idx - span.start, 0) + np.maximum(idx - span.end, 0)
+    return np.minimum(np.maximum(off, -clip), clip)
 
 
 @dataclass(frozen=True)
 class Features:
-    """Model inputs of one sentence, as REModel.featurize prepares them."""
+    """Model inputs of B >= 1 sentences packed row after row, as
+    REModel.featurize_batch prepares them. Sentence i owns the token rows
+    [starts[i], starts[i+1]).
 
-    ids: np.ndarray          # vocab ids of the (masked) tokens
-    offsets: tuple           # head and tail offset-embedding rows; () when pos_dim == 0
-    ctx: np.ndarray | None   # contextual rows when the input config uses them
-    graph: tuple | None      # gcn: kept tokens, normalized adjacency, head and tail pooling rows
+    graph, for gcn only, is (kept, kept_starts, adjs, head_rows, head_starts,
+    tail_rows, tail_starts): the token rows kept around each sentence's SDP
+    and their segment starts, one normalized adjacency per sentence, and the
+    head and tail pooling rows (into the kept rows) with their segment starts.
+    """
+
+    ids: np.ndarray          # (ΣT,) vocab ids of the (masked) tokens
+    offsets: tuple           # head and tail offset-embedding rows, (ΣT,) each; () when pos_dim == 0
+    ctx: np.ndarray | None   # (ΣT, c) contextual rows when the input config uses them
+    graph: tuple | None      # gcn: see above
+    starts: np.ndarray       # (B+1,) segment starts of the token rows
+
+
+def _packed(lists, shifts):
+    """One index array of lists[i] + shifts[i], and its segment starts."""
+    flat, starts = [], [0]
+    for items, shift in zip(lists, shifts):
+        flat.extend([shift + i for i in items])
+        starts.append(len(flat))
+    return np.array(flat, dtype=np.int64), np.array(starts, dtype=np.int64)
 
 
 def _glorot(rng, shape):
@@ -219,43 +243,82 @@ class REModel:
     # -------------------------------------------------------------- forward
 
     def featurize(self, sentence, ctx_row=None):
-        """The sentence's Features, computed once and reused by every forward
-        pass. For GCN: the tokens kept around the SDP, their row-normalized
-        adjacency (self loops included) and the head and tail pooling rows."""
+        """The Features of one sentence (B = 1)."""
+        return self.featurize_batch((sentence,), (ctx_row,))
+
+    def featurize_batch(self, sentences, ctx_rows=None):
+        """The packed Features of a sequence of sentences, computed once and
+        reused by every forward pass. Trees are built once per sentence, and
+        only for masking or GCN. For GCN: the tokens kept around the SDP,
+        their row-normalized adjacency (self loops included) and the head
+        and tail pooling rows."""
         cfg, enc = self.input_cfg, self.enc_cfg
-        if cfg.use_contextual and ctx_row is None:
-            raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
-        tree = None
+        n = len(sentences)
+        ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
+        if cfg.use_contextual:
+            for s, row in zip(sentences, ctx_rows):
+                if row is None:
+                    raise ValueError("missing contextual vectors for sentence %s" % s.id)
+                if len(row) != len(s):
+                    raise ValueError("%d contextual rows for the %d tokens of sentence %s"
+                                     % (len(row), len(s), s.id))
+        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        trees = None
         if cfg.masking or enc.kind == "gcn":
-            tree = deptree.build_tree(sentence.dep_head)
-        tokens = masked_tokens(sentence, tree) if cfg.masking else sentence.tokens
+            trees = [deptree.build_tree(s.dep_head) for s in sentences]
+        token_lists = map(masked_tokens, sentences, trees) if cfg.masking \
+            else (s.tokens for s in sentences)
+        ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
         offsets = ()
         if cfg.pos_dim > 0:
-            offsets = tuple(position_offsets(span, len(sentence), cfg.max_offset) + cfg.max_offset
-                            for span in (sentence.head, sentence.tail))
+            # rows: head start, tail start, head end, tail end of each token's
+            # sentence, in packed row numbers
+            spans = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
+                              for s in sentences]).T
+            spans = (spans + starts[:-1]).repeat(lengths, axis=1)
+            off = position_offsets(Span(spans[:2], spans[2:]), starts[-1], cfg.max_offset)
+            offsets = tuple(off + cfg.max_offset)
         graph = None
         if enc.kind == "gcn":
-            path = deptree.sdp(tree, sentence.head, sentence.tail)
-            k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k
-            kept = sorted(deptree.prune(tree, path, k))
-            if not kept:
-                raise ValueError("pruning removed every token")
-            pos = {tok: i for i, tok in enumerate(kept)}
-            adj = np.eye(len(kept), dtype=ad.current_dtype())
-            for tok in kept:
-                p = tree.parent[tok]
-                if p is not None and p in pos:
-                    adj[pos[tok], pos[p]] = 1.0
-                    adj[pos[p], pos[tok]] = 1.0
-            adj /= adj.sum(axis=1, keepdims=True)
-            pools = [[pos[t] for t in kept if t in span] or [pos[deptree.span_root(tree, span)]]
-                     for span in (sentence.head, sentence.tail)]
-            graph = (np.asarray(kept), adj, *map(np.asarray, pools))
-        return Features(self.vocab.ids(tokens), offsets,
-                        ctx_row if cfg.use_contextual else None, graph)
+            kept, adjs, heads, tails = zip(*map(self._pruned_graph, sentences, trees))
+            kept, kept_starts = _packed(kept, starts.tolist())
+            shifts = kept_starts.tolist()
+            graph = (kept, kept_starts, adjs, *_packed(heads, shifts), *_packed(tails, shifts))
+        ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
+        return Features(ids, offsets, ctx, graph, starts)
+
+    def _pruned_graph(self, sentence, tree):
+        """Kept tokens, normalized adjacency, head and tail pooling rows
+        (positions among the kept tokens) of one sentence."""
+        path = deptree.sdp(tree, sentence.head, sentence.tail)
+        k = math.inf if self.enc_cfg.gcn_prune_k in (None, math.inf) else self.enc_cfg.gcn_prune_k
+        kept = sorted(deptree.prune(tree, path, k))
+        if not kept:
+            raise ValueError("pruning removed every token")
+        pos = {tok: i for i, tok in enumerate(kept)}
+        adj = np.eye(len(kept), dtype=ad.current_dtype())
+        for tok in kept:
+            p = tree.parent[tok]
+            if p is not None and p in pos:
+                adj[pos[tok], pos[p]] = 1.0
+                adj[pos[p], pos[tok]] = 1.0
+        adj /= adj.sum(axis=1, keepdims=True)
+        pools = [[pos[t] for t in kept if t in span] or [pos[deptree.span_root(tree, span)]]
+                 for span in (sentence.head, sentence.tail)]
+        return (kept, adj, *pools)
+
+    def featurize_chunks(self, sentences, contextual=None):
+        """Packed Features of consecutive chunks of EVAL_BATCH sentences, for
+        eval-mode forward passes; contextual maps sentence ids to rows."""
+        ctx = {} if contextual is None else contextual
+        for lo in range(0, len(sentences), EVAL_BATCH):
+            chunk = sentences[lo:lo + EVAL_BATCH]
+            yield self.featurize_batch(chunk, [ctx.get(s.id) for s in chunk])
 
     def embed_inputs(self, features, train=False):
-        """Per-token input matrix (T x width) as an autodiff tensor."""
+        """Per-token input matrix (ΣT x width) as an autodiff tensor."""
         cfg = self.input_cfg
         ids = features.ids
         if train and cfg.word_dropout > 0:
@@ -270,33 +333,43 @@ class REModel:
         return ad.dropout(x, cfg.embedding_dropout, self.rng, train)
 
     def encode(self, features, train=False):
-        """Fixed-size sentence representation tensor."""
+        """Sentence representations (B x rep_dim) of packed Features."""
         enc = self.enc_cfg
         x = self.embed_inputs(features, train=train)
+        starts = features.starts
         if enc.kind == "cnn":
-            rep = self._encode_cnn(x)
-        elif enc.kind == "bilstm":
-            rep = self._encode_bilstm(x, train)
+            rep = self._encode_cnn(x, starts)
         elif enc.kind == "gcn":
             rep = self._encode_gcn(x, features.graph, train)
-        elif enc.kind == "attn":
-            rep = self._encode_attn(x, train)
+        elif enc.kind == "boe":
+            rep = ad.sum_axis(x, axis=0, starts=starts)
         else:
-            rep = ad.sum_axis(x, axis=0)
+            # one sentence at a time, each giving one representation row; a
+            # lone sentence reads x itself, so the training tape is unchanged
+            encode_one = self._encode_bilstm if enc.kind == "bilstm" else self._encode_attn
+            segments = [x] if len(starts) == 2 else \
+                [ad.slice_rows(x, lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+            rows = [ad.reshape(encode_one(seg, train), (1, -1)) for seg in segments]
+            rep = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
         return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
 
     def logits(self, features, train=False):
+        """Class scores (B x C) of packed Features."""
         rep = self.encode(features, train=train)
         return ad.linear(rep, self.params["cls_w"], self.params["cls_b"])
 
-    def _encode_cnn(self, x):
+    def _encode_cnn(self, x, starts):
         enc = self.enc_cfg
         act = ad.tanh if enc.cnn_activation == "tanh" else ad.relu
+        lengths = (starts[1:] - starts[:-1]).tolist()
         pools = []
         for k in enc.cnn_sizes:
-            h = act(ad.conv1d(x, self.params["cnn_w%d" % k], self.params["cnn_b%d" % k]))
-            pools.append(ad.amax(h, axis=0))
-        return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
+            h = act(ad.conv1d(x, self.params["cnn_w%d" % k], self.params["cnn_b%d" % k],
+                              starts=starts))
+            # segment starts of conv1d's rows: max(len - k + 1, 1) windows per sentence
+            windows = [0, *itertools.accumulate(max(n - k + 1, 1) for n in lengths)]
+            pools.append(ad.amax(h, axis=0, starts=windows))
+        return ad.concat(pools, axis=1) if len(pools) > 1 else pools[0]
 
     def _lstm_direction(self, x, layer, dirn, train):
         """H (T, h) of one direction ("f" or "b") of one BiLSTM layer."""
@@ -321,18 +394,18 @@ class REModel:
 
     def _encode_gcn(self, x, graph, train):
         enc = self.enc_cfg
-        kept, adj, head_rows, tail_rows = graph
-        m = ad.constant(adj)
+        kept, kept_starts, adjs, head_rows, head_starts, tail_rows, tail_starts = graph
         h = ad.gather_rows(x, kept)
         for layer in range(enc.gcn_layers):
-            h = ad.relu(ad.matmul(m, ad.linear(h, self.params["gcn%d_w" % layer],
-                                               self.params["gcn%d_b" % layer])))
+            h = ad.relu(ad.segment_matmul(adjs, ad.linear(h, self.params["gcn%d_w" % layer],
+                                                          self.params["gcn%d_b" % layer]),
+                                          kept_starts))
             if layer < enc.gcn_layers - 1:
                 h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
-        pools = [ad.amax(h, axis=0)]
-        for rows in (head_rows, tail_rows):
-            pools.append(ad.amax(ad.gather_rows(h, rows), axis=0))
-        rep = ad.concat(pools, axis=0)
+        pools = [ad.amax(h, axis=0, starts=kept_starts)]
+        for rows, starts in ((head_rows, head_starts), (tail_rows, tail_starts)):
+            pools.append(ad.amax(ad.gather_rows(h, rows), axis=0, starts=starts))
+        rep = ad.concat(pools, axis=1)
         for j in range(enc.gcn_ff_layers):
             rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
                                     self.params["gcn_ff%d_b" % j]))
@@ -368,7 +441,7 @@ class REModel:
     def encode_np(self, sentence, ctx_row=None):
         """Eval-mode representation as a plain float32 vector."""
         rep = self.encode(self.featurize(sentence, ctx_row))
-        return np.asarray(rep.data, dtype=np.float32)
+        return np.asarray(rep.data[0], dtype=np.float32)
 
     def predict(self, sentence, ctx_row=None):
         logits = self.logits(self.featurize(sentence, ctx_row))

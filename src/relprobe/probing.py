@@ -87,12 +87,12 @@ def load_reps(path) -> RepMatrix:
 
 
 def extract_reps(model, sentences, source=None, contextual=None) -> RepMatrix:
-    """Eval-mode (dropout-free) representations for a list of sentences."""
-    rows = []
-    for s in sentences:
-        ctx = contextual.get(s.id) if contextual is not None else None
-        rows.append(model.encode_np(s, ctx_row=ctx))
-    rows = np.stack(rows).astype(np.float32) if rows else np.zeros((0, model.rep_dim), np.float32)
+    """Eval-mode (dropout-free) representations for a list of sentences, one
+    tape-free forward pass per packed chunk of EVAL_BATCH sentences."""
+    with ad.no_tape():
+        rows = [model.encode(f).data for f in model.featurize_chunks(sentences, contextual)]
+    rows = np.concatenate(rows).astype(np.float32) if rows \
+        else np.zeros((0, model.rep_dim), np.float32)
     return RepMatrix(ids=tuple(s.id for s in sentences), rows=rows,
                      source=source or "encoder:%s" % model.enc_cfg.kind)
 

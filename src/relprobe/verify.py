@@ -81,6 +81,21 @@ def op_checks(seed=0, eps=1e-5):
                                    "b": _rand(r, 2)},
               lambda p: ad.sum_all(ad.mul(ad.conv1d(p["x"], p["w"], p["b"]),
                                           ad.conv1d(p["x"], p["w"], p["b"]))))
+        # two segments, the first shorter than the filter width k = 3
+        check("conv1d:segments", lambda r: {"x": _rand(r, 6, 2), "w": _rand(r, 6, 2),
+                                            "b": _rand(r, 2)},
+              lambda p: ad.sum_all(ad.mul(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6)),
+                                          ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6)))))
+        check("amax:segments", lambda r: {"a": _rand(r, 6, 3)},
+              lambda p: ad.sum_all(ad.mul(ad.amax(p["a"], axis=0, starts=(0, 1, 4, 6)),
+                                          ad.amax(p["a"], axis=0, starts=(0, 1, 4, 6)))))
+        check("sum_axis:segments", lambda r: {"a": _rand(r, 5, 3)},
+              lambda p: ad.sum_all(ad.mul(ad.sum_axis(p["a"], axis=0, starts=(0, 2, 5)),
+                                          ad.sum_axis(p["a"], axis=0, starts=(0, 2, 5)))))
+        mats = [_rand(rng, 2, 2), _rand(rng, 3, 3)]
+        check("segment_matmul", lambda r: {"x": _rand(r, 5, 2)},
+              lambda p: ad.sum_all(ad.mul(ad.segment_matmul(mats, p["x"], (0, 2, 5)),
+                                          ad.segment_matmul(mats, p["x"], (0, 2, 5)))))
         for t_len, reverse, masked in itertools.product((1, 4), (False, True), (False, True)):
             rmask = rng.uniform(0.0, 2.0, size=(1, 3)) if masked else None
 

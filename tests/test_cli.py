@@ -159,6 +159,7 @@ def test_malformed_record_is_one_error_line(capsys, tmp_path, case):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: %s%s" % (path, where))
     assert message in err
+    assert "sentence :" not in err  # no empty template id
     assert "Traceback" not in err
 
 

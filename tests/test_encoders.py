@@ -210,7 +210,7 @@ def test_logits_shape_and_predict():
     m = _model("boe", labels=("x", "y", "z"))
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
     logits = m.logits(m.featurize(s))
-    assert logits.shape == (3,)
+    assert logits.shape == (1, 3)
     assert m.predict(s) in ("x", "y", "z")
 
 

@@ -108,7 +108,7 @@ PINNED = {
 
 def _logits(model, s, ctx_row):
     if hasattr(model, "featurize"):
-        return model.logits(model.featurize(s, ctx_row)).data
+        return model.logits(model.featurize(s, ctx_row)).data[0]
     return model.logits(s, ctx_row=ctx_row).data  # the sentence-taking forward pass
 
 
