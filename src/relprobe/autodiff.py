@@ -304,21 +304,22 @@ def amax(a, axis=0, starts=None):
     of a 2-D tensor: one output row per segment.
     """
     a = _as_tensor(a)
-    if starts is None:
-        out_data = a.data.max(axis=axis)
-        arg = a.data.argmax(axis=axis)
+    bounds = None
+    if starts is not None:
+        if axis != 0:
+            raise ValueError("segment max runs over axis 0")
+        bounds = _segments(starts, a.data.shape[0])
+    if bounds is None or len(bounds) == 2:
+        out_data = a.data.max(axis=axis, keepdims=bounds is not None)
 
         def back(g):
             if a.requires_grad:
-                grid = np.indices(out_data.shape)
-                index = list(grid)
+                arg = a.data.argmax(axis=axis)
+                index = list(np.indices(arg.shape))
                 index.insert(axis, arg)
-                np.add.at(a._grad_buffer(), tuple(index), g)
+                np.add.at(a._grad_buffer(), tuple(index), g.reshape(arg.shape))
 
         return Tensor(out_data, parents=(a,), backward=back)
-    if axis != 0:
-        raise ValueError("segment max runs over axis 0")
-    bounds = _segments(starts, a.data.shape[0])
     # not np.maximum.reduceat, which runs several times slower on wide rows
     out_data = np.array([a.data[lo:hi].max(axis=0) for lo, hi in zip(bounds, bounds[1:])])
 
@@ -354,12 +355,17 @@ def sum_axis(a, axis=0, starts=None):
     if axis != 0:
         raise ValueError("segment sum runs over axis 0")
     bounds = _segments(starts, a.data.shape[0])
-    # not np.add.reduceat, whose summation order differs from sum(axis=0)
-    out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+    if len(bounds) == 2:
+        out_data = a.data.sum(axis=0, keepdims=True)
+        counts = a.data.shape[0]
+    else:
+        # not np.add.reduceat, whose summation order differs from sum(axis=0)
+        out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+        counts = np.diff(bounds)
 
     def back_segments(g):
         if a.requires_grad:
-            a._accum(g.repeat([hi - lo for lo, hi in zip(bounds, bounds[1:])], axis=0))
+            a._accum(g.repeat(counts, axis=0))
 
     return Tensor(out_data, parents=(a,), backward=back_segments)
 
@@ -465,60 +471,99 @@ def segment_matmul(mats, x, starts):
     if len(mats) != len(bounds) - 1:
         raise ValueError("%d matrices for %d segments" % (len(mats), len(bounds) - 1))
     mats = [np.asarray(m, dtype=_DTYPE) for m in mats]
+    if len(mats) == 1:
+        out_data = mats[0] @ x.data
+
+        def back(g):
+            if x.requires_grad:
+                x._accum(mats[0].T @ g)
+
+        return Tensor(out_data, parents=(x,), backward=back)
     pairs = list(zip(bounds, bounds[1:]))
     out_data = np.concatenate([m @ x.data[lo:hi] for m, (lo, hi) in zip(mats, pairs)])
 
-    def back(g):
+    def back_segments(g):
         if x.requires_grad:
             x._accum(np.concatenate([m.T @ g[lo:hi] for m, (lo, hi) in zip(mats, pairs)]))
 
-    return Tensor(out_data, parents=(x,), backward=back)
+    return Tensor(out_data, parents=(x,), backward=back_segments)
 
 
-def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False):
-    """One LSTM direction over the rows of x (T, d); returns H (T, h).
+def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
+    """One LSTM direction over each sentence in the rows of x (ΣT, d);
+    returns H (ΣT, h) in the row order of x.
 
-    Gate columns of wx (d, 4h), wh (h, 4h) and b (4h,) are ordered input,
-    forget, cell, output. rmask, a fixed array of h values or None,
-    multiplies h_{t-1} before it enters the gates (variational recurrent
-    dropout). With reverse=True the sequence is read from its last row;
-    row t of H is always the state after reading row t of x.
+    starts (B+1 row bounds; default: all of x) splits the rows into
+    sentences, each run from a zero state. Gate columns of wx (d, 4h),
+    wh (h, 4h) and b (4h,) are ordered input, forget, cell, output. rmask,
+    a fixed array of h values or None, multiplies h_{t-1} before it enters
+    the gates (variational recurrent dropout). With reverse=True each
+    sentence is read from its own last row; row t of H is always the state
+    after reading row t of x.
 
-    The input projection X·Wx + b is one matmul over all T, and
-    backpropagation through time runs inside the backward closure, so each
-    weight gradient is one matmul over the sequence (Appleyard, Kočiský &
+    The input projection X·Wx + b is one matmul over all rows. Several
+    sentences run as one recurrence of T_max steps, sorted by decreasing
+    length, so that the ones still active at step t are the first n_t and
+    their rows at that step lie next to each other in a time-major copy
+    (cf. PyTorch's pack_padded_sequence): one (n_t, h)·Wh product per step.
+    A lone sentence steps through the rows of x themselves.
+    Backpropagation through time runs inside the backward closure, so each
+    weight gradient is one matmul over all rows (Appleyard, Kočiský &
     Blunsom 2016, arXiv 1604.01946).
     """
     x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
-    t_len, h_dim = x.data.shape[0], wh.data.shape[0]
-    mask = None if rmask is None else np.asarray(rmask, dtype=_DTYPE).reshape(h_dim)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    n_rows, h_dim = x.data.shape[0], wh.data.shape[0]
+    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
     act = x.data @ wx.data + b.data  # gate pre-activations, then activations
     dtype = act.dtype
-    act4 = act.reshape(t_len, 4, h_dim)
-    h_in = np.zeros((t_len, h_dim), dtype)    # h_{t-1} as fed to wh
-    c_prev = np.zeros((t_len, h_dim), dtype)  # c_{t-1}
-    tc = np.empty((t_len, h_dim), dtype)      # tanh(c_t)
-    out = np.empty((t_len, h_dim), dtype)
-    h = cell = np.zeros(h_dim, dtype)
+    # per step: the rows it reads (time-major for several sentences) and the
+    # active part of the state
+    if len(bounds) == 2:
+        rows = None
+        state = np.zeros(h_dim, dtype)
+        steps = [(t, slice(None)) for t in (range(n_rows - 1, -1, -1) if reverse
+                                            else range(n_rows))]
+    else:
+        bounds = np.asarray(bounds)
+        lengths = np.diff(bounds)
+        by_len = np.argsort(-lengths, kind="stable")
+        step = np.arange(lengths[by_len[0]])[:, None]
+        running = lengths[by_len] > step  # sentence j by length reads a row at step t
+        rows = (bounds[by_len + 1] - 1 - step if reverse else bounds[by_len] + step)[running]
+        pos = np.empty_like(rows)  # the time-major position of each row of x
+        pos[rows] = np.arange(n_rows)
+        act = act[rows]
+        state = np.zeros((len(lengths), h_dim), dtype)
+        ends = np.cumsum(running.sum(axis=1)).tolist()
+        steps = [(slice(lo, hi), slice(0, hi - lo)) for lo, hi in zip([0] + ends, ends)]
+    mask = None if rmask is None else np.asarray(rmask, dtype=_DTYPE).reshape(h_dim)
+    act4 = act.reshape(n_rows, 4, h_dim)
+    h_in = np.empty((n_rows, h_dim), dtype)    # h_{t-1} as fed to wh
+    c_prev = np.empty((n_rows, h_dim), dtype)  # c_{t-1}
+    tc = np.empty((n_rows, h_dim), dtype)      # tanh(c_t)
+    out = np.empty((n_rows, h_dim), dtype)
+    h = cell = state
     # exp(-z) may overflow on the cell-gate columns, whose sigmoid is
     # overwritten, and on saturated gates, where 1/(1+inf) = 0 is exact
     with np.errstate(over="ignore"):
-        for t in order:
-            h_in[t] = h if mask is None else h * mask
-            z = act[t]
-            z += h_in[t] @ wh.data
-            g = np.tanh(z[2 * h_dim:3 * h_dim])
+        for at, live in steps:
+            h, cell = h[live], cell[live]
+            h_in[at] = h if mask is None else h * mask
+            z = act[at]
+            z += h_in[at] @ wh.data
+            g = np.tanh(z[..., 2 * h_dim:3 * h_dim])
             np.divide(1.0, 1.0 + np.exp(-z), out=z)
-            z[2 * h_dim:3 * h_dim] = g
-            i, f, g, o = act4[t]
-            c_prev[t] = cell
+            z[..., 2 * h_dim:3 * h_dim] = g
+            i, f, g, o = act4[at].swapaxes(-2, 0)
+            c_prev[at] = cell
             cell = f * cell + i * g
-            np.tanh(cell, out=tc[t])
-            h = np.multiply(o, tc[t], out=out[t])
+            np.tanh(cell, out=tc[at])
+            h = np.multiply(o, tc[at], out=out[at])
 
     def back(g_out):
-        i, f, g, o = act4.transpose(1, 0, 2)
+        if rows is not None:
+            g_out = g_out[rows]
+        i, f, g, o = act4.swapaxes(0, 1)
         # dL/dz = dc * q for the i, f and g columns and dh * q for the o column
         q = np.empty_like(act4)
         q[:, 0] = g * i * (1.0 - i)
@@ -527,72 +572,104 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False):
         q[:, 3] = tc * o * (1.0 - o)
         dc_dh = o * (1.0 - tc * tc)
         d_gates = np.empty_like(act)
-        d_gates4 = d_gates.reshape(t_len, 4, h_dim)
-        dh_rec = dc_next = np.zeros(h_dim, dtype)
+        d_gates4 = d_gates.reshape(n_rows, 4, h_dim)
+        # a sentence's state stays zero until its last step comes up
+        dh_rec = np.zeros_like(state)
+        dc_next = np.zeros_like(state)
         wh_t = wh.data.T
-        for t in reversed(order):
-            dh = g_out[t] + dh_rec
-            dc = dh * dc_dh[t] + dc_next
-            np.multiply(q[t, :3], dc, out=d_gates4[t, :3])
-            np.multiply(q[t, 3], dh, out=d_gates4[t, 3])
-            dc_next = dc * f[t]
-            dh_rec = d_gates[t] @ wh_t
+        for at, live in reversed(steps):
+            dh = g_out[at] + dh_rec[live]
+            dc = dh * dc_dh[at] + dc_next[live]
+            np.multiply(q[at, :3], dc[..., None, :], out=d_gates4[at, :3])
+            np.multiply(q[at, 3], dh, out=d_gates4[at, 3])
+            np.multiply(dc, f[at], out=dc_next[live])
+            np.matmul(d_gates[at], wh_t, out=dh_rec[live])
             if mask is not None:
-                dh_rec *= mask
+                dh_rec[live] *= mask
+        h_fed = h_in
+        if rows is not None:  # back to the row order of x
+            d_gates, h_fed = d_gates[pos], h_in[pos]
         if x.requires_grad:
             x._accum(d_gates @ wx.data.T)
         if wx.requires_grad:
             wx._accum(x.data.T @ d_gates)
         if wh.requires_grad:
-            wh._accum(h_in.T @ d_gates)
+            wh._accum(h_fed.T @ d_gates)
         if b.requires_grad:
             b._accum(d_gates.sum(axis=0))
 
-    return Tensor(out, parents=(x, wx, wh, b), backward=back)
+    return Tensor(out if rows is None else out[pos], parents=(x, wx, wh, b), backward=back)
 
 
-def multihead_attention(q, k, v, heads, drop=None):
-    """Scaled dot-product attention of `heads` heads over q, k, v (T, H·d).
+def multihead_attention(q, k, v, heads, drop=None, starts=None):
+    """Scaled dot-product attention of `heads` heads over q, k, v (ΣT, H·d),
+    each sentence attending to its own rows only.
 
-    Head i reads columns [i·d, (i+1)·d) of each input: its weights are
-    softmax(q_i k_iᵀ / √d) over the last axis, multiplied by drop[i] when a
-    fixed (H, T, T) dropout array is given, and its output (weights · v_i)
-    fills the same columns of the (T, H·d) result (Vaswani et al. 2017,
-    arXiv 1706.03762). The layer is one tape node: the heads run as stacked
-    (H, T, d) matmuls over views of the inputs, and the backward closure
-    applies the chain rule of scale, softmax, dropout and both products in
-    the order the per-head ops did, so results match them bit for bit.
+    starts (B+1 row bounds; default: all rows) splits the rows into
+    sentences. Head i reads columns [i·d, (i+1)·d) of each input: its
+    weights are softmax(q_i k_iᵀ / √d) over the sentence's keys, multiplied
+    by drop[j][i] for sentence j when a sequence of B fixed (H, T_j, T_j)
+    dropout arrays is given, and its output (weights · v_i) fills the same
+    columns of the (ΣT, H·d) result (Vaswani et al. 2017, arXiv 1706.03762).
+
+    The layer is one tape node. The sentences of each length run together
+    as stacked (n, H, T, d) matmuls, so nothing is padded, and the backward
+    closure applies the chain rule of scale, softmax, dropout and both
+    products in the order the per-head ops did: each sentence's arithmetic
+    is that of the per-head ops on its own rows.
     """
     q, k, v = (_as_tensor(t) for t in (q, k, v))
-    t_len, width = q.data.shape
+    n_rows, width = q.data.shape
     d = width // heads
     s = _DTYPE(1.0 / math.sqrt(d))
-    if drop is not None:
-        drop = np.asarray(drop, dtype=_DTYPE).reshape(heads, t_len, t_len)
-    qh, kh, vh = (t.data.reshape(t_len, heads, d).swapaxes(0, 1) for t in (q, k, v))
-    scores = (qh @ kh.swapaxes(1, 2)) * s
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    pd = p if drop is None else p * drop
-    out = (pd @ vh).swapaxes(0, 1).reshape(t_len, width)
+    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
+    # per distinct length: its sentences, their rows and the length
+    groups = [((0,), slice(0, n_rows), n_rows)]
+    if len(bounds) > 2:
+        bounds = np.asarray(bounds)
+        lengths = np.diff(bounds)
+        groups = []
+        for t_len in np.unique(lengths).tolist():
+            sents = np.flatnonzero(lengths == t_len)
+            groups.append((sents, (bounds[sents, None] + np.arange(t_len)).ravel(), t_len))
 
-    def add_heads(t, dh):
-        """Add the (H, T, d) head gradients dh into t's (T, H·d) gradient."""
-        t._grad_buffer()[...] += dh.swapaxes(0, 1).reshape(t_len, width)
+    def split(m, t_len):
+        """(n·T, H·d) rows as (n, H, T, d) head blocks."""
+        return m.reshape(-1, t_len, heads, d).swapaxes(1, 2)
+
+    def merge(m):
+        """(n, H, T, d) head blocks as (n·T, H·d) rows."""
+        return m.swapaxes(1, 2).reshape(-1, width)
+
+    out = np.empty_like(q.data)
+    saved = []
+    for sents, rows, t_len in groups:
+        qh, kh, vh = (split(t.data[rows], t_len) for t in (q, k, v))
+        scores = (qh @ kh.swapaxes(2, 3)) * s
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        dg = None
+        if drop is not None:
+            dg = np.stack([np.asarray(drop[j], dtype=_DTYPE).reshape(heads, t_len, t_len)
+                           for j in sents])
+        pd = p if dg is None else p * dg
+        out[rows] = merge(pd @ vh)
+        saved.append((qh, kh, vh, p, pd, dg))
 
     def back(g):
-        gh = np.ascontiguousarray(g.reshape(t_len, heads, d).swapaxes(0, 1))
-        if v.requires_grad:
-            add_heads(v, pd.swapaxes(1, 2) @ gh)
-        if q.requires_grad or k.requires_grad:
-            dp = gh @ vh.swapaxes(1, 2)
-            if drop is not None:
-                dp *= drop
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
-            if q.requires_grad:
-                add_heads(q, ds @ kh)
-            if k.requires_grad:
-                add_heads(k, (qh.swapaxes(1, 2) @ ds).swapaxes(1, 2))
+        for (_, rows, t_len), (qh, kh, vh, p, pd, dg) in zip(groups, saved):
+            gh = np.ascontiguousarray(split(g[rows], t_len))
+            if v.requires_grad:
+                v._grad_buffer()[rows] += merge(pd.swapaxes(2, 3) @ gh)
+            if q.requires_grad or k.requires_grad:
+                dp = gh @ vh.swapaxes(2, 3)
+                if dg is not None:
+                    dp *= dg
+                ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+                if q.requires_grad:
+                    q._grad_buffer()[rows] += merge(ds @ kh)
+                if k.requires_grad:
+                    k._grad_buffer()[rows] += merge((qh.swapaxes(2, 3) @ ds).swapaxes(2, 3))
 
     return Tensor(out, parents=(q, k, v), backward=back)
 

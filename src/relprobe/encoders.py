@@ -7,10 +7,11 @@ once per run: their token rows one after another, with segment starts.
 Every token is then embedded as the concatenation of its word vector, a
 learned head-offset embedding, a learned tail-offset embedding and
 (optionally) a precomputed contextual vector. Encoders map the resulting
-ΣT x d_in matrix to one fixed-size representation row per sentence; no
-padding is involved, so each row is computed from its own sentence only.
-Training passes one sentence at a time; eval-mode passes take chunks of
-EVAL_BATCH sentences.
+ΣT x d_in matrix to one fixed-size representation row per sentence, each
+op running once over the whole pack: windows, recurrences, attention,
+graph products and pools never cross a sentence, so each row is computed
+from its own sentence only. Training passes one sentence at a time;
+eval-mode passes take chunks of EVAL_BATCH sentences.
 """
 
 from __future__ import annotations
@@ -242,16 +243,16 @@ class REModel:
 
     # -------------------------------------------------------------- forward
 
-    def featurize(self, sentence, ctx_row=None):
+    def featurize(self, sentence, ctx_row=None, tree=None):
         """The Features of one sentence (B = 1)."""
-        return self.featurize_batch((sentence,), (ctx_row,))
+        return self.featurize_batch((sentence,), (ctx_row,), None if tree is None else (tree,))
 
-    def featurize_batch(self, sentences, ctx_rows=None):
+    def featurize_batch(self, sentences, ctx_rows=None, trees=None):
         """The packed Features of a sequence of sentences, computed once and
-        reused by every forward pass. Trees are built once per sentence, and
-        only for masking or GCN. For GCN: the tokens kept around the SDP,
-        their row-normalized adjacency (self loops included) and the head
-        and tail pooling rows."""
+        reused by every forward pass. Trees (the sentences' DepTrees unless
+        given) are built once per sentence, and only for masking or GCN. For
+        GCN: the tokens kept around the SDP, their row-normalized adjacency
+        (self loops included) and the head and tail pooling rows."""
         cfg, enc = self.input_cfg, self.enc_cfg
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
@@ -265,8 +266,7 @@ class REModel:
         lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        trees = None
-        if cfg.masking or enc.kind == "gcn":
+        if trees is None and (cfg.masking or enc.kind == "gcn"):
             trees = [deptree.build_tree(s.dep_head) for s in sentences]
         token_lists = map(masked_tokens, sentences, trees) if cfg.masking \
             else (s.tokens for s in sentences)
@@ -341,16 +341,12 @@ class REModel:
             rep = self._encode_cnn(x, starts)
         elif enc.kind == "gcn":
             rep = self._encode_gcn(x, features.graph, train)
-        elif enc.kind == "boe":
-            rep = ad.sum_axis(x, axis=0, starts=starts)
+        elif enc.kind == "bilstm":
+            rep = self._encode_bilstm(x, starts, train)
+        elif enc.kind == "attn":
+            rep = self._encode_attn(x, starts, train)
         else:
-            # one sentence at a time, each giving one representation row; a
-            # lone sentence reads x itself, so the training tape is unchanged
-            encode_one = self._encode_bilstm if enc.kind == "bilstm" else self._encode_attn
-            segments = [x] if len(starts) == 2 else \
-                [ad.slice_rows(x, lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-            rows = [ad.reshape(encode_one(seg, train), (1, -1)) for seg in segments]
-            rep = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+            rep = ad.sum_axis(x, axis=0, starts=starts)
         return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
 
     def logits(self, features, train=False):
@@ -371,8 +367,8 @@ class REModel:
             pools.append(ad.amax(h, axis=0, starts=windows))
         return ad.concat(pools, axis=1) if len(pools) > 1 else pools[0]
 
-    def _lstm_direction(self, x, layer, dirn, train):
-        """H (T, h) of one direction ("f" or "b") of one BiLSTM layer."""
+    def _lstm_direction(self, x, starts, layer, dirn, train):
+        """H (ΣT, h) of one direction ("f" or "b") of one BiLSTM layer."""
         enc = self.enc_cfg
         # variational recurrent dropout: one mask reused across time steps
         rmask = None
@@ -381,16 +377,17 @@ class REModel:
             rmask = (self.rng.random((1, enc.lstm_hidden)) < keep).astype(ad.current_dtype()) / keep
         name = "lstm%d_%s_" % (layer, dirn)
         return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
-                                self.params[name + "b"], rmask=rmask, reverse=dirn == "b")
+                                self.params[name + "b"], rmask=rmask, reverse=dirn == "b",
+                                starts=starts)
 
-    def _encode_bilstm(self, x, train):
+    def _encode_bilstm(self, x, starts, train):
         enc = self.enc_cfg
         h = x
         for layer in range(enc.lstm_layers):
-            fwd = self._lstm_direction(h, layer, "f", train)
-            bwd = self._lstm_direction(h, layer, "b", train)
+            fwd = self._lstm_direction(h, starts, layer, "f", train)
+            bwd = self._lstm_direction(h, starts, layer, "b", train)
             h = ad.concat([fwd, bwd], axis=1)
-        return ad.amax(h, axis=0)
+        return ad.amax(h, axis=0, starts=starts)
 
     def _encode_gcn(self, x, graph, train):
         enc = self.enc_cfg
@@ -411,30 +408,29 @@ class REModel:
                                     self.params["gcn_ff%d_b" % j]))
         return rep
 
-    def _encode_attn(self, x, train):
+    def _encode_attn(self, x, starts, train):
         enc = self.enc_cfg
         h = ad.linear(x, self.params["attn_in_w"], self.params["attn_in_b"])
-        t_len = h.shape[0]
         for layer in range(enc.attn_layers):
             q = ad.matmul(h, self.params["attn%d_wq" % layer])
             k = ad.matmul(h, self.params["attn%d_wk" % layer])
             v = ad.matmul(h, self.params["attn%d_wv" % layer])
-            # one draw for all heads: the stream of one (T, T) draw per head
+            # one draw for all heads of a sentence: the stream of one (T, T)
+            # draw per head
             drop = None
             if train and enc.attn_dropout > 0:
                 keep = 1.0 - enc.attn_dropout
                 dtype = ad.current_dtype()
-                drop = (self.rng.random((enc.attn_heads, t_len, t_len)) < keep).astype(dtype) \
-                    / dtype(keep)
-            merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop)
+                drop = [(self.rng.random((enc.attn_heads, t, t)) < keep).astype(dtype)
+                        / dtype(keep) for t in np.diff(starts).tolist()]
+            merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop, starts=starts)
             h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                     self.params["attn%d_bo" % layer]))
             ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],
                                    self.params["attn%d_ff1_b" % layer]))
             h = ad.add(h, ad.linear(ff, self.params["attn%d_ff2_w" % layer],
                                     self.params["attn%d_ff2_b" % layer]))
-        last = h.shape[0] - 1
-        return ad.reshape(ad.slice_rows(h, last, last + 1), (enc.attn_model_dim,))
+        return ad.gather_rows(h, starts[1:] - 1)  # each sentence's last row
 
     # ------------------------------------------------------------- utility
 

@@ -123,6 +123,8 @@ class ProbeResult:
     chosen_l2: float
     val_accuracy: float
     test_accuracy: float
+    epochs: int       # epochs the chosen l2's fit ran
+    converged: bool   # whether that fit met tol; False when it stopped at max_epochs
 
 
 def _design(reps: RepMatrix, items, labels):
@@ -136,7 +138,10 @@ def _design(reps: RepMatrix, items, labels):
 
 def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_seed=None):
     """Full-batch multinomial logistic regression via adaptive-moment updates
-    on the closed-form gradient of mean cross-entropy + l2 * sum(w**2)."""
+    on the closed-form gradient of mean cross-entropy + l2 * sum(w**2).
+
+    Returns (w, b, last loss, epochs run, whether the loss changed by less
+    than tol before max_epochs ran out)."""
     d = x.shape[1]
     if init_seed is None:
         w0 = np.zeros((d, n_classes))
@@ -157,7 +162,9 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
     l2_t = w.data.dtype.type(l2)
     prev = np.inf
     loss_val = np.inf
-    for _ in range(max_epochs):
+    epochs, converged = 0, False
+    while epochs < max_epochs and not converged:
+        epochs += 1
         z = x_fit @ w.data + b.data
         shifted = z - z.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -174,10 +181,9 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
             loss = loss + (w.data * w.data).sum() * l2_t
         opt.step(params)
         loss_val = float(loss)
-        if abs(prev - loss_val) < tol:
-            break
+        converged = abs(prev - loss_val) < tol
         prev = loss_val
-    return w.data.copy(), b.data.copy(), loss_val
+    return w.data.copy(), b.data.copy(), loss_val, epochs, converged
 
 
 def _accuracy(w, b, x, y):
@@ -204,16 +210,18 @@ def train_probe(reps_by_split, task: probegen.ProbingDataset, grid=L2_GRID,
         x_tr, x_va, x_te = (x_tr - mu) / sd, (x_va - mu) / sd, (x_te - mu) / sd
     best = None
     for l2 in sorted(grid):
-        w, b, _ = _fit_softmax(x_tr, y_tr, len(labels), l2, lr=lr,
-                               max_epochs=max_epochs, tol=tol, init_seed=init_seed)
+        w, b, _, epochs, converged = _fit_softmax(x_tr, y_tr, len(labels), l2, lr=lr,
+                                                  max_epochs=max_epochs, tol=tol,
+                                                  init_seed=init_seed)
         val_acc = _accuracy(w, b, x_va, y_va)
         if best is None or val_acc > best[0]:
-            best = (val_acc, l2, w, b)
-    val_acc, chosen_l2, w, b = best
+            best = (val_acc, l2, w, b, epochs, converged)
+    val_acc, chosen_l2, w, b, epochs, converged = best
     test_acc = _accuracy(w, b, x_te, y_te)
     source = reps_by_split["train"].source
     return ProbeResult(task=task.task, source=source, chosen_l2=chosen_l2,
-                       val_accuracy=val_acc, test_accuracy=test_acc)
+                       val_accuracy=val_acc, test_accuracy=test_acc, epochs=epochs,
+                       converged=converged)
 
 
 def run_suite(sources, tasks, grid=L2_GRID, standardize=False, jobs=1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -9,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import ExactReader, mask_entities, write_text
+from . import deptree
+from .corpus import ExactReader, masked_tokens, write_text
 from .encoders import EncoderConfig, InputConfig, REModel, Vocab
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
@@ -192,17 +194,23 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     chunks of EVAL_BATCH sentences, or the training sentences one at a time
     when the corpus has no validation split. The checkpointed parameters are those of
     the best validation-F1 epoch. The train and validation sentences are
-    featurized once per call.
+    featurized once per call; with masking, each training tree is built once,
+    for both the vocabulary and the features.
     """
     train_sentences = corpus.train
-    vocab = Vocab.from_sentences([mask_entities(s) for s in train_sentences]
-                                 if input_cfg.masking else train_sentences)
+    trees = [None] * len(train_sentences)
+    tokens = (s.tokens for s in train_sentences)
+    if input_cfg.masking:
+        trees = [deptree.build_tree(s.dep_head) for s in train_sentences]
+        tokens = map(masked_tokens, train_sentences, trees)
+    vocab = Vocab(sorted(set(itertools.chain.from_iterable(tokens))))
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
                     embeddings=embeddings, negative_label=corpus.negative_label)
     opt = make_optimizer(profile.optimizer, profile.lr, l2_groups=profile.l2_groups)
     sched = Scheduler(profile.schedule, profile.lr) if profile.schedule else None
     ctx = contextual or {}
-    train_features = [model.featurize(s, ctx.get(s.id)) for s in train_sentences]
+    train_features = [model.featurize(s, ctx.get(s.id), tree)
+                      for s, tree in zip(train_sentences, trees)]
     val_batches = list(model.featurize_chunks(corpus.validation, contextual)) \
         or train_features
     val_golds = [s.relation for s in corpus.validation or train_sentences]

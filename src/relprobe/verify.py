@@ -108,17 +108,40 @@ def op_checks(seed=0, eps=1e-5):
                   lambda r: {"x": _rand(r, t_len, 2), "wx": _rand(r, 2, 12),
                              "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
                   lstm_loss)
+        # three sentences of 2, 1 and 3 rows, each its own recurrence
+        for reverse in (False, True):
+            def lstm_segments_loss(p):
+                h = ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"], reverse=reverse,
+                                     starts=(0, 2, 3, 6))
+                return ad.sum_all(ad.mul(h, h))
+
+            check("lstm_sequence:segments%s" % (":reverse" * reverse),
+                  lambda r: {"x": _rand(r, 6, 2), "wx": _rand(r, 2, 12),
+                             "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
+                  lstm_segments_loss)
         for heads, t_len, dropped in itertools.product((1, 2), (1, 4), (False, True)):
             drop = rng.uniform(0.0, 2.0, size=(heads, t_len, t_len)) if dropped else None
 
             def attention_loss(p):
-                out = ad.multihead_attention(p["q"], p["k"], p["v"], heads, drop=drop)
+                out = ad.multihead_attention(p["q"], p["k"], p["v"], heads,
+                                             drop=None if drop is None else [drop])
                 return ad.sum_all(ad.mul(out, out))
 
             check("multihead_attention:H%d:T%d%s" % (heads, t_len, ":drop" * dropped),
                   lambda r: {"q": _rand(r, t_len, 4), "k": _rand(r, t_len, 4),
                              "v": _rand(r, t_len, 4)},
                   attention_loss)
+        # sentences of 3, 1, 2 and 3 rows: the two of 3 run as one stacked block
+        seg_drop = [rng.uniform(0.0, 2.0, size=(2, t, t)) for t in (3, 1, 2, 3)]
+
+        def attention_segments_loss(p):
+            out = ad.multihead_attention(p["q"], p["k"], p["v"], 2, drop=seg_drop,
+                                         starts=(0, 3, 4, 6, 9))
+            return ad.sum_all(ad.mul(out, out))
+
+        check("multihead_attention:segments",
+              lambda r: {"q": _rand(r, 9, 4), "k": _rand(r, 9, 4), "v": _rand(r, 9, 4)},
+              attention_segments_loss)
     return results
 
 

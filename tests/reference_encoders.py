@@ -28,12 +28,11 @@ def position_offsets(span, length, clip):
     return np.clip(off, -clip, clip)
 
 
-def featurize(self, sentence, ctx_row=None):
+def featurize(self, sentence, ctx_row=None, tree=None):
     cfg, enc = self.input_cfg, self.enc_cfg
     if cfg.use_contextual and ctx_row is None:
         raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
-    tree = None
-    if cfg.masking or enc.kind == "gcn":
+    if tree is None and (cfg.masking or enc.kind == "gcn"):
         tree = deptree.build_tree(sentence.dep_head)
     tokens = masked_tokens(sentence, tree) if cfg.masking else sentence.tokens
     offsets = ()
@@ -97,11 +96,22 @@ def encode_cnn(self, x):
     return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
 
 
+def lstm_direction(self, x, layer, dirn, train):
+    enc = self.enc_cfg
+    rmask = None
+    if train and enc.recurrent_dropout > 0:
+        keep = 1.0 - enc.recurrent_dropout
+        rmask = (self.rng.random((1, enc.lstm_hidden)) < keep).astype(ad.current_dtype()) / keep
+    name = "lstm%d_%s_" % (layer, dirn)
+    return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
+                            self.params[name + "b"], rmask=rmask, reverse=dirn == "b")
+
+
 def encode_bilstm(self, x, train):
     h = x
     for layer in range(self.enc_cfg.lstm_layers):
-        fwd = self._lstm_direction(h, layer, "f", train)
-        bwd = self._lstm_direction(h, layer, "b", train)
+        fwd = lstm_direction(self, h, layer, "f", train)
+        bwd = lstm_direction(self, h, layer, "b", train)
         h = ad.concat([fwd, bwd], axis=1)
     return ad.amax(h, axis=0)
 
@@ -140,7 +150,8 @@ def encode_attn(self, x, train):
             dtype = ad.current_dtype()
             drop = (self.rng.random((enc.attn_heads, t_len, t_len)) < keep).astype(dtype) \
                 / dtype(keep)
-        merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop)
+        merged = ad.multihead_attention(q, k, v, enc.attn_heads,
+                                        drop=None if drop is None else [drop])
         h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                 self.params["attn%d_bo" % layer]))
         ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],

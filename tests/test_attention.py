@@ -4,7 +4,7 @@ The reference below is REModel._encode_attn as it was before the fused op:
 per head, three slice_cols, a transpose, two matmuls, a scale, a softmax
 and a dropout, then a concat of the heads. Both paths draw the same dropout
 stream; in float64 they agree within 1e-10, and in float32 training gives
-bit-identical losses, parameters and representations.
+bit-identical losses, parameters and one-sentence representations.
 """
 
 import dataclasses
@@ -23,8 +23,16 @@ from relprobe.verify import op_checks
 from conftest import make_sentence
 
 
-def _reference_encode_attn(self, x, train):
-    """Per-head self-attention encoder built from primitive ops."""
+def _reference_encode_attn(self, x, starts, train):
+    """Per-head self-attention encoder built from primitive ops, one
+    sentence at a time: (B, attn_model_dim) rows."""
+    segments = [x] if len(starts) == 2 else \
+        [ad.slice_rows(x, lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    rows = [ad.reshape(_reference_attn_sentence(self, seg, train), (1, -1)) for seg in segments]
+    return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+
+
+def _reference_attn_sentence(self, x, train):
     enc = self.enc_cfg
     h = ad.linear(x, self.params["attn_in_w"], self.params["attn_in_b"])
     d_head = enc.attn_kv_dim // enc.attn_heads
@@ -94,7 +102,8 @@ def _paper_attn_run(corpus):
                             embedding_dropout=profile.embedding_dropout)
     model, history = train_re(corpus, input_cfg, enc_cfg, profile, seed=3)
     params = {k: p.data.copy() for k, p in model.params.items()}
-    return history.epochs, params, extract_reps(model, corpus.test).rows
+    one_by_one = np.stack([model.encode_np(s) for s in corpus.test])
+    return history.epochs, params, one_by_one, extract_reps(model, corpus.test).rows
 
 
 def test_fused_attention_trains_bit_identically_in_float32(monkeypatch, small_corpus):
@@ -110,11 +119,16 @@ def test_fused_attention_trains_bit_identically_in_float32(monkeypatch, small_co
     for name in fused[1]:
         assert fused[1][name].tobytes() == reference[1][name].tobytes(), name
     assert fused[2].tobytes() == reference[2].tobytes()
+    # extraction runs the test sentences as one packed chunk, whose
+    # projections are one matmul over all rows and round differently
+    err = np.linalg.norm(fused[3] - reference[3], axis=1)
+    assert (err <= 1e-5 * np.linalg.norm(reference[3], axis=1)).all()
 
 
 def test_gradcheck_registry_covers_every_attention_variant():
     results = {k: v for k, v in op_checks().items() if k.startswith("multihead_attention")}
     assert sorted(results) == sorted(
-        "multihead_attention:H%d:T%d%s" % (h, t, d)
-        for h in (1, 2) for t in (1, 4) for d in ("", ":drop"))
+        ["multihead_attention:H%d:T%d%s" % (h, t, d)
+         for h in (1, 2) for t in (1, 4) for d in ("", ":drop")]
+        + ["multihead_attention:segments"])
     assert max(results.values()) < 1e-6

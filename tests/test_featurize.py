@@ -54,7 +54,7 @@ def test_masked_gcn_training_builds_independent_of_epochs(corpus, tree_builds):
                  _profile(epochs))
         counts.append(len(tree_builds))
     assert counts[0] == counts[1]
-    assert counts[0] <= 2 * (len(corpus.train) + len(corpus.validation))
+    assert counts[0] == len(corpus.train) + len(corpus.validation)
 
 
 def test_extract_builds_each_tree_once(corpus, tree_builds):

@@ -20,8 +20,9 @@ def _sigmoid(a):
     return ad.add(ad.scale(ad.tanh(ad.scale(a, 0.5)), 0.5), 0.5)
 
 
-def _reference_direction(self, x, layer, dirn, train):
-    """Per-timestep LSTM direction; same dropout draws as the fused path."""
+def _reference_direction(self, x, starts, layer, dirn, train):
+    """Per-timestep LSTM direction of one sentence (starts bounds all of x);
+    same dropout draws as the fused path."""
     enc = self.enc_cfg
     h_dim = enc.lstm_hidden
     wx = self.params["lstm%d_%s_wx" % (layer, dirn)]

@@ -74,9 +74,34 @@ def test_no_tape_records_nothing_and_computes_the_same():
     assert w.grad is not None  # recording resumes after the block
 
 
+@pytest.mark.parametrize("op", ("amax", "sum_axis", "segment_matmul"))
+def test_lone_segment_is_byte_equal_to_the_whole_array_op(op):
+    rng = np.random.default_rng(5)
+    x_data = rng.normal(size=(6, 4)).astype(np.float32)
+    m = rng.normal(size=(6, 6))
+    lone = {"amax": lambda x: ad.amax(x, axis=0, starts=(0, 6)),
+            "sum_axis": lambda x: ad.sum_axis(x, axis=0, starts=(0, 6)),
+            "segment_matmul": lambda x: ad.segment_matmul([m], x, (0, 6))}[op]
+    whole = {"amax": lambda x: ad.amax(x, axis=0),
+             "sum_axis": lambda x: ad.sum_axis(x, axis=0),
+             "segment_matmul": lambda x: ad.matmul(ad.constant(m), x)}[op]
+    outs, grads, weights = [], [], None
+    for fn in (lone, whole):
+        x = ad.param(x_data.copy())
+        out = fn(x)
+        if weights is None:
+            weights = rng.normal(size=out.shape)
+        ad.sum_all(ad.mul(out, ad.constant(weights.reshape(out.shape)))).backward()
+        outs.append(out.data.tobytes())
+        grads.append(x.grad.tobytes())
+    assert outs[0] == outs[1] and grads[0] == grads[1]
+
+
 def test_gradcheck_registry_covers_every_segment_op():
     results = op_checks()
-    names = ("conv1d:segments", "amax:segments", "sum_axis:segments", "segment_matmul")
+    names = ("conv1d:segments", "amax:segments", "sum_axis:segments", "segment_matmul",
+             "lstm_sequence:segments", "lstm_sequence:segments:reverse",
+             "multihead_attention:segments")
     assert set(names) <= set(results)
     assert max(results[n] for n in names) < 1e-6
 
@@ -115,11 +140,11 @@ def _contextual(sentences):
     return {s.id: rng.normal(size=(len(s), CTX_DIM)) for s in sentences}
 
 
-def _model(kind, masking):
+def _model(kind, masking, enc_cfg=None):
     cfg = InputConfig(word_dim=4, pos_dim=2, max_offset=3, masking=masking,
                       use_contextual=True, contextual_dim=CTX_DIM)
     vocab = Vocab(["tok%d" % i for i in range(0, 12, 2)] + ["SUBJ-O"])
-    return REModel(vocab, LABELS, cfg, ENCODERS[kind], seed=4)
+    return REModel(vocab, LABELS, cfg, enc_cfg or ENCODERS[kind], seed=4)
 
 
 @pytest.mark.parametrize("masking", (False, True))
@@ -174,6 +199,48 @@ def test_packed_eval_matches_per_sentence_float64(kind, masking):
     np.testing.assert_allclose(reps, want_reps, rtol=0, atol=1e-10)
 
 
+RECURRENT_AND_ATTENTION = {
+    "bilstm:1": EncoderConfig(kind="bilstm", lstm_layers=1, lstm_hidden=3),
+    "bilstm:2": EncoderConfig(kind="bilstm", lstm_layers=2, lstm_hidden=3),
+    "attn:H1": EncoderConfig(kind="attn", attn_layers=2, attn_heads=1, attn_kv_dim=4,
+                             attn_ff_dim=5, attn_model_dim=4, attn_dropout=0.0),
+    "attn:H2": EncoderConfig(kind="attn", attn_layers=2, attn_heads=2, attn_kv_dim=4,
+                             attn_ff_dim=5, attn_model_dim=4, attn_dropout=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECURRENT_AND_ATTENTION))
+def test_packed_chunk_gradients_match_per_sentence_float64(name):
+    """One packed tape over sentences of 1 to 11 tokens: logits,
+    representations and every parameter gradient of the summed loss equal
+    those of the per-sentence tapes."""
+    sentences = _sentences(20)
+    assert {len(s) for s in sentences} >= {1, 2} and max(map(len, sentences)) <= 11
+    ctx = _contextual(sentences)
+    labels = [i % len(LABELS) for i in range(len(sentences))]
+    enc_cfg = RECURRENT_AND_ATTENTION[name]
+    with ad.use_dtype(np.float64):
+        model = _model(enc_cfg.kind, False, enc_cfg)
+        features = model.featurize_batch(sentences, [ctx[s.id] for s in sentences])
+        reps = model.encode(features).data
+        logits = model.logits(features)
+        ad.scale(ad.cross_entropy_logits(logits, labels), len(sentences)).backward()
+        packed = {k: p.grad.copy() for k, p in model.params.items()}
+        model.zero_grads()
+        want_reps, want_logits = [], []
+        for s, y in zip(sentences, labels):
+            f = ref.featurize(model, s, ctx[s.id])
+            want_reps.append(ref.encode(model, f).data)
+            out = ref.logits(model, f)
+            want_logits.append(out.data)
+            ad.cross_entropy_logits(out, y).backward()  # gradients add up over sentences
+    np.testing.assert_allclose(reps, np.stack(want_reps), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(logits.data, np.stack(want_logits), rtol=0, atol=1e-10)
+    assert set(packed) == {k for k, p in model.params.items() if p.grad is not None}
+    for k, p in model.params.items():
+        np.testing.assert_allclose(packed[k], p.grad, rtol=0, atol=1e-10, err_msg=k)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_extract_reps_float32_matches_per_sentence(kind):
     sentences = _sentences(EVAL_BATCH + 7)  # two chunks
@@ -208,10 +275,33 @@ def test_extract_reps_runs_one_forward_pass_per_chunk(monkeypatch):
     assert parents == [(), (), ()]  # no tape kept
 
 
+@pytest.mark.parametrize("name,op,per_chunk", (("bilstm:2", "lstm_sequence", 4),
+                                               ("attn:H2", "multihead_attention", 2)))
+def test_extract_reps_runs_each_fused_op_once_per_chunk(monkeypatch, name, op, per_chunk):
+    sentences = _sentences(2 * EVAL_BATCH + 3)
+    enc_cfg = RECURRENT_AND_ATTENTION[name]
+    model = _model(enc_cfg.kind, False, enc_cfg)
+    sizes = []
+    real = getattr(ad, op)
+
+    def counting(*args, **kwargs):
+        sizes.append(len(kwargs["starts"]) - 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ad, op, counting)
+    extract_reps(model, sentences, contextual=_contextual(sentences))
+    assert sizes == [EVAL_BATCH] * per_chunk + [EVAL_BATCH] * per_chunk + [3] * per_chunk
+
+
 # ------------------------------------------------------- training, float32
 
 TRAIN_ENCODERS = {
     "cnn": EncoderConfig(kind="cnn", cnn_filters=6, cnn_sizes=(2, 3, 4), encoder_dropout=0.3),
+    "bilstm": EncoderConfig(kind="bilstm", lstm_layers=2, lstm_hidden=5, recurrent_dropout=0.3,
+                            encoder_dropout=0.3),
+    "attn": EncoderConfig(kind="attn", attn_layers=2, attn_heads=2, attn_kv_dim=6,
+                          attn_ff_dim=7, attn_model_dim=6, attn_dropout=0.2,
+                          encoder_dropout=0.3),
     "gcn": EncoderConfig(kind="gcn", gcn_layers=2, gcn_dim=6, gcn_ff_layers=1, gcn_prune_k=1,
                          gcn_dropout=0.3, encoder_dropout=0.3),
     "boe": EncoderConfig(kind="boe", encoder_dropout=0.3),

@@ -242,6 +242,16 @@ def test_probe_separable_reaches_one():
     res = train_probe(reps, task)
     assert res.val_accuracy == 1.0
     assert res.test_accuracy == 1.0
+    assert res.converged and 1 < res.epochs < 500
+
+
+def test_probe_reports_a_fit_capped_by_max_epochs():
+    reps, task = _separable_setup()
+    capped = train_probe(reps, task, max_epochs=1)
+    assert (capped.epochs, capped.converged) == (1, False)
+    x, y = np.asarray(reps["train"].rows), np.zeros(60, dtype=np.int64)
+    assert probing._fit_softmax(x, y, 2, 0.0, max_epochs=1)[3:] == (1, False)
+    assert probing._fit_softmax(x, y, 2, 0.0, max_epochs=0)[3:] == (0, False)
 
 
 def test_probe_random_labels_near_chance():
