@@ -346,22 +346,23 @@ def sum_axis(a, axis=0, starts=None):
     each segment's rows of a 2-D tensor, one output row per segment, each
     reduced exactly as the whole-tensor sum reduces its rows."""
     a = _as_tensor(a)
-    if starts is None:
+    bounds = None
+    if starts is not None:
+        if axis != 0:
+            raise ValueError("segment sum runs over axis 0")
+        bounds = _segments(starts, a.data.shape[0])
+    if bounds is None or len(bounds) == 2:
+        keepdims = bounds is not None
+
         def back(g):
             if a.requires_grad:
-                a._accum(np.repeat(np.expand_dims(g, axis), a.data.shape[axis], axis=axis))
+                g = g if keepdims else np.expand_dims(g, axis)
+                a._accum(np.repeat(g, a.data.shape[axis], axis=axis))
 
-        return Tensor(a.data.sum(axis=axis), parents=(a,), backward=back)
-    if axis != 0:
-        raise ValueError("segment sum runs over axis 0")
-    bounds = _segments(starts, a.data.shape[0])
-    if len(bounds) == 2:
-        out_data = a.data.sum(axis=0, keepdims=True)
-        counts = a.data.shape[0]
-    else:
-        # not np.add.reduceat, whose summation order differs from sum(axis=0)
-        out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
-        counts = np.diff(bounds)
+        return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,), backward=back)
+    # not np.add.reduceat, whose summation order differs from sum(axis=0)
+    out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+    counts = np.diff(bounds)
 
     def back_segments(g):
         if a.requires_grad:

@@ -90,8 +90,12 @@ class Vocab:
         self.stoi = {t: i for i, t in enumerate(self.itos)}
 
     @classmethod
+    def from_tokens(cls, token_lists):
+        return cls(sorted({t for tokens in token_lists for t in tokens}))
+
+    @classmethod
     def from_sentences(cls, sentences):
-        return cls(sorted({t for s in sentences for t in s.tokens}))
+        return cls.from_tokens(s.tokens for s in sentences)
 
     @classmethod
     def from_itos(cls, itos):

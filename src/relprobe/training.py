@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -203,7 +202,7 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     if input_cfg.masking:
         trees = [deptree.build_tree(s.dep_head) for s in train_sentences]
         tokens = map(masked_tokens, train_sentences, trees)
-    vocab = Vocab(sorted(set(itertools.chain.from_iterable(tokens))))
+    vocab = Vocab.from_tokens(tokens)
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
                     embeddings=embeddings, negative_label=corpus.negative_label)
     opt = make_optimizer(profile.optimizer, profile.lr, l2_groups=profile.l2_groups)
