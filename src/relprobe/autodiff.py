@@ -49,9 +49,9 @@ def no_tape():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=_DTYPE)
         self.grad = None
         if not _RECORD:
@@ -59,7 +59,6 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
-        self.name = name
 
     @property
     def shape(self):
@@ -112,8 +111,8 @@ class Tensor:
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
 
 
-def param(data, name=None):
-    return Tensor(data, requires_grad=True, name=name)
+def param(data):
+    return Tensor(data, requires_grad=True)
 
 
 def constant(data):
@@ -413,14 +412,21 @@ def cross_entropy_logits(logits, labels):
     return Tensor(loss, parents=(logits,), backward=back)
 
 
+def dropout_mask(shape, p, rng, train):
+    """Inverted-dropout mask of `shape`: 1/keep where a uniform draw falls
+    below keep = 1 - p, else 0, so its expectation is 1. None when not
+    training or p <= 0, i.e. no dropout."""
+    if not train or p <= 0.0:
+        return None
+    keep = 1.0 - p
+    return (rng.random(shape) < keep).astype(_DTYPE) / _DTYPE(keep)
+
+
 def dropout(a, p, rng, train):
     """Inverted dropout: train-mode expectation equals the input."""
     a = _as_tensor(a)
-    if not train or p <= 0.0:
-        return a
-    keep = 1.0 - p
-    mask = (rng.random(a.data.shape) < keep).astype(a.data.dtype) / _DTYPE(keep)
-    return mul(a, Tensor(mask))
+    mask = dropout_mask(a.data.shape, p, rng, train)
+    return a if mask is None else mul(a, Tensor(mask))
 
 
 def linear(x, w, b=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -266,14 +266,15 @@ def mask_entities(s: Sentence) -> Sentence:
     Head tokens become SUBJ-<TYPE>, tail tokens OBJ-<TYPE>, where <TYPE> is
     the NE tag of the span-root token. Length-preserving and idempotent.
     """
-    return replace(s, tokens=masked_tokens(s, deptree.build_tree(s.dep_head)))
+    return replace(s, tokens=masked_tokens(s))
 
 
-def masked_tokens(s: Sentence, tree) -> tuple:
-    """The tokens of mask_entities(s), given the sentence's DepTree."""
+def masked_tokens(s: Sentence) -> tuple:
+    """The tokens of mask_entities(s). Span roots are read off s.dep_head and
+    no tree is built, so an unvalidated cyclic dep_head does not raise."""
     tokens = list(s.tokens)
     for prefix, span in (("SUBJ", s.head), ("OBJ", s.tail)):
-        mask = "%s-%s" % (prefix, s.ner[deptree.span_root(tree, span)])
+        mask = "%s-%s" % (prefix, s.ner[deptree.span_root(s.dep_head, span)])
         tokens[span.start:span.end + 1] = [mask] * len(span)
     return tuple(tokens)
 
@@ -283,11 +284,6 @@ class EmbeddingTable:
     dim: int
     vectors: dict
     unk_vector: np.ndarray
-    pad_vector: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.pad_vector is None:
-            self.pad_vector = np.zeros(self.dim, dtype=np.float32)
 
     def lookup(self, token):
         return self.vectors.get(token, self.unk_vector)

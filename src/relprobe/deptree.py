@@ -21,11 +21,10 @@ class DepTree:
 
 @dataclass(frozen=True)
 class SdpResult:
-    """Shortest dependency path between two span-root tokens.
+    """Shortest dependency path between two tokens.
 
-    path runs from the head-side endpoint to the tail-side endpoint; lca is
-    the deepest common ancestor; depth = max(#edges lca->head endpoint,
-    #edges lca->tail endpoint).
+    path runs from the first endpoint to the second; lca is the deepest
+    common ancestor; depth = max(#edges lca->first, #edges lca->second).
     """
 
     path: tuple
@@ -36,9 +35,15 @@ class SdpResult:
 def head_problems(dep_head):
     """Why 1-based parent indices (0 marks the root) are not one tree; empty
     if they are. O(n): all tokens must be reachable from a root (no cycles)."""
+    return _walk(dep_head)[0]
+
+
+def _walk(dep_head):
+    """(head_problems, children lists) of 1-based parent indices; children
+    is None when a value is out of range."""
     n = len(dep_head)
     if n == 0:
-        return ["empty dep_head"]
+        return ["empty dep_head"], None
     problems = []
     roots = [i for i, h in enumerate(dep_head) if h == 0]
     if not roots:
@@ -46,7 +51,7 @@ def head_problems(dep_head):
     elif len(roots) > 1:
         problems.append("multiple root tokens")
     if not all(0 <= h <= n for h in dep_head):
-        return problems + ["dep_head value out of range"]
+        return problems + ["dep_head value out of range"], None
     children = [[] for _ in range(n)]
     for i, h in enumerate(dep_head):
         if h:
@@ -58,21 +63,17 @@ def head_problems(dep_head):
         stack.extend(below)
     if reached < n:
         problems.append("cycle detected")
-    return problems
+    return problems, children
 
 
 def build_tree(dep_head):
     """Build a DepTree from 1-based parent indices (0 marks the root token)."""
-    problems = head_problems(dep_head)
+    problems, children = _walk(dep_head)
     if problems:
         raise ValueError("; ".join(problems))
     parent = tuple(h - 1 if h > 0 else None for h in dep_head)
-    children = [[] for _ in parent]
-    for i, p in enumerate(parent):
-        if p is not None:
-            children[p].append(i)
     return DepTree(root=parent.index(None), parent=parent,
-                   children=tuple(tuple(c) for c in children))
+                   children=tuple(map(tuple, children)))
 
 
 def tree_depth(t: DepTree) -> int:
@@ -87,16 +88,15 @@ def tree_depth(t: DepTree) -> int:
     return best
 
 
-def span_root(t: DepTree, span) -> int:
-    """Token in the span whose parent lies outside it.
+def span_root(dep_head, span) -> int:
+    """Token in the span whose head (1-based dep_head) lies outside it.
 
     Leftmost such token if the annotation is non-projective; span.end when
-    every token's parent is internal (degenerate annotation).
+    every token's head is internal (degenerate annotation). The root token
+    (head 0) always counts as outside.
     """
-    members = set(range(span.start, span.end + 1))
     for i in range(span.start, span.end + 1):
-        p = t.parent[i]
-        if p is None or p not in members:
+        if not span.start < dep_head[i] <= span.end + 1:
             return i
     return span.end
 
@@ -109,10 +109,8 @@ def _depth_of(t: DepTree, node: int) -> int:
     return d
 
 
-def sdp(t: DepTree, head, tail) -> SdpResult:
-    """Unique tree path between span_root(head) and span_root(tail)."""
-    a = span_root(t, head)
-    b = span_root(t, tail)
+def sdp(t: DepTree, a: int, b: int) -> SdpResult:
+    """Unique tree path between tokens a and b."""
     da, db = _depth_of(t, a), _depth_of(t, b)
     up_a, up_b = [a], [b]
     x, y = a, b

@@ -173,7 +173,7 @@ class REModel:
     # ---------------------------------------------------------------- setup
 
     def _add(self, name, data):
-        self.params[name] = ad.param(np.asarray(data, dtype=ad.current_dtype()), name=name)
+        self.params[name] = ad.param(np.asarray(data, dtype=ad.current_dtype()))
 
     def _init_params(self, rng, embeddings):
         cfg, enc = self.input_cfg, self.enc_cfg
@@ -247,16 +247,16 @@ class REModel:
 
     # -------------------------------------------------------------- forward
 
-    def featurize(self, sentence, ctx_row=None, tree=None):
+    def featurize(self, sentence, ctx_row=None):
         """The Features of one sentence (B = 1)."""
-        return self.featurize_batch((sentence,), (ctx_row,), None if tree is None else (tree,))
+        return self.featurize_batch((sentence,), (ctx_row,))
 
-    def featurize_batch(self, sentences, ctx_rows=None, trees=None):
+    def featurize_batch(self, sentences, ctx_rows=None):
         """The packed Features of a sequence of sentences, computed once and
-        reused by every forward pass. Trees (the sentences' DepTrees unless
-        given) are built once per sentence, and only for masking or GCN. For
-        GCN: the tokens kept around the SDP, their row-normalized adjacency
-        (self loops included) and the head and tail pooling rows."""
+        reused by every forward pass. For GCN, which alone builds each
+        sentence's DepTree: the tokens kept around the SDP, their
+        row-normalized adjacency (self loops included) and the head and tail
+        pooling rows."""
         cfg, enc = self.input_cfg, self.enc_cfg
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
@@ -270,9 +270,7 @@ class REModel:
         lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        if trees is None and (cfg.masking or enc.kind == "gcn"):
-            trees = [deptree.build_tree(s.dep_head) for s in sentences]
-        token_lists = map(masked_tokens, sentences, trees) if cfg.masking \
+        token_lists = map(masked_tokens, sentences) if cfg.masking \
             else (s.tokens for s in sentences)
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
         offsets = ()
@@ -286,17 +284,20 @@ class REModel:
             offsets = tuple(off + cfg.max_offset)
         graph = None
         if enc.kind == "gcn":
-            kept, adjs, heads, tails = zip(*map(self._pruned_graph, sentences, trees))
+            kept, adjs, heads, tails = zip(*map(self._pruned_graph, sentences))
             kept, kept_starts = _packed(kept, starts.tolist())
             shifts = kept_starts.tolist()
             graph = (kept, kept_starts, adjs, *_packed(heads, shifts), *_packed(tails, shifts))
         ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
         return Features(ids, offsets, ctx, graph, starts)
 
-    def _pruned_graph(self, sentence, tree):
+    def _pruned_graph(self, sentence):
         """Kept tokens, normalized adjacency, head and tail pooling rows
         (positions among the kept tokens) of one sentence."""
-        path = deptree.sdp(tree, sentence.head, sentence.tail)
+        tree = deptree.build_tree(sentence.dep_head)
+        roots = [deptree.span_root(sentence.dep_head, span)
+                 for span in (sentence.head, sentence.tail)]
+        path = deptree.sdp(tree, *roots)
         k = math.inf if self.enc_cfg.gcn_prune_k in (None, math.inf) else self.enc_cfg.gcn_prune_k
         kept = sorted(deptree.prune(tree, path, k))
         if not kept:
@@ -309,8 +310,8 @@ class REModel:
                 adj[pos[tok], pos[p]] = 1.0
                 adj[pos[p], pos[tok]] = 1.0
         adj /= adj.sum(axis=1, keepdims=True)
-        pools = [[pos[t] for t in kept if t in span] or [pos[deptree.span_root(tree, span)]]
-                 for span in (sentence.head, sentence.tail)]
+        pools = [[pos[t] for t in kept if t in span] or [pos[root]]
+                 for span, root in zip((sentence.head, sentence.tail), roots)]
         return (kept, adj, *pools)
 
     def featurize_chunks(self, sentences, contextual=None):
@@ -375,10 +376,7 @@ class REModel:
         """H (ΣT, h) of one direction ("f" or "b") of one BiLSTM layer."""
         enc = self.enc_cfg
         # variational recurrent dropout: one mask reused across time steps
-        rmask = None
-        if train and enc.recurrent_dropout > 0:
-            keep = 1.0 - enc.recurrent_dropout
-            rmask = (self.rng.random((1, enc.lstm_hidden)) < keep).astype(ad.current_dtype()) / keep
+        rmask = ad.dropout_mask((1, enc.lstm_hidden), enc.recurrent_dropout, self.rng, train)
         name = "lstm%d_%s_" % (layer, dirn)
         return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
                                 self.params[name + "b"], rmask=rmask, reverse=dirn == "b",
@@ -423,10 +421,8 @@ class REModel:
             # draw per head
             drop = None
             if train and enc.attn_dropout > 0:
-                keep = 1.0 - enc.attn_dropout
-                dtype = ad.current_dtype()
-                drop = [(self.rng.random((enc.attn_heads, t, t)) < keep).astype(dtype)
-                        / dtype(keep) for t in np.diff(starts).tolist()]
+                drop = [ad.dropout_mask((enc.attn_heads, t, t), enc.attn_dropout, self.rng, train)
+                        for t in np.diff(starts).tolist()]
             merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop, starts=starts)
             h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                     self.params["attn%d_bo" % layer]))

@@ -20,8 +20,8 @@ TASKS = (
 
 BINNED_TASKS = ("SentLen", "ArgDist", "TreeDepth", "SDPTreeDepth")
 
-# tasks whose raw label reads the dependency tree
-TREE_TASKS = ("TreeDepth", "SDPTreeDepth", "TypeHead", "TypeTail", "GRHead", "GRTail")
+# tasks whose raw label runs a tree algorithm; the others read annotations
+TREE_TASKS = ("TreeDepth", "SDPTreeDepth")
 
 # grammatical roles kept verbatim; everything else maps to "other"
 GR_CLASSES = ("nsubj", "nsubjpass", "dobj", "iobj")
@@ -99,7 +99,8 @@ class ProbingDataset:
 
 
 def extract(task, s, tree):
-    """Raw probing label of one sentence, from its annotations and DepTree."""
+    """Raw probing label of one sentence, from its annotations and (for
+    TREE_TASKS) its DepTree."""
     if task == "SentLen":
         return len(s)
     if task == "ArgDist":
@@ -111,7 +112,8 @@ def extract(task, s, tree):
     if task == "TreeDepth":
         return min(deptree.tree_depth(tree), TREE_DEPTH_CLAMP)
     if task == "SDPTreeDepth":
-        return deptree.sdp(tree, s.head, s.tail).depth
+        return deptree.sdp(tree, deptree.span_root(s.dep_head, s.head),
+                           deptree.span_root(s.dep_head, s.tail)).depth
     if task == "ArgOrd":
         return "head-first" if s.head.end < s.tail.start else "tail-first"
     if task in ("PosHeadL", "PosHeadR", "PosTailL", "PosTailR"):
@@ -121,10 +123,10 @@ def extract(task, s, tree):
         return s.pos[span.end + 1] if span.end + 1 < len(s) else BOUNDARY_RIGHT
     if task in ("TypeHead", "TypeTail"):
         span = s.head if task == "TypeHead" else s.tail
-        return s.ner[deptree.span_root(tree, span)]
+        return s.ner[deptree.span_root(s.dep_head, span)]
     if task in ("GRHead", "GRTail"):
         span = s.head if task == "GRHead" else s.tail
-        label = s.dep_label[deptree.span_root(tree, span)]
+        label = s.dep_label[deptree.span_root(s.dep_head, span)]
         return label if label in GR_CLASSES else "other"
     raise ValueError("unknown task: %s" % task)
 
@@ -138,7 +140,7 @@ def _arg_distance(s):
 
 def build_tasks(tasks, corpus, profile="tacred"):
     """Probing datasets for `tasks`, in the order given; each sentence's tree
-    is built once, if a task reads it. Bins are fitted on train raw values only."""
+    is built once, if a depth task reads it. Bins are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
     excluded = EXCLUDED[profile] if isinstance(profile, str) else ()

@@ -25,7 +25,7 @@ def op_checks(seed=0, eps=1e-5):
         rng = np.random.default_rng(seed)
 
         def check(name, make_params, build):
-            params = {k: ad.param(v, name=k) for k, v in make_params(rng).items()}
+            params = {k: ad.param(v) for k, v in make_params(rng).items()}
             results[name] = ad.gradcheck(lambda: build(params), params, eps=eps)
 
         check("add", lambda r: {"a": _rand(r, 3, 4), "b": _rand(r, 3, 4)},

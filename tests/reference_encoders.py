@@ -28,20 +28,21 @@ def position_offsets(span, length, clip):
     return np.clip(off, -clip, clip)
 
 
-def featurize(self, sentence, ctx_row=None, tree=None):
+def featurize(self, sentence, ctx_row=None):
     cfg, enc = self.input_cfg, self.enc_cfg
     if cfg.use_contextual and ctx_row is None:
         raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
-    if tree is None and (cfg.masking or enc.kind == "gcn"):
-        tree = deptree.build_tree(sentence.dep_head)
-    tokens = masked_tokens(sentence, tree) if cfg.masking else sentence.tokens
+    tokens = masked_tokens(sentence) if cfg.masking else sentence.tokens
     offsets = ()
     if cfg.pos_dim > 0:
         offsets = tuple(position_offsets(span, len(sentence), cfg.max_offset) + cfg.max_offset
                         for span in (sentence.head, sentence.tail))
     graph = None
     if enc.kind == "gcn":
-        path = deptree.sdp(tree, sentence.head, sentence.tail)
+        tree = deptree.build_tree(sentence.dep_head)
+        roots = [deptree.span_root(sentence.dep_head, span)
+                 for span in (sentence.head, sentence.tail)]
+        path = deptree.sdp(tree, *roots)
         k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k
         kept = sorted(deptree.prune(tree, path, k))
         pos = {tok: i for i, tok in enumerate(kept)}
@@ -52,8 +53,8 @@ def featurize(self, sentence, ctx_row=None, tree=None):
                 adj[pos[tok], pos[p]] = 1.0
                 adj[pos[p], pos[tok]] = 1.0
         adj /= adj.sum(axis=1, keepdims=True)
-        pools = [[pos[t] for t in kept if t in span] or [pos[deptree.span_root(tree, span)]]
-                 for span in (sentence.head, sentence.tail)]
+        pools = [[pos[t] for t in kept if t in span] or [pos[root]]
+                 for span, root in zip((sentence.head, sentence.tail), roots)]
         graph = (np.asarray(kept), adj, *map(np.asarray, pools))
     return SentenceFeatures(self.vocab.ids(tokens), offsets,
                             ctx_row if cfg.use_contextual else None, graph)

@@ -16,7 +16,7 @@ import pytest
 
 import relprobe
 from relprobe import deptree, probegen, synth
-from relprobe.corpus import Span, random_embeddings
+from relprobe.corpus import random_embeddings
 from relprobe.encoders import REModel, Vocab
 from relprobe.probing import baseline_reps, extract_reps, train_probe
 from relprobe.training import (desk_encoder_config, desk_input_config,
@@ -106,7 +106,7 @@ def test_criterion_2_tree_oracles():
         tree = deptree.build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         a, b = min(a, b), max(a, b)
-        res = deptree.sdp(tree, Span(a, a), Span(b, b))
+        res = deptree.sdp(tree, a, b)
         dist, nxt = _fw_oracle(dep_head)
         if list(res.path) != _fw_path(nxt, a, b):
             failures += 1

@@ -125,6 +125,37 @@ def test_dropout_eval_is_identity():
     x = ad.constant(np.ones(10))
     out = ad.dropout(x, 0.5, np.random.default_rng(0), train=False)
     assert out is x
+    assert ad.dropout_mask((3,), 0.5, np.random.default_rng(0), train=False) is None
+    assert ad.dropout_mask((3,), 0.0, np.random.default_rng(0), train=True) is None
+
+
+class _StubRng:
+    """Returns fixed draws, tiled to the requested shape."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, shape):
+        return np.resize(self.draws, shape)
+
+
+def test_dropout_mask_compares_draws_with_float64_keep():
+    # draws in [float32(keep), keep) are kept: the comparison uses the
+    # Python-float keep, not its float32 rounding
+    p = 0.1
+    keep = 1.0 - p
+    lo = float(np.float32(keep))
+    assert lo < keep
+    gap = np.linspace(lo, keep, 6, endpoint=False)
+    draws = np.concatenate([gap, [0.0, 0.5, keep, 0.95]])
+    mask = ad.dropout_mask((2, draws.size), p, _StubRng(draws), train=True)
+    tiled = np.resize(draws, (2, draws.size))
+    # the expressions ad.dropout, the BiLSTM rmask and the attention masks used
+    for expected in ((tiled < keep).astype(np.float32) / np.float32(keep),
+                     (tiled < keep).astype(np.float32) / keep):
+        assert mask.dtype == expected.dtype
+        assert mask.tobytes() == expected.tobytes()
+    assert np.all(mask[:, :gap.size] > 0)
 
 
 def test_backward_requires_scalar():

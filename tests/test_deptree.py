@@ -177,28 +177,52 @@ def test_tree_depth_matches_bfs_oracle():
 # --------------------------------------------------------------- span root
 
 def test_span_root_singleton():
-    t = build_tree([2, 0, 2])
-    assert span_root(t, Span(0, 0)) == 0
+    assert span_root([2, 0, 2], Span(0, 0)) == 0
 
 
 def test_span_root_internal_head():
     # "Larry Page met X": Page(1) attaches to the verb, Larry(0) to Page
-    t = build_tree([2, 3, 0, 3])
-    assert span_root(t, Span(0, 1)) == 1
+    assert span_root([2, 3, 0, 3], Span(0, 1)) == 1
 
 
 def test_span_root_degenerate_falls_back_to_end():
     # span covering the whole sentence: root has no external parent but is
     # found first; restrict to a subtree whose parents are all internal
-    t = build_tree([0, 1, 2])
-    assert span_root(t, Span(0, 2)) == 0  # root's parent is None -> external
+    assert span_root([0, 1, 2], Span(0, 2)) == 0  # root's head 0 -> external
+
+
+def test_span_root_all_heads_internal_is_span_end():
+    # a 2-cycle inside the span: no tree, and both heads are internal
+    assert span_root([2, 1, 0], Span(0, 1)) == 1
+
+
+def tree_span_root_oracle(dep_head, span):
+    """The span root as defined on the built tree: the first span token whose
+    parent is None or outside the span, else span.end."""
+    t = build_tree(dep_head)
+    for i in range(span.start, span.end + 1):
+        p = t.parent[i]
+        if p is None or not span.start <= p <= span.end:
+            return i
+    return span.end
+
+
+def test_span_root_matches_tree_definition():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 16))
+        dep_head = random_parents(rng, n)
+        for start in range(n):
+            for end in range(start, n):
+                span = Span(start, end)
+                assert span_root(dep_head, span) == tree_span_root_oracle(dep_head, span)
 
 
 # --------------------------------------------------------------------- sdp
 
 def test_sdp_three_tokens():
     t = build_tree([2, 0, 2])
-    r = sdp(t, Span(0, 0), Span(2, 2))
+    r = sdp(t, 0, 2)
     assert r.path == (0, 1, 2)
     assert r.lca == 1
     assert r.depth == 1
@@ -207,7 +231,7 @@ def test_sdp_three_tokens():
 def test_sdp_ancestor_chain():
     # chain 0 <- 1 <- 2 <- 3 : head root is an ancestor at distance 3
     t = build_tree([0, 1, 2, 3])
-    r = sdp(t, Span(0, 0), Span(3, 3))
+    r = sdp(t, 0, 3)
     assert r.lca == 0
     assert r.depth == 3
     assert r.path == (0, 1, 2, 3)
@@ -221,7 +245,7 @@ def test_sdp_matches_floyd_warshall():
         a, b = rng.choice(n, size=2, replace=False)
         a, b = int(min(a, b)), int(max(a, b))
         t = build_tree(dep_head)
-        r = sdp(t, Span(a, a), Span(b, b))
+        r = sdp(t, a, b)
         oracle_path, dist = floyd_warshall_path(dep_head, a, b)
         assert list(r.path) == oracle_path
         # lca is the path node closest to the root
@@ -236,8 +260,8 @@ def test_sdp_symmetric_up_to_reversal():
         dep_head = random_parents(rng, n)
         t = build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        r1 = sdp(t, Span(min(a, b), min(a, b)), Span(max(a, b), max(a, b)))
-        r2 = sdp(t, Span(max(a, b), max(a, b)), Span(min(a, b), min(a, b)))
+        r1 = sdp(t, min(a, b), max(a, b))
+        r2 = sdp(t, max(a, b), min(a, b))
         assert r1.path == r2.path[::-1]
         assert r1.lca == r2.lca
         assert r1.depth == r2.depth
@@ -250,7 +274,7 @@ def test_sdp_depth_bounded_by_tree_depth():
         dep_head = random_parents(rng, n)
         t = build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        r = sdp(t, Span(min(a, b), min(a, b)), Span(max(a, b), max(a, b)))
+        r = sdp(t, min(a, b), max(a, b))
         assert r.depth <= tree_depth(t)
 
 
@@ -281,14 +305,14 @@ def _bfs_distance_filter(dep_head, path_nodes, k):
 
 def test_prune_k0_is_path():
     t = build_tree([2, 0, 2, 1])
-    r = sdp(t, Span(0, 0), Span(2, 2))
+    r = sdp(t, 0, 2)
     assert prune(t, r, 0) == set(r.path)
 
 
 def test_prune_infinity_keeps_all():
     dep_head = [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
     t = build_tree(dep_head)
-    r = sdp(t, Span(0, 0), Span(9, 9))
+    r = sdp(t, 0, 9)
     assert prune(t, r, math.inf) == set(range(10))
 
 
@@ -299,7 +323,7 @@ def test_prune_matches_bfs_filter():
         dep_head = random_parents(rng, n)
         t = build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        r = sdp(t, Span(min(a, b), min(a, b)), Span(max(a, b), max(a, b)))
+        r = sdp(t, min(a, b), max(a, b))
         for k in (0, 1, 2):
             assert prune(t, r, k) == _bfs_distance_filter(dep_head, r.path, k)
 
@@ -311,7 +335,7 @@ def test_prune_monotone_in_k():
         dep_head = random_parents(rng, n)
         t = build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        r = sdp(t, Span(min(a, b), min(a, b)), Span(max(a, b), max(a, b)))
+        r = sdp(t, min(a, b), max(a, b))
         prev = set()
         for k in (0, 1, 2, 3):
             cur = prune(t, r, k)

@@ -1,6 +1,6 @@
 """Each sentence's derived inputs are prepared once per run: trees in
-probegen.build_tasks, model inputs in REModel.featurize, whose forward pass
-gives the same logits as before."""
+probegen.build_tasks (depth tasks) and GCN featurization, model inputs in
+REModel.featurize, whose forward pass gives the same logits as before."""
 
 import numpy as np
 import pytest
@@ -41,8 +41,12 @@ def _profile(epochs):
     return HyperProfile("t", "adam", 1e-2, epochs, 8, pos_dim=8)
 
 
-def test_unmasked_cnn_training_builds_no_tree(corpus, tree_builds):
-    train_re(corpus, desk_input_config(), desk_encoder_config("cnn"), _profile(2))
+@pytest.mark.parametrize("masking", (False, True), ids=("unmasked", "masked"))
+def test_cnn_training_builds_no_tree(corpus, tree_builds, masking):
+    """Masking reads span roots off dep_head: only GCN builds trees."""
+    model, _ = train_re(corpus, desk_input_config(masking=masking),
+                        desk_encoder_config("cnn"), _profile(2))
+    extract_reps(model, corpus.test)
     assert len(tree_builds) == 0
 
 

@@ -161,8 +161,8 @@ def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
         rng = np.random.default_rng(init_seed)
         w0 = rng.normal(0, 0.01, size=(d, n_classes))
         b0 = rng.normal(0, 0.01, size=n_classes)
-    w = ad.param(w0, name="w")
-    b = ad.param(b0, name="b")
+    w = ad.param(w0)
+    b = ad.param(b0)
     params = {"w": w, "b": b}
     opt = Adam(lr)
     mask = y >= 0
