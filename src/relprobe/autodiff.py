@@ -188,16 +188,6 @@ def matmul(a, b):
     return Tensor(out_data, parents=(a, b), backward=back)
 
 
-def transpose(a):
-    a = _as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g.T)
-
-    return Tensor(a.data.T, parents=(a,), backward=back)
-
-
 def tanh(a):
     a = _as_tensor(a)
     out_data = np.tanh(a.data)
@@ -261,26 +251,6 @@ def gather_rows(a, idx):
     return Tensor(out_data, parents=(a,), backward=back)
 
 
-def slice_rows(a, start, stop):
-    a = _as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._grad_buffer()[start:stop] += g
-
-    return Tensor(a.data[start:stop], parents=(a,), backward=back)
-
-
-def slice_cols(a, start, stop):
-    a = _as_tensor(a)
-
-    def back(g):
-        if a.requires_grad:
-            a._grad_buffer()[..., start:stop] += g
-
-    return Tensor(a.data[..., start:stop], parents=(a,), backward=back)
-
-
 def _segments(starts, n_rows):
     """Segment starts (B+1 row bounds covering n_rows rows) as a list of ints.
 
@@ -296,29 +266,20 @@ def _segments(starts, n_rows):
     return bounds
 
 
-def amax(a, axis=0, starts=None):
-    """Max along an axis; gradient flows to the first argmax per slice.
-
-    With segment starts (B+1 row bounds), the max over each segment's rows
-    of a 2-D tensor: one output row per segment.
-    """
+def amax(a, starts=None):
+    """Max over each segment's rows of a 2-D tensor (starts: B+1 row bounds;
+    default: all rows), one output row per segment; gradient flows to the
+    first argmax per column."""
     a = _as_tensor(a)
-    bounds = None
-    if starts is not None:
-        if axis != 0:
-            raise ValueError("segment max runs over axis 0")
-        bounds = _segments(starts, a.data.shape[0])
-    if bounds is None or len(bounds) == 2:
-        out_data = a.data.max(axis=axis, keepdims=bounds is not None)
-
+    n_rows = a.data.shape[0]
+    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
+    if len(bounds) == 2:
         def back(g):
             if a.requires_grad:
-                arg = a.data.argmax(axis=axis)
-                index = list(np.indices(arg.shape))
-                index.insert(axis, arg)
-                np.add.at(a._grad_buffer(), tuple(index), g.reshape(arg.shape))
+                np.add.at(a._grad_buffer(), (a.data.argmax(axis=0), np.arange(g.shape[1])),
+                          g[0])
 
-        return Tensor(out_data, parents=(a,), backward=back)
+        return Tensor(a.data.max(axis=0, keepdims=True), parents=(a,), backward=back)
     # not np.maximum.reduceat, which runs several times slower on wide rows
     out_data = np.array([a.data[lo:hi].max(axis=0) for lo, hi in zip(bounds, bounds[1:])])
 
@@ -340,25 +301,19 @@ def sum_all(a):
     return Tensor(a.data.sum(), parents=(a,), backward=back)
 
 
-def sum_axis(a, axis=0, starts=None):
-    """Sum along an axis. With segment starts (B+1 row bounds), the sum over
-    each segment's rows of a 2-D tensor, one output row per segment, each
-    reduced exactly as the whole-tensor sum reduces its rows."""
+def sum_axis(a, starts=None):
+    """Sum over each segment's rows of a 2-D tensor (starts: B+1 row bounds;
+    default: all rows), one output row per segment, each reduced exactly as
+    a lone segment's sum reduces its rows."""
     a = _as_tensor(a)
-    bounds = None
-    if starts is not None:
-        if axis != 0:
-            raise ValueError("segment sum runs over axis 0")
-        bounds = _segments(starts, a.data.shape[0])
-    if bounds is None or len(bounds) == 2:
-        keepdims = bounds is not None
-
+    n_rows = a.data.shape[0]
+    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
+    if len(bounds) == 2:
         def back(g):
             if a.requires_grad:
-                g = g if keepdims else np.expand_dims(g, axis)
-                a._accum(np.repeat(g, a.data.shape[axis], axis=axis))
+                a._accum(np.repeat(g, n_rows, axis=0))
 
-        return Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,), backward=back)
+        return Tensor(a.data.sum(axis=0, keepdims=True), parents=(a,), backward=back)
     # not np.add.reduceat, whose summation order differs from sum(axis=0)
     out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
     counts = np.diff(bounds)
@@ -368,21 +323,6 @@ def sum_axis(a, axis=0, starts=None):
             a._accum(g.repeat(counts, axis=0))
 
     return Tensor(out_data, parents=(a,), backward=back_segments)
-
-
-def softmax(a):
-    """Row-wise softmax over the last axis."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        if a.requires_grad:
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            a._accum(out_data * (g - dot))
-
-    return Tensor(out_data, parents=(a,), backward=back)
 
 
 def cross_entropy_logits(logits, labels):

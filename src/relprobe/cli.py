@@ -23,17 +23,49 @@ from .probing import (L2_GRID, baseline_reps, extract_reps, load_reps,
 from .training import (desk_encoder_config, desk_input_config, load_checkpoint,
                        presets, save_checkpoint, train_re)
 
+
+class UsageError(Exception):
+    pass
+
+
+def _bool(text):
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(text)
+    return text.lower() in ("true", "yes", "1")
+
+
+def _grid(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+_EXPECTED = {int: "an integer", _bool: "true/false, yes/no or 1/0",
+             _grid: "comma-separated numbers"}
+
+
+def _parse_value(text, kind, name, where=None):
+    """text as `kind` (str, int, _bool or _grid); a value that does not parse is
+    a UsageError naming `name` and, when given, `where` it was read."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError("%s: expected %s, got %r%s" % (
+            name, _EXPECTED[kind], text, "" if where is None else " in %s" % where)) from None
+
+
+# config key -> kind of its value
 KNOWN_KEYS = {
-    "corpus", "corpus_format", "profile", "encoder", "masking", "word_dim",
-    "pos_dim", "max_offset", "embeddings", "embeddings_dim", "contextual",
-    "seed", "out", "task_profile", "tasks", "sources", "grid", "standardize",
-    "jobs", "boe_dim", "boe_seed",
+    "corpus": str, "corpus_format": str, "profile": str, "encoder": str, "masking": _bool,
+    "word_dim": int, "pos_dim": int, "max_offset": int, "embeddings": str,
+    "embeddings_dim": int, "contextual": str, "seed": int, "out": str, "task_profile": str,
+    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": int,
+    "boe_dim": int, "boe_seed": int,
 }
 
 
 def read_config(path):
-    """Plain key=value config; unknown keys rejected. '#' starts a comment at
-    the start of a line or after whitespace, so /data/a#b keeps its '#'."""
+    """Plain key=value config; unknown keys rejected, and each value parsed
+    as the kind KNOWN_KEYS gives its key. '#' starts a comment at the start
+    of a line or after whitespace, so /data/a#b keeps its '#'."""
     cfg = {}
     for lineno, line in read_lines(path, UsageError):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
@@ -44,27 +76,16 @@ def read_config(path):
         key, value = (x.strip() for x in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise UsageError("%s:%d: unknown config key %r" % (path, lineno, key))
-        cfg[key] = value
+        cfg[key] = _parse_value(value, KNOWN_KEYS[key], "config key %r" % key,
+                               "%s:%d" % (path, lineno))
     return cfg
-
-
-class UsageError(Exception):
-    pass
-
-
-def _bool_from(cfg, key):
-    value = cfg.get(key, "false")
-    if value.lower() not in ("true", "yes", "1", "false", "no", "0"):
-        raise UsageError("config key %r: expected true/false, yes/no or 1/0, got %r"
-                         % (key, value))
-    return value.lower() in ("true", "yes", "1")
 
 
 def _seed_from(cfg, default=0):
     env = os.environ.get("RELPROBE_SEED")
     if env is not None:
-        return int(env)
-    return int(cfg.get("seed", default))
+        return _parse_value(env, int, "RELPROBE_SEED")
+    return cfg.get("seed", default)
 
 
 def _load_corpus_cfg(cfg):
@@ -140,18 +161,18 @@ def cmd_train(args):
     elif enc_cfg.kind != kind and "encoder" in cfg:
         raise UsageError("profile %s is for encoder %s" % (profile_name, enc_cfg.kind))
     input_kwargs = {
-        "masking": _bool_from(cfg, "masking"),
+        "masking": cfg.get("masking", False),
         "word_dropout": profile.word_dropout,
         "embedding_dropout": profile.embedding_dropout,
-        "pos_dim": int(cfg.get("pos_dim", profile.pos_dim)),
+        "pos_dim": cfg.get("pos_dim", profile.pos_dim),
     }
     if "word_dim" in cfg:
-        input_kwargs["word_dim"] = int(cfg["word_dim"])
+        input_kwargs["word_dim"] = cfg["word_dim"]
     if "max_offset" in cfg:
-        input_kwargs["max_offset"] = int(cfg["max_offset"])
+        input_kwargs["max_offset"] = cfg["max_offset"]
     embeddings = None
     if "embeddings" in cfg:
-        dim = int(cfg.get("embeddings_dim", cfg.get("word_dim", 300)))
+        dim = cfg.get("embeddings_dim", cfg.get("word_dim", 300))
         embeddings = load_embeddings(cfg["embeddings"], dim)
         input_kwargs.setdefault("word_dim", dim)
     contextual = None
@@ -204,10 +225,10 @@ def cmd_extract(args):
 
 
 def cmd_probe(args):
+    grid = _parse_value(args.grid, _grid, "--grid") if args.grid else L2_GRID
     task = load_dataset(args.task)
     reps = {"train": load_reps(args.train), "validation": load_reps(args.val),
             "test": load_reps(args.test)}
-    grid = tuple(float(x) for x in args.grid.split(",")) if args.grid else L2_GRID
     result = train_probe(reps, task, grid=grid, standardize=args.standardize)
     header = ["task", "source", "chosen_l2", "val_accuracy", "test_accuracy"]
     row = [result.task, result.source, "%g" % result.chosen_l2,
@@ -222,7 +243,7 @@ def cmd_probe(args):
 
 def cmd_suite(args):
     cfg = read_config(args.config)
-    standardize = _bool_from(cfg, "standardize")
+    standardize = cfg.get("standardize", False)
     corpus = _load_corpus_cfg(cfg)
     seed = _seed_from(cfg)
     task_profile = cfg.get("task_profile", "tacred")
@@ -234,12 +255,12 @@ def cmd_suite(args):
     split_sents = {"train": corpus.train, "validation": corpus.validation,
                    "test": corpus.test}
     source_names = [s.strip() for s in cfg.get("sources", "length,argdist,boe").split(",")]
-    boe_dim = int(cfg.get("boe_dim", 16))
+    boe_dim = cfg.get("boe_dim", 16)
     if "embeddings" in cfg:
-        boe_dim = int(cfg.get("embeddings_dim", boe_dim))
+        boe_dim = cfg.get("embeddings_dim", boe_dim)
     table = None
     if "boe" in source_names:
-        table = _boe_table(cfg.get("embeddings"), boe_dim, int(cfg.get("boe_seed", seed)),
+        table = _boe_table(cfg.get("embeddings"), boe_dim, cfg.get("boe_seed", seed),
                            corpus.all_sentences())
     contextual = load_contextual(cfg["contextual"]) if "contextual" in cfg else None
     sources = []
@@ -256,9 +277,8 @@ def cmd_suite(args):
             sources.append((label, reps))
         else:
             raise UsageError("unknown source %r (use length|argdist|boe|ck:<path>)" % name)
-    grid = tuple(float(x) for x in cfg.get("grid", "").split(",")) if cfg.get("grid") \
-        else L2_GRID
-    jobs = args.jobs or int(cfg.get("jobs", 1))
+    grid = cfg.get("grid", L2_GRID)
+    jobs = args.jobs or cfg.get("jobs", 1)
     results = run_suite(sources, tasks, grid=grid, standardize=standardize, jobs=jobs)
     header, rows = suite_table(results, sources, tasks)
     out = cfg.get("out", ".")

@@ -351,7 +351,7 @@ class REModel:
         elif enc.kind == "attn":
             rep = self._encode_attn(x, starts, train)
         else:
-            rep = ad.sum_axis(x, axis=0, starts=starts)
+            rep = ad.sum_axis(x, starts=starts)
         return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
 
     def logits(self, features, train=False):
@@ -369,7 +369,7 @@ class REModel:
                               starts=starts))
             # segment starts of conv1d's rows: max(len - k + 1, 1) windows per sentence
             windows = [0, *itertools.accumulate(max(n - k + 1, 1) for n in lengths)]
-            pools.append(ad.amax(h, axis=0, starts=windows))
+            pools.append(ad.amax(h, starts=windows))
         return ad.concat(pools, axis=1) if len(pools) > 1 else pools[0]
 
     def _lstm_direction(self, x, starts, layer, dirn, train):
@@ -389,7 +389,7 @@ class REModel:
             fwd = self._lstm_direction(h, starts, layer, "f", train)
             bwd = self._lstm_direction(h, starts, layer, "b", train)
             h = ad.concat([fwd, bwd], axis=1)
-        return ad.amax(h, axis=0, starts=starts)
+        return ad.amax(h, starts=starts)
 
     def _encode_gcn(self, x, graph, train):
         enc = self.enc_cfg
@@ -401,9 +401,9 @@ class REModel:
                                           kept_starts))
             if layer < enc.gcn_layers - 1:
                 h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
-        pools = [ad.amax(h, axis=0, starts=kept_starts)]
+        pools = [ad.amax(h, starts=kept_starts)]
         for rows, starts in ((head_rows, head_starts), (tail_rows, tail_starts)):
-            pools.append(ad.amax(ad.gather_rows(h, rows), axis=0, starts=starts))
+            pools.append(ad.amax(ad.gather_rows(h, rows), starts=starts))
         rep = ad.concat(pools, axis=1)
         for j in range(enc.gcn_ff_layers):
             rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
@@ -438,10 +438,6 @@ class REModel:
         """Eval-mode representation as a plain float32 vector."""
         rep = self.encode(self.featurize(sentence, ctx_row))
         return np.asarray(rep.data[0], dtype=np.float32)
-
-    def predict(self, sentence, ctx_row=None):
-        logits = self.logits(self.featurize(sentence, ctx_row))
-        return self.labels[int(np.argmax(logits.data))]
 
     def zero_grads(self):
         for p in self.params.values():

@@ -145,12 +145,3 @@ class Scheduler:
                     self.lr *= self.policy.factor
                     self._stale = 0
         return self.lr
-
-
-def schedule(history, policy, lr0):
-    """Pure form: replay a per-epoch validation-metric history, return lr."""
-    sched = Scheduler(policy, lr0)
-    for epoch, metric in enumerate(history, start=1):
-        sched.start_epoch(epoch)
-        sched.end_epoch(metric)
-    return sched.lr

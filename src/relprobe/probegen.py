@@ -181,11 +181,6 @@ def _dataset(task, raw, bin_counts) -> ProbingDataset:
     return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=None)
 
 
-def build_task(task, corpus, profile="tacred") -> ProbingDataset:
-    """One probing dataset; see build_tasks."""
-    return build_tasks([task], corpus, profile)[0]
-
-
 def build_all(corpus, profile="tacred"):
     excluded = EXCLUDED.get(profile, ()) if isinstance(profile, str) else ()
     return build_tasks([t for t in TASKS if t not in excluded], corpus, profile)

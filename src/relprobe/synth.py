@@ -223,13 +223,13 @@ def generate(config: SynthConfig) -> Corpus:
                   label_inventory=inventory, negative_label=None)
 
 
-def generate_order_controlled(config: SynthConfig, seed=None) -> Corpus:
+def generate_order_controlled(config: SynthConfig) -> Corpus:
     """Corpus of sentence pairs with identical token multisets but swapped
     argument order; argument-order labels are balanced exactly 50/50.
 
     n_train/n_val/n_test count pairs (two sentences each).
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     ents = config.lexicons.get("ORG") or config.lexicons.get("PER")
     verbs = config.lexicons.get("VERB", ("acquired",))
     if not ents or len(ents) < 2:

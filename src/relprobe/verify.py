@@ -14,134 +14,90 @@ from .corpus import Sentence, Span
 from .encoders import EncoderConfig, InputConfig, REModel, Vocab
 
 
-def _rand(rng, *shape):
-    return rng.normal(0.0, 1.0, size=shape)
+def _squares(t):
+    """sum(t * t): a loss whose gradient depends on every entry of t."""
+    return ad.sum_all(ad.mul(t, t))
 
 
 def op_checks(seed=0, eps=1e-5):
-    """Gradcheck each primitive op at a random point; returns name -> error."""
+    """Gradcheck each autodiff op at a random point; returns name -> error.
+
+    Every public op has an entry named after it, or several named
+    "<op>:<variant>"."""
     results = {}
     with ad.use_dtype(np.float64):
         rng = np.random.default_rng(seed)
 
-        def check(name, make_params, build):
-            params = {k: ad.param(v) for k, v in make_params(rng).items()}
+        def check(name, shapes, build):
+            """build(params) is the loss; params are standard normal draws of
+            the given shapes."""
+            params = {k: ad.param(rng.normal(0.0, 1.0, size=shape))
+                      for k, shape in shapes.items()}
             results[name] = ad.gradcheck(lambda: build(params), params, eps=eps)
 
-        check("add", lambda r: {"a": _rand(r, 3, 4), "b": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.add(p["a"], p["b"])))
-        check("add_broadcast", lambda r: {"a": _rand(r, 3, 4), "b": _rand(r, 4)},
-              lambda p: ad.sum_all(ad.mul(ad.add(p["a"], p["b"]), ad.add(p["a"], p["b"]))))
-        check("mul", lambda r: {"a": _rand(r, 3, 4), "b": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.mul(p["a"], p["b"])))
-        check("scale", lambda r: {"a": _rand(r, 5)},
-              lambda p: ad.sum_all(ad.scale(p["a"], 2.5)))
-        check("matmul", lambda r: {"a": _rand(r, 3, 4), "b": _rand(r, 4, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.matmul(p["a"], p["b"]),
-                                          ad.matmul(p["a"], p["b"]))))
-        check("matmul_vec", lambda r: {"a": _rand(r, 4), "b": _rand(r, 4, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.matmul(p["a"], p["b"]),
-                                          ad.matmul(p["a"], p["b"]))))
-        check("transpose", lambda r: {"a": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.mul(ad.transpose(p["a"]), ad.transpose(p["a"]))))
-        check("tanh", lambda r: {"a": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.tanh(p["a"])))
-        check("relu", lambda r: {"a": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.relu(p["a"])))
-        check("reshape", lambda r: {"a": _rand(r, 3, 4)},
-              lambda p: ad.sum_all(ad.mul(ad.reshape(p["a"], (4, 3)),
-                                          ad.reshape(p["a"], (4, 3)))))
-        check("concat", lambda r: {"a": _rand(r, 2, 3), "b": _rand(r, 2, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.concat([p["a"], p["b"]], axis=1),
-                                          ad.concat([p["a"], p["b"]], axis=1))))
-        check("gather_rows", lambda r: {"a": _rand(r, 5, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.gather_rows(p["a"], np.array([0, 2, 2, 4])),
-                                          ad.gather_rows(p["a"], np.array([0, 2, 2, 4])))))
-        check("slice_rows", lambda r: {"a": _rand(r, 5, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.slice_rows(p["a"], 1, 4),
-                                          ad.slice_rows(p["a"], 1, 4))))
-        check("slice_cols", lambda r: {"a": _rand(r, 3, 6)},
-              lambda p: ad.sum_all(ad.mul(ad.slice_cols(p["a"], 1, 4),
-                                          ad.slice_cols(p["a"], 1, 4))))
-        check("amax", lambda r: {"a": _rand(r, 6, 4)},
-              lambda p: ad.sum_all(ad.mul(ad.amax(p["a"], axis=0),
-                                          ad.amax(p["a"], axis=0))))
-        check("sum_axis", lambda r: {"a": _rand(r, 4, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.sum_axis(p["a"], axis=0),
-                                          ad.sum_axis(p["a"], axis=0))))
-        check("softmax", lambda r: {"a": _rand(r, 3, 5)},
-              lambda p: ad.sum_all(ad.mul(ad.softmax(p["a"]), ad.softmax(p["a"]))))
-        check("cross_entropy", lambda r: {"a": _rand(r, 4, 3)},
+        check("add", {"a": (3, 4), "b": (3, 4)}, lambda p: ad.sum_all(ad.add(p["a"], p["b"])))
+        check("add:broadcast", {"a": (3, 4), "b": (4,)},
+              lambda p: _squares(ad.add(p["a"], p["b"])))
+        check("mul", {"a": (3, 4), "b": (3, 4)}, lambda p: ad.sum_all(ad.mul(p["a"], p["b"])))
+        check("scale", {"a": (5,)}, lambda p: ad.sum_all(ad.scale(p["a"], 2.5)))
+        check("matmul", {"a": (3, 4), "b": (4, 2)},
+              lambda p: _squares(ad.matmul(p["a"], p["b"])))
+        check("matmul:vec", {"a": (4,), "b": (4, 2)},
+              lambda p: _squares(ad.matmul(p["a"], p["b"])))
+        check("tanh", {"a": (3, 4)}, lambda p: ad.sum_all(ad.tanh(p["a"])))
+        check("relu", {"a": (3, 4)}, lambda p: ad.sum_all(ad.relu(p["a"])))
+        check("reshape", {"a": (3, 4)}, lambda p: _squares(ad.reshape(p["a"], (4, 3))))
+        check("concat", {"a": (2, 3), "b": (2, 3)},
+              lambda p: _squares(ad.concat([p["a"], p["b"]], axis=1)))
+        check("gather_rows", {"a": (5, 3)},
+              lambda p: _squares(ad.gather_rows(p["a"], np.array([0, 2, 2, 4]))))
+        check("amax", {"a": (6, 4)}, lambda p: _squares(ad.amax(p["a"])))
+        check("amax:segments", {"a": (6, 3)},
+              lambda p: _squares(ad.amax(p["a"], starts=(0, 1, 4, 6))))
+        check("sum_all", {"a": (3, 4)}, lambda p: ad.sum_all(p["a"]))
+        check("sum_axis", {"a": (4, 3)}, lambda p: _squares(ad.sum_axis(p["a"])))
+        check("sum_axis:segments", {"a": (5, 3)},
+              lambda p: _squares(ad.sum_axis(p["a"], starts=(0, 2, 5))))
+        check("cross_entropy_logits", {"a": (4, 3)},
               lambda p: ad.cross_entropy_logits(p["a"], np.array([0, 2, 1, 1])))
-        check("linear", lambda r: {"x": _rand(r, 3, 4), "w": _rand(r, 4, 2),
-                                   "b": _rand(r, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.linear(p["x"], p["w"], p["b"]),
-                                          ad.linear(p["x"], p["w"], p["b"]))))
-        check("conv1d", lambda r: {"x": _rand(r, 5, 3), "w": _rand(r, 6, 2),
-                                   "b": _rand(r, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.conv1d(p["x"], p["w"], p["b"]),
-                                          ad.conv1d(p["x"], p["w"], p["b"]))))
+        # a fresh rng per build: every loss evaluation draws the same mask
+        check("dropout", {"a": (3, 4)},
+              lambda p: ad.sum_all(ad.mul(ad.dropout(p["a"], 0.5, np.random.default_rng(1),
+                                                     train=True), p["a"])))
+        check("linear", {"x": (3, 4), "w": (4, 2), "b": (2,)},
+              lambda p: _squares(ad.linear(p["x"], p["w"], p["b"])))
+        check("conv1d", {"x": (5, 3), "w": (6, 2), "b": (2,)},
+              lambda p: _squares(ad.conv1d(p["x"], p["w"], p["b"])))
         # two segments, the first shorter than the filter width k = 3
-        check("conv1d:segments", lambda r: {"x": _rand(r, 6, 2), "w": _rand(r, 6, 2),
-                                            "b": _rand(r, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6)),
-                                          ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6)))))
-        check("amax:segments", lambda r: {"a": _rand(r, 6, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.amax(p["a"], axis=0, starts=(0, 1, 4, 6)),
-                                          ad.amax(p["a"], axis=0, starts=(0, 1, 4, 6)))))
-        check("sum_axis:segments", lambda r: {"a": _rand(r, 5, 3)},
-              lambda p: ad.sum_all(ad.mul(ad.sum_axis(p["a"], axis=0, starts=(0, 2, 5)),
-                                          ad.sum_axis(p["a"], axis=0, starts=(0, 2, 5)))))
-        mats = [_rand(rng, 2, 2), _rand(rng, 3, 3)]
-        check("segment_matmul", lambda r: {"x": _rand(r, 5, 2)},
-              lambda p: ad.sum_all(ad.mul(ad.segment_matmul(mats, p["x"], (0, 2, 5)),
-                                          ad.segment_matmul(mats, p["x"], (0, 2, 5)))))
+        check("conv1d:segments", {"x": (6, 2), "w": (6, 2), "b": (2,)},
+              lambda p: _squares(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6))))
+        mats = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
+        check("segment_matmul", {"x": (5, 2)},
+              lambda p: _squares(ad.segment_matmul(mats, p["x"], (0, 2, 5))))
+        lstm_shapes = {"wx": (2, 12), "wh": (3, 12), "b": (12,)}
         for t_len, reverse, masked in itertools.product((1, 4), (False, True), (False, True)):
             rmask = rng.uniform(0.0, 2.0, size=(1, 3)) if masked else None
-
-            def lstm_loss(p):
-                h = ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"], rmask=rmask,
-                                     reverse=reverse)
-                return ad.sum_all(ad.mul(h, h))
-
             check("lstm_sequence:T%d%s%s" % (t_len, ":reverse" * reverse, ":rmask" * masked),
-                  lambda r: {"x": _rand(r, t_len, 2), "wx": _rand(r, 2, 12),
-                             "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
-                  lstm_loss)
+                  {"x": (t_len, 2), **lstm_shapes},
+                  lambda p: _squares(ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"],
+                                                      rmask=rmask, reverse=reverse)))
         # three sentences of 2, 1 and 3 rows, each its own recurrence
         for reverse in (False, True):
-            def lstm_segments_loss(p):
-                h = ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"], reverse=reverse,
-                                     starts=(0, 2, 3, 6))
-                return ad.sum_all(ad.mul(h, h))
-
             check("lstm_sequence:segments%s" % (":reverse" * reverse),
-                  lambda r: {"x": _rand(r, 6, 2), "wx": _rand(r, 2, 12),
-                             "wh": _rand(r, 3, 12), "b": _rand(r, 12)},
-                  lstm_segments_loss)
+                  {"x": (6, 2), **lstm_shapes},
+                  lambda p: _squares(ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"],
+                                                      reverse=reverse, starts=(0, 2, 3, 6))))
         for heads, t_len, dropped in itertools.product((1, 2), (1, 4), (False, True)):
-            drop = rng.uniform(0.0, 2.0, size=(heads, t_len, t_len)) if dropped else None
-
-            def attention_loss(p):
-                out = ad.multihead_attention(p["q"], p["k"], p["v"], heads,
-                                             drop=None if drop is None else [drop])
-                return ad.sum_all(ad.mul(out, out))
-
+            drop = [rng.uniform(0.0, 2.0, size=(heads, t_len, t_len))] if dropped else None
             check("multihead_attention:H%d:T%d%s" % (heads, t_len, ":drop" * dropped),
-                  lambda r: {"q": _rand(r, t_len, 4), "k": _rand(r, t_len, 4),
-                             "v": _rand(r, t_len, 4)},
-                  attention_loss)
+                  dict.fromkeys("qkv", (t_len, 4)),
+                  lambda p: _squares(ad.multihead_attention(p["q"], p["k"], p["v"], heads,
+                                                            drop=drop)))
         # sentences of 3, 1, 2 and 3 rows: the two of 3 run as one stacked block
         seg_drop = [rng.uniform(0.0, 2.0, size=(2, t, t)) for t in (3, 1, 2, 3)]
-
-        def attention_segments_loss(p):
-            out = ad.multihead_attention(p["q"], p["k"], p["v"], 2, drop=seg_drop,
-                                         starts=(0, 3, 4, 6, 9))
-            return ad.sum_all(ad.mul(out, out))
-
-        check("multihead_attention:segments",
-              lambda r: {"q": _rand(r, 9, 4), "k": _rand(r, 9, 4), "v": _rand(r, 9, 4)},
-              attention_segments_loss)
+        check("multihead_attention:segments", dict.fromkeys("qkv", (9, 4)),
+              lambda p: _squares(ad.multihead_attention(p["q"], p["k"], p["v"], 2,
+                                                        drop=seg_drop, starts=(0, 3, 4, 6, 9))))
     return results
 
 

@@ -18,6 +18,8 @@ from relprobe import deptree
 from relprobe.corpus import masked_tokens
 from relprobe.encoders import UNK, REModel
 
+from reference_ops import slice_rows
+
 SentenceFeatures = namedtuple("SentenceFeatures", "ids offsets ctx graph")
 
 
@@ -93,7 +95,7 @@ def encode_cnn(self, x):
     pools = []
     for k in enc.cnn_sizes:
         h = act(conv1d(x, self.params["cnn_w%d" % k], self.params["cnn_b%d" % k]))
-        pools.append(ad.amax(h, axis=0))
+        pools.append(ad.reshape(ad.amax(h), (-1,)))
     return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
 
 
@@ -114,7 +116,7 @@ def encode_bilstm(self, x, train):
         fwd = lstm_direction(self, h, layer, "f", train)
         bwd = lstm_direction(self, h, layer, "b", train)
         h = ad.concat([fwd, bwd], axis=1)
-    return ad.amax(h, axis=0)
+    return ad.reshape(ad.amax(h), (-1,))
 
 
 def encode_gcn(self, x, graph, train):
@@ -127,9 +129,9 @@ def encode_gcn(self, x, graph, train):
                                            self.params["gcn%d_b" % layer])))
         if layer < enc.gcn_layers - 1:
             h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
-    pools = [ad.amax(h, axis=0)]
+    pools = [ad.reshape(ad.amax(h), (-1,))]
     for rows in (head_rows, tail_rows):
-        pools.append(ad.amax(ad.gather_rows(h, rows), axis=0))
+        pools.append(ad.reshape(ad.amax(ad.gather_rows(h, rows)), (-1,)))
     rep = ad.concat(pools, axis=0)
     for j in range(enc.gcn_ff_layers):
         rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
@@ -160,7 +162,7 @@ def encode_attn(self, x, train):
         h = ad.add(h, ad.linear(ff, self.params["attn%d_ff2_w" % layer],
                                 self.params["attn%d_ff2_b" % layer]))
     last = h.shape[0] - 1
-    return ad.reshape(ad.slice_rows(h, last, last + 1), (enc.attn_model_dim,))
+    return ad.reshape(slice_rows(h, last, last + 1), (enc.attn_model_dim,))
 
 
 def encode(self, features, train=False):
@@ -176,7 +178,7 @@ def encode(self, features, train=False):
     elif enc.kind == "attn":
         rep = encode_attn(self, x, train)
     else:
-        rep = ad.sum_axis(x, axis=0)
+        rep = ad.reshape(ad.sum_axis(x), (-1,))
     return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
 
 

@@ -142,7 +142,7 @@ def _splits_reps(kind, corpus, table=None):
 def test_criterion_3_trivial_baselines(big_corpus):
     accs = {}
     for kind, task_name in (("length", "SentLen"), ("argdist", "ArgDist")):
-        task = probegen.build_task(task_name, big_corpus, "tacred")
+        task = probegen.build_tasks([task_name], big_corpus, "tacred")[0]
         reps = _splits_reps(kind, big_corpus)
         res = train_probe(reps, task, standardize=True, lr=0.5, max_epochs=2000)
         accs[task_name] = res.test_accuracy
@@ -161,7 +161,7 @@ def test_criterion_4_boe_argord_chance():
     assert len(corpus.test) >= 500
     table = random_embeddings({t for s in corpus.all_sentences() for t in s.tokens},
                               16, seed=0)
-    task = probegen.build_task("ArgOrd", corpus, "tacred")
+    task = probegen.build_tasks(["ArgOrd"], corpus, "tacred")[0]
     res = train_probe(_splits_reps("boe", corpus, table), task)
     ok = abs(res.test_accuracy - 0.5) <= 0.05
     report(4, ok, "BoE on order-controlled ArgOrd: %.4f (0.50 +/- 0.05)"
@@ -210,7 +210,7 @@ def test_criterion_6_type_probes():
     all_ok = True
     parts = []
     for task_name in ("TypeHead", "TypeTail"):
-        task = probegen.build_task(task_name, corpus, "tacred")
+        task = probegen.build_tasks([task_name], corpus, "tacred")[0]
         enc = train_probe(enc_reps, task).test_accuracy
         boe = train_probe(boe_reps, task).test_accuracy
         ok = enc >= 0.90 and enc > boe
@@ -242,7 +242,7 @@ def test_criterion_7_metric_fixtures():
 def test_criterion_8_binning_uniformity(big_corpus):
     lengths = [len(s) for s in big_corpus.train]
     distinct = len(set(lengths))
-    task = probegen.build_task("SentLen", big_corpus, {"SentLen": 10})
+    task = probegen.build_tasks(["SentLen"], big_corpus, {"SentLen": 10})[0]
     masses = Counter(label for _, label in task.splits["train"])
     ratio = max(masses.values()) / min(masses.values())
     ok = distinct >= 50 and task.bin_spec.n_bins == 10 and ratio <= 2.0

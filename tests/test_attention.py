@@ -22,6 +22,7 @@ from relprobe.training import presets, train_re
 from relprobe.verify import op_checks
 
 from conftest import make_sentence
+from reference_ops import slice_cols, slice_rows, softmax, transpose
 
 
 def _reference_encode_attn(self, x, starts, train):
@@ -38,7 +39,7 @@ def _reference_encode_attn(self, x, starts, train):
         if len(bounds) == 1:
             merged = _reference_attn_core(self, q, k, v, train)
         else:
-            merged = ad.concat([_reference_attn_core(self, *(ad.slice_rows(t, lo, hi)
+            merged = ad.concat([_reference_attn_core(self, *(slice_rows(t, lo, hi)
                                                              for t in (q, k, v)), train)
                                 for lo, hi in bounds], axis=0)
         h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
@@ -47,7 +48,7 @@ def _reference_encode_attn(self, x, starts, train):
                                self.params["attn%d_ff1_b" % layer]))
         h = ad.add(h, ad.linear(ff, self.params["attn%d_ff2_w" % layer],
                                 self.params["attn%d_ff2_b" % layer]))
-    last = [ad.slice_rows(h, hi - 1, hi) for _, hi in bounds]
+    last = [slice_rows(h, hi - 1, hi) for _, hi in bounds]
     return ad.concat(last, axis=0) if len(last) > 1 else last[0]
 
 
@@ -59,9 +60,9 @@ def _reference_attn_core(self, q, k, v, train):
     head_outs = []
     for hd in range(enc.attn_heads):
         lo, hi = hd * d_head, (hd + 1) * d_head
-        qh, kh, vh = (ad.slice_cols(t, lo, hi) for t in (q, k, v))
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(d_head))
-        attn = ad.softmax(scores)
+        qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
+        scores = ad.scale(ad.matmul(qh, transpose(kh)), 1.0 / math.sqrt(d_head))
+        attn = softmax(scores)
         attn = ad.dropout(attn, enc.attn_dropout, self.rng, train)
         head_outs.append(ad.matmul(attn, vh))
     return ad.concat(head_outs, axis=1) if len(head_outs) > 1 else head_outs[0]

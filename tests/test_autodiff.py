@@ -1,9 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from relprobe import autodiff as ad
 from relprobe import optim
-from relprobe.optim import EpochDecay, Plateau, Scheduler, make_optimizer, schedule
+from relprobe.optim import EpochDecay, Plateau, Scheduler, make_optimizer
+from relprobe.verify import op_checks
+
+import reference_ops
 
 
 # ---------------------------------------------------------------- forward
@@ -36,28 +41,28 @@ def test_matmul_forward():
 
 def test_amax_over_time():
     x = ad.param([[1.0, 5.0], [3.0, 2.0]])
-    out = ad.amax(x, axis=0)
-    np.testing.assert_allclose(out.data, [3.0, 5.0])
+    out = ad.amax(x)
+    np.testing.assert_allclose(out.data, [[3.0, 5.0]])
     ad.sum_all(out).backward()
     np.testing.assert_allclose(x.grad, [[0, 1], [1, 0]])
 
 
 def test_amax_ties_go_to_first():
     x = ad.param([[2.0], [2.0]])
-    ad.sum_all(ad.amax(x, axis=0)).backward()
+    ad.sum_all(ad.amax(x)).backward()
     np.testing.assert_allclose(x.grad, [[1.0], [0.0]])
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     x = ad.constant(rng.normal(size=(4, 7)))
-    out = ad.softmax(x).data
+    out = reference_ops.softmax(x).data
     np.testing.assert_allclose(out.sum(axis=-1), np.ones(4), rtol=1e-6)
     assert np.all(out > 0)
 
 
 def test_softmax_uniform_on_constant_rows():
-    out = ad.softmax(ad.constant(np.zeros((2, 5)))).data
+    out = reference_ops.softmax(ad.constant(np.zeros((2, 5)))).data
     np.testing.assert_allclose(out, np.full((2, 5), 0.2), rtol=1e-6)
 
 
@@ -79,7 +84,7 @@ def test_concat_and_slices():
     b = ad.param(2 * np.ones((2, 2)))
     cat = ad.concat([a, b], axis=1)
     assert cat.shape == (2, 4)
-    ad.sum_all(ad.slice_cols(cat, 2, 4)).backward()
+    ad.sum_all(reference_ops.slice_cols(cat, 2, 4)).backward()
     np.testing.assert_allclose(a.grad, np.zeros((2, 2)))
     np.testing.assert_allclose(b.grad, np.ones((2, 2)))
 
@@ -272,9 +277,16 @@ def test_plateau_min_delta_counts_as_stale():
 
 
 def test_schedule_pure_replay():
-    lr = schedule([0.5, 0.5, 0.5, 0.5, 0.5], Plateau(factor=0.5, patience=2), 1.0)
+    def replay(history, policy, lr0):
+        sched = Scheduler(policy, lr0)
+        for epoch, metric in enumerate(history, start=1):
+            sched.start_epoch(epoch)
+            sched.end_epoch(metric)
+        return sched.lr
+
+    lr = replay([0.5, 0.5, 0.5, 0.5, 0.5], Plateau(factor=0.5, patience=2), 1.0)
     assert lr == pytest.approx(0.25)
-    lr = schedule([0.0] * 5, EpochDecay(factor=0.9, start_epoch=10), 2.0)
+    lr = replay([0.0] * 5, EpochDecay(factor=0.9, start_epoch=10), 2.0)
     assert lr == pytest.approx(2.0)
 
 
@@ -290,6 +302,29 @@ def test_gradcheck_accepts_correct_gradient():
             return ad.sum_all(ad.tanh(ad.matmul(ad.constant(x), w)))
 
         assert ad.gradcheck(fn, {"w": w}) < 1e-8
+
+
+def test_gradcheck_registry_names_every_op():
+    # entries are "<op>" or "<op>:<variant>"
+    non_ops = {"current_dtype", "use_dtype", "no_tape", "param", "constant", "gradcheck",
+               "dropout_mask"}
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_")} - non_ops
+    results = op_checks()
+    assert {name.split(":")[0] for name in results} == ops
+    assert max(results.values()) < 1e-6
+
+
+@pytest.mark.parametrize("op", ("transpose", "slice_rows", "slice_cols", "softmax"))
+def test_reference_op_gradients(op):
+    fn = {"transpose": reference_ops.transpose,
+          "slice_rows": lambda a: reference_ops.slice_rows(a, 1, 4),
+          "slice_cols": lambda a: reference_ops.slice_cols(a, 1, 4),
+          "softmax": reference_ops.softmax}[op]
+    with ad.use_dtype(np.float64):
+        a = ad.param(np.random.default_rng(4).normal(size=(5, 6)))
+        assert ad.gradcheck(lambda: ad.sum_all(ad.mul(fn(a), fn(a))), {"a": a}) < 1e-6
 
 
 def test_gradcheck_flags_wrong_gradient():

@@ -221,6 +221,33 @@ def test_unknown_bool_value_is_usage_error(capsys, tmp_path, corpus_dir, command
     assert not os.path.exists(str(tmp_path / "o"))
 
 
+@pytest.mark.parametrize("case", ("word_dim", "grid", "RELPROBE_SEED", "--grid"))
+def test_unparsable_value_is_usage_error(capsys, monkeypatch, tmp_path, corpus_dir, case):
+    out = str(tmp_path / "o")
+    cfg = tmp_path / "v.cfg"
+    body = "corpus = %s\nout = %s\n" % (corpus_dir, out)
+    if case == "--grid":
+        reps = str(tmp_path / "none.repr")  # never read: the grid fails first
+        argv = ["probe", "--task", reps, "--train", reps, "--val", reps, "--test", reps,
+                "--grid", "x", "--out", out]
+        expected = "error: --grid: expected comma-separated numbers, got 'x'\n"
+    elif case == "RELPROBE_SEED":
+        monkeypatch.setenv("RELPROBE_SEED", "x")
+        cfg.write_text(body)
+        argv = ["train", "--config", str(cfg)]
+        expected = "error: RELPROBE_SEED: expected an integer, got 'x'\n"
+    else:
+        value, command, kind = {"word_dim": ("abc", "train", "an integer"),
+                                "grid": ("0.1,x", "suite", "comma-separated numbers")}[case]
+        cfg.write_text(body + "%s = %s\n" % (case, value))
+        argv = [command, "--config", str(cfg)]
+        expected = "error: config key %r: expected %s, got %r in %s:3\n" % (
+            case, kind, value, cfg)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", expected)
+    assert not os.path.exists(out)
+
+
 def test_config_bad_utf8_names_path_and_line(capsys, tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_bytes(b"corpus = /nowhere\nout = r\xffn\n")
@@ -418,9 +445,9 @@ def test_gradcheck_command(capsys):
 
 def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("RELPROBE_SEED", "99")
-    assert cli._seed_from({"seed": "3"}) == 99
+    assert cli._seed_from({"seed": 3}) == 99
     monkeypatch.delenv("RELPROBE_SEED")
-    assert cli._seed_from({"seed": "3"}) == 3
+    assert cli._seed_from({"seed": 3}) == 3
     assert cli._seed_from({}) == 0
 
 

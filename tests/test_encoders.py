@@ -160,15 +160,22 @@ def test_attn_softmax_scaling():
     m = _model("attn", attn_layers=1, attn_heads=2, attn_kv_dim=8)
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
     x = m.embed_inputs(m.featurize(s))
-    h = (x.data @ m.params["attn_in_w"].data) + m.params["attn_in_b"].data
-    q = h @ m.params["attn0_wq"].data
-    k = h @ m.params["attn0_wk"].data
+    p = {name: t.data for name, t in m.params.items()}
+    h = x.data @ p["attn_in_w"] + p["attn_in_b"]
+    q, k, v = (h @ p["attn0_w" + n] for n in "qkv")
+    out = ad.multihead_attention(ad.constant(q), ad.constant(k), ad.constant(v), 2).data
     d_head = 4
-    scores = (q[:, :d_head] @ k[:, :d_head].T) / math.sqrt(d_head)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    out = ad.softmax(ad.constant(scores)).data
-    np.testing.assert_allclose(out, weights, rtol=1e-5)
+    for hd in range(2):
+        cols = slice(hd * d_head, (hd + 1) * d_head)
+        scores = (q[:, cols] @ k[:, cols].T) / math.sqrt(d_head)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(out[:, cols], e / e.sum(axis=-1, keepdims=True) @ v[:, cols],
+                                   rtol=1e-5, atol=1e-6)
+    # the encoder runs the same attention: residual, feed-forward, last row
+    h = h + out @ p["attn0_wo"] + p["attn0_bo"]
+    ff = np.maximum(h @ p["attn0_ff1_w"] + p["attn0_ff1_b"], 0)
+    expected = (h + ff @ p["attn0_ff2_w"] + p["attn0_ff2_b"])[-1]
+    np.testing.assert_allclose(m.encode_np(s), expected, rtol=1e-5, atol=1e-6)
 
 
 def test_gcn_ignores_pruned_tokens():
@@ -206,12 +213,16 @@ def test_masking_hides_mention_strings():
 
 # ----------------------------------------------------------- classifier
 
+def _predict(m, s):
+    return m.labels[int(np.argmax(m.logits(m.featurize(s)).data))]
+
+
 def test_logits_shape_and_predict():
     m = _model("boe", labels=("x", "y", "z"))
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
     logits = m.logits(m.featurize(s))
     assert logits.shape == (1, 3)
-    assert m.predict(s) in ("x", "y", "z")
+    assert _predict(m, s) in ("x", "y", "z")
 
 
 def test_zero_classifier_gives_uniform_probs():
@@ -219,16 +230,18 @@ def test_zero_classifier_gives_uniform_probs():
     m.params["cls_w"].data[:] = 0.0
     m.params["cls_b"].data[:] = 0.0
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
-    probs = ad.softmax(ad.reshape(m.logits(m.featurize(s)), (1, 3))).data
-    np.testing.assert_allclose(probs, np.full((1, 3), 1 / 3), rtol=1e-6)
+    logits = m.logits(m.featurize(s))
+    for label in range(3):
+        loss = ad.cross_entropy_logits(logits, label).item()
+        assert loss == pytest.approx(math.log(3.0), rel=1e-6)
 
 
 def test_logit_shift_invariance_of_prediction():
     m = _model("boe", labels=("x", "y"))
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(2, 2))
-    before = m.predict(s)
+    before = _predict(m, s)
     m.params["cls_b"].data += 10.0  # same shift on every class
-    assert m.predict(s) == before
+    assert _predict(m, s) == before
 
 
 def test_pretrained_embeddings_injected():

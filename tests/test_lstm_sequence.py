@@ -14,6 +14,7 @@ from relprobe.corpus import Span
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 
 from conftest import make_sentence
+from reference_ops import slice_cols, slice_rows
 
 
 def _sigmoid(a):
@@ -40,13 +41,13 @@ def _reference_direction(self, x, starts, layer, dirn, train):
     order = range(t_len) if dirn == "f" else range(t_len - 1, -1, -1)
     outputs = [None] * t_len
     for t in order:
-        x_t = ad.slice_rows(x, t, t + 1)
+        x_t = slice_rows(x, t, t + 1)
         h_in = ad.mul(h, rmask) if rmask is not None else h
         gates = ad.add(ad.add(ad.matmul(x_t, wx), ad.matmul(h_in, wh)), b)
-        i = _sigmoid(ad.slice_cols(gates, 0, h_dim))
-        f = _sigmoid(ad.slice_cols(gates, h_dim, 2 * h_dim))
-        g = ad.tanh(ad.slice_cols(gates, 2 * h_dim, 3 * h_dim))
-        o = _sigmoid(ad.slice_cols(gates, 3 * h_dim, 4 * h_dim))
+        i = _sigmoid(slice_cols(gates, 0, h_dim))
+        f = _sigmoid(slice_cols(gates, h_dim, 2 * h_dim))
+        g = ad.tanh(slice_cols(gates, 2 * h_dim, 3 * h_dim))
+        o = _sigmoid(slice_cols(gates, 3 * h_dim, 4 * h_dim))
         c = ad.add(ad.mul(f, c), ad.mul(i, g))
         h = ad.mul(o, ad.tanh(c))
         outputs[t] = h

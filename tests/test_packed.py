@@ -39,9 +39,9 @@ def test_segment_ops_match_per_segment_ops():
                                    np.concatenate([ad.conv1d(x[:2], w).data,
                                                    ad.conv1d(x[2:], w).data]),
                                    rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(ad.amax(x, axis=0, starts=starts).data,
+        np.testing.assert_array_equal(ad.amax(x, starts=starts).data,
                                       [x[:2].max(axis=0), x[2:].max(axis=0)])
-        np.testing.assert_array_equal(ad.sum_axis(x, axis=0, starts=starts).data,
+        np.testing.assert_array_equal(ad.sum_axis(x, starts=starts).data,
                                       [x[:2].sum(axis=0), x[2:].sum(axis=0)])
         np.testing.assert_array_equal(ad.segment_matmul(mats, x, starts).data,
                                       np.concatenate([mats[0] @ x[:2], mats[1] @ x[2:]]))
@@ -53,8 +53,8 @@ def test_segment_ops_reject_an_empty_segment(op):
     starts = (0, 2, 2, 5)
     call = {
         "conv1d": lambda: ad.conv1d(x, ad.constant(np.ones((4, 3))), starts=starts),
-        "amax": lambda: ad.amax(x, axis=0, starts=starts),
-        "sum_axis": lambda: ad.sum_axis(x, axis=0, starts=starts),
+        "amax": lambda: ad.amax(x, starts=starts),
+        "sum_axis": lambda: ad.sum_axis(x, starts=starts),
         "segment_matmul": lambda: ad.segment_matmul(
             [np.eye(2), np.eye(0), np.eye(3)], x, starts),
     }[op]
@@ -74,26 +74,31 @@ def test_no_tape_records_nothing_and_computes_the_same():
     assert w.grad is not None  # recording resumes after the block
 
 
-@pytest.mark.parametrize("op", ("amax", "sum_axis", "segment_matmul"))
-def test_lone_segment_is_byte_equal_to_the_whole_array_op(op):
+@pytest.mark.parametrize("op", ("amax", "sum_axis", "segment_matmul", "conv1d"))
+def test_lone_segment_branch_is_byte_equal_to_the_general_branch(op):
+    # rows 0..5 as the one segment (0, 6), and as segment 0 of (0, 6, 9),
+    # which runs the general branch; only that segment's output rows and
+    # gradient rows are compared
     rng = np.random.default_rng(5)
-    x_data = rng.normal(size=(6, 4)).astype(np.float32)
+    x_data = rng.normal(size=(9, 4)).astype(np.float32)
     m = rng.normal(size=(6, 6))
-    lone = {"amax": lambda x: ad.amax(x, axis=0, starts=(0, 6)),
-            "sum_axis": lambda x: ad.sum_axis(x, axis=0, starts=(0, 6)),
-            "segment_matmul": lambda x: ad.segment_matmul([m], x, (0, 6))}[op]
-    whole = {"amax": lambda x: ad.amax(x, axis=0),
-             "sum_axis": lambda x: ad.sum_axis(x, axis=0),
-             "segment_matmul": lambda x: ad.matmul(ad.constant(m), x)}[op]
+    w = ad.constant(rng.normal(size=(12, 5)))  # k = 3: 4 windows in 6 rows
+    run = {"amax": lambda x, starts: ad.amax(x, starts=starts),
+           "sum_axis": lambda x, starts: ad.sum_axis(x, starts=starts),
+           "segment_matmul": lambda x, starts: ad.segment_matmul(
+               [m, np.eye(3)][:len(starts) - 1], x, starts),
+           "conv1d": lambda x, starts: ad.conv1d(x, w, starts=starts)}[op]
     outs, grads, weights = [], [], None
-    for fn in (lone, whole):
-        x = ad.param(x_data.copy())
-        out = fn(x)
+    for rows, starts in ((6, (0, 6)), (9, (0, 6, 9))):
+        x = ad.param(x_data[:rows].copy())
+        out = run(x, starts)
         if weights is None:
             weights = rng.normal(size=out.shape)
-        ad.sum_all(ad.mul(out, ad.constant(weights.reshape(out.shape)))).backward()
-        outs.append(out.data.tobytes())
-        grads.append(x.grad.tobytes())
+            n_out = len(weights)
+        weighted = ad.mul(out, ad.constant(np.resize(weights, out.shape)))
+        ad.sum_all(weighted).backward()
+        outs.append(out.data[:n_out].tobytes())
+        grads.append(x.grad[:6].tobytes())
     assert outs[0] == outs[1] and grads[0] == grads[1]
 
 

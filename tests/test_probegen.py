@@ -6,7 +6,7 @@ import pytest
 
 from relprobe import deptree, probegen, synth
 from relprobe.corpus import Span
-from relprobe.probegen import (BinSpec, build_all, build_task, build_tasks,
+from relprobe.probegen import (BinSpec, build_all, build_tasks,
                                extract, load_dataset, quantile_bins,
                                save_dataset)
 
@@ -144,7 +144,7 @@ def test_extract_unknown_task():
         extract("Nope", _rich_sentence(), _tree(_rich_sentence()))
 
 
-# ------------------------------------------------------------ build_task
+# ----------------------------------------------------------- build_tasks
 
 @pytest.fixture(scope="module")
 def bin_corpus():
@@ -155,7 +155,7 @@ def bin_corpus():
 
 
 def test_build_sentlen_bins_fit_on_train(bin_corpus):
-    ds = build_task("SentLen", bin_corpus, "tacred")
+    ds = build_tasks(["SentLen"], bin_corpus, "tacred")[0]
     spec = probegen.quantile_bins([len(s) for s in bin_corpus.train], 10)
     assert ds.bin_spec == spec
     by_id = {s.id: s for s in bin_corpus.all_sentences()}
@@ -165,21 +165,21 @@ def test_build_sentlen_bins_fit_on_train(bin_corpus):
 
 
 def test_build_categorical_labels_sorted(bin_corpus):
-    ds = build_task("TypeHead", bin_corpus, "tacred")
+    ds = build_tasks(["TypeHead"], bin_corpus, "tacred")[0]
     assert ds.labels == tuple(sorted(ds.labels))
     assert set(ds.labels) <= {"PER", "ORG", "LOC"}
 
 
 def test_gr_inventory_always_has_other(bin_corpus):
     for task in ("GRHead", "GRTail"):
-        ds = build_task(task, bin_corpus, "tacred")
+        ds = build_tasks([task], bin_corpus, "tacred")[0]
         assert ds.labels[-1] == "other"
         assert all(l in probegen.GR_CLASSES or l == "other" for l in ds.labels)
 
 
 def test_semeval_exclusions(bin_corpus):
     with pytest.raises(ValueError, match="excluded"):
-        build_task("ArgOrd", bin_corpus, "semeval")
+        build_tasks(["ArgOrd"], bin_corpus, "semeval")
     names = {ds.task for ds in build_all(bin_corpus, "semeval")}
     assert names == set(probegen.TASKS) - {"ArgOrd", "EntExist"}
 
@@ -194,8 +194,8 @@ def test_build_all_tacred(bin_corpus):
 
 
 def test_profile_bin_counts(bin_corpus):
-    tac = build_task("SentLen", bin_corpus, "tacred")
-    sem = build_task("SentLen", bin_corpus, "semeval")
+    tac = build_tasks(["SentLen"], bin_corpus, "tacred")[0]
+    sem = build_tasks(["SentLen"], bin_corpus, "semeval")[0]
     assert tac.bin_spec.n_bins <= 10
     assert sem.bin_spec.n_bins <= 7
     assert sem.bin_spec.n_bins < tac.bin_spec.n_bins
@@ -203,7 +203,7 @@ def test_profile_bin_counts(bin_corpus):
 
 def test_dataset_roundtrip(tmp_path, bin_corpus):
     for task in ("SentLen", "TypeHead"):
-        ds = build_task(task, bin_corpus, "tacred")
+        ds = build_tasks([task], bin_corpus, "tacred")[0]
         p = str(tmp_path / ("%s.jsonl" % task))
         save_dataset(ds, p)
         assert load_dataset(p) == ds

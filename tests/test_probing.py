@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relprobe import autodiff as ad
-from relprobe import probegen, probing, synth
+from relprobe import probegen, probing
 from relprobe.corpus import random_embeddings
 from relprobe.encoders import EncoderConfig
 from relprobe.probing import (RepMatrix, baseline_features, baseline_reps,
