@@ -1,14 +1,15 @@
 """Minimal dense-tensor reverse-mode autodiff on numpy buffers.
 
 Dynamic tape: every op returns a Tensor holding its inputs and a closure
-that scatters the incoming gradient back to them. The operator set is
-exactly what the sentence encoders need. float32 by default; gradient
-checking switches to float64 via use_dtype(). Eval-mode forward passes run
-inside no_tape(), which records no tape.
+that scatters the incoming gradient back to them; backward frees the tape
+as it runs. The operator set is exactly what the sentence encoders need.
+float32 by default; gradient checking switches to float64 via use_dtype().
+Eval-mode forward passes run inside no_tape(), which records no tape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from contextlib import contextmanager
@@ -85,6 +86,9 @@ class Tensor:
         return self.grad
 
     def backward(self):
+        """Gradients of this scalar loss into the leaves. A node drops its
+        parents, closure and gradient once its closure has run, so the tape
+        is freed as backward proceeds and only the leaves keep a gradient."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss, got shape %s" % (self.shape,))
         order = []
@@ -103,9 +107,12 @@ class Tensor:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node._parents, node._backward, node.grad = (), None, None
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.shape, self.requires_grad)
@@ -157,17 +164,6 @@ def mul(a, b):
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward=back)
-
-
-def scale(a, s):
-    a = _as_tensor(a)
-    s = _DTYPE(s)
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g * s)
-
-    return Tensor(a.data * s, parents=(a,), backward=back)
 
 
 def matmul(a, b):
@@ -252,12 +248,12 @@ def gather_rows(a, idx):
 
 
 def _segments(starts, n_rows):
-    """Segment starts (B+1 row bounds covering n_rows rows) as a list of ints.
+    """Segment starts (B+1 row bounds of n_rows rows; None: one segment) as a list of ints.
 
     An empty segment is a ValueError: reduceat-style code would silently
     read the next segment's first row for it.
     """
-    bounds = starts.tolist() if isinstance(starts, np.ndarray) else list(starts)
+    bounds = [0, n_rows] if starts is None else np.asarray(starts).tolist()
     if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n_rows:
         raise ValueError("segment starts %s do not cover %d rows" % (bounds, n_rows))
     if not all(map(operator.lt, bounds, bounds[1:])):
@@ -271,24 +267,16 @@ def amax(a, starts=None):
     default: all rows), one output row per segment; gradient flows to the
     first argmax per column."""
     a = _as_tensor(a)
-    n_rows = a.data.shape[0]
-    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
-    if len(bounds) == 2:
-        def back(g):
-            if a.requires_grad:
-                np.add.at(a._grad_buffer(), (a.data.argmax(axis=0), np.arange(g.shape[1])),
-                          g[0])
-
-        return Tensor(a.data.max(axis=0, keepdims=True), parents=(a,), backward=back)
+    pairs = list(itertools.pairwise(_segments(starts, a.data.shape[0])))
     # not np.maximum.reduceat, which runs several times slower on wide rows
-    out_data = np.array([a.data[lo:hi].max(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+    out_data = np.array([a.data[lo:hi].max(axis=0) for lo, hi in pairs])
 
-    def back_segments(g):
+    def back(g):
         if a.requires_grad:
-            rows = [lo + a.data[lo:hi].argmax(axis=0) for lo, hi in zip(bounds, bounds[1:])]
+            rows = [lo + a.data[lo:hi].argmax(axis=0) for lo, hi in pairs]
             np.add.at(a._grad_buffer(), (np.array(rows), np.arange(g.shape[1])), g)
 
-    return Tensor(out_data, parents=(a,), backward=back_segments)
+    return Tensor(out_data, parents=(a,), backward=back)
 
 
 def sum_all(a):
@@ -303,38 +291,28 @@ def sum_all(a):
 
 def sum_axis(a, starts=None):
     """Sum over each segment's rows of a 2-D tensor (starts: B+1 row bounds;
-    default: all rows), one output row per segment, each reduced exactly as
-    a lone segment's sum reduces its rows."""
+    default: all rows), one output row per segment."""
     a = _as_tensor(a)
-    n_rows = a.data.shape[0]
-    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
-    if len(bounds) == 2:
-        def back(g):
-            if a.requires_grad:
-                a._accum(np.repeat(g, n_rows, axis=0))
-
-        return Tensor(a.data.sum(axis=0, keepdims=True), parents=(a,), backward=back)
+    bounds = _segments(starts, a.data.shape[0])
     # not np.add.reduceat, whose summation order differs from sum(axis=0)
-    out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])])
+    out_data = np.array([a.data[lo:hi].sum(axis=0) for lo, hi in itertools.pairwise(bounds)])
     counts = np.diff(bounds)
 
-    def back_segments(g):
+    def back(g):
         if a.requires_grad:
             a._accum(g.repeat(counts, axis=0))
 
-    return Tensor(out_data, parents=(a,), backward=back_segments)
+    return Tensor(out_data, parents=(a,), backward=back)
 
 
 def cross_entropy_logits(logits, labels):
     """Mean negative log-likelihood of integer labels under softmax(logits).
 
-    logits: (N, C) or (C,); labels: length-N int array (scalar for (C,)).
+    logits: (N, C); labels: N ints.
     """
     logits = _as_tensor(logits)
     x = logits.data
-    if x.ndim == 1:
-        x = x[None, :]
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     shifted = x - x.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -347,26 +325,16 @@ def cross_entropy_logits(logits, labels):
             d = probs.copy()
             d[np.arange(n), labels] -= 1.0
             d *= g / n
-            logits._accum(d.reshape(logits.data.shape))
+            logits._accum(d)
 
     return Tensor(loss, parents=(logits,), backward=back)
 
 
-def dropout_mask(shape, p, rng, train):
-    """Inverted-dropout mask of `shape`: 1/keep where a uniform draw falls
-    below keep = 1 - p, else 0, so its expectation is 1. None when not
-    training or p <= 0, i.e. no dropout."""
-    if not train or p <= 0.0:
-        return None
+def dropout_mask(shape, p, rng):
+    """Inverted-dropout mask of `shape` for a rate 0 < p < 1: 1/keep where a
+    uniform draw falls below keep = 1 - p, else 0, so its expectation is 1."""
     keep = 1.0 - p
     return (rng.random(shape) < keep).astype(_DTYPE) / _DTYPE(keep)
-
-
-def dropout(a, p, rng, train):
-    """Inverted dropout: train-mode expectation equals the input."""
-    a = _as_tensor(a)
-    mask = dropout_mask(a.data.shape, p, rng, train)
-    return a if mask is None else mul(a, Tensor(mask))
 
 
 def linear(x, w, b=None):
@@ -385,20 +353,17 @@ def conv1d(x, w, b=None, starts=None):
     x = _as_tensor(x)
     t, d = x.data.shape
     k = w.data.shape[0] // d
-    bounds = _segments((0, t) if starts is None else starts, t)
-    if len(bounds) == 2:  # one segment: windows start at rows 0 .. max(t - k, 0)
-        idx = np.arange(max(t - k + 1, 1))[:, None] + np.arange(k)
-    else:
-        starts = np.asarray(bounds)
-        n_win = np.maximum(starts[1:] - starts[:-1] - (k - 1), 1)
-        ends = n_win.cumsum()
-        # window j of segment i starts at row starts[i] + j
-        idx = (np.arange(ends[-1]) + (starts[:-1] - ends + n_win).repeat(n_win))[:, None] \
-            + np.arange(k)
-        # rows past a short segment's end read the zero rows appended below
-        end = starts[1:].repeat(n_win)[:, None]
-        idx = np.where(idx < end, idx, t + idx - end)
-    shortest = min(map(operator.sub, bounds[1:], bounds))
+    starts = np.asarray(_segments(starts, t))
+    lengths = np.diff(starts)
+    n_win = np.maximum(lengths - (k - 1), 1)
+    ends = n_win.cumsum()
+    # window j of segment i starts at row starts[i] + j
+    idx = (np.arange(ends[-1]) + (starts[:-1] - ends + n_win).repeat(n_win))[:, None] \
+        + np.arange(k)
+    # rows past a short segment's end read the zero rows appended below
+    end = starts[1:].repeat(n_win)[:, None]
+    idx = np.where(idx < end, idx, t + idx - end)
+    shortest = int(lengths.min())
     if shortest < k:
         x = concat([x, Tensor(np.zeros((k - shortest, d)))], axis=0)
     windows = reshape(gather_rows(x, idx), (len(idx), k * d))
@@ -418,22 +383,14 @@ def segment_matmul(mats, x, starts):
     if len(mats) != len(bounds) - 1:
         raise ValueError("%d matrices for %d segments" % (len(mats), len(bounds) - 1))
     mats = [np.asarray(m, dtype=_DTYPE) for m in mats]
-    if len(mats) == 1:
-        out_data = mats[0] @ x.data
-
-        def back(g):
-            if x.requires_grad:
-                x._accum(mats[0].T @ g)
-
-        return Tensor(out_data, parents=(x,), backward=back)
-    pairs = list(zip(bounds, bounds[1:]))
+    pairs = list(itertools.pairwise(bounds))
     out_data = np.concatenate([m @ x.data[lo:hi] for m, (lo, hi) in zip(mats, pairs)])
 
-    def back_segments(g):
+    def back(g):
         if x.requires_grad:
             x._accum(np.concatenate([m.T @ g[lo:hi] for m, (lo, hi) in zip(mats, pairs)]))
 
-    return Tensor(out_data, parents=(x,), backward=back_segments)
+    return Tensor(out_data, parents=(x,), backward=back)
 
 
 def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
@@ -443,47 +400,37 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
     starts (B+1 row bounds; default: all of x) splits the rows into
     sentences, each run from a zero state. Gate columns of wx (d, 4h),
     wh (h, 4h) and b (4h,) are ordered input, forget, cell, output. rmask,
-    a fixed array of h values or None, multiplies h_{t-1} before it enters
-    the gates (variational recurrent dropout). With reverse=True each
-    sentence is read from its own last row; row t of H is always the state
-    after reading row t of x.
+    a fixed (B, h) array (one row per sentence) or None, multiplies each
+    sentence's h_{t-1} before it enters the gates (variational recurrent
+    dropout). With reverse=True each sentence is read from its own last
+    row; row t of H is always the state after reading row t of x.
 
-    The input projection X·Wx + b is one matmul over all rows. Several
+    The input projection X·Wx + b is one matmul over all rows. The
     sentences run as one recurrence of T_max steps, sorted by decreasing
     length, so that the ones still active at step t are the first n_t and
     their rows at that step lie next to each other in a time-major copy
     (cf. PyTorch's pack_padded_sequence): one (n_t, h)·Wh product per step.
-    A lone sentence steps through the rows of x themselves.
     Backpropagation through time runs inside the backward closure, so each
     weight gradient is one matmul over all rows (Appleyard, Kočiský &
     Blunsom 2016, arXiv 1604.01946).
     """
     x, wx, wh, b = (_as_tensor(t) for t in (x, wx, wh, b))
     n_rows, h_dim = x.data.shape[0], wh.data.shape[0]
-    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
-    act = x.data @ wx.data + b.data  # gate pre-activations, then activations
+    bounds = np.asarray(_segments(starts, n_rows))
+    lengths = np.diff(bounds)
+    by_len = np.argsort(-lengths, kind="stable")
+    step = np.arange(lengths[by_len[0]])[:, None]
+    running = lengths[by_len] > step  # sentence j by length reads a row at step t
+    rows = (bounds[by_len + 1] - 1 - step if reverse else bounds[by_len] + step)[running]
+    pos = np.empty_like(rows)  # the time-major position of each row of x
+    pos[rows] = np.arange(n_rows)
+    act = (x.data @ wx.data + b.data)[rows]  # gate pre-activations, then activations
     dtype = act.dtype
-    # per step: the rows it reads (time-major for several sentences) and the
-    # active part of the state
-    if len(bounds) == 2:
-        rows = None
-        state = np.zeros(h_dim, dtype)
-        steps = [(t, slice(None)) for t in (range(n_rows - 1, -1, -1) if reverse
-                                            else range(n_rows))]
-    else:
-        bounds = np.asarray(bounds)
-        lengths = np.diff(bounds)
-        by_len = np.argsort(-lengths, kind="stable")
-        step = np.arange(lengths[by_len[0]])[:, None]
-        running = lengths[by_len] > step  # sentence j by length reads a row at step t
-        rows = (bounds[by_len + 1] - 1 - step if reverse else bounds[by_len] + step)[running]
-        pos = np.empty_like(rows)  # the time-major position of each row of x
-        pos[rows] = np.arange(n_rows)
-        act = act[rows]
-        state = np.zeros((len(lengths), h_dim), dtype)
-        ends = np.cumsum(running.sum(axis=1)).tolist()
-        steps = [(slice(lo, hi), slice(0, hi - lo)) for lo, hi in zip([0] + ends, ends)]
-    mask = None if rmask is None else np.asarray(rmask, dtype=_DTYPE).reshape(h_dim)
+    state = np.zeros((len(lengths), h_dim), dtype)
+    # per step: its rows of the time-major copy and the active part of the state
+    ends = np.cumsum(running.sum(axis=1)).tolist()
+    steps = [(slice(lo, hi), slice(0, hi - lo)) for lo, hi in zip([0] + ends, ends)]
+    mask = None if rmask is None else np.asarray(rmask, dtype=_DTYPE)[by_len]
     act4 = act.reshape(n_rows, 4, h_dim)
     h_in = np.empty((n_rows, h_dim), dtype)    # h_{t-1} as fed to wh
     c_prev = np.empty((n_rows, h_dim), dtype)  # c_{t-1}
@@ -495,7 +442,7 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
     with np.errstate(over="ignore"):
         for at, live in steps:
             h, cell = h[live], cell[live]
-            h_in[at] = h if mask is None else h * mask
+            h_in[at] = h if mask is None else h * mask[live]
             z = act[at]
             z += h_in[at] @ wh.data
             g = np.tanh(z[..., 2 * h_dim:3 * h_dim])
@@ -508,8 +455,7 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
             h = np.multiply(o, tc[at], out=out[at])
 
     def back(g_out):
-        if rows is not None:
-            g_out = g_out[rows]
+        g_out = g_out[rows]
         i, f, g, o = act4.swapaxes(0, 1)
         # dL/dz = dc * q for the i, f and g columns and dh * q for the o column
         q = np.empty_like(act4)
@@ -532,10 +478,8 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
             np.multiply(dc, f[at], out=dc_next[live])
             np.matmul(d_gates[at], wh_t, out=dh_rec[live])
             if mask is not None:
-                dh_rec[live] *= mask
-        h_fed = h_in
-        if rows is not None:  # back to the row order of x
-            d_gates, h_fed = d_gates[pos], h_in[pos]
+                dh_rec[live] *= mask[live]
+        d_gates, h_fed = d_gates[pos], h_in[pos]  # back to the row order of x
         if x.requires_grad:
             x._accum(d_gates @ wx.data.T)
         if wx.requires_grad:
@@ -545,7 +489,7 @@ def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):
         if b.requires_grad:
             b._accum(d_gates.sum(axis=0))
 
-    return Tensor(out if rows is None else out[pos], parents=(x, wx, wh, b), backward=back)
+    return Tensor(out[pos], parents=(x, wx, wh, b), backward=back)
 
 
 def multihead_attention(q, k, v, heads, drop=None, starts=None):
@@ -569,16 +513,13 @@ def multihead_attention(q, k, v, heads, drop=None, starts=None):
     n_rows, width = q.data.shape
     d = width // heads
     s = _DTYPE(1.0 / math.sqrt(d))
-    bounds = _segments((0, n_rows) if starts is None else starts, n_rows)
+    bounds = np.asarray(_segments(starts, n_rows))
+    lengths = np.diff(bounds)
     # per distinct length: its sentences, their rows and the length
-    groups = [((0,), slice(0, n_rows), n_rows)]
-    if len(bounds) > 2:
-        bounds = np.asarray(bounds)
-        lengths = np.diff(bounds)
-        groups = []
-        for t_len in np.unique(lengths).tolist():
-            sents = np.flatnonzero(lengths == t_len)
-            groups.append((sents, (bounds[sents, None] + np.arange(t_len)).ravel(), t_len))
+    groups = []
+    for t_len in np.unique(lengths).tolist():
+        sents = np.flatnonzero(lengths == t_len)
+        groups.append((sents, (bounds[sents, None] + np.arange(t_len)).ravel(), t_len))
 
     def split(m, t_len):
         """(n·T, H·d) rows as (n, H, T, d) head blocks."""
@@ -599,12 +540,13 @@ def multihead_attention(q, k, v, heads, drop=None, starts=None):
         if drop is not None:
             dg = np.stack([np.asarray(drop[j], dtype=_DTYPE).reshape(heads, t_len, t_len)
                            for j in sents])
-        pd = p if dg is None else p * dg
-        out[rows] = merge(pd @ vh)
-        saved.append((qh, kh, vh, p, pd, dg))
+        out[rows] = merge((p if dg is None else p * dg) @ vh)
+        saved.append((p, dg))  # the rest is recomputed, not kept on the tape
 
     def back(g):
-        for (_, rows, t_len), (qh, kh, vh, p, pd, dg) in zip(groups, saved):
+        for (_, rows, t_len), (p, dg) in zip(groups, saved):
+            qh, kh, vh = (split(t.data[rows], t_len) for t in (q, k, v))
+            pd = p if dg is None else p * dg
             gh = np.ascontiguousarray(split(g[rows], t_len))
             if v.requires_grad:
                 v._grad_buffer()[rows] += merge(pd.swapaxes(2, 3) @ gh)

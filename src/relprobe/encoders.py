@@ -10,8 +10,10 @@ learned head-offset embedding, a learned tail-offset embedding and
 ΣT x d_in matrix to one fixed-size representation row per sentence, each
 op running once over the whole pack: windows, recurrences, attention,
 graph products and pools never cross a sentence, so each row is computed
-from its own sentence only. Training passes one sentence at a time;
-eval-mode passes take chunks of EVAL_BATCH sentences.
+from its own sentence only. Training passes a minibatch taken from the
+training record (Features.take), with the dropout masks of
+REModel.dropout_masks; eval-mode passes take chunks of EVAL_BATCH
+sentences.
 """
 
 from __future__ import annotations
@@ -137,6 +139,37 @@ class Features:
     ctx: np.ndarray | None   # (ΣT, c) contextual rows when the input config uses them
     graph: tuple | None      # gcn: see above
     starts: np.ndarray       # (B+1,) segment starts of the token rows
+
+    def take(self, indices):
+        """The Features of sentences `indices`, in that order, as
+        featurize_batch packs them."""
+        rows, starts, shift = _take_segments(self.starts, indices)
+        graph = None
+        if self.graph is not None:
+            kept, kept_starts, adjs, *pools = self.graph
+            # token rows move with their sentence, pooling rows with its kept rows
+            kept_rows, new_kept_starts, kept_shift = _take_segments(kept_starts, indices)
+            graph = (kept[kept_rows] + shift.repeat(np.diff(new_kept_starts)), new_kept_starts,
+                     [adjs[i] for i in indices])
+            for pool, pool_starts in (pools[:2], pools[2:]):
+                pool_rows, new_starts, _ = _take_segments(pool_starts, indices)
+                graph += (pool[pool_rows] + kept_shift.repeat(np.diff(new_starts)), new_starts)
+        return Features(self.ids[rows], tuple(o[rows] for o in self.offsets),
+                        None if self.ctx is None else self.ctx[rows], graph, starts)
+
+
+def _take_segments(starts, indices):
+    """Rows of the segments `indices` of `starts`, in that order, their
+    packed segment starts, and each one's shift (new start - old start)."""
+    lengths = np.diff(starts)[indices]
+    new_starts = np.concatenate(([0], np.cumsum(lengths)))
+    shift = new_starts[:-1] - starts[indices]
+    return np.arange(new_starts[-1]) - shift.repeat(lengths), new_starts, shift
+
+
+def _dropped(x, mask):
+    """x times a dropout mask, or x itself when the mask is None."""
+    return x if mask is None else ad.mul(x, ad.constant(mask))
 
 
 def _packed(lists, shifts):
@@ -322,37 +355,70 @@ class REModel:
             chunk = sentences[lo:lo + EVAL_BATCH]
             yield self.featurize_batch(chunk, [ctx.get(s.id) for s in chunk])
 
-    def embed_inputs(self, features, train=False):
-        """Per-token input matrix (ΣT x width) as an autodiff tensor."""
-        cfg = self.input_cfg
-        ids = features.ids
-        if train and cfg.word_dropout > 0:
-            drop = self.rng.random(len(ids)) < cfg.word_dropout
-            ids = np.where(drop, self.vocab.stoi[UNK], ids)
+    def dropout_masks(self, lengths, kept=None):
+        """Train-mode dropout masks, by site, of B sentences of `lengths`
+        tokens (and, for GCN, `kept` pruned-tree tokens). Each sentence's
+        masks are drawn from self.rng in the order its own forward pass
+        applies them, sentence after sentence, so B packed sentences draw
+        the stream of B one-sentence passes; a site's masks are then joined
+        row block after row block (attention's stay one (H, T, T) array per
+        sentence). "word" is True where a token becomes UNK, the others are
+        inverted-dropout masks, and a site without dropout has no entry."""
+        cfg, enc = self.input_cfg, self.enc_cfg
+        draws = {}
+        for i, t in enumerate(lengths):
+            sites = [("word", cfg.word_dropout, t), ("embed", cfg.embedding_dropout, (t, cfg.width))]
+            if enc.kind == "bilstm":
+                sites += [("lstm%d_%s" % (layer, dirn), enc.recurrent_dropout, (1, enc.lstm_hidden))
+                          for layer in range(enc.lstm_layers) for dirn in "fb"]
+            elif enc.kind == "gcn":
+                sites += [("gcn%d" % layer, enc.gcn_dropout, (kept[i], enc.gcn_dim))
+                          for layer in range(enc.gcn_layers - 1)]
+            elif enc.kind == "attn":
+                sites += [("attn%d" % layer, enc.attn_dropout, (enc.attn_heads, t, t))
+                          for layer in range(enc.attn_layers)]
+            sites.append(("encoder", enc.encoder_dropout, (1, self.rep_dim)))
+            for site, p, shape in sites:
+                if p > 0:
+                    draws.setdefault(site, []).append(
+                        self.rng.random(shape) < p if site == "word"
+                        else ad.dropout_mask(shape, p, self.rng))
+        return {site: parts if site.startswith("attn") else np.concatenate(parts)
+                for site, parts in draws.items()}
+
+    def embed_inputs(self, features, masks=None):
+        """Per-token input matrix (ΣT x width) as an autodiff tensor, with
+        the word and embedding dropout of `masks` (see dropout_masks)."""
+        masks = masks or {}
+        word = masks.get("word")
+        ids = features.ids if word is None else np.where(word, self.vocab.stoi[UNK], features.ids)
         parts = [ad.gather_rows(self.params["word_emb"], ids)]
         for table, rows in zip(("pos_head_emb", "pos_tail_emb"), features.offsets):
             parts.append(ad.gather_rows(self.params[table], rows))
         if features.ctx is not None:
             parts.append(ad.constant(features.ctx))
         x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-        return ad.dropout(x, cfg.embedding_dropout, self.rng, train)
+        return _dropped(x, masks.get("embed"))
 
     def encode(self, features, train=False):
-        """Sentence representations (B x rep_dim) of packed Features."""
+        """Sentence representations (B x rep_dim) of packed Features; with
+        train=True, dropout masks are drawn for them (dropout_masks)."""
         enc = self.enc_cfg
-        x = self.embed_inputs(features, train=train)
         starts = features.starts
+        kept = None if features.graph is None else np.diff(features.graph[1])
+        masks = self.dropout_masks(np.diff(starts), kept) if train else {}
+        x = self.embed_inputs(features, masks)
         if enc.kind == "cnn":
             rep = self._encode_cnn(x, starts)
         elif enc.kind == "gcn":
-            rep = self._encode_gcn(x, features.graph, train)
+            rep = self._encode_gcn(x, features.graph, masks)
         elif enc.kind == "bilstm":
-            rep = self._encode_bilstm(x, starts, train)
+            rep = self._encode_bilstm(x, starts, masks)
         elif enc.kind == "attn":
-            rep = self._encode_attn(x, starts, train)
+            rep = self._encode_attn(x, starts, masks)
         else:
             rep = ad.sum_axis(x, starts=starts)
-        return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
+        return _dropped(rep, masks.get("encoder"))
 
     def logits(self, features, train=False):
         """Class scores (B x C) of packed Features."""
@@ -372,26 +438,24 @@ class REModel:
             pools.append(ad.amax(h, starts=windows))
         return ad.concat(pools, axis=1) if len(pools) > 1 else pools[0]
 
-    def _lstm_direction(self, x, starts, layer, dirn, train):
-        """H (ΣT, h) of one direction ("f" or "b") of one BiLSTM layer."""
-        enc = self.enc_cfg
-        # variational recurrent dropout: one mask reused across time steps
-        rmask = ad.dropout_mask((1, enc.lstm_hidden), enc.recurrent_dropout, self.rng, train)
+    def _lstm_direction(self, x, starts, layer, dirn, rmask):
+        """H (ΣT, h) of one direction ("f" or "b") of one BiLSTM layer;
+        rmask: its (B, h) recurrent-dropout mask or None."""
         name = "lstm%d_%s_" % (layer, dirn)
         return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
                                 self.params[name + "b"], rmask=rmask, reverse=dirn == "b",
                                 starts=starts)
 
-    def _encode_bilstm(self, x, starts, train):
+    def _encode_bilstm(self, x, starts, masks):
         enc = self.enc_cfg
         h = x
         for layer in range(enc.lstm_layers):
-            fwd = self._lstm_direction(h, starts, layer, "f", train)
-            bwd = self._lstm_direction(h, starts, layer, "b", train)
+            fwd = self._lstm_direction(h, starts, layer, "f", masks.get("lstm%d_f" % layer))
+            bwd = self._lstm_direction(h, starts, layer, "b", masks.get("lstm%d_b" % layer))
             h = ad.concat([fwd, bwd], axis=1)
         return ad.amax(h, starts=starts)
 
-    def _encode_gcn(self, x, graph, train):
+    def _encode_gcn(self, x, graph, masks):
         enc = self.enc_cfg
         kept, kept_starts, adjs, head_rows, head_starts, tail_rows, tail_starts = graph
         h = ad.gather_rows(x, kept)
@@ -399,8 +463,7 @@ class REModel:
             h = ad.relu(ad.segment_matmul(adjs, ad.linear(h, self.params["gcn%d_w" % layer],
                                                           self.params["gcn%d_b" % layer]),
                                           kept_starts))
-            if layer < enc.gcn_layers - 1:
-                h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
+            h = _dropped(h, masks.get("gcn%d" % layer))  # inner layers only
         pools = [ad.amax(h, starts=kept_starts)]
         for rows, starts in ((head_rows, head_starts), (tail_rows, tail_starts)):
             pools.append(ad.amax(ad.gather_rows(h, rows), starts=starts))
@@ -410,20 +473,15 @@ class REModel:
                                     self.params["gcn_ff%d_b" % j]))
         return rep
 
-    def _encode_attn(self, x, starts, train):
+    def _encode_attn(self, x, starts, masks):
         enc = self.enc_cfg
         h = ad.linear(x, self.params["attn_in_w"], self.params["attn_in_b"])
         for layer in range(enc.attn_layers):
             q = ad.matmul(h, self.params["attn%d_wq" % layer])
             k = ad.matmul(h, self.params["attn%d_wk" % layer])
             v = ad.matmul(h, self.params["attn%d_wv" % layer])
-            # one draw for all heads of a sentence: the stream of one (T, T)
-            # draw per head
-            drop = None
-            if train and enc.attn_dropout > 0:
-                drop = [ad.dropout_mask((enc.attn_heads, t, t), enc.attn_dropout, self.rng, train)
-                        for t in np.diff(starts).tolist()]
-            merged = ad.multihead_attention(q, k, v, enc.attn_heads, drop=drop, starts=starts)
+            merged = ad.multihead_attention(q, k, v, enc.attn_heads,
+                                            drop=masks.get("attn%d" % layer), starts=starts)
             h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                     self.params["attn%d_bo" % layer]))
             ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import ExactReader, masked_tokens, write_text
-from .encoders import EncoderConfig, InputConfig, REModel, Vocab
+from .encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
 
@@ -187,14 +187,16 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
              contextual=None, embeddings=None, log=None, early_stop_f1=None):
     """Train an RE model; returns (model-with-best-val-params, history).
 
-    Gradients are averaged over each shuffled minibatch (sentences are
-    processed one at a time; no padding needed). Validation runs packed
-    chunks of EVAL_BATCH sentences, or the training sentences one at a time
-    when the corpus has no validation split. The checkpointed parameters are those of
-    the best validation-F1 epoch. The train and validation sentences are
-    featurized once per call.
+    The training sentences are featurized once per call into one packed
+    record. Each shuffled minibatch is taken from it and runs as one packed
+    forward pass, one mean cross-entropy and one backward pass. Validation
+    runs packed chunks of EVAL_BATCH sentences of the validation split, or
+    of the training record when the corpus has none. The checkpointed
+    parameters are those of the best validation-F1 epoch.
     """
     train_sentences = corpus.train
+    if not train_sentences:
+        raise ValueError("the corpus has no training sentences")
     vocab = Vocab.from_tokens(map(masked_tokens, train_sentences)) if input_cfg.masking \
         else Vocab.from_sentences(train_sentences)
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
@@ -202,9 +204,11 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     opt = make_optimizer(profile.optimizer, profile.lr, l2_groups=profile.l2_groups)
     sched = Scheduler(profile.schedule, profile.lr) if profile.schedule else None
     ctx = contextual or {}
-    train_features = [model.featurize(s, ctx.get(s.id)) for s in train_sentences]
+    train = model.featurize_batch(train_sentences, [ctx.get(s.id) for s in train_sentences])
+    labels = np.array([model.label_index[s.relation] for s in train_sentences], dtype=np.int64)
+    n = len(train_sentences)
     val_batches = list(model.featurize_chunks(corpus.validation, contextual)) \
-        or train_features
+        or [train.take(range(lo, min(lo + EVAL_BATCH, n))) for lo in range(0, n, EVAL_BATCH)]
     val_golds = [s.relation for s in corpus.validation or train_sentences]
     order_rng = np.random.default_rng(seed)
     model.rng = np.random.default_rng(seed + 1)  # dropout stream
@@ -213,23 +217,18 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     for epoch in range(1, profile.epochs + 1):
         if sched:
             opt.lr = sched.start_epoch(epoch)
-        perm = order_rng.permutation(len(train_sentences))
+        perm = order_rng.permutation(n)
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(perm), profile.batch_size):
             batch = perm[start:start + profile.batch_size]
             model.zero_grads()
-            batch_loss = 0.0
-            for i in batch:
-                logits = model.logits(train_features[i], train=True)
-                loss = ad.cross_entropy_logits(
-                    logits, model.label_index[train_sentences[i].relation])
-                loss = ad.scale(loss, 1.0 / len(batch))
-                loss.backward()
-                batch_loss += loss.item() * len(batch)
-            if not np.isfinite(batch_loss):
+            loss = ad.cross_entropy_logits(model.logits(train.take(batch), train=True),
+                                           labels[batch])
+            if not np.isfinite(loss.data):
                 raise RuntimeError("divergence (non-finite loss) at epoch %d" % epoch)
+            loss.backward()
             opt.step(model.params)
-            epoch_loss += batch_loss / len(batch)
+            epoch_loss += loss.item()
             n_batches += 1
         p, r, f1 = _evaluate(model, val_batches, val_golds)
         if sched:

@@ -39,7 +39,6 @@ def op_checks(seed=0, eps=1e-5):
         check("add:broadcast", {"a": (3, 4), "b": (4,)},
               lambda p: _squares(ad.add(p["a"], p["b"])))
         check("mul", {"a": (3, 4), "b": (3, 4)}, lambda p: ad.sum_all(ad.mul(p["a"], p["b"])))
-        check("scale", {"a": (5,)}, lambda p: ad.sum_all(ad.scale(p["a"], 2.5)))
         check("matmul", {"a": (3, 4), "b": (4, 2)},
               lambda p: _squares(ad.matmul(p["a"], p["b"])))
         check("matmul:vec", {"a": (4,), "b": (4, 2)},
@@ -60,10 +59,6 @@ def op_checks(seed=0, eps=1e-5):
               lambda p: _squares(ad.sum_axis(p["a"], starts=(0, 2, 5))))
         check("cross_entropy_logits", {"a": (4, 3)},
               lambda p: ad.cross_entropy_logits(p["a"], np.array([0, 2, 1, 1])))
-        # a fresh rng per build: every loss evaluation draws the same mask
-        check("dropout", {"a": (3, 4)},
-              lambda p: ad.sum_all(ad.mul(ad.dropout(p["a"], 0.5, np.random.default_rng(1),
-                                                     train=True), p["a"])))
         check("linear", {"x": (3, 4), "w": (4, 2), "b": (2,)},
               lambda p: _squares(ad.linear(p["x"], p["w"], p["b"])))
         check("conv1d", {"x": (5, 3), "w": (6, 2), "b": (2,)},
@@ -87,6 +82,11 @@ def op_checks(seed=0, eps=1e-5):
                   {"x": (6, 2), **lstm_shapes},
                   lambda p: _squares(ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"],
                                                       reverse=reverse, starts=(0, 2, 3, 6))))
+        # one recurrent-dropout row per sentence
+        seg_rmask = rng.uniform(0.0, 2.0, size=(3, 3))
+        check("lstm_sequence:segments:rmask", {"x": (6, 2), **lstm_shapes},
+              lambda p: _squares(ad.lstm_sequence(p["x"], p["wx"], p["wh"], p["b"],
+                                                  rmask=seg_rmask, starts=(0, 2, 3, 6))))
         for heads, t_len, dropped in itertools.product((1, 2), (1, 4), (False, True)):
             drop = [rng.uniform(0.0, 2.0, size=(heads, t_len, t_len))] if dropped else None
             check("multihead_attention:H%d:T%d%s" % (heads, t_len, ":drop" * dropped),
@@ -144,7 +144,7 @@ def encoder_checks(eps=1e-5):
 
             def loss():
                 return ad.cross_entropy_logits(model.logits(features),
-                                               model.label_index[s.relation])
+                                               [model.label_index[s.relation]])
 
             results["encoder:%s" % kind] = ad.gradcheck(loss, model.params, eps=eps)
     return results

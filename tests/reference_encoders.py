@@ -5,7 +5,9 @@ time: a tape per sentence, a (rep_dim,) representation and (C,) logits.
 These functions are that code, kept as the differential reference for the
 packed path; `install` routes REModel's forward methods through them, so
 that train_re, _evaluate and extract_reps run the old arithmetic one
-sentence at a time. Both paths draw the same dropout stream.
+sentence at a time. A train-mode pass reads its masks from
+REModel.dropout_masks for its one sentence, so B reference passes draw the
+stream of one packed pass over the B sentences.
 """
 
 import math
@@ -21,6 +23,18 @@ from relprobe.encoders import UNK, REModel
 from reference_ops import slice_rows
 
 SentenceFeatures = namedtuple("SentenceFeatures", "ids offsets ctx graph")
+
+
+class SentenceList(list):
+    """The SentenceFeatures of several sentences, which train_re takes
+    minibatches of as it takes them of a packed Features record."""
+
+    def take(self, indices):
+        return SentenceList(self[i] for i in indices)
+
+
+def _dropped(x, mask):
+    return x if mask is None else ad.mul(x, ad.constant(mask))
 
 
 def position_offsets(span, length, clip):
@@ -62,19 +76,17 @@ def featurize(self, sentence, ctx_row=None):
                             ctx_row if cfg.use_contextual else None, graph)
 
 
-def embed_inputs(self, features, train=False):
-    cfg = self.input_cfg
+def embed_inputs(self, features, masks):
     ids = features.ids
-    if train and cfg.word_dropout > 0:
-        drop = self.rng.random(len(ids)) < cfg.word_dropout
-        ids = np.where(drop, self.vocab.stoi[UNK], ids)
+    if "word" in masks:
+        ids = np.where(masks["word"], self.vocab.stoi[UNK], ids)
     parts = [ad.gather_rows(self.params["word_emb"], ids)]
     for table, rows in zip(("pos_head_emb", "pos_tail_emb"), features.offsets):
         parts.append(ad.gather_rows(self.params[table], rows))
     if features.ctx is not None:
         parts.append(ad.constant(features.ctx))
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    return ad.dropout(x, cfg.embedding_dropout, self.rng, train)
+    return _dropped(x, masks.get("embed"))
 
 
 def conv1d(x, w, b=None):
@@ -99,27 +111,23 @@ def encode_cnn(self, x):
     return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
 
 
-def lstm_direction(self, x, layer, dirn, train):
-    enc = self.enc_cfg
-    rmask = None
-    if train and enc.recurrent_dropout > 0:
-        keep = 1.0 - enc.recurrent_dropout
-        rmask = (self.rng.random((1, enc.lstm_hidden)) < keep).astype(ad.current_dtype()) / keep
-    name = "lstm%d_%s_" % (layer, dirn)
-    return ad.lstm_sequence(x, self.params[name + "wx"], self.params[name + "wh"],
-                            self.params[name + "b"], rmask=rmask, reverse=dirn == "b")
+def lstm_direction(self, x, layer, dirn, masks):
+    name = "lstm%d_%s" % (layer, dirn)
+    return ad.lstm_sequence(x, self.params[name + "_wx"], self.params[name + "_wh"],
+                            self.params[name + "_b"], rmask=masks.get(name),
+                            reverse=dirn == "b")
 
 
-def encode_bilstm(self, x, train):
+def encode_bilstm(self, x, masks):
     h = x
     for layer in range(self.enc_cfg.lstm_layers):
-        fwd = lstm_direction(self, h, layer, "f", train)
-        bwd = lstm_direction(self, h, layer, "b", train)
+        fwd = lstm_direction(self, h, layer, "f", masks)
+        bwd = lstm_direction(self, h, layer, "b", masks)
         h = ad.concat([fwd, bwd], axis=1)
     return ad.reshape(ad.amax(h), (-1,))
 
 
-def encode_gcn(self, x, graph, train):
+def encode_gcn(self, x, graph, masks):
     enc = self.enc_cfg
     kept, adj, head_rows, tail_rows = graph
     m = ad.constant(adj)
@@ -128,7 +136,7 @@ def encode_gcn(self, x, graph, train):
         h = ad.relu(ad.matmul(m, ad.linear(h, self.params["gcn%d_w" % layer],
                                            self.params["gcn%d_b" % layer])))
         if layer < enc.gcn_layers - 1:
-            h = ad.dropout(h, enc.gcn_dropout, self.rng, train)
+            h = _dropped(h, masks.get("gcn%d" % layer))
     pools = [ad.reshape(ad.amax(h), (-1,))]
     for rows in (head_rows, tail_rows):
         pools.append(ad.reshape(ad.amax(ad.gather_rows(h, rows)), (-1,)))
@@ -139,22 +147,15 @@ def encode_gcn(self, x, graph, train):
     return rep
 
 
-def encode_attn(self, x, train):
+def encode_attn(self, x, masks):
     enc = self.enc_cfg
     h = ad.linear(x, self.params["attn_in_w"], self.params["attn_in_b"])
-    t_len = h.shape[0]
     for layer in range(enc.attn_layers):
         q = ad.matmul(h, self.params["attn%d_wq" % layer])
         k = ad.matmul(h, self.params["attn%d_wk" % layer])
         v = ad.matmul(h, self.params["attn%d_wv" % layer])
-        drop = None
-        if train and enc.attn_dropout > 0:
-            keep = 1.0 - enc.attn_dropout
-            dtype = ad.current_dtype()
-            drop = (self.rng.random((enc.attn_heads, t_len, t_len)) < keep).astype(dtype) \
-                / dtype(keep)
         merged = ad.multihead_attention(q, k, v, enc.attn_heads,
-                                        drop=None if drop is None else [drop])
+                                        drop=masks.get("attn%d" % layer))
         h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                 self.params["attn%d_bo" % layer]))
         ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],
@@ -168,18 +169,23 @@ def encode_attn(self, x, train):
 def encode(self, features, train=False):
     """(rep_dim,) representation of one sentence's SentenceFeatures."""
     enc = self.enc_cfg
-    x = embed_inputs(self, features, train=train)
+    masks = {}
+    if train:
+        kept = None if features.graph is None else [len(features.graph[0])]
+        masks = self.dropout_masks([len(features.ids)], kept)
+    x = embed_inputs(self, features, masks)
     if enc.kind == "cnn":
         rep = encode_cnn(self, x)
     elif enc.kind == "bilstm":
-        rep = encode_bilstm(self, x, train)
+        rep = encode_bilstm(self, x, masks)
     elif enc.kind == "gcn":
-        rep = encode_gcn(self, x, features.graph, train)
+        rep = encode_gcn(self, x, features.graph, masks)
     elif enc.kind == "attn":
-        rep = encode_attn(self, x, train)
+        rep = encode_attn(self, x, masks)
     else:
         rep = ad.reshape(ad.sum_axis(x), (-1,))
-    return ad.dropout(rep, enc.encoder_dropout, self.rng, train)
+    mask = masks.get("encoder")
+    return _dropped(rep, None if mask is None else mask.reshape(-1))
 
 
 def logits(self, features, train=False):
@@ -200,7 +206,7 @@ def _stacked(fn):
 
 def _featurize_batch(self, sentences, ctx_rows=None):
     ctx_rows = [None] * len(sentences) if ctx_rows is None else ctx_rows
-    return [featurize(self, s, c) for s, c in zip(sentences, ctx_rows)]
+    return SentenceList(featurize(self, s, c) for s, c in zip(sentences, ctx_rows))
 
 
 def install(monkeypatch):

@@ -3,9 +3,9 @@
 The reference below is REModel._encode_attn with the attention core as it
 was before the fused op: for each sentence and head, three slice_cols, a
 transpose, two matmuls, a scale, a softmax and a dropout, then a concat of
-the heads and of the sentences. Both paths draw the same dropout stream; in
-float64 they agree within 1e-10, and in float32 training gives bit-identical
-losses, parameters and packed representations.
+the heads and of the sentences. Both paths read the same dropout masks
+(REModel.dropout_masks); in float64 they agree within 1e-10, and in float32
+training gives bit-identical losses, parameters and packed representations.
 """
 
 import dataclasses
@@ -22,10 +22,10 @@ from relprobe.training import presets, train_re
 from relprobe.verify import op_checks
 
 from conftest import make_sentence
-from reference_ops import slice_cols, slice_rows, softmax, transpose
+from reference_ops import scale, slice_cols, slice_rows, softmax, transpose
 
 
-def _reference_encode_attn(self, x, starts, train):
+def _reference_encode_attn(self, x, starts, masks):
     """Per-head self-attention encoder built from primitive ops. The
     projections run over all rows, as in REModel._encode_attn; the attention
     core runs one sentence and one head at a time."""
@@ -36,12 +36,13 @@ def _reference_encode_attn(self, x, starts, train):
         q = ad.matmul(h, self.params["attn%d_wq" % layer])
         k = ad.matmul(h, self.params["attn%d_wk" % layer])
         v = ad.matmul(h, self.params["attn%d_wv" % layer])
+        drops = masks.get("attn%d" % layer) or [None] * len(bounds)
         if len(bounds) == 1:
-            merged = _reference_attn_core(self, q, k, v, train)
+            merged = _reference_attn_core(self, q, k, v, drops[0])
         else:
             merged = ad.concat([_reference_attn_core(self, *(slice_rows(t, lo, hi)
-                                                             for t in (q, k, v)), train)
-                                for lo, hi in bounds], axis=0)
+                                                             for t in (q, k, v)), drop)
+                                for (lo, hi), drop in zip(bounds, drops)], axis=0)
         h = ad.add(h, ad.linear(merged, self.params["attn%d_wo" % layer],
                                 self.params["attn%d_bo" % layer]))
         ff = ad.relu(ad.linear(h, self.params["attn%d_ff1_w" % layer],
@@ -52,18 +53,20 @@ def _reference_encode_attn(self, x, starts, train):
     return ad.concat(last, axis=0) if len(last) > 1 else last[0]
 
 
-def _reference_attn_core(self, q, k, v, train):
+def _reference_attn_core(self, q, k, v, drop):
     """Attention of one sentence's q, k, v rows: per head, three slice_cols,
-    a transpose, two matmuls, a scale, a softmax and a dropout."""
+    a transpose, two matmuls, a scale, a softmax and a dropout by head i's
+    (T, T) block of the sentence's (H, T, T) mask drop, if any."""
     enc = self.enc_cfg
     d_head = enc.attn_kv_dim // enc.attn_heads
     head_outs = []
     for hd in range(enc.attn_heads):
         lo, hi = hd * d_head, (hd + 1) * d_head
         qh, kh, vh = (slice_cols(t, lo, hi) for t in (q, k, v))
-        scores = ad.scale(ad.matmul(qh, transpose(kh)), 1.0 / math.sqrt(d_head))
+        scores = scale(ad.matmul(qh, transpose(kh)), 1.0 / math.sqrt(d_head))
         attn = softmax(scores)
-        attn = ad.dropout(attn, enc.attn_dropout, self.rng, train)
+        if drop is not None:
+            attn = ad.mul(attn, ad.constant(drop[hd]))
         head_outs.append(ad.matmul(attn, vh))
     return ad.concat(head_outs, axis=1) if len(head_outs) > 1 else head_outs[0]
 
@@ -73,7 +76,7 @@ def _train_step(model, sentence):
     model.rng = np.random.default_rng(11)
     model.zero_grads()
     logits = model.logits(model.featurize(sentence), train=True)
-    ad.cross_entropy_logits(logits, model.label_index[sentence.relation]).backward()
+    ad.cross_entropy_logits(logits, [model.label_index[sentence.relation]]).backward()
     grads = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
     return logits.data.copy(), grads, model.rng.bit_generator.state
 

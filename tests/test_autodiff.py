@@ -122,16 +122,15 @@ def test_conv1d_pads_short_input():
 def test_dropout_expectation():
     rng = np.random.default_rng(2)
     x = ad.constant(np.ones(200000))
-    out = ad.dropout(x, 0.5, rng, train=True)
+    out = reference_ops.dropout(x, 0.5, rng, train=True)
     assert out.data.mean() == pytest.approx(1.0, abs=0.01)
 
 
 def test_dropout_eval_is_identity():
     x = ad.constant(np.ones(10))
-    out = ad.dropout(x, 0.5, np.random.default_rng(0), train=False)
+    out = reference_ops.dropout(x, 0.5, np.random.default_rng(0), train=False)
     assert out is x
-    assert ad.dropout_mask((3,), 0.5, np.random.default_rng(0), train=False) is None
-    assert ad.dropout_mask((3,), 0.0, np.random.default_rng(0), train=True) is None
+    assert reference_ops.dropout(x, 0.0, np.random.default_rng(0), train=True) is x
 
 
 class _StubRng:
@@ -153,9 +152,9 @@ def test_dropout_mask_compares_draws_with_float64_keep():
     assert lo < keep
     gap = np.linspace(lo, keep, 6, endpoint=False)
     draws = np.concatenate([gap, [0.0, 0.5, keep, 0.95]])
-    mask = ad.dropout_mask((2, draws.size), p, _StubRng(draws), train=True)
+    mask = ad.dropout_mask((2, draws.size), p, _StubRng(draws))
     tiled = np.resize(draws, (2, draws.size))
-    # the expressions ad.dropout, the BiLSTM rmask and the attention masks used
+    # the expressions the dropout, BiLSTM rmask and attention masks once used
     for expected in ((tiled < keep).astype(np.float32) / np.float32(keep),
                      (tiled < keep).astype(np.float32) / keep):
         assert mask.dtype == expected.dtype
@@ -170,9 +169,20 @@ def test_backward_requires_scalar():
 
 def test_shared_node_gradient_accumulates():
     x = ad.param([2.0])
-    y = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x, d/dx = 2x + 3
+    y = ad.add(ad.mul(x, x), reference_ops.scale(x, 3.0))  # x^2 + 3x, d/dx = 2x + 3
     ad.sum_all(y).backward()
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+def test_backward_frees_the_tape():
+    w = ad.param(np.ones((3, 2)))
+    hidden = ad.tanh(ad.matmul(ad.constant(np.ones((4, 3))), w))
+    loss = ad.sum_all(ad.mul(hidden, hidden))
+    loss.backward()
+    for node in (loss, hidden):
+        assert node._parents == () and node._backward is None and node.grad is None
+    assert w.grad is not None and w.grad.shape == (3, 2)
+    np.testing.assert_array_equal(hidden.data, np.tanh(np.full((4, 2), 3.0, np.float32)))
 
 
 def test_use_dtype_scopes_precision():
@@ -316,12 +326,17 @@ def test_gradcheck_registry_names_every_op():
     assert max(results.values()) < 1e-6
 
 
-@pytest.mark.parametrize("op", ("transpose", "slice_rows", "slice_cols", "softmax"))
+@pytest.mark.parametrize("op", ("transpose", "slice_rows", "slice_cols", "softmax", "scale",
+                                "dropout"))
 def test_reference_op_gradients(op):
     fn = {"transpose": reference_ops.transpose,
           "slice_rows": lambda a: reference_ops.slice_rows(a, 1, 4),
           "slice_cols": lambda a: reference_ops.slice_cols(a, 1, 4),
-          "softmax": reference_ops.softmax}[op]
+          "softmax": reference_ops.softmax,
+          "scale": lambda a: reference_ops.scale(a, 2.5),
+          # a fresh rng per call: every loss evaluation draws the same mask
+          "dropout": lambda a: reference_ops.dropout(a, 0.5, np.random.default_rng(1),
+                                                     train=True)}[op]
     with ad.use_dtype(np.float64):
         a = ad.param(np.random.default_rng(4).normal(size=(5, 6)))
         assert ad.gradcheck(lambda: ad.sum_all(ad.mul(fn(a), fn(a))), {"a": a}) < 1e-6

@@ -3,7 +3,7 @@
 The reference below builds one direction step by step from primitive ops,
 as REModel._lstm_direction did before the fused op: about 15 tape nodes per
 time step, with the sigmoid written through tanh. Both paths run in float64
-on the same model, seed and dropout stream.
+on the same model, seed and dropout masks (REModel.dropout_masks).
 """
 
 import numpy as np
@@ -14,28 +14,23 @@ from relprobe.corpus import Span
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 
 from conftest import make_sentence
-from reference_ops import slice_cols, slice_rows
+from reference_ops import scale, slice_cols, slice_rows
 
 
 def _sigmoid(a):
-    return ad.add(ad.scale(ad.tanh(ad.scale(a, 0.5)), 0.5), 0.5)
+    return ad.add(scale(ad.tanh(scale(a, 0.5)), 0.5), 0.5)
 
 
-def _reference_direction(self, x, starts, layer, dirn, train):
-    """Per-timestep LSTM direction of one sentence (starts bounds all of x);
-    same dropout draws as the fused path."""
-    enc = self.enc_cfg
-    h_dim = enc.lstm_hidden
+def _reference_direction(self, x, starts, layer, dirn, rmask):
+    """Per-timestep LSTM direction of one sentence (starts bounds all of x),
+    with the (1, h) recurrent-dropout mask rmask or None."""
+    h_dim = self.enc_cfg.lstm_hidden
     wx = self.params["lstm%d_%s_wx" % (layer, dirn)]
     wh = self.params["lstm%d_%s_wh" % (layer, dirn)]
     b = self.params["lstm%d_%s_b" % (layer, dirn)]
     t_len = x.shape[0]
-    if train and enc.recurrent_dropout > 0:
-        keep = 1.0 - enc.recurrent_dropout
-        mask = (self.rng.random((1, h_dim)) < keep).astype(ad.current_dtype()) / keep
-        rmask = ad.constant(mask)
-    else:
-        rmask = None
+    if rmask is not None:
+        rmask = ad.constant(rmask)
     h = ad.constant(np.zeros((1, h_dim)))
     c = ad.constant(np.zeros((1, h_dim)))
     order = range(t_len) if dirn == "f" else range(t_len - 1, -1, -1)
@@ -59,7 +54,7 @@ def _train_step(model, sentence):
     model.rng = np.random.default_rng(11)
     model.zero_grads()
     logits = model.logits(model.featurize(sentence), train=True)
-    ad.cross_entropy_logits(logits, model.label_index[sentence.relation]).backward()
+    ad.cross_entropy_logits(logits, [model.label_index[sentence.relation]]).backward()
     grads = {k: p.grad.copy() for k, p in model.params.items() if p.grad is not None}
     return logits.data.copy(), grads, model.rng.bit_generator.state
 

@@ -1,10 +1,11 @@
 """Packed Features: B sentences through one tape, against the per-sentence
 forward pass they replaced (tests/reference_encoders.py).
 
-Training passes one sentence at a time and must stay bit-identical in
-float32. Eval-mode passes take chunks of EVAL_BATCH sentences; in float64
-their rows equal the per-sentence ones within 1e-10, and in float32 they
-move only by rounding.
+Training runs each minibatch as one packed tape: at batch size 1 it is
+bit-identical to per-sentence training in float32, and at batch size 8 it
+matches it within 1e-10 in float64. Eval-mode passes take chunks of
+EVAL_BATCH sentences; in float64 their rows equal the per-sentence ones
+within 1e-10, and in float32 they move only by rounding.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import reference_encoders as ref
+from reference_ops import scale
 from relprobe import autodiff as ad
 from relprobe.corpus import Corpus, Span
 from relprobe.encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
@@ -74,39 +76,11 @@ def test_no_tape_records_nothing_and_computes_the_same():
     assert w.grad is not None  # recording resumes after the block
 
 
-@pytest.mark.parametrize("op", ("amax", "sum_axis", "segment_matmul", "conv1d"))
-def test_lone_segment_branch_is_byte_equal_to_the_general_branch(op):
-    # rows 0..5 as the one segment (0, 6), and as segment 0 of (0, 6, 9),
-    # which runs the general branch; only that segment's output rows and
-    # gradient rows are compared
-    rng = np.random.default_rng(5)
-    x_data = rng.normal(size=(9, 4)).astype(np.float32)
-    m = rng.normal(size=(6, 6))
-    w = ad.constant(rng.normal(size=(12, 5)))  # k = 3: 4 windows in 6 rows
-    run = {"amax": lambda x, starts: ad.amax(x, starts=starts),
-           "sum_axis": lambda x, starts: ad.sum_axis(x, starts=starts),
-           "segment_matmul": lambda x, starts: ad.segment_matmul(
-               [m, np.eye(3)][:len(starts) - 1], x, starts),
-           "conv1d": lambda x, starts: ad.conv1d(x, w, starts=starts)}[op]
-    outs, grads, weights = [], [], None
-    for rows, starts in ((6, (0, 6)), (9, (0, 6, 9))):
-        x = ad.param(x_data[:rows].copy())
-        out = run(x, starts)
-        if weights is None:
-            weights = rng.normal(size=out.shape)
-            n_out = len(weights)
-        weighted = ad.mul(out, ad.constant(np.resize(weights, out.shape)))
-        ad.sum_all(weighted).backward()
-        outs.append(out.data[:n_out].tobytes())
-        grads.append(x.grad[:6].tobytes())
-    assert outs[0] == outs[1] and grads[0] == grads[1]
-
-
 def test_gradcheck_registry_covers_every_segment_op():
     results = op_checks()
     names = ("conv1d:segments", "amax:segments", "sum_axis:segments", "segment_matmul",
              "lstm_sequence:segments", "lstm_sequence:segments:reverse",
-             "multihead_attention:segments")
+             "lstm_sequence:segments:rmask", "multihead_attention:segments")
     assert set(names) <= set(results)
     assert max(results[n] for n in names) < 1e-6
 
@@ -145,11 +119,31 @@ def _contextual(sentences):
     return {s.id: rng.normal(size=(len(s), CTX_DIM)) for s in sentences}
 
 
-def _model(kind, masking, enc_cfg=None):
+def _model(kind, masking, enc_cfg=None, **dropout):
     cfg = InputConfig(word_dim=4, pos_dim=2, max_offset=3, masking=masking,
-                      use_contextual=True, contextual_dim=CTX_DIM)
+                      use_contextual=True, contextual_dim=CTX_DIM, **dropout)
     vocab = Vocab(["tok%d" % i for i in range(0, 12, 2)] + ["SUBJ-O"])
     return REModel(vocab, LABELS, cfg, enc_cfg or ENCODERS[kind], seed=4)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_take_packs_as_featurize_batch(kind):
+    sentences = _sentences(9)
+    ctx = _contextual(sentences)
+    model = _model(kind, masking=True)
+    record = model.featurize_batch(sentences, [ctx[s.id] for s in sentences])
+    picked = [4, 0, 7, 7, 2]
+    got = record.take(picked)
+    want = model.featurize_batch([sentences[i] for i in picked],
+                                 [ctx[sentences[i].id] for i in picked])
+    for field in ("ids", "offsets", "ctx", "starts"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    if kind == "gcn":
+        (*got_rows, got_adjs), (*want_rows, want_adjs) = (
+            [f.graph[i] for i in (0, 1, 3, 4, 5, 6, 2)] for f in (got, want))
+        for part, (a, b) in enumerate(zip(got_rows, want_rows)):
+            np.testing.assert_array_equal(a, b, err_msg="graph row array %d" % part)
+        assert [a.tobytes() for a in got_adjs] == [a.tobytes() for a in want_adjs]
 
 
 @pytest.mark.parametrize("masking", (False, True))
@@ -229,7 +223,7 @@ def test_packed_chunk_gradients_match_per_sentence_float64(name):
         features = model.featurize_batch(sentences, [ctx[s.id] for s in sentences])
         reps = model.encode(features).data
         logits = model.logits(features)
-        ad.scale(ad.cross_entropy_logits(logits, labels), len(sentences)).backward()
+        scale(ad.cross_entropy_logits(logits, labels), len(sentences)).backward()
         packed = {k: p.grad.copy() for k, p in model.params.items()}
         model.zero_grads()
         want_reps, want_logits = [], []
@@ -238,7 +232,7 @@ def test_packed_chunk_gradients_match_per_sentence_float64(name):
             want_reps.append(ref.encode(model, f).data)
             out = ref.logits(model, f)
             want_logits.append(out.data)
-            ad.cross_entropy_logits(out, y).backward()  # gradients add up over sentences
+            ad.cross_entropy_logits(ad.reshape(out, (1, -1)), [y]).backward()  # gradients add up
     np.testing.assert_allclose(reps, np.stack(want_reps), rtol=0, atol=1e-10)
     np.testing.assert_allclose(logits.data, np.stack(want_logits), rtol=0, atol=1e-10)
     assert set(packed) == {k for k, p in model.params.items() if p.grad is not None}
@@ -322,28 +316,134 @@ def corpus(small_corpus):
                   negative_label=small_corpus.negative_label)
 
 
-def _train(corpus, kind):
+class _LoggingRng:
+    """A seeded generator that logs the shape of every draw."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(tuple(np.atleast_1d(shape).tolist()))
+        return self.gen.random(shape)
+
+
+def _one_sentence_draws(model, t_len, kept):
+    """The shapes one sentence's train-mode pass draws, in order."""
+    enc = model.enc_cfg
+    shapes = [(t_len,), (t_len, model.input_cfg.width)]
+    if enc.kind == "bilstm":
+        shapes += [(1, enc.lstm_hidden)] * (2 * enc.lstm_layers)
+    elif enc.kind == "gcn":
+        shapes += [(kept, enc.gcn_dim)] * (enc.gcn_layers - 1)
+    elif enc.kind == "attn":
+        shapes += [(enc.attn_heads, t_len, t_len)] * enc.attn_layers
+    return shapes + [(1, model.rep_dim)]
+
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_ENCODERS))
+def test_packed_train_pass_draws_the_masks_of_per_sentence_passes(monkeypatch, kind):
+    """One train-mode pass over B packed sentences draws what B passes of
+    the per-sentence reference draw, in the same order and shapes, leaves
+    the generator in the same state and applies the masks where they do."""
+    sentences = _sentences(9)
+    ctx = _contextual(sentences)
+    plans = []
+    real = REModel.dropout_masks
+
+    def recording(self, lengths, kept=None):
+        plans.append(real(self, lengths, kept))
+        return plans[-1]
+
+    monkeypatch.setattr(REModel, "dropout_masks", recording)
+    with ad.use_dtype(np.float64):
+        model = _model(kind, True, TRAIN_ENCODERS[kind], word_dropout=0.2,
+                       embedding_dropout=0.3)
+        features = model.featurize_batch(sentences, [ctx[s.id] for s in sentences])
+        model.rng = packed_rng = _LoggingRng(9)
+        logits = model.logits(features, train=True).data
+        model.rng = reference_rng = _LoggingRng(9)
+        want_logits = np.stack([ref.logits(model, ref.featurize(model, s, ctx[s.id]),
+                                           train=True).data for s in sentences])
+    kept = np.diff(features.graph[1]) if kind == "gcn" else [0] * len(sentences)
+    assert packed_rng.shapes == [shape for s, k in zip(sentences, kept)
+                                 for shape in _one_sentence_draws(model, len(s), k)]
+    assert reference_rng.shapes == packed_rng.shapes
+    assert packed_rng.gen.bit_generator.state == reference_rng.gen.bit_generator.state
+    packed, per_sentence = plans[0], plans[1:]
+    assert len(per_sentence) == len(sentences)
+    for site, mask in packed.items():
+        parts = [plan[site] for plan in per_sentence]
+        if site.startswith("attn"):
+            assert [m.tobytes() for m in mask] == [m.tobytes() for m, in parts], site
+        else:
+            assert mask.tobytes() == np.concatenate(parts).tobytes(), site
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
+
+
+def _train(corpus, kind, batch_size):
     input_cfg = InputConfig(word_dim=8, pos_dim=3, max_offset=5, masking=True,
                             word_dropout=0.1, embedding_dropout=0.2)
-    profile = HyperProfile("t", "adam", 1e-2, 2, 8)
+    profile = HyperProfile("t", "adam", 1e-2, 2, batch_size)
     model, history = train_re(corpus, input_cfg, TRAIN_ENCODERS[kind], profile, seed=3)
-    return history.epochs, {k: p.data.tobytes() for k, p in model.params.items()}
+    return history.epochs, {k: p.data.copy() for k, p in model.params.items()}
+
+
+def _assert_trains_as_reference(monkeypatch, corpus, kind):
+    """Batch size 1, float32: the same bytes as per-sentence training.
+    Batch size 8, float64: history and parameters within 1e-10."""
+    assert ad.current_dtype() is np.float32
+    runs = []
+    for install in (False, True):
+        with monkeypatch.context() as m:
+            if install:
+                ref.install(m)
+            one = _train(corpus, kind, 1)
+            with ad.use_dtype(np.float64):
+                runs.append((one, _train(corpus, kind, 8)))
+    (packed, packed64), (reference, reference64) = runs
+    assert packed[0] == reference[0]
+    assert {k: v.tobytes() for k, v in packed[1].items()} == \
+        {k: v.tobytes() for k, v in reference[1].items()}
+    assert len(packed64[0]) == len(reference64[0])
+    for got, want in zip(packed64[0], reference64[0]):
+        assert got.keys() == want.keys()
+        np.testing.assert_allclose([got[k] for k in got], [want[k] for k in got],
+                                   rtol=0, atol=1e-10)
+    assert packed64[1].keys() == reference64[1].keys()
+    for k, v in packed64[1].items():
+        assert v.dtype == np.float64
+        np.testing.assert_allclose(v, reference64[1][k], rtol=0, atol=1e-10, err_msg=k)
 
 
 @pytest.mark.parametrize("kind", sorted(TRAIN_ENCODERS))
 def test_training_is_bit_identical_to_per_sentence_reference(monkeypatch, corpus, kind):
     assert len(corpus.validation) > EVAL_BATCH
-    assert ad.current_dtype() is np.float32
-    packed = _train(corpus, kind)
-    ref.install(monkeypatch)
-    reference = _train(corpus, kind)
-    assert packed[0] == reference[0]
-    assert packed[1] == reference[1]
+    _assert_trains_as_reference(monkeypatch, corpus, kind)
 
 
 def test_training_without_a_validation_split_matches_reference(monkeypatch, corpus):
-    # validation falls back to the training sentences, one at a time
-    no_validation = dataclasses.replace(corpus, validation=())
-    packed = _train(no_validation, "cnn")
-    ref.install(monkeypatch)
-    assert packed == _train(no_validation, "cnn")
+    # validation runs packed chunks of the training record
+    _assert_trains_as_reference(monkeypatch, dataclasses.replace(corpus, validation=()), "cnn")
+
+
+def test_train_re_runs_one_packed_tape_per_minibatch(monkeypatch, corpus):
+    sizes, losses = [], []
+    logits, backward = REModel.logits, ad.Tensor.backward
+
+    def counting_logits(self, features, train=False):
+        if train:
+            sizes.append(len(features.starts) - 1)
+        return logits(self, features, train)
+
+    def counting_backward(self):
+        losses.append(self)
+        return backward(self)
+
+    monkeypatch.setattr(REModel, "logits", counting_logits)
+    monkeypatch.setattr(ad.Tensor, "backward", counting_backward)
+    _train(corpus, "gcn", 10)
+    assert len(corpus.train) == 24
+    assert sizes == [10, 10, 4] * 2  # two epochs
+    assert len(losses) == len(sizes)
+    assert all(loss._parents == () for loss in losses)  # each tape freed

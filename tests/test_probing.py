@@ -16,6 +16,7 @@ from relprobe.encoders import REModel, Vocab
 from relprobe.optim import Adam
 
 from conftest import make_sentence
+from reference_ops import scale
 
 
 def _rep(ids, rows, source="test"):
@@ -175,7 +176,7 @@ def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
         b.zero_grad()
         loss = ad.cross_entropy_logits(ad.linear(xt, w, b), y_fit)
         if l2:
-            loss = ad.add(loss, ad.scale(ad.sum_all(ad.mul(w, w)), l2))
+            loss = ad.add(loss, scale(ad.sum_all(ad.mul(w, w)), l2))
         loss.backward()
         opt.step(params)
         loss_val = loss.item()

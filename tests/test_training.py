@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -172,6 +173,12 @@ def test_masked_training_vocab_hides_mentions(tiny_corpus):
     from relprobe.corpus import mask_entities
     expected = {t for s in tiny_corpus.train for t in mask_entities(s).tokens}
     assert set(model.vocab.itos) - {"<PAD>", "<UNK>"} == expected
+
+
+def test_empty_training_split_is_rejected(tiny_corpus):
+    empty = dataclasses.replace(tiny_corpus, train=())
+    with pytest.raises(ValueError, match="no training sentences"):
+        train_re(empty, desk_input_config(), EncoderConfig(kind="boe"), _profile())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
