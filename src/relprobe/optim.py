@@ -49,7 +49,9 @@ class Adagrad(Optimizer):
         self.eps = eps
 
     def _update(self, name, p, g):
-        acc = self.state.setdefault(name, np.zeros_like(p.data))
+        acc = self.state.get(name)
+        if acc is None:
+            acc = self.state[name] = np.zeros_like(p.data)
         acc += g * g
         p.data -= self.lr * g / np.sqrt(acc + self.eps)
 
@@ -61,19 +63,31 @@ class Adadelta(Optimizer):
         self.eps = eps
 
     def _update(self, name, p, g):
-        st = self.state.setdefault(name, {"g2": np.zeros_like(p.data), "dx2": np.zeros_like(p.data)})
-        st["g2"] = self.rho * st["g2"] + (1 - self.rho) * g * g
-        dx = -np.sqrt(st["dx2"] + self.eps) / np.sqrt(st["g2"] + self.eps) * g
-        st["dx2"] = self.rho * st["dx2"] + (1 - self.rho) * dx * dx
+        st = self.state.get(name)
+        if st is None:
+            st = self.state[name] = {"g2": np.zeros_like(p.data), "dx2": np.zeros_like(p.data)}
+        g2, dx2 = st["g2"], st["dx2"]
+        g2 *= self.rho
+        g2 += (1 - self.rho) * g * g
+        dx = -np.sqrt(dx2 + self.eps) / np.sqrt(g2 + self.eps) * g
+        dx2 *= self.rho
+        dx2 += (1 - self.rho) * dx * dx
         p.data += self.lr * dx
 
 
 class Adam(Optimizer):
+    """Adam with its moments and two scratch buffers allocated on a
+    parameter's first step and updated in place: a step allocates no array
+    when the parameter has a gradient of its own dtype and no l2 group
+    matches it. Each in-place operation rounds as its term of the textbook
+    update does."""
+
     def __init__(self, lr, l2_groups=None, betas=(0.9, 0.999), eps=1e-8):
         super().__init__(lr, l2_groups)
         self.betas = betas
         self.eps = eps
         self.t = 0
+        self._scratch = {}
 
     def step(self, params):
         self.t += 1
@@ -81,12 +95,24 @@ class Adam(Optimizer):
 
     def _update(self, name, p, g):
         b1, b2 = self.betas
-        st = self.state.setdefault(name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)})
-        st["m"] = b1 * st["m"] + (1 - b1) * g
-        st["v"] = b2 * st["v"] + (1 - b2) * g * g
-        m_hat = st["m"] / (1 - b1 ** self.t)
-        v_hat = st["v"] / (1 - b2 ** self.t)
-        p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        st = self.state.get(name)
+        if st is None:
+            st = self.state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+            self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
+        m, v = st["m"], st["v"]
+        u, s = self._scratch[name]
+        m *= b1                                   # m = b1 * m + (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=u)
+        v *= b2                                   # v = b2 * v + (1 - b2) * g * g
+        np.multiply(g, 1 - b2, out=u)
+        v += np.multiply(u, g, out=u)
+        np.divide(m, 1 - b1 ** self.t, out=u)     # u = lr * m_hat
+        u *= self.lr
+        np.divide(v, 1 - b2 ** self.t, out=s)     # s = sqrt(v_hat) + eps
+        np.sqrt(s, out=s)
+        s += self.eps
+        u /= s
+        p.data -= u
 
 
 _OPTIMIZERS = {"sgd": SGD, "adagrad": Adagrad, "adadelta": Adadelta, "adam": Adam}

@@ -141,7 +141,28 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
     on the closed-form gradient of mean cross-entropy + l2 * sum(w**2).
 
     Returns (w, b, last loss, epochs run, whether the loss changed by less
-    than tol before max_epochs ran out)."""
+    than tol before max_epochs ran out).
+
+    Each epoch must round as the taped fit in the tests does, byte for byte,
+    so only these rewrites are exact:
+    - `w` and `b` are views of one flat parameter, and their gradients views
+      of one flat buffer. Adam's update is elementwise, so one step over the
+      flat array rounds as one step per array.
+    - Results go to preallocated buffers (`out=`, in-place operators): where
+      a result is stored does not change how it rounds.
+    - The row maxima are taken over a class-major copy of the logits. A
+      maximum rounds nothing, and no logit is -0.0 (a sum is -0.0 only when
+      both terms are, and `b` starts and stays off -0.0), so any order gives
+      the same maxima.
+    - A one-hot matrix is subtracted from the probabilities: x - 0.0 is x.
+    - Every sum stays an `np.add.reduce` over the same axis of an array of
+      the same layout, as the `ndarray.sum` it replaces: numpy's summation
+      order, and so the rounding, depends on the axis and the layout.
+    - The loss is the sum of the picked log-probabilities divided by an
+      `np.intp` count, as `ndarray.mean` divides it (in float64, then
+      rounded to the dtype). The loss must stay bytewise equal: through
+      `tol` it decides how many epochs a fit runs.
+    """
     d = x.shape[1]
     if init_seed is None:
         w0 = np.zeros((d, n_classes))
@@ -150,40 +171,61 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
         rng = np.random.default_rng(init_seed)
         w0 = rng.normal(0, 0.01, size=(d, n_classes))
         b0 = rng.normal(0, 0.01, size=n_classes)
-    w = ad.param(w0)
-    b = ad.param(b0)
-    params = {"w": w, "b": b}
+    theta = ad.param(np.concatenate([w0.ravel(), b0]))
+    theta.grad = np.empty_like(theta.data)
+    n_w = d * n_classes
+    w, b = theta.data[:n_w].reshape(d, n_classes), theta.data[n_w:]
+    gw, gb = theta.grad[:n_w].reshape(d, n_classes), theta.grad[n_w:]
+    params = {"theta": theta}
     opt = Adam(lr)
+    dtype = theta.data.dtype.type
     mask = y >= 0
     y_fit = y[mask]
-    x_fit = np.asarray(x[mask], dtype=w.data.dtype)
-    rows = np.arange(len(y_fit))
-    inv_n = w.data.dtype.type(1.0) / len(y_fit)
-    l2_t = w.data.dtype.type(l2)
+    x_fit = np.asarray(x[mask], dtype=dtype)
+    n = len(y_fit)
+    picks = np.arange(n) * n_classes + y_fit  # flat indices of the label logits
+    hot = np.zeros((n, n_classes), dtype)
+    hot.ravel()[picks] = 1.0
+    n_items = np.intp(n)
+    inv_n = dtype(1.0) / n
+    l2_t = dtype(l2)
+    z = np.empty((n, n_classes), dtype)       # logits, shifted logits, log-probabilities
+    z_t = np.empty((n_classes, n), dtype)     # the logits class-major, for the row maxima
+    e = np.empty_like(z)                      # exp(shifted), then the gradient
+    row = np.empty((n, 1), dtype)             # row maxima, then log of the row sums
+    picked = np.empty(n, dtype)
+    l2w = np.empty_like(w)
     prev = np.inf
     loss_val = np.inf
     epochs, converged = 0, False
     while epochs < max_epochs and not converged:
         epochs += 1
-        z = x_fit @ w.data + b.data
-        shifted = z - z.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        loss = -logp[rows, y_fit].mean()
-        g = np.exp(logp)
-        g[rows, y_fit] -= 1.0
+        np.matmul(x_fit, w, out=z)
+        z += b
+        np.copyto(z_t, z.T)
+        np.maximum.reduce(z_t, axis=0, out=row[:, 0])
+        z -= row
+        np.exp(z, out=e)
+        np.add.reduce(e, axis=1, keepdims=True, out=row)
+        np.log(row, out=row)
+        z -= row
+        total = np.add.reduce(z.take(picks, out=picked))
+        loss = -dtype(total / n_items)
+        g = np.exp(z, out=e)
+        g -= hot
         g *= inv_n
-        w.grad = x_fit.T @ g
-        b.grad = g.sum(axis=0)
+        np.matmul(x_fit.T, g, out=gw)
+        np.add.reduce(g, axis=0, out=gb)
         if l2:
-            l2w = l2_t * w.data
-            w.grad += l2w  # once per factor of w*w, rounded as the chain rule adds it
-            w.grad += l2w
-            loss = loss + (w.data * w.data).sum() * l2_t
+            np.multiply(w, l2_t, out=l2w)
+            gw += l2w  # once per factor of w*w, rounded as the chain rule adds it
+            gw += l2w
+            loss = loss + np.add.reduce(np.multiply(w, w, out=l2w), axis=None) * l2_t
         opt.step(params)
         loss_val = float(loss)
         converged = abs(prev - loss_val) < tol
         prev = loss_val
-    return w.data.copy(), b.data.copy(), loss_val, epochs, converged
+    return w.copy(), b.copy(), loss_val, epochs, converged
 
 
 def _accuracy(w, b, x, y):

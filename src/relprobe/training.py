@@ -310,7 +310,7 @@ def load_checkpoint(path) -> REModel:
             raise ValueError("%s: checkpoint parameter %s not in model" % (path, name))
         if model.params[name].data.shape != data.shape:
             raise ValueError("%s: shape mismatch for %s" % (path, name))
-        model.params[name].data = data.astype(ad.current_dtype()).copy()
+        model.params[name].data = data.astype(ad.current_dtype())  # a copy: data views the read buffer
     missing = sorted(set(model.params) - set(tensors))
     if missing:
         raise ValueError("%s: checkpoint lacks parameters %s" % (path, ", ".join(missing)))

@@ -254,6 +254,63 @@ def test_l2_group_applies_by_pattern():
     np.testing.assert_allclose(b.data, [2.0])
 
 
+def _textbook_step(kind, state, p, g, t, lr):
+    """One update by the textbook formulas, each term a fresh array."""
+    if kind == "sgd":
+        return p - lr * g
+    if kind == "adagrad":
+        state["acc"] = state.get("acc", np.zeros_like(p)) + g * g
+        return p - lr * g / np.sqrt(state["acc"] + 1e-8)
+    if kind == "adadelta":
+        rho, eps = 0.95, 1e-8
+        g2 = rho * state.get("g2", np.zeros_like(p)) + (1 - rho) * g * g
+        dx2 = state.get("dx2", np.zeros_like(p))
+        dx = -np.sqrt(dx2 + eps) / np.sqrt(g2 + eps) * g
+        state["g2"], state["dx2"] = g2, rho * dx2 + (1 - rho) * dx * dx
+        return p + lr * dx
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state["m"] = b1 * state.get("m", np.zeros_like(p)) + (1 - b1) * g
+    state["v"] = b2 * state.get("v", np.zeros_like(p)) + (1 - b2) * g * g
+    m_hat = state["m"] / (1 - b1 ** t)
+    v_hat = state["v"] / (1 - b2 ** t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _state_buffers(state):
+    return [b for st in state.values() for b in (st.values() if isinstance(st, dict) else [st])]
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("kind", ("sgd", "adagrad", "adadelta", "adam"))
+def test_optimizer_steps_equal_textbook_formulas_bytewise(kind, dtype):
+    rng = np.random.default_rng(3)
+    lr = 1.0 if kind == "adadelta" else 0.1
+    groups = [("cnn_w*", 0.01)]
+    shapes = {"cnn_w0": (3, 4), "cnn_b0": (4,), "emb": (2, 3)}  # emb never gets a gradient
+    with ad.use_dtype(dtype):
+        params = {name: ad.param(rng.normal(size=shape)) for name, shape in shapes.items()}
+    want = {name: p.data.copy() for name, p in params.items()}
+    states = {name: {} for name in params}
+    opt = make_optimizer(kind, lr, l2_groups=groups)
+    buffers = None
+    for t in range(1, 6):
+        for name in ("cnn_w0", "cnn_b0"):
+            params[name].grad = rng.normal(size=shapes[name]).astype(dtype)
+        for name, p in params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(want[name])
+            if name.startswith("cnn_w"):
+                g = g + 0.01 * want[name]
+            want[name] = _textbook_step(kind, states[name], want[name], g, t, lr)
+        opt.step(params)
+        for name, p in params.items():
+            assert p.data.dtype == want[name].dtype == dtype
+            assert p.data.tobytes() == want[name].tobytes(), (name, t)
+        if buffers is None:
+            buffers = _state_buffers(opt.state)
+        assert len(buffers) == {"sgd": 0, "adagrad": 3, "adadelta": 6, "adam": 6}[kind]
+        assert all(a is b for a, b in zip(_state_buffers(opt.state), buffers, strict=True))
+
+
 def test_unknown_optimizer():
     with pytest.raises(ValueError, match="unknown optimizer"):
         make_optimizer("rmsprop", 0.1)

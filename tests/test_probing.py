@@ -153,7 +153,7 @@ def test_unknown_baseline():
 def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
                       init_seed=None):
     """Reference fit: the same loss and Adam steps, differentiated by the
-    autodiff tape."""
+    autodiff tape, with `w` and `b` as two parameters of their own."""
     d = x.shape[1]
     if init_seed is None:
         w0 = np.zeros((d, n_classes))
@@ -171,7 +171,8 @@ def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
     y_fit = y[mask]
     prev = np.inf
     loss_val = np.inf
-    for _ in range(max_epochs):
+    epochs, converged = 0, False
+    for epochs in range(1, max_epochs + 1):
         w.zero_grad()
         b.zero_grad()
         loss = ad.cross_entropy_logits(ad.linear(xt, w, b), y_fit)
@@ -181,13 +182,16 @@ def _tape_fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6,
         opt.step(params)
         loss_val = loss.item()
         if abs(prev - loss_val) < tol:
+            converged = True
             break
         prev = loss_val
-    return w.data.copy(), b.data.copy(), loss_val
+    return w.data.copy(), b.data.copy(), loss_val, epochs, converged
 
 
+# c = 12: numpy sums a row of 9 or more classes pairwise, not in sequence
 @pytest.mark.parametrize("n,d,c,unlabeled", [(1, 3, 2, False), (40, 5, 1, False),
-                                             (60, 6, 4, True), (25, 1, 3, True)])
+                                             (60, 6, 4, True), (25, 1, 3, True),
+                                             (80, 5, 12, True)])
 @pytest.mark.parametrize("init_seed", (None, 7))
 def test_fit_softmax_bitwise_equals_tape_fit(n, d, c, unlabeled, init_seed):
     rng = np.random.default_rng(n * 100 + d * 10 + c)
@@ -195,12 +199,15 @@ def test_fit_softmax_bitwise_equals_tape_fit(n, d, c, unlabeled, init_seed):
     y = rng.integers(0, c, size=n)
     if unlabeled:
         y[::3] = -1
-    for l2 in probing.L2_GRID:
-        want = _tape_fit_softmax(x, y, c, l2, init_seed=init_seed)
-        got = probing._fit_softmax(x, y, c, l2, init_seed=init_seed)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2] == want[2]
+    for dtype in (np.float32, np.float64):
+        for l2 in probing.L2_GRID:
+            with ad.use_dtype(dtype):
+                want = _tape_fit_softmax(x, y, c, l2, init_seed=init_seed)
+                got = probing._fit_softmax(x, y, c, l2, init_seed=init_seed)
+            assert got[0].dtype == got[1].dtype == dtype
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2:] == want[2:]
 
 
 def test_probes_fit_without_the_tape(monkeypatch):

@@ -230,6 +230,20 @@ def _tiny_model():
                    desk_encoder_config("boe"))
 
 
+def test_checkpoint_loads_writable_byte_equal_arrays(tmp_path):
+    model = _tiny_model()
+    path = str(tmp_path / "model.rpck")
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.params.keys() == model.params.keys()
+    for name, p in model.params.items():
+        data = loaded.params[name].data
+        assert data.dtype == p.data.dtype and data.tobytes() == p.data.tobytes()
+        assert data.flags.writeable
+        assert data.base is None  # owns its memory: no view of the bytes read
+        data += 1.0
+
+
 def test_checkpoint_truncated_at_any_offset_is_value_error(tmp_path):
     full = str(tmp_path / "full.rpck")
     save_checkpoint(_tiny_model(), full)
