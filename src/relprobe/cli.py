@@ -17,7 +17,7 @@ from .corpus import (CorpusFormatError, load_contextual, load_corpus,
                      load_embeddings, random_embeddings, read_lines, write_corpus)
 from .encoders import InputConfig
 from .probegen import TASKS, build_all, build_tasks, load_dataset, save_dataset
-from .probing import (L2_GRID, baseline_reps, extract_reps, load_reps,
+from .probing import (L2_GRID, baseline_reps, check_grid, extract_reps, load_reps,
                       render_csv, render_text_table, run_suite, save_reps,
                       suite_table, train_probe)
 from .training import (desk_encoder_config, desk_input_config, load_checkpoint,
@@ -35,7 +35,12 @@ def _bool(text):
 
 
 def _grid(text):
-    return tuple(float(x) for x in text.split(","))
+    grid = tuple(float(x) for x in text.split(","))
+    try:
+        check_grid(grid)
+    except ValueError as e:
+        raise UsageError(e) from None
+    return grid
 
 
 _EXPECTED = {int: "an integer", _bool: "true/false, yes/no or 1/0",
@@ -43,13 +48,16 @@ _EXPECTED = {int: "an integer", _bool: "true/false, yes/no or 1/0",
 
 
 def _parse_value(text, kind, name, where=None):
-    """text as `kind` (str, int, _bool or _grid); a value that does not parse is
-    a UsageError naming `name` and, when given, `where` it was read."""
+    """text as `kind` (str, int, _bool or _grid); a value that does not parse,
+    or that _grid rejects, is a UsageError naming `name` and, when given,
+    `where` it was read."""
     try:
         return kind(text)
     except ValueError:
-        raise UsageError("%s: expected %s, got %r%s" % (
-            name, _EXPECTED[kind], text, "" if where is None else " in %s" % where)) from None
+        problem = "expected %s, got %r" % (_EXPECTED[kind], text)
+    except UsageError as e:
+        problem = str(e)
+    raise UsageError("%s: %s%s" % (name, problem, "" if where is None else " in %s" % where))
 
 
 # config key -> kind of its value

@@ -4,6 +4,7 @@ probes with l2 grid search."""
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,12 +236,22 @@ def _accuracy(w, b, x, y):
     return float(np.mean(preds == y))
 
 
+def check_grid(grid):
+    """ValueError unless the l2 grid is non-empty and each value is finite
+    and >= 0: a nan penalty makes every fit nan, a negative one rewards
+    large weights."""
+    if not grid:
+        raise ValueError("empty l2 grid")
+    for l2 in grid:
+        if not 0.0 <= l2 < math.inf:
+            raise ValueError("l2 values must be finite and >= 0, got %s" % l2)
+
+
 def train_probe(reps_by_split, task: probegen.ProbingDataset, grid=L2_GRID,
                 standardize=False, lr=0.1, max_epochs=500, tol=1e-6,
                 init_seed=None) -> ProbeResult:
     """Grid-search the l2 penalty on validation accuracy (ties -> smaller l2)."""
-    if not grid:
-        raise ValueError("empty l2 grid")
+    check_grid(grid)
     labels = task.labels
     x_tr, y_tr = _design(reps_by_split["train"], task.splits["train"], labels)
     x_va, y_va = _design(reps_by_split["validation"], task.splits["validation"], labels)

@@ -50,6 +50,11 @@ def op_checks(seed=0, eps=1e-5):
               lambda p: _squares(ad.concat([p["a"], p["b"]], axis=1)))
         check("gather_rows", {"a": (5, 3)},
               lambda p: _squares(ad.gather_rows(p["a"], np.array([0, 2, 2, 4]))))
+        # 1,100 ids of 32-wide rows: past the crossover, so the backward
+        # sums each row's repeats in one grouped reduce
+        many = rng.integers(0, 5, size=(275, 4))
+        check("gather_rows:grouped", {"a": (5, 32)},
+              lambda p: _squares(ad.gather_rows(p["a"], many)))
         check("amax", {"a": (6, 4)}, lambda p: _squares(ad.amax(p["a"])))
         check("amax:segments", {"a": (6, 3)},
               lambda p: _squares(ad.amax(p["a"], starts=(0, 1, 4, 6))))
@@ -66,6 +71,9 @@ def op_checks(seed=0, eps=1e-5):
         # two segments, the first shorter than the filter width k = 3
         check("conv1d:segments", {"x": (6, 2), "w": (6, 2), "b": (2,)},
               lambda p: _squares(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 2, 6))))
+        # segments of 1, 4, 2 and 1 rows: three zero-padded windows
+        check("conv1d:short-segments", {"x": (8, 2), "w": (6, 2), "b": (2,)},
+              lambda p: _squares(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 1, 5, 7, 8))))
         mats = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
         check("segment_matmul", {"x": (5, 2)},
               lambda p: _squares(ad.segment_matmul(mats, p["x"], (0, 2, 5))))

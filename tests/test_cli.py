@@ -248,6 +248,27 @@ def test_unparsable_value_is_usage_error(capsys, monkeypatch, tmp_path, corpus_d
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("value,bad", (("nan", "nan"), ("inf", "inf"), ("-0.5", "-0.5"),
+                                       ("0.01,-inf", "-inf")))
+@pytest.mark.parametrize("case", ("grid", "--grid"))
+def test_out_of_range_grid_is_usage_error(capsys, tmp_path, corpus_dir, case, value, bad):
+    out = str(tmp_path / "o")
+    problem = "l2 values must be finite and >= 0, got %s" % bad
+    if case == "--grid":
+        reps = str(tmp_path / "none.repr")  # never read: the grid fails first
+        argv = ["probe", "--task", reps, "--train", reps, "--val", reps, "--test", reps,
+                "--grid", value, "--out", out]
+        expected = "error: --grid: %s\n" % problem
+    else:
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("corpus = %s\nout = %s\ngrid = %s\n" % (corpus_dir, out, value))
+        argv = ["suite", "--config", str(cfg)]
+        expected = "error: config key 'grid': %s in %s:3\n" % (problem, cfg)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", expected)
+    assert not os.path.exists(out)
+
+
 def test_config_bad_utf8_names_path_and_line(capsys, tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_bytes(b"corpus = /nowhere\nout = r\xffn\n")

@@ -262,6 +262,14 @@ def test_probe_reports_a_fit_capped_by_max_epochs():
     assert probing._fit_softmax(x, y, 2, 0.0, max_epochs=0)[3:] == (0, False)
 
 
+@pytest.mark.parametrize("grid,bad", (((), "empty l2 grid"), ((float("nan"),), "got nan"),
+                                      ((0.01, float("inf")), "got inf"), ((-0.5, 0.01), "got -0.5")))
+def test_probe_rejects_a_bad_l2_grid(grid, bad):
+    reps, task = _separable_setup()
+    with pytest.raises(ValueError, match=bad):
+        train_probe(reps, task, grid=grid)
+
+
 def test_probe_random_labels_near_chance():
     rng = np.random.default_rng(1)
     reps, ids, labs = {}, {}, {}
