@@ -13,7 +13,16 @@ class Optimizer:
 
     l2_groups is a list of (name-pattern, coefficient) pairs; matching
     parameters get coeff * p added to their gradient before the update.
+
+    A parameter with a row-sparse gradient (Tensor.row_grad) steps only
+    those rows when the optimizer defines _update_rows and no l2 group
+    matches it. SGD and Adagrad do: with a zero gradient their update
+    leaves a row's parameter and state bytes as they were, so stepping the
+    gradient's rows alone gives the dense step's bytes. Adam and Adadelta
+    decay their state on zero rows, so they step the gradient made dense.
     """
+
+    _update_rows = None  # (name, p, rows, g): the update of rows `rows` of p
 
     def __init__(self, lr, l2_groups=None):
         if lr <= 0:
@@ -23,7 +32,9 @@ class Optimizer:
         self.state = {}
 
     def _effective_grad(self, name, p):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
+        if g is None:
+            g = np.zeros_like(p.data)
         for pattern, coeff in self.l2_groups:
             if fnmatch.fnmatch(name, pattern):
                 g = g + coeff * p.data
@@ -31,8 +42,11 @@ class Optimizer:
 
     def step(self, params):
         for name, p in params.items():
-            g = self._effective_grad(name, p)
-            self._update(name, p, g)
+            if p.grad_rows is not None and self._update_rows is not None \
+                    and not any(fnmatch.fnmatch(name, pattern) for pattern, _ in self.l2_groups):
+                self._update_rows(name, p, *p.row_grad())
+            else:
+                self._update(name, p, self._effective_grad(name, p))
 
     def _update(self, name, p, g):
         raise NotImplementedError
@@ -42,18 +56,31 @@ class SGD(Optimizer):
     def _update(self, name, p, g):
         p.data -= self.lr * g
 
+    def _update_rows(self, name, p, rows, g):
+        p.data[rows] -= self.lr * g
+
 
 class Adagrad(Optimizer):
     def __init__(self, lr, l2_groups=None, eps=1e-8):
         super().__init__(lr, l2_groups)
         self.eps = eps
 
-    def _update(self, name, p, g):
+    def _accumulator(self, name, p):
         acc = self.state.get(name)
         if acc is None:
             acc = self.state[name] = np.zeros_like(p.data)
+        return acc
+
+    def _update(self, name, p, g):
+        acc = self._accumulator(name, p)
         acc += g * g
         p.data -= self.lr * g / np.sqrt(acc + self.eps)
+
+    def _update_rows(self, name, p, rows, g):
+        acc = self._accumulator(name, p)
+        a = acc[rows] + g * g
+        acc[rows] = a
+        p.data[rows] -= self.lr * g / np.sqrt(a + self.eps)
 
 
 class Adadelta(Optimizer):
@@ -78,9 +105,9 @@ class Adadelta(Optimizer):
 class Adam(Optimizer):
     """Adam with its moments and two scratch buffers allocated on a
     parameter's first step and updated in place: a step allocates no array
-    when the parameter has a gradient of its own dtype and no l2 group
-    matches it. Each in-place operation rounds as its term of the textbook
-    update does."""
+    when the parameter has a dense gradient of its own dtype and no l2
+    group matches it. Each in-place operation rounds as its term of the
+    textbook update does."""
 
     def __init__(self, lr, l2_groups=None, betas=(0.9, 0.999), eps=1e-8):
         super().__init__(lr, l2_groups)

@@ -48,8 +48,12 @@ def op_checks(seed=0, eps=1e-5):
         check("reshape", {"a": (3, 4)}, lambda p: _squares(ad.reshape(p["a"], (4, 3))))
         check("concat", {"a": (2, 3), "b": (2, 3)},
               lambda p: _squares(ad.concat([p["a"], p["b"]], axis=1)))
-        check("gather_rows", {"a": (5, 3)},
-              lambda p: _squares(ad.gather_rows(p["a"], np.array([0, 2, 2, 4]))))
+        # as many ids as rows: the backward scatters into the whole table
+        check("gather_rows", {"a": (4, 3)},
+              lambda p: _squares(ad.gather_rows(p["a"], np.array([0, 2, 2, 3]))))
+        # more rows than ids: a row-sparse gradient; id -2 names row 7 again
+        check("gather_rows:rows", {"a": (9, 3)},
+              lambda p: _squares(ad.gather_rows(p["a"], np.array([[1, 7, 4], [4, -2, 0]]))))
         # 1,100 ids of 32-wide rows: past the crossover, so the backward
         # sums each row's repeats in one grouped reduce
         many = rng.integers(0, 5, size=(275, 4))

@@ -1,4 +1,6 @@
 import inspect
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +79,40 @@ def test_gather_rows_accumulates_duplicates():
     out = ad.gather_rows(a, [0, 0, 2])
     ad.sum_all(out).backward()
     np.testing.assert_allclose(a.grad, [[2, 2, 2], [0, 0, 0], [1, 1, 1]])
+
+
+def test_gather_rows_gradient_of_a_large_leaf_is_row_sparse():
+    rng = np.random.default_rng(8)
+    a = ad.param(rng.normal(size=(9, 3)))
+    ids = np.array([[1, 7, 4], [4, -2, 0]])  # -2 is row 7
+    g = rng.normal(size=(2, 3, 3)).astype(np.float32)
+    ad.sum_all(ad.mul(ad.gather_rows(a, ids), ad.constant(g))).backward()
+    want = np.zeros((9, 3), np.float32)
+    np.add.at(want, ids, g)
+    rows, values = a.row_grad()
+    np.testing.assert_array_equal(rows, [0, 1, 4, 7])
+    assert values.tobytes() == want[rows].tobytes()
+    assert a.grad.tobytes() == want.tobytes()  # reading grad makes it dense
+    assert a.grad_rows is None and a.row_grad() is None
+    a.zero_grad()
+    ad.sum_all(ad.gather_rows(a, [3])).backward()
+    np.testing.assert_array_equal(a.grad_rows, [3])
+    a.zero_grad()
+    assert a.row_grad() is None and a.grad is None
+
+
+def test_row_sparse_gradient_turns_dense_on_any_other_accumulation():
+    rng = np.random.default_rng(9)
+    a = ad.param(rng.normal(size=(9, 3)))
+    h = ad.tanh(a)  # not a leaf: its gradient stays dense
+    loss = ad.add(ad.sum_all(ad.gather_rows(a, [2, 5])), ad.sum_all(ad.gather_rows(h, [1])))
+    loss = ad.add(loss, ad.sum_all(ad.gather_rows(a, [5, 6])))
+    loss.backward()
+    want = np.zeros((9, 3), np.float32)
+    np.add.at(want, [2, 5, 5, 6], 1.0)
+    want[1] += 1.0 - np.tanh(a.data[1]) ** 2
+    assert a.grad_rows is None
+    np.testing.assert_allclose(a.grad, want, rtol=1e-6)
 
 
 def test_concat_and_slices():
@@ -309,6 +345,84 @@ def test_optimizer_steps_equal_textbook_formulas_bytewise(kind, dtype):
             buffers = _state_buffers(opt.state)
         assert len(buffers) == {"sgd": 0, "adagrad": 3, "adadelta": 6, "adam": 6}[kind]
         assert all(a is b for a, b in zip(_state_buffers(opt.state), buffers, strict=True))
+
+
+def _backprop_gather(table, ids, g, dense=False):
+    """Backpropagate sum(gather_rows(table, ids) * g): table's gradient is
+    the scatter-add of g's rows, row-sparse where gather_rows makes it so
+    unless dense=True."""
+    with pytest.MonkeyPatch.context() as mp:
+        if dense:
+            mp.setattr(ad, "_ROWS_PER_ID", math.inf)
+        ad.sum_all(ad.mul(ad.gather_rows(table, ids), ad.constant(g))).backward()
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("width, n_ids", ((5, 14), (48, 520)))  # np.add.at; the grouped reduce
+@pytest.mark.parametrize("kind", ("sgd", "adagrad", "adadelta", "adam"))
+def test_row_sparse_steps_equal_dense_steps_bytewise(kind, width, n_ids, dtype, monkeypatch):
+    rng = np.random.default_rng(5)
+    n_rows = n_ids + 20
+    lr = 1.0 if kind == "adadelta" else 0.1
+    init = {name: rng.normal(size=(n_rows, width)) for name in ("word_emb", "cnn_w0")}
+    for table in init.values():
+        table[[0, 3]] = -0.0  # row 0 is never gathered, row 3 in every step
+    with ad.use_dtype(dtype):
+        sparse, dense = ({name: ad.param(t.copy()) for name, t in init.items()} for _ in range(2))
+    # cnn_w0 matches an l2 group, so it steps densely whatever its gradient
+    opts = [make_optimizer(kind, lr, l2_groups=[("cnn_w*", 0.01)]) for _ in range(2)]
+    stepped_rows = []
+    cls = type(opts[0])
+    if cls._update_rows is not None:
+        update_rows = cls._update_rows
+        monkeypatch.setattr(cls, "_update_rows", lambda self, name, *args: (
+            stepped_rows.append(name), update_rows(self, name, *args)))
+    for step in range(3):
+        ids = rng.integers(1, n_rows, size=n_ids)
+        ids[:3] = [3, 3, 3 - n_rows]  # row 3 thrice, once by a negative id
+        ids = ids.reshape(2, -1)
+        g = rng.normal(size=ids.shape + (width,))
+        with ad.use_dtype(dtype):
+            for params, is_dense in ((sparse, False), (dense, True)):
+                for p in params.values():
+                    p.zero_grad()
+                    _backprop_gather(p, ids, g, dense=is_dense)
+        for name in init:
+            rows, values = sparse[name].row_grad()
+            np.testing.assert_array_equal(rows, np.unique(ids % n_rows))
+            assert values.tobytes() == dense[name].grad[rows].tobytes()
+        for opt, params in zip(opts, (sparse, dense)):
+            opt.step(params)
+        for name in init:
+            assert sparse[name].data.dtype == dtype
+            assert sparse[name].data.tobytes() == dense[name].data.tobytes(), (name, step)
+            assert sparse[name].grad.tobytes() == dense[name].grad.tobytes()
+        states = [[b.tobytes() for b in _state_buffers(opt.state)] for opt in opts]
+        assert states[0] == states[1]
+    assert stepped_rows == (["word_emb"] * 3 if kind in ("sgd", "adagrad") else [])
+
+
+@pytest.mark.parametrize("kind", ("sgd", "adagrad"))
+def test_row_sparse_step_allocates_no_table_sized_array(kind):
+    rng = np.random.default_rng(6)
+    table = ad.param(rng.standard_normal((20_000, 300), dtype=np.float32))
+    opt = make_optimizer(kind, 0.1)
+
+    def step():
+        table.zero_grad()
+        out = ad.gather_rows(table, rng.integers(0, 20_000, size=1_000))
+        ad.sum_all(ad.mul(out, out)).backward()
+        assert table.grad_rows is not None
+        opt.step({"word_emb": table})
+
+    step()  # Adagrad allocates its accumulator here
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.data.nbytes
 
 
 def test_unknown_optimizer():

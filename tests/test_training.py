@@ -1,12 +1,14 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 
+from relprobe import autodiff as ad
 from relprobe import synth
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
-from relprobe.optim import EpochDecay
+from relprobe.optim import EpochDecay, make_optimizer
 from relprobe.training import (HyperProfile, desk_encoder_config,
                                desk_input_config, load_checkpoint,
                                macro_f1_directional, micro_f1, presets,
@@ -179,6 +181,31 @@ def test_empty_training_split_is_rejected(tiny_corpus):
     empty = dataclasses.replace(tiny_corpus, train=())
     with pytest.raises(ValueError, match="no training sentences"):
         train_re(empty, desk_input_config(), EncoderConfig(kind="boe"), _profile())
+
+
+@pytest.mark.parametrize("preset, kind", (("tacred-gcn", "gcn"), ("tacred-cnn", "boe")))
+def test_row_sparse_training_equals_dense_training_bytewise(tiny_corpus, preset, kind,
+                                                           monkeypatch):
+    # SGD (tacred-gcn) and Adagrad (tacred-cnn, the paper boe run's profile):
+    # a batch of 4 sentences gathers fewer ids than the vocabulary has rows
+    profile = dataclasses.replace(presets()[preset][0], epochs=3, batch_size=4)
+    input_cfg = desk_input_config(masking=True)
+    enc_cfg = desk_encoder_config(kind)
+    cls = type(make_optimizer(profile.optimizer, profile.lr))
+    update_rows = cls._update_rows
+    row_steps = []
+    monkeypatch.setattr(cls, "_update_rows", lambda self, name, *args: (
+        row_steps.append(name), update_rows(self, name, *args)))
+    sparse, sparse_history = train_re(tiny_corpus, input_cfg, enc_cfg, profile, seed=3)
+    assert "word_emb" in row_steps
+    row_steps.clear()
+    monkeypatch.setattr(ad, "_ROWS_PER_ID", math.inf)
+    dense, dense_history = train_re(tiny_corpus, input_cfg, enc_cfg, profile, seed=3)
+    assert row_steps == []
+    assert sparse_history.epochs == dense_history.epochs
+    assert sparse.params.keys() == dense.params.keys()
+    for name, p in dense.params.items():
+        assert sparse.params[name].data.tobytes() == p.data.tobytes(), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
