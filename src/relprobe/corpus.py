@@ -405,14 +405,23 @@ class ContextualStore:
 
 def load_contextual(path) -> ContextualStore:
     """Read the CTXV binary format of per-token contextual vectors; ValueError
-    on a malformed or truncated file and on a NaN or infinite value."""
+    on a malformed or truncated file, on a repeated sentence id, on a record
+    of another width than the first and on a NaN or infinite value."""
     matrices = {}
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(CTX_MAGIC, 1)
         while f.tell() < r.size:
+            offset = f.tell()
             sid = r.text()
             t, d = r.unpack("<II")
+            if sid in matrices:
+                raise ValueError("%s: duplicate sentence id %r at byte offset %d"
+                                 % (path, sid, offset))
+            if matrices and d != width:
+                raise ValueError("%s: sentence %r at byte offset %d has width %d, the first "
+                                 "record %d" % (path, sid, offset, d, width))
+            width = d
             data = np.frombuffer(r.read(4 * t * d), dtype="<f4").reshape(t, d)
             if not np.isfinite(data).all():
                 raise ValueError("%s: non-finite value in sentence %r" % (path, sid))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -141,21 +140,13 @@ def prune(t: DepTree, p: SdpResult, k) -> set:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = len(t)
     if math.isinf(k):
-        return set(range(n))
-    neighbors = [list(t.children[i]) for i in range(n)]
-    for i in range(n):
-        if t.parent[i] is not None:
-            neighbors[i].append(t.parent[i])
-    dist = {node: 0 for node in p.path}
-    q = deque(p.path)
-    while q:
-        node = q.popleft()
-        if dist[node] == k:
-            continue
-        for nb in neighbors[node]:
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
-                q.append(nb)
-    return set(dist)
+        return set(range(len(t)))
+    kept = frontier = set(p.path)
+    for _ in range(int(k)):  # each round adds the neighbours of the last one
+        frontier = {t.parent[i] for i in frontier}.union(
+            *(t.children[i] for i in frontier)) - kept - {None}
+        if not frontier:
+            break
+        kept = kept | frontier
+    return kept

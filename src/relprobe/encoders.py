@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -82,6 +83,10 @@ class EncoderConfig:
             raise ValueError("unknown cnn_activation: %s" % self.cnn_activation)
         if self.kind == "attn" and self.attn_kv_dim % self.attn_heads != 0:
             raise ValueError("attn_kv_dim must be divisible by attn_heads")
+        k = self.gcn_prune_k  # None means inf
+        if not (k in (None, math.inf) or isinstance(k, numbers.Real)
+                and not isinstance(k, bool) and k >= 0 and k == int(k)):
+            raise ValueError("gcn_prune_k must be a whole number >= 0 or inf, not %r" % (k,))
 
 
 class Vocab:
@@ -128,10 +133,10 @@ class Features:
     REModel.featurize_batch prepares them. Sentence i owns the token rows
     [starts[i], starts[i+1]).
 
-    graph, for gcn only, is (kept, kept_starts, adjs, head_rows, head_starts,
-    tail_rows, tail_starts): the token rows kept around each sentence's SDP
-    and their segment starts, one normalized adjacency per sentence, and the
-    head and tail pooling rows (into the kept rows) with their segment starts.
+    graph, for gcn only, is (keep, head, tail, adjs): three (ΣT,) bool
+    masks of the token rows, marking the tokens kept around each sentence's
+    SDP and the kept tokens inside its head and tail spans, and one
+    normalized adjacency over each sentence's kept tokens.
     """
 
     ids: np.ndarray          # (ΣT,) vocab ids of the (masked) tokens
@@ -143,28 +148,15 @@ class Features:
     def take(self, indices):
         """The Features of sentences `indices`, in that order, as
         featurize_batch packs them."""
-        rows, starts, shift = _take_segments(self.starts, indices)
+        lengths = np.diff(self.starts)[indices]
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        rows = np.arange(starts[-1]) - (starts[:-1] - self.starts[indices]).repeat(lengths)
         graph = None
         if self.graph is not None:
-            kept, kept_starts, adjs, *pools = self.graph
-            # token rows move with their sentence, pooling rows with its kept rows
-            kept_rows, new_kept_starts, kept_shift = _take_segments(kept_starts, indices)
-            graph = (kept[kept_rows] + shift.repeat(np.diff(new_kept_starts)), new_kept_starts,
-                     [adjs[i] for i in indices])
-            for pool, pool_starts in (pools[:2], pools[2:]):
-                pool_rows, new_starts, _ = _take_segments(pool_starts, indices)
-                graph += (pool[pool_rows] + kept_shift.repeat(np.diff(new_starts)), new_starts)
+            *masks, adjs = self.graph
+            graph = (*(m[rows] for m in masks), [adjs[i] for i in indices])
         return Features(self.ids[rows], tuple(o[rows] for o in self.offsets),
                         None if self.ctx is None else self.ctx[rows], graph, starts)
-
-
-def _take_segments(starts, indices):
-    """Rows of the segments `indices` of `starts`, in that order, their
-    packed segment starts, and each one's shift (new start - old start)."""
-    lengths = np.diff(starts)[indices]
-    new_starts = np.concatenate(([0], np.cumsum(lengths)))
-    shift = new_starts[:-1] - starts[indices]
-    return np.arange(new_starts[-1]) - shift.repeat(lengths), new_starts, shift
 
 
 def _dropped(x, mask):
@@ -172,13 +164,16 @@ def _dropped(x, mask):
     return x if mask is None else ad.mul(x, ad.constant(mask))
 
 
-def _packed(lists, shifts):
-    """One index array of lists[i] + shifts[i], and its segment starts."""
-    flat, starts = [], [0]
-    for items, shift in zip(lists, shifts):
-        flat.extend([shift + i for i in items])
-        starts.append(len(flat))
-    return np.array(flat, dtype=np.int64), np.array(starts, dtype=np.int64)
+def _gcn_rows(graph, starts):
+    """(kept, kept_starts, adjs, pools) of a packed gcn graph: the kept
+    token rows and their segment starts, the adjacencies, and the head and
+    tail pooling rows (positions among the kept rows) with their starts."""
+    keep, head, tail, adjs = graph
+    kept = np.flatnonzero(keep)
+    kept_starts = np.searchsorted(kept, starts)
+    pools = [np.flatnonzero(span[kept]) for span in (head, tail)]
+    return kept, kept_starts, adjs, [(rows, np.searchsorted(rows, kept_starts))
+                                     for rows in pools]
 
 
 def _glorot(rng, shape):
@@ -288,8 +283,8 @@ class REModel:
         """The packed Features of a sequence of sentences, computed once and
         reused by every forward pass. For GCN, which alone builds each
         sentence's DepTree: the tokens kept around the SDP, their
-        row-normalized adjacency (self loops included) and the head and tail
-        pooling rows."""
+        row-normalized adjacency (self loops included) and the kept tokens
+        of the head and tail spans."""
         cfg, enc = self.input_cfg, self.enc_cfg
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
@@ -306,46 +301,39 @@ class REModel:
         token_lists = map(masked_tokens, sentences) if cfg.masking \
             else (s.tokens for s in sentences)
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
-        offsets = ()
-        if cfg.pos_dim > 0:
-            # rows: head start, tail start, head end, tail end of each token's
-            # sentence, in packed row numbers
-            spans = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
-                              for s in sentences]).T
-            spans = (spans + starts[:-1]).repeat(lengths, axis=1)
-            off = position_offsets(Span(spans[:2], spans[2:]), starts[-1], cfg.max_offset)
-            offsets = tuple(off + cfg.max_offset)
+        # rows: head start, tail start, head end, tail end of each token's
+        # sentence, in packed row numbers
+        spans = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
+                          for s in sentences], dtype=np.int64).reshape(n, 4).T
+        spans = (spans + starts[:-1]).repeat(lengths, axis=1)
+        off = position_offsets(Span(spans[:2], spans[2:]), starts[-1], cfg.max_offset)
+        offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()
         graph = None
         if enc.kind == "gcn":
-            kept, adjs, heads, tails = zip(*map(self._pruned_graph, sentences))
-            kept, kept_starts = _packed(kept, starts.tolist())
-            shifts = kept_starts.tolist()
-            graph = (kept, kept_starts, adjs, *_packed(heads, shifts), *_packed(tails, shifts))
+            kept, adjs = zip(*map(self._pruned_graph, sentences))
+            keep = np.zeros(starts[-1], dtype=bool)
+            keep[[start + t for start, toks in zip(starts.tolist(), kept) for t in toks]] = True
+            graph = (keep, *(keep & (off == 0)), adjs)  # off is 0 inside a span
         ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
         return Features(ids, offsets, ctx, graph, starts)
 
     def _pruned_graph(self, sentence):
-        """Kept tokens, normalized adjacency, head and tail pooling rows
-        (positions among the kept tokens) of one sentence."""
+        """Sorted kept tokens and normalized adjacency of one sentence. Both
+        span roots are SDP endpoints, so every k keeps a token of each span."""
         tree = deptree.build_tree(sentence.dep_head)
-        roots = [deptree.span_root(sentence.dep_head, span)
-                 for span in (sentence.head, sentence.tail)]
-        path = deptree.sdp(tree, *roots)
-        k = math.inf if self.enc_cfg.gcn_prune_k in (None, math.inf) else self.enc_cfg.gcn_prune_k
-        kept = sorted(deptree.prune(tree, path, k))
-        if not kept:
-            raise ValueError("pruning removed every token")
+        path = deptree.sdp(tree, *(deptree.span_root(sentence.dep_head, span)
+                                   for span in (sentence.head, sentence.tail)))
+        k = self.enc_cfg.gcn_prune_k
+        kept = sorted(deptree.prune(tree, path, math.inf if k is None else k))
         pos = {tok: i for i, tok in enumerate(kept)}
         adj = np.eye(len(kept), dtype=ad.current_dtype())
         for tok in kept:
             p = tree.parent[tok]
-            if p is not None and p in pos:
+            if p in pos:
                 adj[pos[tok], pos[p]] = 1.0
                 adj[pos[p], pos[tok]] = 1.0
         adj /= adj.sum(axis=1, keepdims=True)
-        pools = [[pos[t] for t in kept if t in span] or [pos[root]]
-                 for span, root in zip((sentence.head, sentence.tail), roots)]
-        return (kept, adj, *pools)
+        return kept, adj
 
     def featurize_chunks(self, sentences, contextual=None):
         """Packed Features of consecutive chunks of EVAL_BATCH sentences, for
@@ -405,13 +393,16 @@ class REModel:
         train=True, dropout masks are drawn for them (dropout_masks)."""
         enc = self.enc_cfg
         starts = features.starts
-        kept = None if features.graph is None else np.diff(features.graph[1])
+        graph = kept = None
+        if features.graph is not None:
+            graph = _gcn_rows(features.graph, starts)
+            kept = np.diff(graph[1])
         masks = self.dropout_masks(np.diff(starts), kept) if train else {}
         x = self.embed_inputs(features, masks)
         if enc.kind == "cnn":
             rep = self._encode_cnn(x, starts)
         elif enc.kind == "gcn":
-            rep = self._encode_gcn(x, features.graph, masks)
+            rep = self._encode_gcn(x, graph, masks)
         elif enc.kind == "bilstm":
             rep = self._encode_bilstm(x, starts, masks)
         elif enc.kind == "attn":
@@ -456,18 +447,18 @@ class REModel:
         return ad.amax(h, starts=starts)
 
     def _encode_gcn(self, x, graph, masks):
+        """graph: the (kept, kept_starts, adjs, pools) of _gcn_rows."""
         enc = self.enc_cfg
-        kept, kept_starts, adjs, head_rows, head_starts, tail_rows, tail_starts = graph
+        kept, kept_starts, adjs, pools = graph
         h = ad.gather_rows(x, kept)
         for layer in range(enc.gcn_layers):
             h = ad.relu(ad.segment_matmul(adjs, ad.linear(h, self.params["gcn%d_w" % layer],
                                                           self.params["gcn%d_b" % layer]),
                                           kept_starts))
             h = _dropped(h, masks.get("gcn%d" % layer))  # inner layers only
-        pools = [ad.amax(h, starts=kept_starts)]
-        for rows, starts in ((head_rows, head_starts), (tail_rows, tail_starts)):
-            pools.append(ad.amax(ad.gather_rows(h, rows), starts=starts))
-        rep = ad.concat(pools, axis=1)
+        rep = ad.concat([ad.amax(h, starts=kept_starts)] +
+                        [ad.amax(ad.gather_rows(h, rows), starts=starts) for rows, starts in pools],
+                        axis=1)
         for j in range(enc.gcn_ff_layers):
             rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
                                     self.params["gcn_ff%d_b" % j]))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 
@@ -376,6 +377,8 @@ _BLOB_DEFECTS = {
     "unknown-key": lambda b: {**b, "encoder_cfg": {**b["encoder_cfg"], "cnn_pooling": "mean"}},
     "no-input-cfg": lambda b: {k: v for k, v in b.items() if k != "input_cfg"},
     "list-blob": lambda b: [1, 2],
+    **{"prune-k-%s" % k: lambda b, k=k: {**b, "encoder_cfg": {**b["encoder_cfg"], "gcn_prune_k": k}}
+       for k in ("x", -1, 1.5, math.nan)},
 }
 
 

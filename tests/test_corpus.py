@@ -1,14 +1,15 @@
 import json
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relprobe.corpus import (ContextualStore, CorpusFormatError, Sentence, Span,
+from relprobe.corpus import (CTX_MAGIC, ContextualStore, CorpusFormatError, Sentence, Span,
                              load_contextual, load_corpus, load_embeddings,
                              mask_entities, validate_sentence, write_contextual,
-                             write_corpus)
+                             write_corpus, write_text)
 
 from conftest import make_sentence
 
@@ -267,9 +268,42 @@ def test_contextual_bad_utf8_id_names_path_and_offset(tmp_path):
         load_contextual(p)
 
 
+def _ctxv(tmp_path, *records):
+    """Path of a CTXV file of the (id, matrix) records, in that order, ids
+    repeated as given; and each record's byte offset."""
+    p, offsets = str(tmp_path / "records.ctx"), []
+    with open(p, "wb") as f:
+        f.write(CTX_MAGIC + struct.pack("<I", 1))
+        for sid, m in records:
+            offsets.append(f.tell())
+            write_text(f, sid)
+            f.write(struct.pack("<II", *m.shape) + m.astype("<f4").tobytes())
+    return p, offsets
+
+
+def test_contextual_duplicate_id_names_path_and_offset(tmp_path):
+    p, offsets = _ctxv(tmp_path, ("s0", np.ones((2, 3), np.float32)),
+                       ("s1", np.ones((1, 3), np.float32)), ("s0", np.zeros((2, 3), np.float32)))
+    with pytest.raises(ValueError, match=re.escape(
+            "%s: duplicate sentence id 's0' at byte offset %d" % (p, offsets[2]))):
+        load_contextual(p)
+
+
+def test_contextual_width_mismatch_names_path_and_offset(tmp_path):
+    p, offsets = _ctxv(tmp_path, ("s0", np.ones((2, 3), np.float32)),
+                       ("s1", np.ones((1, 3), np.float32)), ("s2", np.ones((2, 4), np.float32)))
+    with pytest.raises(ValueError, match=re.escape(
+            "%s: sentence 's2' at byte offset %d has width 4, the first record 3"
+            % (p, offsets[2]))):
+        load_contextual(p)
+    p, _ = _ctxv(tmp_path, ("s0", np.ones((2, 3), np.float32)),
+                 ("s1", np.ones((1, 3), np.float32)))
+    assert [m.shape for m in load_contextual(p).matrices.values()] == [(2, 3), (1, 3)]
+
+
 def test_contextual_truncated_is_value_error_unless_at_record_boundary(tmp_path):
     store = ContextualStore({"s1": np.ones((2, 3), np.float32),
-                             "s22": np.zeros((1, 2), np.float32)})
+                             "s22": np.zeros((1, 3), np.float32)})
     full = str(tmp_path / "full.ctx")
     write_contextual(store, full)
     raw = open(full, "rb").read()

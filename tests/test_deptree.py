@@ -324,7 +324,7 @@ def test_prune_matches_bfs_filter():
         t = build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         r = sdp(t, min(a, b), max(a, b))
-        for k in (0, 1, 2):
+        for k in (0, 1, 2, 3, n):  # n: farther than any two tokens are apart
             assert prune(t, r, k) == _bfs_distance_filter(dep_head, r.path, k)
 
 

@@ -59,6 +59,19 @@ def test_input_config_validation():
         EncoderConfig(kind="attn", attn_heads=3, attn_kv_dim=8)
 
 
+@pytest.mark.parametrize("k", (0, 1, 3, 2.0, math.inf, None))
+def test_gcn_prune_k_takes_a_whole_number_or_inf(k):
+    s = make_sentence([2, 0, 2, 3], head=Span(0, 0), tail=Span(2, 2))
+    assert _model("gcn", gcn_prune_k=k).encode_np(s).shape == (6,)
+
+
+@pytest.mark.parametrize("k", ("x", -1, 1.5, math.nan, -math.inf, True))
+def test_gcn_prune_k_rejects_other_values(k):
+    # 1.5 and nan once kept every token, "x" failed at featurization
+    with pytest.raises(ValueError, match="gcn_prune_k must be a whole number >= 0 or inf"):
+        EncoderConfig(kind="gcn", gcn_prune_k=k)
+
+
 def test_vocab_reserved_ids():
     v = Vocab(["b", "a"])
     assert v.itos[0] == "<PAD>" and v.itos[1] == "<UNK>"

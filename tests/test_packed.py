@@ -9,6 +9,7 @@ within 1e-10, and in float32 they move only by rounding.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -140,11 +141,10 @@ def test_take_packs_as_featurize_batch(kind):
     for field in ("ids", "offsets", "ctx", "starts"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
     if kind == "gcn":
-        (*got_rows, got_adjs), (*want_rows, want_adjs) = (
-            [f.graph[i] for i in (0, 1, 3, 4, 5, 6, 2)] for f in (got, want))
-        for part, (a, b) in enumerate(zip(got_rows, want_rows)):
-            np.testing.assert_array_equal(a, b, err_msg="graph row array %d" % part)
-        assert [a.tobytes() for a in got_adjs] == [a.tobytes() for a in want_adjs]
+        for name, a, b in zip(("keep", "head", "tail"), got.graph, want.graph):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+        for j, s in enumerate(sentences[i] for i in picked):
+            _assert_graph_is_reference(got, j, ref.featurize(model, s, ctx[s.id]))
 
 
 @pytest.mark.parametrize("masking", (False, True))
@@ -163,13 +163,63 @@ def test_featurize_batch_packs_per_sentence_features(kind, masking):
             np.testing.assert_array_equal(got[rows], off)
         np.testing.assert_array_equal(packed.ctx[rows], want.ctx)
         if kind == "gcn":
-            kept, kept_starts, adjs, heads, head_starts, tails, tail_starts = packed.graph
-            lo, hi = kept_starts[i], kept_starts[i + 1]
-            np.testing.assert_array_equal(kept[lo:hi] - starts[i], want.graph[0])
-            np.testing.assert_array_equal(adjs[i], want.graph[1])
-            for rows_, seg, w in ((heads, head_starts, want.graph[2]),
-                                  (tails, tail_starts, want.graph[3])):
-                np.testing.assert_array_equal(rows_[seg[i]:seg[i + 1]] - lo, w)
+            _assert_graph_is_reference(packed, i, want)
+
+
+def _sentence_graph(features, i):
+    """Sentence i's kept tokens, adjacency, and head and tail pooling rows
+    (positions among its kept tokens), read off the packed token masks."""
+    keep, head, tail, adjs = features.graph
+    assert not (head & ~keep).any() and not (tail & ~keep).any()
+    rows = slice(features.starts[i], features.starts[i + 1])
+    kept = keep[rows]
+    return (np.flatnonzero(kept), adjs[i],
+            np.flatnonzero(head[rows][kept]), np.flatnonzero(tail[rows][kept]))
+
+
+def _assert_graph_is_reference(features, i, want):
+    kept, adj, heads, tails = _sentence_graph(features, i)
+    want_kept, want_adj, want_heads, want_tails = want.graph
+    np.testing.assert_array_equal(kept, want_kept)
+    assert adj.dtype == want_adj.dtype and adj.tobytes() == want_adj.tobytes()
+    np.testing.assert_array_equal(heads, want_heads)
+    np.testing.assert_array_equal(tails, want_tails)
+
+
+def _crossing(dep_head):
+    """Whether two arcs of the tree cross (the tree is non-projective)."""
+    arcs = [tuple(sorted((i, h - 1))) for i, h in enumerate(dep_head) if h]
+    return any(a < c < b < d for a, b in arcs for c, d in arcs)
+
+
+@pytest.mark.parametrize("k", (0, 1, 2, math.inf))
+def test_gcn_pools_are_never_empty(k):
+    """Each span root is an SDP endpoint, so every k keeps a token of the
+    head span and one of the tail span: random trees, non-projective ones
+    among them, with spans of up to four tokens."""
+    rng = np.random.default_rng(11)
+
+    def span(t):
+        start = int(rng.integers(t))
+        return Span(start, min(start + int(rng.integers(4)), t - 1))
+
+    sentences = []
+    for i in range(200):
+        t = int(rng.integers(2, 16))
+        sentences.append(make_sentence(random_parents(rng, t), head=span(t), tail=span(t),
+                                       sid="s%d" % i))
+    assert sum(_crossing(s.dep_head) for s in sentences) > 50
+    assert sum(len(s.head) > 1 and len(s.tail) > 1 for s in sentences) > 50
+    model = REModel(Vocab(["tok0"]), LABELS, InputConfig(word_dim=2, pos_dim=0),
+                    EncoderConfig(kind="gcn", gcn_layers=1, gcn_dim=2, gcn_ff_layers=0,
+                                  gcn_prune_k=k), seed=1)
+    features = model.featurize_batch(sentences)
+    for i, s in enumerate(sentences):
+        kept, _, heads, tails = _sentence_graph(features, i)
+        assert len(heads) and len(tails), s.id
+        if k == math.inf:
+            assert len(kept) == len(s)
+    assert model.encode(features).data.shape == (len(sentences), 3 * 2)
 
 
 def test_featurize_batch_rejects_contextual_rows_of_another_length():
@@ -366,7 +416,8 @@ def test_packed_train_pass_draws_the_masks_of_per_sentence_passes(monkeypatch, k
         model.rng = reference_rng = _LoggingRng(9)
         want_logits = np.stack([ref.logits(model, ref.featurize(model, s, ctx[s.id]),
                                            train=True).data for s in sentences])
-    kept = np.diff(features.graph[1]) if kind == "gcn" else [0] * len(sentences)
+    kept = [len(ref.featurize(model, s, ctx[s.id]).graph[0]) if kind == "gcn" else 0
+            for s in sentences]
     assert packed_rng.shapes == [shape for s, k in zip(sentences, kept)
                                  for shape in _one_sentence_draws(model, len(s), k)]
     assert reference_rng.shapes == packed_rng.shapes
