@@ -1,9 +1,17 @@
-"""Dependency tree algorithms: construction, depth, span roots, shortest paths, pruning."""
+"""Dependency tree algorithms: construction, depth, span roots, shortest paths, pruning.
+
+DepTree and the functions that take one (build_tree, tree_depth, sdp) work
+one sentence at a time. packed_trees, span_roots, path_mask and grow work on
+sentences packed row after row, as 0-based packed parent rows (-1 for a
+root), with a few numpy passes over the whole pack.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -134,19 +142,94 @@ def sdp(t: DepTree, a: int, b: int) -> SdpResult:
 
 
 def prune(t: DepTree, p: SdpResult, k) -> set:
-    """Token indices within undirected tree distance k of any SDP node.
-
-    k may be math.inf to keep every token.
+    """Token indices within undirected tree distance k of any SDP node: the
+    one-sentence case of grow. k may be math.inf to keep every token.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    mask = np.zeros(len(t), dtype=bool)
+    mask[list(p.path)] = True
+    parent = np.array([-1 if q is None else q for q in t.parent], dtype=np.int64)
+    return set(np.flatnonzero(grow(mask, parent, k)).tolist())
+
+
+# ------------------------------------------------- packed sentences
+
+
+def packed_trees(heads, starts):
+    """(parent, depth, bad) of sentences packed row after row, sentence i
+    owning rows [starts[i], starts[i+1]); heads is their concatenated 1-based
+    dep_head (0 marks the root).
+
+    parent[r] is the packed row of row r's head, -1 for a root. depth[r]
+    counts the edges up to the root, by pointer jumping in ceil(log2(T_max))
+    rounds (Hillis & Steele 1986, CACM 29(12)): after round j each row
+    points 2**j edges up, or at its root. bad lists, in order, the sentences
+    that are not one tree: a head outside 0..len, no root or several, or a
+    row those rounds leave off a root (a cycle). An out-of-range head reads
+    as a root, so no row points into another sentence.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    lengths = np.diff(starts)
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    wrong = (heads < 0) | (heads > lengths[sentence])
+    parent = np.where((heads > 0) & ~wrong, heads - 1 + starts[sentence], -1)
+    up = np.where(parent < 0, np.arange(len(parent)), parent)  # a root points at itself
+    depth = (parent >= 0).astype(np.int64)
+    for _ in range(int(lengths.max(initial=1) - 1).bit_length()):
+        depth += depth[up]
+        up = up[up]
+    wrong |= parent[up] >= 0
+    bad = np.bincount(sentence[heads == 0], minlength=len(lengths)) != 1
+    bad[sentence[wrong]] = True
+    return parent, depth, np.flatnonzero(bad)
+
+
+def span_roots(parent, first, last):
+    """span_root of every span of packed rows [first[i], last[i]] at once:
+    the first row of the span whose parent lies outside it (a root's always
+    does), else last[i]."""
+    lengths = last - first + 1
+    offsets = np.cumsum(lengths) - lengths
+    rows = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
+    lo, hi = np.repeat(first, lengths), np.repeat(last, lengths)
+    inside = (parent[rows] >= lo) & (parent[rows] <= hi)
+    return np.minimum.reduceat(np.where(inside, hi, rows), offsets)
+
+
+def path_mask(parent, depth, a, b):
+    """Mask of the rows on the tree path between rows a[i] and b[i], for
+    every i at once: the deeper endpoint climbs until the depths align, then
+    both climb together until they meet at their lowest common ancestor."""
+    mask = np.zeros(len(parent), dtype=bool)
+    mask[a] = True
+    mask[b] = True
+    apart = a != b
+    x, y = a[apart], b[apart]
+    while len(x):
+        dx, dy = depth[x], depth[y]
+        x = np.where(dx >= dy, parent[x], x)
+        y = np.where(dy >= dx, parent[y], y)
+        mask[x] = True
+        mask[y] = True
+        apart = x != y
+        x, y = x[apart], y[apart]
+    return mask
+
+
+def grow(mask, parent, k):
+    """Rows within undirected tree distance k of a row of mask: k rounds of
+    adding the parents and the children of the rows kept so far, stopping
+    once a round adds nothing; k = math.inf keeps every row. With the SDP as
+    mask, this is the path-centric pruning of Zhang, Qi & Manning (2018,
+    EMNLP)."""
     if math.isinf(k):
-        return set(range(len(t)))
-    kept = frontier = set(p.path)
-    for _ in range(int(k)):  # each round adds the neighbours of the last one
-        frontier = {t.parent[i] for i in frontier}.union(
-            *(t.children[i] for i in frontier)) - kept - {None}
-        if not frontier:
+        return np.ones_like(mask)
+    up = np.where(parent < 0, np.arange(len(parent)), parent)  # a root points at itself
+    for _ in range(int(k)):
+        grown = mask | mask[up]
+        grown[up[mask]] = True
+        if np.array_equal(grown, mask):
             break
-        kept = kept | frontier
-    return kept
+        mask = grown
+    return mask

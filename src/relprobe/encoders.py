@@ -53,6 +53,10 @@ class InputConfig:
     def width(self):
         return self.word_dim + 2 * self.pos_dim + (self.contextual_dim if self.use_contextual else 0)
 
+    def tokens(self, sentence):
+        """The tokens a model reads ids from: masked_tokens when masking."""
+        return masked_tokens(sentence) if self.masking else sentence.tokens
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -157,6 +161,56 @@ class Features:
             graph = (*(m[rows] for m in masks), [adjs[i] for i in indices])
         return Features(self.ids[rows], tuple(o[rows] for o in self.offsets),
                         None if self.ctx is None else self.ctx[rows], graph, starts)
+
+
+def _trees(sentences, starts):
+    """The parent rows and depths of deptree.packed_trees for packed
+    sentences; ValueError naming the first sentence whose dep_head is not
+    one tree over its tokens."""
+    dep_heads = [s.dep_head for s in sentences]
+    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
+    mismatch = np.flatnonzero(lengths != np.diff(starts))
+    if len(mismatch):
+        s = sentences[mismatch[0]]
+        raise ValueError("%d dep_head values for the %d tokens of sentence %s"
+                         % (len(s.dep_head), len(s), s.id))
+    heads = np.fromiter(itertools.chain.from_iterable(dep_heads), dtype=np.int64,
+                        count=starts[-1])
+    parent, depth, bad = deptree.packed_trees(heads, starts)
+    if len(bad):
+        s = sentences[bad[0]]
+        raise ValueError("sentence %s: %s" % (s.id, "; ".join(deptree.head_problems(s.dep_head))))
+    return parent, depth
+
+
+def _adjacencies(keep, parent, starts):
+    """Row-normalized adjacency (self loops included) over each sentence's
+    kept rows, in kept-row order: one (m, n, n) block for the m sentences
+    that keep n rows, handed out as per-sentence views."""
+    kept = np.flatnonzero(keep)
+    bounds = np.searchsorted(kept, starts)
+    counts = np.diff(bounds)
+    sentence = np.repeat(np.arange(len(counts)), counts)  # of each kept row
+    where = np.zeros(len(keep), dtype=np.int64)
+    where[kept] = np.arange(len(kept)) - bounds[sentence]  # among its sentence's kept rows
+    up = parent[kept]
+    edge = up >= 0
+    edge[edge] = keep[up[edge]]  # kept rows whose parent is kept
+    child, up, edge_sentence = where[kept[edge]], where[up[edge]], sentence[edge]
+    edge_count = counts[edge_sentence]
+    adjs = [None] * len(counts)
+    for size in np.flatnonzero(np.bincount(counts)).tolist():
+        members = np.flatnonzero(counts == size)
+        block = np.zeros((len(members), size, size), dtype=ad.current_dtype())
+        block.reshape(len(members), -1)[:, ::size + 1] = 1.0
+        sel = edge_count == size
+        slot, c, p = np.searchsorted(members, edge_sentence[sel]), child[sel], up[sel]
+        block[slot, c, p] = 1.0
+        block[slot, p, c] = 1.0
+        block /= block.sum(axis=2, keepdims=True)
+        for i, adj in zip(members.tolist(), block):
+            adjs[i] = adj
+    return adjs
 
 
 def _dropped(x, mask):
@@ -281,10 +335,15 @@ class REModel:
 
     def featurize_batch(self, sentences, ctx_rows=None):
         """The packed Features of a sequence of sentences, computed once and
-        reused by every forward pass. For GCN, which alone builds each
-        sentence's DepTree: the tokens kept around the SDP, their
-        row-normalized adjacency (self loops included) and the kept tokens
-        of the head and tail spans."""
+        reused by every forward pass. For GCN: the tokens kept around each
+        SDP, their row-normalized adjacency (self loops included) and the
+        kept tokens of the head and tail spans, from a few array passes of
+        deptree over the whole pack; ValueError names the first sentence
+        whose dep_head is not one tree."""
+        return self._featurize_tokens(sentences, ctx_rows, map(self.input_cfg.tokens, sentences))
+
+    def _featurize_tokens(self, sentences, ctx_rows, token_lists):
+        """featurize_batch, given the input_cfg.tokens of the sentences."""
         cfg, enc = self.input_cfg, self.enc_cfg
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
@@ -298,42 +357,24 @@ class REModel:
         lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
-        token_lists = map(masked_tokens, sentences) if cfg.masking \
-            else (s.tokens for s in sentences)
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
-        # rows: head start, tail start, head end, tail end of each token's
-        # sentence, in packed row numbers
-        spans = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
-                          for s in sentences], dtype=np.int64).reshape(n, 4).T
-        spans = (spans + starts[:-1]).repeat(lengths, axis=1)
-        off = position_offsets(Span(spans[:2], spans[2:]), starts[-1], cfg.max_offset)
+        # head start, tail start, head end, tail end of each sentence, in packed rows
+        bounds = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
+                           for s in sentences], dtype=np.int64).reshape(n, 4).T + starts[:-1]
+        rows = bounds.repeat(lengths, axis=1)
+        off = position_offsets(Span(rows[:2], rows[2:]), starts[-1], cfg.max_offset)
         offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()
         graph = None
         if enc.kind == "gcn":
-            kept, adjs = zip(*map(self._pruned_graph, sentences))
-            keep = np.zeros(starts[-1], dtype=bool)
-            keep[[start + t for start, toks in zip(starts.tolist(), kept) for t in toks]] = True
-            graph = (keep, *(keep & (off == 0)), adjs)  # off is 0 inside a span
+            parent, depth = _trees(sentences, starts)
+            roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
+            k = enc.gcn_prune_k
+            keep = deptree.grow(deptree.path_mask(parent, depth, roots[:n], roots[n:]),
+                                parent, math.inf if k is None else k)
+            graph = (keep, *(keep & (off == 0)),  # off is 0 inside a span
+                     _adjacencies(keep, parent, starts))
         ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
         return Features(ids, offsets, ctx, graph, starts)
-
-    def _pruned_graph(self, sentence):
-        """Sorted kept tokens and normalized adjacency of one sentence. Both
-        span roots are SDP endpoints, so every k keeps a token of each span."""
-        tree = deptree.build_tree(sentence.dep_head)
-        path = deptree.sdp(tree, *(deptree.span_root(sentence.dep_head, span)
-                                   for span in (sentence.head, sentence.tail)))
-        k = self.enc_cfg.gcn_prune_k
-        kept = sorted(deptree.prune(tree, path, math.inf if k is None else k))
-        pos = {tok: i for i, tok in enumerate(kept)}
-        adj = np.eye(len(kept), dtype=ad.current_dtype())
-        for tok in kept:
-            p = tree.parent[tok]
-            if p in pos:
-                adj[pos[tok], pos[p]] = 1.0
-                adj[pos[p], pos[tok]] = 1.0
-        adj /= adj.sum(axis=1, keepdims=True)
-        return kept, adj
 
     def featurize_chunks(self, sentences, contextual=None):
         """Packed Features of consecutive chunks of EVAL_BATCH sentences, for

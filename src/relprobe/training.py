@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import ExactReader, masked_tokens, write_text
+from .corpus import ExactReader, write_text
 from .encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
@@ -197,14 +197,15 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     train_sentences = corpus.train
     if not train_sentences:
         raise ValueError("the corpus has no training sentences")
-    vocab = Vocab.from_tokens(map(masked_tokens, train_sentences)) if input_cfg.masking \
-        else Vocab.from_sentences(train_sentences)
+    token_lists = list(map(input_cfg.tokens, train_sentences))
+    vocab = Vocab.from_tokens(token_lists)
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
                     embeddings=embeddings, negative_label=corpus.negative_label)
     opt = make_optimizer(profile.optimizer, profile.lr, l2_groups=profile.l2_groups)
     sched = Scheduler(profile.schedule, profile.lr) if profile.schedule else None
     ctx = contextual or {}
-    train = model.featurize_batch(train_sentences, [ctx.get(s.id) for s in train_sentences])
+    train = model._featurize_tokens(train_sentences, [ctx.get(s.id) for s in train_sentences],
+                                    token_lists)  # masks each sentence once
     labels = np.array([model.label_index[s.relation] for s in train_sentences], dtype=np.int64)
     n = len(train_sentences)
     val_batches = list(model.featurize_chunks(corpus.validation, contextual)) \

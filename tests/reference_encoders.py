@@ -209,10 +209,16 @@ def _featurize_batch(self, sentences, ctx_rows=None):
     return SentenceList(featurize(self, s, c) for s, c in zip(sentences, ctx_rows))
 
 
+def _featurize_tokens(self, sentences, ctx_rows, token_lists):
+    return _featurize_batch(self, sentences, ctx_rows)  # featurize masks for itself
+
+
 def install(monkeypatch):
-    """Route REModel's featurize, featurize_batch, encode and logits through
-    the per-sentence reference."""
+    """Route REModel's featurize, featurize_batch (and _featurize_tokens,
+    which train_re calls), encode and logits through the per-sentence
+    reference."""
     monkeypatch.setattr(REModel, "featurize", featurize)
     monkeypatch.setattr(REModel, "featurize_batch", _featurize_batch)
+    monkeypatch.setattr(REModel, "_featurize_tokens", _featurize_tokens)
     monkeypatch.setattr(REModel, "encode", _stacked(encode))
     monkeypatch.setattr(REModel, "logits", _stacked(logits))

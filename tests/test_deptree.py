@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from relprobe.corpus import Span
-from relprobe.deptree import build_tree, head_problems, prune, sdp, span_root, tree_depth
+from relprobe.deptree import (build_tree, head_problems, packed_trees, path_mask, prune, sdp,
+                              span_root, span_roots, tree_depth)
 
 from conftest import random_parents
 
@@ -341,3 +342,74 @@ def test_prune_monotone_in_k():
             cur = prune(t, r, k)
             assert prev <= cur
             prev = cur
+
+
+# ---------------------------------------------------------- packed passes
+
+def _pack(head_lists):
+    """Concatenated heads and segment starts of sentences packed row after row."""
+    starts = np.concatenate(([0], np.cumsum([len(h) for h in head_lists])))
+    return np.concatenate([np.asarray(h, dtype=np.int64) for h in head_lists]), starts
+
+
+def _oracle_depth(dep_head, i):
+    """Edges from token i up to the root, walking dep_head."""
+    d = 0
+    while dep_head[i]:
+        i, d = dep_head[i] - 1, d + 1
+    return d
+
+
+def test_packed_trees_flag_exactly_the_sentences_head_problems_flags():
+    """Packs of 40 random heads (trees, cycles, zero or several roots, values
+    out of range): bad lists the sentences head_problems rejects, and every
+    valid sentence gets its own parent rows and the walked depth of each
+    token."""
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        cases = [("tree", "any", "two roots", "cycle", "out of range")[j % 5]
+                 for j in rng.permutation(40)]
+        lists = [_random_heads(rng, int(rng.integers(2, 40)), case) for case in cases]
+        heads, starts = _pack(lists)
+        parent, depth, bad = packed_trees(heads, starts)
+        assert bad.tolist() == [i for i, h in enumerate(lists) if head_problems(h)]
+        for i, h in enumerate(lists):
+            if i not in bad:
+                rows = slice(starts[i], starts[i + 1])
+                assert parent[rows].tolist() == [p - 1 + starts[i] if p else -1 for p in h]
+                assert depth[rows].tolist() == [_oracle_depth(h, j) for j in range(len(h))]
+
+
+def test_span_roots_match_span_root_on_any_heads():
+    """Every span of random heads, trees or not: one packed pass agrees with
+    span_root, including its span.end fallback when every head of the span
+    is internal (which takes a cycle)."""
+    rng = np.random.default_rng(22)
+    lists = [_random_heads(rng, int(rng.integers(1, 12)), ("tree", "any", "cycle")[i % 3])
+             for i in range(120)]
+    heads, starts = _pack(lists)
+    parent = packed_trees(heads, starts)[0]
+    spans = [(i, Span(a, b)) for i, h in enumerate(lists)
+             for a in range(len(h)) for b in range(a, len(h))]
+    first = np.array([starts[i] + sp.start for i, sp in spans])
+    last = np.array([starts[i] + sp.end for i, sp in spans])
+    got = span_roots(parent, first, last) - starts[[i for i, _ in spans]]
+    want = [span_root(lists[i], sp) for i, sp in spans]
+    assert got.tolist() == want
+    fallback = sum(all(sp.start < lists[i][j] <= sp.end + 1 for j in range(sp.start, sp.end + 1))
+                   for i, sp in spans)
+    assert fallback > 20
+
+
+def test_path_mask_marks_each_sdp_of_a_pack():
+    rng = np.random.default_rng(23)
+    lists = [random_parents(rng, int(rng.integers(1, 30))) for _ in range(200)]
+    heads, starts = _pack(lists)
+    parent, depth, bad = packed_trees(heads, starts)
+    assert len(bad) == 0
+    ends = [tuple(rng.integers(len(h), size=2).tolist()) for h in lists]
+    mask = path_mask(parent, depth, *(np.array([starts[i] + e[j] for i, e in enumerate(ends)])
+                                      for j in (0, 1)))
+    for i, (h, (a, b)) in enumerate(zip(lists, ends)):
+        assert np.flatnonzero(mask[starts[i]:starts[i + 1]]).tolist() == \
+            sorted(sdp(build_tree(h), a, b).path)

@@ -1,13 +1,14 @@
 """Each sentence's derived inputs are prepared once per run: trees in
-probegen.build_tasks (depth tasks) and GCN featurization, model inputs in
-REModel.featurize, whose forward pass gives the same logits as before."""
+probegen.build_tasks (depth tasks), model inputs in REModel.featurize, whose
+forward pass gives the same logits as before. GCN featurization builds no
+DepTree: it runs deptree's array passes over the whole pack."""
 
 import numpy as np
 import pytest
 
 from relprobe import autodiff as ad
-from relprobe import deptree, probegen
-from relprobe.corpus import Corpus, Sentence, Span
+from relprobe import deptree, encoders, probegen
+from relprobe.corpus import Corpus, Sentence, Span, masked_tokens
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import extract_reps
 from relprobe.training import (HyperProfile, desk_encoder_config, desk_input_config,
@@ -57,8 +58,7 @@ def test_masked_gcn_training_builds_independent_of_epochs(corpus, tree_builds):
         train_re(corpus, desk_input_config(masking=True), desk_encoder_config("gcn"),
                  _profile(epochs))
         counts.append(len(tree_builds))
-    assert counts[0] == counts[1]
-    assert counts[0] == len(corpus.train) + len(corpus.validation)
+    assert counts == [0, 0]
 
 
 def test_extract_builds_each_tree_once(corpus, tree_builds):
@@ -67,6 +67,21 @@ def test_extract_builds_each_tree_once(corpus, tree_builds):
     del tree_builds[:]
     extract_reps(model, corpus.test)
     assert len(tree_builds) <= len(corpus.test)
+
+
+@pytest.mark.parametrize("kind", ("boe", "gcn"))
+def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
+    """train_re masks each training sentence once, for the vocabulary and
+    the packed ids alike, and each validation sentence once."""
+    calls = []
+
+    def counting(s):
+        calls.append(s.id)
+        return masked_tokens(s)
+
+    monkeypatch.setattr(encoders, "masked_tokens", counting)
+    train_re(corpus, desk_input_config(masking=True), desk_encoder_config(kind), _profile(2))
+    assert sorted(calls) == sorted(s.id for s in corpus.train + corpus.validation)
 
 
 def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_builds):

@@ -10,6 +10,7 @@ within 1e-10, and in float32 they move only by rounding.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import reference_encoders as ref
 from reference_ops import scale
 from relprobe import autodiff as ad
+from relprobe import deptree
 from relprobe.corpus import Corpus, Span
 from relprobe.encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import extract_reps
@@ -192,6 +194,13 @@ def _crossing(dep_head):
     return any(a < c < b < d for a, b in arcs for c, d in arcs)
 
 
+def _gcn_model(k):
+    """A one-layer GCN over 2-wide word vectors that prunes at distance k."""
+    return REModel(Vocab(["tok0"]), LABELS, InputConfig(word_dim=2, pos_dim=0),
+                   EncoderConfig(kind="gcn", gcn_layers=1, gcn_dim=2, gcn_ff_layers=0,
+                                 gcn_prune_k=k), seed=1)
+
+
 @pytest.mark.parametrize("k", (0, 1, 2, math.inf))
 def test_gcn_pools_are_never_empty(k):
     """Each span root is an SDP endpoint, so every k keeps a token of the
@@ -210,9 +219,7 @@ def test_gcn_pools_are_never_empty(k):
                                        sid="s%d" % i))
     assert sum(_crossing(s.dep_head) for s in sentences) > 50
     assert sum(len(s.head) > 1 and len(s.tail) > 1 for s in sentences) > 50
-    model = REModel(Vocab(["tok0"]), LABELS, InputConfig(word_dim=2, pos_dim=0),
-                    EncoderConfig(kind="gcn", gcn_layers=1, gcn_dim=2, gcn_ff_layers=0,
-                                  gcn_prune_k=k), seed=1)
+    model = _gcn_model(k)
     features = model.featurize_batch(sentences)
     for i, s in enumerate(sentences):
         kept, _, heads, tails = _sentence_graph(features, i)
@@ -220,6 +227,90 @@ def test_gcn_pools_are_never_empty(k):
         if k == math.inf:
             assert len(kept) == len(s)
     assert model.encode(features).data.shape == (len(sentences), 3 * 2)
+
+
+def _gcn_sentences(rng, n):
+    """Three 1-token sentences, then random trees (non-projective ones among
+    them) whose spans cover span_root's cases, in turn: any two spans
+    (which may overlap), a head span holding the sentence root, a multi-token
+    head span whose root is its last token (each other token hangs off the
+    next) and adjacent head and tail spans."""
+    out = [make_sentence([0], sid="one%d" % i) for i in range(3)]
+
+    def span(t):
+        a, b = sorted(rng.integers(t, size=2).tolist())
+        return Span(a, b)
+
+    while len(out) < n:
+        t = int(rng.integers(2, 16))
+        heads, head, tail = random_parents(rng, t), span(t), span(t)
+        case = len(out) % 4
+        if case == 1:
+            root = heads.index(0)
+            head = Span(min(head.start, root), max(head.end, root))
+        elif case == 2:
+            heads[head.start:head.end] = range(head.start + 2, head.end + 2)
+            if len(head) < 2 or deptree.head_problems(heads):
+                continue
+        elif case == 3:
+            if head.end + 1 == t:
+                continue
+            tail = Span(head.end + 1, int(rng.integers(head.end + 1, t)))
+        out.append(make_sentence(heads, head=head, tail=tail, sid="s%d" % len(out)))
+    return out
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("float32", "float64"))
+@pytest.mark.parametrize("k", (0, 1, 2, math.inf, None))
+def test_gcn_graph_of_a_pack_matches_per_sentence_reference(k, dtype):
+    """The kept, head and tail rows and the adjacency bytes of 50 packed
+    sentences equal the per-sentence reference's and those of each sentence
+    featurized alone (B = 1)."""
+    sentences = _gcn_sentences(np.random.default_rng(12), EVAL_BATCH)
+    overlap = [s.head.start <= s.tail.end and s.tail.start <= s.head.end for s in sentences]
+    assert sum(overlap[3:]) > 5 and sum(map(_crossing, (s.dep_head for s in sentences))) > 5
+    assert sum(s.dep_head.index(0) in s.head for s in sentences[3:]) > 10
+    assert sum(len(s.head) > 1 and deptree.span_root(s.dep_head, s.head) == s.head.end
+               for s in sentences) > 10
+    assert sum(s.tail.start == s.head.end + 1 for s in sentences) > 10
+    with ad.use_dtype(dtype):
+        model = _gcn_model(k)
+        packed = model.featurize_batch(sentences)
+        for i, s in enumerate(sentences):
+            want = ref.featurize(model, s)
+            _assert_graph_is_reference(packed, i, want)
+            alone = model.featurize_batch([s])
+            _assert_graph_is_reference(alone, 0, want)
+            rows = slice(packed.starts[i], packed.starts[i + 1])
+            for one, many in zip(alone.graph[:3], packed.graph[:3]):
+                np.testing.assert_array_equal(one, many[rows])
+            assert alone.graph[3][0].tobytes() == packed.graph[3][i].tobytes()
+
+
+BAD_HEADS = {"cycle": [2, 3, 2, 0], "out of range": [0, 7, 1], "negative": [0, -1, 1],
+             "two roots": [0, 0, 1], "no root": [2, 3, 1]}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADS))
+def test_gcn_featurization_names_a_sentence_that_is_not_one_tree(case):
+    """One bad dep_head inside a 50-sentence pack fails up front, naming the
+    sentence and its head_problems, instead of looping or reading another
+    sentence's rows."""
+    sentences = _gcn_sentences(np.random.default_rng(13), EVAL_BATCH)
+    heads = BAD_HEADS[case]
+    sentences[17] = make_sentence(heads, sid="bad")
+    model = _gcn_model(1)
+    message = "sentence bad: %s" % "; ".join(deptree.head_problems(heads))
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        model.featurize_batch(sentences)
+
+
+def test_gcn_featurization_rejects_dep_head_of_another_length():
+    sentences = _sentences(9)
+    sentences[4] = dataclasses.replace(sentences[4], dep_head=sentences[4].dep_head + (1,))
+    with pytest.raises(ValueError, match="values for the %d tokens of sentence s4"
+                       % len(sentences[4])):
+        _gcn_model(1).featurize_batch(sentences)
 
 
 def test_featurize_batch_rejects_contextual_rows_of_another_length():
