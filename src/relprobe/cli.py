@@ -235,8 +235,13 @@ def cmd_extract(args):
 def cmd_probe(args):
     grid = _parse_value(args.grid, _grid, "--grid") if args.grid else L2_GRID
     task = load_dataset(args.task)
-    reps = {"train": load_reps(args.train), "validation": load_reps(args.val),
-            "test": load_reps(args.test)}
+    reps = {}
+    for split, path in (("train", args.train), ("validation", args.val), ("test", args.test)):
+        reps[split] = load_reps(path)
+        known = set(reps[split].ids)
+        for sid, _ in task.splits[split]:
+            if sid not in known:
+                raise ValueError("%s: no representation for sentence %s" % (path, sid))
     result = train_probe(reps, task, grid=grid, standardize=args.standardize)
     header = ["task", "source", "chosen_l2", "val_accuracy", "test_accuracy"]
     row = [result.task, result.source, "%g" % result.chosen_l2,

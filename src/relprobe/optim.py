@@ -141,6 +141,13 @@ class Adam(Optimizer):
         u /= s
         p.data -= u
 
+    def keep(self, name, index):
+        """Keep the state entries `index` (a numpy index) of the parameter
+        `name`, whose data the caller cut to the same entries."""
+        st = self.state[name]
+        st["m"], st["v"] = st["m"][index], st["v"][index]
+        self._scratch[name] = (np.empty_like(st["m"]), np.empty_like(st["m"]))
+
 
 _OPTIMIZERS = {"sgd": SGD, "adagrad": Adagrad, "adadelta": Adadelta, "adam": Adam}
 

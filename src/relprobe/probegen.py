@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import deptree
+from .corpus import CorpusFormatError, jsonl_records
 
 TASKS = (
     "SentLen", "ArgDist", "EntExist", "TreeDepth", "SDPTreeDepth", "ArgOrd",
@@ -36,6 +37,8 @@ PROFILES = {
 
 # tasks excluded per profile
 EXCLUDED = {"tacred": (), "semeval": ("ArgOrd", "EntExist")}
+
+SPLITS = ("train", "validation", "test")
 
 BOUNDARY_LEFT = "<S>"
 BOUNDARY_RIGHT = "</S>"
@@ -189,7 +192,7 @@ def build_all(corpus, profile="tacred"):
 def save_dataset(ds: ProbingDataset, path):
     """One jsonl line per split: {task, labels, split, items}."""
     with open(path, "w", encoding="utf-8") as f:
-        for split in ("train", "validation", "test"):
+        for split in SPLITS:
             rec = {
                 "task": ds.task,
                 "labels": list(ds.labels),
@@ -203,18 +206,46 @@ def save_dataset(ds: ProbingDataset, path):
 
 
 def load_dataset(path) -> ProbingDataset:
+    """ProbingDataset from a save_dataset file. CorpusFormatError naming
+    path:lineno for a line that is not a JSON object with the keys task (a
+    string), labels (strings), split and items (objects with a string id
+    and label), whose boundaries are not numbers or "inf", that names
+    another task or labels than the first line, or that repeats or misnames
+    a split; naming the path when a split is missing."""
     splits = {}
     task = labels = bin_spec = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            task = rec["task"]
-            labels = tuple(rec["labels"])
-            splits[rec["split"]] = tuple((it["id"], it["label"]) for it in rec["items"])
-            if "boundaries" in rec:
-                bin_spec = BinSpec(tuple(math.inf if b == "inf" else b
-                                         for b in rec["boundaries"]))
+    for where, rec in jsonl_records(path):
+        if type(rec) is not dict:
+            raise CorpusFormatError("%s: expected a JSON object" % where)
+        for key in ("task", "labels", "split", "items"):
+            if key not in rec:
+                raise CorpusFormatError("%s: missing key %r" % (where, key))
+        if type(rec["task"]) is not str:
+            raise CorpusFormatError("%s: task must be a string" % where)
+        if type(rec["labels"]) is not list or not all(type(l) is str for l in rec["labels"]):
+            raise CorpusFormatError("%s: labels must be a list of strings" % where)
+        items = rec["items"]
+        if type(items) is not list or not all(type(it) is dict and type(it.get("id")) is str
+                                              and type(it.get("label")) is str for it in items):
+            raise CorpusFormatError("%s: items must be objects with a string id and label"
+                                    % where)
+        if task is None:
+            task, labels = rec["task"], tuple(rec["labels"])
+        elif (rec["task"], tuple(rec["labels"])) != (task, labels):
+            raise CorpusFormatError("%s: task or labels differ from the first line's" % where)
+        split = rec["split"]
+        if split not in SPLITS:
+            raise CorpusFormatError("%s: unknown split %r" % (where, split))
+        if split in splits:
+            raise CorpusFormatError("%s: repeated split %r" % (where, split))
+        splits[split] = tuple((it["id"], it["label"]) for it in items)
+        if "boundaries" in rec:
+            if type(rec["boundaries"]) is not list or not all(
+                    b == "inf" or type(b) in (int, float) for b in rec["boundaries"]):
+                raise CorpusFormatError('%s: boundaries must be numbers or "inf"' % where)
+            bin_spec = BinSpec(tuple(math.inf if b == "inf" else b
+                                     for b in rec["boundaries"]))
+    for split in SPLITS:
+        if split not in splits:
+            raise CorpusFormatError("%s: no %s split" % (path, split))
     return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=bin_spec)

@@ -128,27 +128,42 @@ class ProbeResult:
     converged: bool   # whether that fit met tol; False when it stopped at max_epochs
 
 
-def _design(reps: RepMatrix, items, labels):
-    index = {l: i for i, l in enumerate(labels)}
-    x = np.stack([reps.row_for(sid) for sid, _ in items]) if items else \
+def _rows(reps: RepMatrix, items):
+    return np.stack([reps.row_for(sid) for sid, _ in items]) if items else \
         np.zeros((0, reps.rows.shape[1]), np.float32)
+
+
+def _targets(items, labels):
+    index = {l: i for i, l in enumerate(labels)}
     # labels unseen in train get -1 and can never be predicted correctly
-    y = np.asarray([index.get(label, -1) for _, label in items], dtype=np.int64)
-    return x, y
+    return np.asarray([index.get(label, -1) for _, label in items], dtype=np.int64)
 
 
-def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_seed=None):
-    """Full-batch multinomial logistic regression via adaptive-moment updates
-    on the closed-form gradient of mean cross-entropy + l2 * sum(w**2).
+def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_seed=None):
+    """A stack of full-batch multinomial logistic regressions on the same
+    rows x, one per member k: labels ys[k] and penalty l2s[k]. Rows labelled
+    -1 are left out, and every member must leave out the same rows. Each
+    fits by adaptive-moment updates on the closed-form gradient of mean
+    cross-entropy + l2 * sum(w**2).
 
-    Returns (w, b, last loss, epochs run, whether the loss changed by less
-    than tol before max_epochs ran out).
+    Returns one (w, b, last loss, epochs run, whether the loss changed by
+    less than tol before max_epochs ran out) per member.
 
-    Each epoch must round as the taped fit in the tests does, byte for byte,
-    so only these rewrites are exact:
-    - `w` and `b` are views of one flat parameter, and their gradients views
-      of one flat buffer. Adam's update is elementwise, so one step over the
-      flat array rounds as one step per array.
+    The members' w and b are the rows of one flat parameter, seen as
+    (G, d*c + c), that one Adam step per epoch updates. A member leaves the
+    stack at the epoch its loss meets tol: its row of the parameter and of
+    Adam's moments is cut out. The l2 terms run if any l2 is non-zero, so a
+    caller stacks l2 == 0 apart from the other values.
+
+    Each member must round as the taped fit in the tests does, byte for
+    byte, so only these rewrites are exact:
+    - A member's `w` and `b` are views of its row of the flat parameter, and
+      their gradients views of its row of one flat buffer. Adam's update is
+      elementwise, so one step over the stack rounds as one step per array
+      of each member.
+    - The 3-D `np.matmul` against the shared x runs one BLAS product per
+      member, as the 2-D product does on that member alone. A stack of one
+      runs on the 2-D arrays themselves.
     - Results go to preallocated buffers (`out=`, in-place operators): where
       a result is stored does not change how it rounds.
     - The row maxima are taken over a class-major copy of the logits. A
@@ -156,77 +171,114 @@ def _fit_softmax(x, y, n_classes, l2, lr=0.1, max_epochs=500, tol=1e-6, init_see
       both terms are, and `b` starts and stays off -0.0), so any order gives
       the same maxima.
     - A one-hot matrix is subtracted from the probabilities: x - 0.0 is x.
-    - Every sum stays an `np.add.reduce` over the same axis of an array of
-      the same layout, as the `ndarray.sum` it replaces: numpy's summation
-      order, and so the rounding, depends on the axis and the layout.
+    - Every sum stays an `np.add.reduce` over the same axis of each member's
+      block, in the same layout, as the `ndarray.sum` of the 2-D fit:
+      numpy's summation order, and so the rounding, depends on the axis and
+      the layout.
     - The loss is the sum of the picked log-probabilities divided by an
       `np.intp` count, as `ndarray.mean` divides it (in float64, then
-      rounded to the dtype). The loss must stay bytewise equal: through
-      `tol` it decides how many epochs a fit runs.
+      rounded to the dtype), and negated. With the l2 term it is taken as
+      term - quotient: IEEE addition commutes, so that rounds as
+      -quotient + term. The loss must stay bytewise equal: through `tol` it
+      decides how many epochs a fit runs.
     """
-    d = x.shape[1]
+    ys = np.asarray(ys, dtype=np.intp)
+    mask = ys[0] >= 0
+    ys = ys[:, mask]
+    d, c = x.shape[1], n_classes
     if init_seed is None:
-        w0 = np.zeros((d, n_classes))
-        b0 = np.zeros(n_classes)
+        w0 = np.zeros((d, c))
+        b0 = np.zeros(c)
     else:
         rng = np.random.default_rng(init_seed)
-        w0 = rng.normal(0, 0.01, size=(d, n_classes))
-        b0 = rng.normal(0, 0.01, size=n_classes)
-    theta = ad.param(np.concatenate([w0.ravel(), b0]))
-    theta.grad = np.empty_like(theta.data)
-    n_w = d * n_classes
-    w, b = theta.data[:n_w].reshape(d, n_classes), theta.data[n_w:]
-    gw, gb = theta.grad[:n_w].reshape(d, n_classes), theta.grad[n_w:]
+        w0 = rng.normal(0, 0.01, size=(d, c))
+        b0 = rng.normal(0, 0.01, size=c)
+    theta = ad.param(np.concatenate([w0.ravel(), b0] * len(ys)))
     params = {"theta": theta}
     opt = Adam(lr)
     dtype = theta.data.dtype.type
-    mask = y >= 0
-    y_fit = y[mask]
-    x_fit = np.asarray(x[mask], dtype=dtype)
-    n = len(y_fit)
-    picks = np.arange(n) * n_classes + y_fit  # flat indices of the label logits
-    hot = np.zeros((n, n_classes), dtype)
-    hot.ravel()[picks] = 1.0
+    x = np.asarray(x[mask], dtype=dtype)
+    x_t = x.T
+    n, n_w = len(x), d * c
     n_items = np.intp(n)
     inv_n = dtype(1.0) / n
-    l2_t = dtype(l2)
-    z = np.empty((n, n_classes), dtype)       # logits, shifted logits, log-probabilities
-    z_t = np.empty((n_classes, n), dtype)     # the logits class-major, for the row maxima
-    e = np.empty_like(z)                      # exp(shifted), then the gradient
-    row = np.empty((n, 1), dtype)             # row maxima, then log of the row sums
-    picked = np.empty(n, dtype)
-    l2w = np.empty_like(w)
-    prev = np.inf
-    loss_val = np.inf
-    epochs, converged = 0, False
-    while epochs < max_epochs and not converged:
-        epochs += 1
-        np.matmul(x_fit, w, out=z)
-        z += b
-        np.copyto(z_t, z.T)
-        np.maximum.reduce(z_t, axis=0, out=row[:, 0])
-        z -= row
-        np.exp(z, out=e)
-        np.add.reduce(e, axis=1, keepdims=True, out=row)
-        np.log(row, out=row)
-        z -= row
-        total = np.add.reduce(z.take(picks, out=picked))
-        loss = -dtype(total / n_items)
-        g = np.exp(z, out=e)
-        g -= hot
-        g *= inv_n
-        np.matmul(x_fit.T, g, out=gw)
-        np.add.reduce(g, axis=0, out=gb)
-        if l2:
-            np.multiply(w, l2_t, out=l2w)
-            gw += l2w  # once per factor of w*w, rounded as the chain rule adds it
-            gw += l2w
-            loss = loss + np.add.reduce(np.multiply(w, w, out=l2w), axis=None) * l2_t
-        opt.step(params)
-        loss_val = float(loss)
-        converged = abs(prev - loss_val) < tol
-        prev = loss_val
-    return w.copy(), b.copy(), loss_val, epochs, converged
+    penalized = any(l2s)
+    l2_all = np.asarray(l2s, dtype)
+    live = np.arange(len(ys))      # the members still in the stack
+    prev = [math.inf] * len(ys)    # each live member's last loss
+    fits = [None] * len(ys)
+    epochs = 0
+    while True:
+        m = len(live)
+        lead = (m,) if m > 1 else ()  # a lone member runs on 2-D arrays: numpy steps them faster
+        theta.grad = np.empty_like(theta.data)
+        rows, grads = theta.data.reshape(m, -1), theta.grad.reshape(m, -1)
+        w, b = rows[:, :n_w].reshape(lead + (d, c)), rows[:, n_w:].reshape(lead + (1, c))
+        gw, gb = grads[:, :n_w].reshape(lead + (d, c)), grads[:, n_w:].reshape(lead + (c,))
+        # flat indices of the label logits
+        picks = (np.arange(m * n).reshape(m, n) * c + ys[live]).reshape(lead + (n,))
+        hot = np.zeros(lead + (n, c), dtype)
+        hot.reshape(-1)[picks] = 1.0
+        z = np.empty(lead + (n, c), dtype)      # logits, shifted logits, log-probabilities
+        z_flat = z.reshape(-1)
+        z_t = np.empty(lead + (c, n), dtype)    # the logits class-major, for the row maxima
+        z_cm = np.swapaxes(z, -1, -2)
+        e = np.empty_like(z)                    # exp(shifted), then the gradient
+        row = np.empty(lead + (n, 1), dtype)    # row maxima, then log of the row sums
+        row_max = row[..., 0]
+        total = np.empty(lead, dtype)           # sum of picked log-probabilities, then the l2 terms
+        loss = np.empty(lead, dtype)
+        losses = loss.reshape(m)
+        if penalized:
+            l2_t = l2_all[live].reshape(lead)
+            l2_wide = np.empty(lead + (d, c), dtype)  # each member's l2 in the shape of its w
+            l2_wide[...] = l2_t[..., None, None]
+            l2w = np.empty(lead + (d, c), dtype)
+            w_sq = l2w.reshape(lead + (n_w,))
+        stop = [False] * m
+        while epochs < max_epochs and not any(stop):
+            epochs += 1
+            np.matmul(x, w, out=z)
+            z += b
+            np.copyto(z_t, z_cm)
+            np.maximum.reduce(z_t, axis=-2, out=row_max)
+            z -= row
+            np.exp(z, out=e)
+            np.add.reduce(e, axis=-1, keepdims=True, out=row)
+            np.log(row, out=row)
+            z -= row
+            np.add.reduce(z_flat[picks], axis=-1, out=total)
+            np.divide(total, n_items, out=loss, casting="same_kind")  # -loss, rounded
+            g = np.exp(z, out=e)
+            g -= hot
+            g *= inv_n
+            np.matmul(x_t, g, out=gw)
+            np.add.reduce(g, axis=-2, out=gb)
+            if penalized:
+                np.multiply(w, l2_wide, out=l2w)
+                gw += l2w  # once per factor of w*w, rounded as the chain rule adds it
+                gw += l2w
+                np.multiply(w, w, out=l2w)
+                np.multiply(np.add.reduce(w_sq, axis=-1, out=total), l2_t, out=total)
+                np.subtract(total, loss, out=loss)
+            else:
+                np.negative(loss, out=loss)
+            opt.step(params)
+            cur = losses.tolist()
+            stop = [abs(p - v) < tol for p, v in zip(prev, cur)]
+            prev = cur
+        leave = [True] * m if epochs >= max_epochs else stop
+        for k, gone in enumerate(leave):
+            if gone:
+                fits[live[k]] = (rows[k, :n_w].reshape(d, c).copy(), rows[k, n_w:].copy(),
+                                 prev[k], epochs, stop[k])
+        if all(leave):
+            return fits
+        keep = np.logical_not(leave)
+        live, prev = live[keep], [v for v, s in zip(prev, leave) if not s]
+        keep = np.repeat(keep, n_w + c)
+        theta.data = theta.data[keep]
+        opt.keep("theta", keep)
 
 
 def _accuracy(w, b, x, y):
@@ -247,34 +299,82 @@ def check_grid(grid):
             raise ValueError("l2 values must be finite and >= 0, got %s" % l2)
 
 
+def _probe_all(pairs, grid, standardize, jobs=1, **fit):
+    """ProbeResult of each (reps_by_split, task) pair: grid-search the l2
+    penalty on validation accuracy (ties -> smaller l2).
+
+    The (pair, l2) fits run as stacks: fits on the same train RepMatrix and
+    train items, with the same labelled items, the same class count and
+    the same l2 == 0 flag are one _fit_softmax call on one shared x. Stacks
+    run on `jobs` threads."""
+    check_grid(grid)
+    grid = sorted(grid)
+    trains, stacks, targets = {}, {}, []
+    for i, (reps, task) in enumerate(pairs):
+        items = task.splits["train"]
+        src = (id(reps["train"]), tuple(sid for sid, _ in items))
+        if src not in trains:
+            x = _rows(reps["train"], items)
+            mu = sd = None
+            if standardize:
+                mu = x.mean(axis=0)
+                sd = x.std(axis=0)
+                sd[sd == 0] = 1.0
+                x = (x - mu) / sd
+            trains[src] = (x, mu, sd)
+        y = _targets(items, task.labels)
+        fitted = y >= 0
+        if not fitted.any():
+            raise ValueError("task %s: no train item has one of its labels" % task.task)
+        targets.append((src, y))
+        for j, l2 in enumerate(grid):
+            key = (src, fitted.tobytes(), len(task.labels), l2 == 0)
+            stacks.setdefault(key, []).append((i, j))
+
+    def run(key):
+        src, _, n_classes, _ = key
+        members = stacks[key]
+        return _fit_softmax(trains[src][0], [targets[i][1] for i, _ in members], n_classes,
+                            [grid[j] for _, j in members], **fit)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outs = list(pool.map(run, stacks))
+    else:
+        outs = [run(key) for key in stacks]
+    fits = {}
+    for members, out in zip(stacks.values(), outs):
+        fits.update(zip(members, out))
+    results = []
+    for i, (reps, task) in enumerate(pairs):
+        _, mu, sd = trains[targets[i][0]]
+        held_out = []
+        for split in ("validation", "test"):
+            items = task.splits[split]
+            x = _rows(reps[split], items)
+            held_out.append((x if mu is None else (x - mu) / sd, _targets(items, task.labels)))
+        (x_va, y_va), (x_te, y_te) = held_out
+        best = None
+        for j, l2 in enumerate(grid):
+            w, b, _, epochs, converged = fits[i, j]
+            val_acc = _accuracy(w, b, x_va, y_va)
+            if best is None or val_acc > best[0]:
+                best = (val_acc, l2, w, b, epochs, converged)
+        val_acc, chosen_l2, w, b, epochs, converged = best
+        results.append(ProbeResult(task=task.task, source=reps["train"].source,
+                                   chosen_l2=chosen_l2, val_accuracy=val_acc,
+                                   test_accuracy=_accuracy(w, b, x_te, y_te),
+                                   epochs=epochs, converged=converged))
+    return results
+
+
 def train_probe(reps_by_split, task: probegen.ProbingDataset, grid=L2_GRID,
                 standardize=False, lr=0.1, max_epochs=500, tol=1e-6,
                 init_seed=None) -> ProbeResult:
-    """Grid-search the l2 penalty on validation accuracy (ties -> smaller l2)."""
-    check_grid(grid)
-    labels = task.labels
-    x_tr, y_tr = _design(reps_by_split["train"], task.splits["train"], labels)
-    x_va, y_va = _design(reps_by_split["validation"], task.splits["validation"], labels)
-    x_te, y_te = _design(reps_by_split["test"], task.splits["test"], labels)
-    if standardize:
-        mu = x_tr.mean(axis=0)
-        sd = x_tr.std(axis=0)
-        sd[sd == 0] = 1.0
-        x_tr, x_va, x_te = (x_tr - mu) / sd, (x_va - mu) / sd, (x_te - mu) / sd
-    best = None
-    for l2 in sorted(grid):
-        w, b, _, epochs, converged = _fit_softmax(x_tr, y_tr, len(labels), l2, lr=lr,
-                                                  max_epochs=max_epochs, tol=tol,
-                                                  init_seed=init_seed)
-        val_acc = _accuracy(w, b, x_va, y_va)
-        if best is None or val_acc > best[0]:
-            best = (val_acc, l2, w, b, epochs, converged)
-    val_acc, chosen_l2, w, b, epochs, converged = best
-    test_acc = _accuracy(w, b, x_te, y_te)
-    source = reps_by_split["train"].source
-    return ProbeResult(task=task.task, source=source, chosen_l2=chosen_l2,
-                       val_accuracy=val_acc, test_accuracy=test_acc, epochs=epochs,
-                       converged=converged)
+    """Grid-search the l2 penalty on validation accuracy (ties -> smaller
+    l2); ValueError when no train item has one of the task's labels."""
+    return _probe_all([(reps_by_split, task)], grid, standardize, lr=lr,
+                      max_epochs=max_epochs, tol=tol, init_seed=init_seed)[0]
 
 
 def run_suite(sources, tasks, grid=L2_GRID, standardize=False, jobs=1):
@@ -282,18 +382,8 @@ def run_suite(sources, tasks, grid=L2_GRID, standardize=False, jobs=1):
 
     sources: list of (name, reps_by_split) pairs.
     """
-    pairs = [(name, reps, task) for name, reps in sources for task in tasks]
-
-    def work(args):
-        name, reps, task = args
-        return train_probe(reps, task, grid=grid, standardize=standardize)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-    else:
-        results = [work(p) for p in pairs]
-    return results
+    return _probe_all([(reps, task) for _, reps in sources for task in tasks],
+                      grid, standardize, jobs)
 
 
 def suite_table(results, sources, tasks):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -364,6 +365,109 @@ def test_probe_non_finite_reps_fails_cleanly(capsys, tmp_path, corpus_dir):
     assert "non-finite value in row" in err
 
 
+@pytest.fixture(scope="module")
+def probe_inputs(corpus_dir, tmp_path_factory):
+    """(SentLen task file, split -> length-baseline REPR file) of corpus_dir."""
+    d = tmp_path_factory.mktemp("probe")
+    assert cli.main(["probegen", "--corpus", corpus_dir, "--task", "SentLen",
+                     "--out", str(d)]) == 0
+    reps = {}
+    for split in ("train", "validation", "test"):
+        reps[split] = str(d / ("%s.repr" % split))
+        assert cli.main(["extract", "--corpus", corpus_dir, "--split", split,
+                         "--baseline", "length", "--out", reps[split]]) == 0
+    return str(d / "SentLen.jsonl"), reps
+
+
+def _probe_edited_task(capsys, tmp_path, probe_inputs, edit):
+    """Run `probe` on the SentLen task file with its lines (the train,
+    validation and test records) replaced by edit(records)."""
+    task_path, reps = probe_inputs
+    with open(task_path, encoding="utf-8") as f:
+        records = [json.loads(line) for line in f]
+    path = str(tmp_path / "task.jsonl")
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in edit(records))
+    code, stdout, err = run(capsys, "probe", "--task", path, "--train", reps["train"],
+                            "--val", reps["validation"], "--test", reps["test"])
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return path, err
+
+
+def _lines(records):
+    return [json.dumps(r) for r in records]
+
+
+def _drop(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+# task-file defects: edit of the records -> (where after the path, message)
+_TASK_DEFECTS = {
+    "no-test-split": (lambda r: _lines(r[:2]), "", "no test split"),
+    "no-train-split": (lambda r: _lines(r[1:]), "", "no train split"),
+    "no-items-key": (lambda r: _lines([r[0], _drop(r[1], "items"), r[2]]), ":2",
+                     "missing key 'items'"),
+    "no-task-key": (lambda r: _lines([_drop(r[0], "task")] + r[1:]), ":1",
+                    "missing key 'task'"),
+    "other-task": (lambda r: _lines(r[:2] + [{**r[2], "task": "ArgDist"}]), ":3",
+                   "task or labels differ"),
+    "other-labels": (lambda r: _lines([r[0], {**r[1], "labels": r[1]["labels"][::-1]}, r[2]]),
+                     ":2", "task or labels differ"),
+    "repeated-split": (lambda r: _lines(r + [r[0]]), ":4", "repeated split 'train'"),
+    "unknown-split": (lambda r: _lines(r[:2] + [{**r[2], "split": "dev"}]), ":3",
+                      "unknown split 'dev'"),
+    "split-not-a-string": (lambda r: _lines(r[:2] + [{**r[2], "split": ["test"]}]), ":3",
+                           "unknown split ['test']"),
+    "not-json": (lambda r: _lines(r[:1]) + ["{"] + _lines(r[1:]), ":2", "malformed json"),
+    "not-an-object": (lambda r: ["[1, 2]"] + _lines(r), ":1", "expected a JSON object"),
+    "task-not-a-string": (lambda r: _lines([{**x, "task": 3} for x in r]), ":1",
+                          "task must be a string"),
+    "labels-not-a-list": (lambda r: _lines([{**x, "labels": "bin00"} for x in r]), ":1",
+                          "labels must be a list of strings"),
+    "item-without-label": (lambda r: _lines([{**r[0], "items": [{"id": "x"}]}] + r[1:]), ":1",
+                           "items must be objects with a string id and label"),
+    "items-not-a-list": (lambda r: _lines([r[0], {**r[1], "items": 5}, r[2]]), ":2",
+                         "items must be objects"),
+    "bad-boundaries": (lambda r: _lines([{**r[0], "boundaries": 2}] + r[1:]), ":1",
+                       'boundaries must be numbers or "inf"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TASK_DEFECTS))
+def test_probe_bad_task_file_names_path_and_line(capsys, tmp_path, probe_inputs, case):
+    edit, where, message = _TASK_DEFECTS[case]
+    path, err = _probe_edited_task(capsys, tmp_path, probe_inputs, edit)
+    assert err.startswith("error: %s%s: " % (path, where))
+    assert message in err
+
+
+@pytest.mark.parametrize("split", ("train", "validation", "test"))
+def test_probe_names_the_reps_file_without_a_task_id(capsys, tmp_path, probe_inputs, split):
+    def add_zz(records):
+        for r in records:
+            if r["split"] == split:
+                r["items"].append({"id": "zz", "label": r["labels"][0]})
+        return _lines(records)
+
+    _, err = _probe_edited_task(capsys, tmp_path, probe_inputs, add_zz)
+    assert err == "error: %s: no representation for sentence zz\n" % probe_inputs[1][split]
+
+
+@pytest.mark.parametrize("train", ("empty", "unlabelled"))
+def test_probe_without_a_labelled_train_item_fails_cleanly(capsys, tmp_path, probe_inputs,
+                                                           train):
+    def edit(records):
+        items = records[0]["items"]
+        records[0]["items"] = [] if train == "empty" else [{**it, "label": "zzz"} for it in items]
+        return _lines(records)
+
+    _, err = _probe_edited_task(capsys, tmp_path, probe_inputs, edit)
+    assert err.startswith("error: task SentLen: no train item")
+
+
 def test_extract_requires_source(capsys, corpus_dir, tmp_path):
     code, _, err = run(capsys, "extract", "--corpus", corpus_dir,
                        "--out", str(tmp_path / "r.repr"))
@@ -424,6 +528,22 @@ def test_suite_smoke_and_determinism(capsys, tmp_path, corpus_dir):
     assert results[0] == results[1]
     header = results[0].decode().splitlines()[0]
     assert header == "source,SentLen,ArgOrd"
+
+
+# sha256 of suite.csv for every task, the three baselines and the default
+# seven-value l2 grid on corpus_dir, as written before probe fits were stacked
+FULL_GRID_SUITE_SHA256 = "8abf95e073c95a048791374191807196b22cf9a0ffbc0dee9fcac1e103b2c098"
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_full_grid_suite_csv_is_pinned(capsys, tmp_path, corpus_dir, jobs):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("corpus = %s\nsources = length,argdist,boe\nout = %s\n"
+                   % (corpus_dir, tmp_path / "s"))
+    code, _, err = run(capsys, "suite", "--config", str(cfg), "--jobs", str(jobs))
+    assert code == 0, err
+    with open(tmp_path / "s" / "suite.csv", "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == FULL_GRID_SUITE_SHA256
 
 
 def test_suite_without_boe_reads_no_embeddings(capsys, tmp_path, corpus_dir):

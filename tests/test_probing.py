@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,11 +205,100 @@ def test_fit_softmax_bitwise_equals_tape_fit(n, d, c, unlabeled, init_seed):
         for l2 in probing.L2_GRID:
             with ad.use_dtype(dtype):
                 want = _tape_fit_softmax(x, y, c, l2, init_seed=init_seed)
-                got = probing._fit_softmax(x, y, c, l2, init_seed=init_seed)
+                got, = probing._fit_softmax(x, [y], c, [l2], init_seed=init_seed)
             assert got[0].dtype == got[1].dtype == dtype
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("init_seed", (None, 7))
+def test_stacked_fits_equal_tape_fits(dtype, init_seed):
+    """Every member of a stack (two tasks times the whole l2 grid, with
+    unlabelled rows) equals its own taped fit, whichever epoch it leaves at."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 5)).astype(np.float32)
+    unlabeled = rng.random(40) < 0.25
+    penalized = [l2 for l2 in probing.L2_GRID if l2]
+    assert len(penalized) == len(probing.L2_GRID) - 1  # the grid holds 0.0
+    left_at, converged = set(), set()
+    for c in (1, 3, 12):
+        ys = [np.where(unlabeled, -1, rng.integers(0, c, size=40)) for _ in range(2)]
+        for grid in ((0.0,), penalized):
+            members = [(y, l2) for y in ys for l2 in grid]
+            with ad.use_dtype(dtype):
+                got = probing._fit_softmax(x, [y for y, _ in members], c,
+                                           [l2 for _, l2 in members], max_epochs=80,
+                                           init_seed=init_seed)
+                for (y, l2), fit in zip(members, got):
+                    want = _tape_fit_softmax(x, y, c, l2, max_epochs=80, init_seed=init_seed)
+                    assert fit[0].dtype == fit[1].dtype == dtype
+                    assert fit[0].tobytes() == want[0].tobytes()
+                    assert fit[1].tobytes() == want[1].tobytes()
+                    assert fit[2:] == want[2:]
+                    assert math.copysign(1.0, fit[2]) == math.copysign(1.0, want[2])  # -0.0
+                    left_at.add(fit[3])
+                    converged.add(fit[4])
+    assert len(left_at) > 5 and 80 in left_at and converged == {True, False}
+
+
+def _per_fit_probe(reps, task, grid, standardize):
+    """train_probe from one one-member stack per l2, the way each probe was
+    fitted before fits were stacked: the reference for the grouping."""
+    index = {l: i for i, l in enumerate(task.labels)}
+    xs, ys = {}, {}
+    for split in ("train", "validation", "test"):
+        xs[split] = np.stack([reps[split].row_for(sid) for sid, _ in task.splits[split]])
+        ys[split] = np.asarray([index.get(l, -1) for _, l in task.splits[split]])
+    if standardize:
+        mu, sd = xs["train"].mean(axis=0), xs["train"].std(axis=0)
+        sd[sd == 0] = 1.0
+        xs = {k: (v - mu) / sd for k, v in xs.items()}
+    best = None
+    for l2 in sorted(grid):
+        (w, b, _, epochs, converged), = probing._fit_softmax(xs["train"], [ys["train"]],
+                                                             len(task.labels), [l2])
+        val = float(np.mean(np.argmax(xs["validation"] @ w + b, axis=1) == ys["validation"]))
+        if best is None or val > best[0]:
+            best = (val, l2, w, b, epochs, converged)
+    val, l2, w, b, epochs, converged = best
+    test = float(np.mean(np.argmax(xs["test"] @ w + b, axis=1) == ys["test"]))
+    return probing.ProbeResult(task=task.task, source=reps["train"].source, chosen_l2=l2,
+                               val_accuracy=val, test_accuracy=test, epochs=epochs,
+                               converged=converged)
+
+
+@pytest.mark.parametrize("standardize", (False, True))
+def test_run_suite_equals_per_fit_probes(small_corpus, standardize):
+    """Stacked suites give every ProbeResult field of the per-fit path, also
+    for tasks with unlabelled train items or their train items reordered."""
+    corpus = small_corpus
+    tasks = probegen.build_tasks(["SentLen", "ArgDist", "EntExist", "SDPTreeDepth", "ArgOrd",
+                                  "PosHeadR", "PosTailL"], corpus)
+    sent_len, pos = tasks[0], tasks[-1]
+    tasks.append(replace(pos, task="PosPartial", labels=pos.labels[1:]))
+    tasks.append(replace(sent_len, task="SentLenReversed",
+                         splits={**sent_len.splits, "train": sent_len.splits["train"][::-1]}))
+    splits = {"train": corpus.train, "validation": corpus.validation, "test": corpus.test}
+    table = random_embeddings({t for s in corpus.all_sentences() for t in s.tokens}, 6, 0)
+    sources = [(kind, {sp: baseline_reps(kind, ss, table) for sp, ss in splits.items()})
+               for kind in ("length", "boe")]
+    grid = (0.0, 0.01, 1.0)
+    got = run_suite(sources, tasks, grid=grid, standardize=standardize)
+    assert got == [_per_fit_probe(reps, task, grid, standardize)
+                   for _, reps in sources for task in tasks]
+
+
+@pytest.mark.parametrize("train", ("empty", "unlabelled"))
+def test_probe_without_a_labelled_train_item_names_the_task(train):
+    reps, task = _separable_setup()
+    items = () if train == "empty" else tuple((sid, "zzz") for sid, _ in task.splits["train"])
+    bad = replace(task, task="Bad", splits={**task.splits, "train": items})
+    with pytest.raises(ValueError, match="^task Bad: no train item"):
+        train_probe(reps, bad)
+    with pytest.raises(ValueError, match="^task Bad: no train item"):
+        run_suite([("enc", reps)], [task, bad])
 
 
 def test_probes_fit_without_the_tape(monkeypatch):
@@ -258,8 +349,8 @@ def test_probe_reports_a_fit_capped_by_max_epochs():
     capped = train_probe(reps, task, max_epochs=1)
     assert (capped.epochs, capped.converged) == (1, False)
     x, y = np.asarray(reps["train"].rows), np.zeros(60, dtype=np.int64)
-    assert probing._fit_softmax(x, y, 2, 0.0, max_epochs=1)[3:] == (1, False)
-    assert probing._fit_softmax(x, y, 2, 0.0, max_epochs=0)[3:] == (0, False)
+    assert probing._fit_softmax(x, [y], 2, [0.0], max_epochs=1)[0][3:] == (1, False)
+    assert probing._fit_softmax(x, [y], 2, [0.0], max_epochs=0)[0][3:] == (0, False)
 
 
 @pytest.mark.parametrize("grid,bad", (((), "empty l2 grid"), ((float("nan"),), "got nan"),
@@ -358,6 +449,22 @@ def test_run_suite_covers_all_pairs():
     assert [(r.source, r.task) for r in results] == [
         ("test", "Toy"), ("test", "Toy2"),
         ("baseline:length", "Toy"), ("baseline:length", "Toy2")]
+
+
+def test_run_suite_stacks_fits_by_source_and_l2_flag(monkeypatch):
+    """Tasks with the same train items and class count share a stack per
+    source; l2 == 0 runs apart from the other values."""
+    calls = []
+    fit = probing._fit_softmax
+
+    def spy(x, ys, n_classes, l2s, **kwargs):
+        calls.append((len(ys), sorted(l2s)))
+        return fit(x, ys, n_classes, l2s, **kwargs)
+
+    monkeypatch.setattr(probing, "_fit_softmax", spy)
+    sources, tasks = _suite_inputs()
+    run_suite(sources, tasks, grid=(1.0, 0.0, 0.1))
+    assert calls == [(2, [0.0, 0.0]), (4, [0.1, 0.1, 1.0, 1.0])] * 2
 
 
 def test_run_suite_parallel_matches_serial():
