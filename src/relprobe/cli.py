@@ -43,12 +43,19 @@ def _grid(text):
     return grid
 
 
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise ValueError(text)
+    return jobs
+
+
 _EXPECTED = {int: "an integer", _bool: "true/false, yes/no or 1/0",
-             _grid: "comma-separated numbers"}
+             _grid: "comma-separated numbers", _jobs: "an integer >= 1"}
 
 
 def _parse_value(text, kind, name, where=None):
-    """text as `kind` (str, int, _bool or _grid); a value that does not parse,
+    """text as `kind` (str, int, _bool, _grid or _jobs); a value that does not parse,
     or that _grid rejects, is a UsageError naming `name` and, when given,
     `where` it was read."""
     try:
@@ -65,7 +72,7 @@ KNOWN_KEYS = {
     "corpus": str, "corpus_format": str, "profile": str, "encoder": str, "masking": _bool,
     "word_dim": int, "pos_dim": int, "max_offset": int, "embeddings": str,
     "embeddings_dim": int, "contextual": str, "seed": int, "out": str, "task_profile": str,
-    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": int,
+    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": _jobs,
     "boe_dim": int, "boe_seed": int,
 }
 
@@ -256,6 +263,7 @@ def cmd_probe(args):
 
 def cmd_suite(args):
     cfg = read_config(args.config)
+    jobs = cfg.get("jobs", 1) if args.jobs is None else _parse_value(args.jobs, _jobs, "--jobs")
     standardize = cfg.get("standardize", False)
     corpus = _load_corpus_cfg(cfg)
     seed = _seed_from(cfg)
@@ -291,7 +299,6 @@ def cmd_suite(args):
         else:
             raise UsageError("unknown source %r (use length|argdist|boe|ck:<path>)" % name)
     grid = cfg.get("grid", L2_GRID)
-    jobs = args.jobs or cfg.get("jobs", 1)
     results = run_suite(sources, tasks, grid=grid, standardize=standardize, jobs=jobs)
     header, rows = suite_table(results, sources, tasks)
     out = cfg.get("out", ".")
@@ -389,7 +396,7 @@ def build_parser():
 
     u = sub.add_parser("suite", help="run the full probing suite from a config file")
     u.add_argument("--config", required=True)
-    u.add_argument("--jobs", type=int)
+    u.add_argument("--jobs")
     u.set_defaults(func=cmd_suite)
 
     c = sub.add_parser("gradcheck", help="gradient-check all ops and encoders")

@@ -69,8 +69,20 @@ class Corpus:
 
 def validate_sentence(s: Sentence):
     """Return a list of invariant-violation descriptions (empty if valid)."""
+    problems = _annotation_problems(s)
+    if s.tokens and len(s.dep_head) == len(s.tokens):
+        problems += deptree.head_problems(s.dep_head)
+    return problems
+
+
+def _annotation_problems(s: Sentence):
+    """validate_sentence's problems other than the tree's."""
+    n, h, t = len(s.tokens), s.head, s.tail
+    if (0 < n == len(s.pos) == len(s.ner) == len(s.dep_head) == len(s.dep_label)
+            and 0 <= h.start <= h.end < n and 0 <= t.start <= t.end < n
+            and (h.end < t.start or t.end < h.start)):
+        return []  # the common case, in one test
     problems = []
-    n = len(s.tokens)
     if n < 1:
         return ["empty token list"]
     for name in ("pos", "ner", "dep_head", "dep_label"):
@@ -84,8 +96,6 @@ def validate_sentence(s: Sentence):
     if not any(p.startswith(("head", "tail")) for p in problems):
         if s.head.start <= s.tail.end and s.tail.start <= s.head.end:
             problems.append("head and tail spans overlap")
-    if len(s.dep_head) == n:
-        problems += deptree.head_problems(s.dep_head)
     return problems
 
 
@@ -122,7 +132,8 @@ def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
     """The Sentence a decoded JSON record holds under the key names `keys`;
     CorpusFormatError prefixed with `where`, the record's place, if the record
     is not an object, lacks a key, holds a value of another JSON type (none is
-    coerced) or fails validate_sentence."""
+    coerced) or fails validate_sentence for another reason than its tree,
+    which read_sentences checks for a whole file at once."""
     if type(rec) is not dict:
         raise CorpusFormatError("%s: expected a JSON object, got %s"
                                 % (where, _JSON_NAMES[type(rec)]))
@@ -144,15 +155,35 @@ def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
         raise CorpusFormatError("%s: %s" % (where, _type_problem(keys, values)))
     s = Sentence(str(sid), tuple(tokens), tuple(pos), tuple(ner), tuple(dep_head),
                  tuple(dep_label), Span(hs, he), Span(ts, te), relation)
-    problems = validate_sentence(s)
-    if problems:
-        subject = "sentence %s: " % s.id if s.id else ""  # templates have no id
-        raise CorpusFormatError("%s: %s%s" % (where, subject, "; ".join(problems)))
+    if _annotation_problems(s):
+        _invalid(s, where)
     return s
 
 
-def _sentence_from_tacred(rec, where):
-    return _sentence_from_generic(rec, where, TACRED_KEYS)
+def _invalid(s, where):
+    subject = "sentence %s: " % s.id if s.id else ""  # templates have no id
+    raise CorpusFormatError("%s: %s%s" % (where, subject, "; ".join(validate_sentence(s))))
+
+
+def read_sentences(records, keys=GENERIC_KEYS):
+    """The Sentences of ("where", record) pairs, as _sentence_from_generic
+    decodes them, with the trees of all of them checked in one
+    deptree.pack_trees pass. The CorpusFormatError still names the first bad
+    record in order: when record j fails (or `records` raises at it), the
+    trees of the records before j are checked first."""
+    sentences, places, error = [], [], None
+    try:
+        for where, rec in records:
+            sentences.append(_sentence_from_generic(rec, where, keys))
+            places.append(where)
+    except CorpusFormatError as e:
+        error = e
+    bad = deptree.pack_trees([s.dep_head for s in sentences])[3]
+    if len(bad):
+        _invalid(sentences[bad[0]], places[bad[0]])
+    if error is not None:
+        raise error
+    return sentences
 
 
 def read_lines(path, error=CorpusFormatError):
@@ -181,7 +212,7 @@ def jsonl_records(path):
 
 
 def _read_jsonl_split(path):
-    return [_sentence_from_generic(rec, where) for where, rec in jsonl_records(path)]
+    return read_sentences(jsonl_records(path))
 
 
 def _read_tacred_split(path):
@@ -193,8 +224,8 @@ def _read_tacred_split(path):
     if type(records) is not list:
         raise CorpusFormatError("%s: expected a JSON array, got %s"
                                 % (path, _JSON_NAMES[type(records)]))
-    return [_sentence_from_tacred(rec, "%s: record %d" % (path, i))
-            for i, rec in enumerate(records)]
+    return read_sentences((("%s: record %d" % (path, i), rec) for i, rec in enumerate(records)),
+                          TACRED_KEYS)
 
 
 _NEGATIVE_CANDIDATES = ("no_relation", "Other", "NA", "none")

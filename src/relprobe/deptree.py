@@ -1,13 +1,18 @@
 """Dependency tree algorithms: construction, depth, span roots, shortest paths, pruning.
 
-DepTree and the functions that take one (build_tree, tree_depth, sdp) work
-one sentence at a time. packed_trees, span_roots, path_mask and grow work on
-sentences packed row after row, as 0-based packed parent rows (-1 for a
-root), with a few numpy passes over the whole pack.
+The pipeline works on sentences packed row after row, as 0-based packed
+parent rows (-1 for a root): pack_trees checks and packs a whole split or
+batch, and span_roots, path_mask and grow answer for every sentence of the
+pack at once, with a few numpy passes. The corpus loader, probegen's depth
+tasks and GCN featurization all go through pack_trees. DepTree and the
+functions that take one (build_tree, tree_depth, sdp, prune) work one
+sentence at a time; they are the reference the packed passes are tested
+against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -154,6 +159,35 @@ def prune(t: DepTree, p: SdpResult, k) -> set:
 
 
 # ------------------------------------------------- packed sentences
+
+
+def pack_trees(dep_heads):
+    """(starts, parent, depth, bad): the 1-based dep_head sequences dep_heads
+    packed row after row, sequence i owning rows [starts[i], starts[i+1]),
+    and packed_trees of them."""
+    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    heads = np.fromiter(itertools.chain.from_iterable(dep_heads), dtype=np.int64,
+                        count=starts[-1])
+    return (starts, *packed_trees(heads, starts))
+
+
+def sentence_trees(sentences):
+    """(starts, parent, depth) of pack_trees over the sentences' dep_head;
+    ValueError naming the first sentence whose dep_head does not hold one
+    value per token, else the first that is not one tree."""
+    starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    mismatch = np.flatnonzero(lengths != np.diff(starts))
+    if len(mismatch):
+        s = sentences[mismatch[0]]
+        raise ValueError("%d dep_head values for the %d tokens of sentence %s"
+                         % (len(s.dep_head), len(s), s.id))
+    if len(bad):
+        s = sentences[bad[0]]
+        raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
+    return starts, parent, depth
 
 
 def packed_trees(heads, starts):

@@ -163,26 +163,6 @@ class Features:
                         None if self.ctx is None else self.ctx[rows], graph, starts)
 
 
-def _trees(sentences, starts):
-    """The parent rows and depths of deptree.packed_trees for packed
-    sentences; ValueError naming the first sentence whose dep_head is not
-    one tree over its tokens."""
-    dep_heads = [s.dep_head for s in sentences]
-    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
-    mismatch = np.flatnonzero(lengths != np.diff(starts))
-    if len(mismatch):
-        s = sentences[mismatch[0]]
-        raise ValueError("%d dep_head values for the %d tokens of sentence %s"
-                         % (len(s.dep_head), len(s), s.id))
-    heads = np.fromiter(itertools.chain.from_iterable(dep_heads), dtype=np.int64,
-                        count=starts[-1])
-    parent, depth, bad = deptree.packed_trees(heads, starts)
-    if len(bad):
-        s = sentences[bad[0]]
-        raise ValueError("sentence %s: %s" % (s.id, "; ".join(deptree.head_problems(s.dep_head))))
-    return parent, depth
-
-
 def _adjacencies(keep, parent, starts):
     """Row-normalized adjacency (self loops included) over each sentence's
     kept rows, in kept-row order: one (m, n, n) block for the m sentences
@@ -366,7 +346,7 @@ class REModel:
         offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()
         graph = None
         if enc.kind == "gcn":
-            parent, depth = _trees(sentences, starts)
+            _, parent, depth = deptree.sentence_trees(sentences)
             roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
             k = enc.gcn_prune_k
             keep = deptree.grow(deptree.path_mask(parent, depth, roots[:n], roots[n:]),

@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import deptree
 from .corpus import CorpusFormatError, jsonl_records
 
@@ -21,7 +23,7 @@ TASKS = (
 
 BINNED_TASKS = ("SentLen", "ArgDist", "TreeDepth", "SDPTreeDepth")
 
-# tasks whose raw label runs a tree algorithm; the others read annotations
+# tasks whose raw label depth_values computes; extract reads the others off annotations
 TREE_TASKS = ("TreeDepth", "SDPTreeDepth")
 
 # grammatical roles kept verbatim; everything else maps to "other"
@@ -101,9 +103,9 @@ class ProbingDataset:
     bin_spec: BinSpec | None = None
 
 
-def extract(task, s, tree):
-    """Raw probing label of one sentence, from its annotations and (for
-    TREE_TASKS) its DepTree."""
+def extract(task, s):
+    """Raw probing label of one sentence for a task outside TREE_TASKS, from
+    its annotations; depth_values computes the others for a whole split."""
     if task == "SentLen":
         return len(s)
     if task == "ArgDist":
@@ -112,11 +114,6 @@ def extract(task, s, tree):
         lo = min(s.head.end, s.tail.end) + 1
         hi = max(s.head.start, s.tail.start)
         return "yes" if any(s.ner[i] != "O" for i in range(lo, hi)) else "no"
-    if task == "TreeDepth":
-        return min(deptree.tree_depth(tree), TREE_DEPTH_CLAMP)
-    if task == "SDPTreeDepth":
-        return deptree.sdp(tree, deptree.span_root(s.dep_head, s.head),
-                           deptree.span_root(s.dep_head, s.tail)).depth
     if task == "ArgOrd":
         return "head-first" if s.head.end < s.tail.start else "tail-first"
     if task in ("PosHeadL", "PosHeadR", "PosTailL", "PosTailR"):
@@ -141,9 +138,33 @@ def _arg_distance(s):
     return s.head.start - s.tail.end - 1
 
 
+def depth_values(sentences):
+    """Raw TreeDepth and SDPTreeDepth values of each sentence, as two lists,
+    from one deptree.sentence_trees pass over all of them (ValueError naming
+    the first sentence whose dep_head is not one tree over its tokens).
+
+    TreeDepth is a sentence's deepest row, clamped at TREE_DEPTH_CLAMP.
+    SDPTreeDepth is the longer of the two legs of the shortest dependency
+    path between the span roots a and b of head and tail: with P rows on
+    that path, (P - 1 + |depth[a] - depth[b]|) // 2.
+    """
+    if not sentences:
+        return [], []
+    starts, parent, depth = deptree.sentence_trees(sentences)
+    bounds = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
+                       for s in sentences], dtype=np.int64).T + starts[:-1]
+    roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
+    a, b = roots.reshape(2, -1)
+    path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])
+    tree_depth = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
+    sdp_depth = (path_rows - 1 + np.abs(depth[a] - depth[b])) // 2
+    return tree_depth.tolist(), sdp_depth.tolist()
+
+
 def build_tasks(tasks, corpus, profile="tacred"):
-    """Probing datasets for `tasks`, in the order given; each sentence's tree
-    is built once, if a depth task reads it. Bins are fitted on train raw values only."""
+    """Probing datasets for `tasks`, in the order given. The depth tasks of a
+    split come from one depth_values pass, the others from extract, one
+    sentence at a time. Bins are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
     excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
@@ -154,34 +175,35 @@ def build_tasks(tasks, corpus, profile="tacred"):
             raise ValueError("task %s excluded for this profile" % task)
     bin_counts = PROFILES[profile] if isinstance(profile, str) else dict(profile)
     splits = (("train", corpus.train), ("validation", corpus.validation), ("test", corpus.test))
-    raw = {task: {name: [] for name, _ in splits} for task in tasks}
+    raw = {task: {} for task in tasks}
     needs_tree = any(task in TREE_TASKS for task in tasks)
+    ids = {}
     for name, split in splits:
-        for s in split:
-            tree = deptree.build_tree(s.dep_head) if needs_tree else None
-            for task in tasks:
-                raw[task][name].append((s.id, extract(task, s, tree)))
-    return [_dataset(task, raw[task], bin_counts) for task in tasks]
+        ids[name] = [s.id for s in split]
+        depths = dict(zip(TREE_TASKS, depth_values(split))) if needs_tree else {}
+        for task in tasks:
+            raw[task][name] = depths[task] if task in depths else [extract(task, s) for s in split]
+    return [_dataset(task, raw[task], ids, bin_counts) for task in tasks]
 
 
-def _dataset(task, raw, bin_counts) -> ProbingDataset:
-    """One task's dataset from its raw values per split."""
+def _dataset(task, raw, ids, bin_counts) -> ProbingDataset:
+    """One task's dataset from its raw values and sentence ids per split."""
+    spec, distinct = None, set().union(*raw.values())
     if task in BINNED_TASKS:
-        spec = quantile_bins([v for _, v in raw["train"]], bin_counts[task])
-        splits = {name: tuple((sid, spec.label(v)) for sid, v in items)
-                  for name, items in raw.items()}
+        spec = quantile_bins(raw["train"], bin_counts[task])
         labels = spec.labels()
-        return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=spec)
-    if task in ("GRHead", "GRTail"):
-        train_set = {v for _, v in raw["train"]}
-        labels = tuple(l for l in GR_CLASSES if l in train_set) + ("other",)
+        label = {v: spec.label(v) for v in distinct}
+    elif task in ("GRHead", "GRTail"):
+        train = set(raw["train"])
+        labels = tuple(l for l in GR_CLASSES if l in train) + ("other",)
         # roles unseen in train fold into "other" for the held-out splits
-        splits = {name: tuple((sid, v if v in labels else "other") for sid, v in items)
-                  for name, items in raw.items()}
+        label = {v: v if v in labels else "other" for v in distinct}
     else:
-        splits = {name: tuple(items) for name, items in raw.items()}
-        labels = tuple(sorted({v for _, v in splits["train"]}))
-    return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=None)
+        labels = tuple(sorted(set(raw["train"])))
+        label = {v: v for v in distinct}
+    splits = {name: tuple(zip(ids[name], map(label.__getitem__, values)))
+              for name, values in raw.items()}
+    return ProbingDataset(task=task, labels=labels, splits=splits, bin_spec=spec)
 
 
 def build_all(corpus, profile="tacred"):
@@ -190,19 +212,23 @@ def build_all(corpus, profile="tacred"):
 
 
 def save_dataset(ds: ProbingDataset, path):
-    """One jsonl line per split: {task, labels, split, items}."""
+    """One jsonl line per split: {task, labels, split, items}, the bytes of
+    json.dumps of that dict, written from pieces escaped once: each label
+    once per split, each id once per item. Ids must be strings."""
+    head = '{"task": %s, "labels": %s, "split": ' % (json.dumps(ds.task),
+                                                      json.dumps(list(ds.labels)))
+    tail = "}\n"
+    if ds.bin_spec is not None:
+        tail = ', "boundaries": %s}\n' % json.dumps([b if math.isfinite(b) else "inf"
+                                                     for b in ds.bin_spec.boundaries])
+    escape = json.encoder.encode_basestring_ascii
     with open(path, "w", encoding="utf-8") as f:
         for split in SPLITS:
-            rec = {
-                "task": ds.task,
-                "labels": list(ds.labels),
-                "split": split,
-                "items": [{"id": sid, "label": label} for sid, label in ds.splits[split]],
-            }
-            if ds.bin_spec is not None:
-                rec["boundaries"] = [b if math.isfinite(b) else "inf"
-                                     for b in ds.bin_spec.boundaries]
-            f.write(json.dumps(rec) + "\n")
+            items = ds.splits[split]
+            escaped = {label: json.dumps(label) for label in {label for _, label in items}}
+            body = ", ".join(['{"id": %s, "label": %s}' % (escape(sid), escaped[label])
+                              for sid, label in items])
+            f.write('%s%s, "items": [%s]%s' % (head, json.dumps(split), body, tail))
 
 
 def load_dataset(path) -> ProbingDataset:

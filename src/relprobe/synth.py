@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (Corpus, Sentence, Span, _sentence_from_generic, jsonl_records,
+from .corpus import (Corpus, Sentence, Span, jsonl_records, read_sentences,
                      sentence_to_record, validate_sentence)
 
 _SLOT_RE = re.compile(r"^\[([A-Z_]+)\]$")
@@ -138,12 +138,12 @@ def type_pair_templates():
 
 def load_templates(path):
     """Read templates from a jsonl file of generic-jsonl records without ids."""
-    templates = []
-    for where, rec in jsonl_records(path):
-        if type(rec) is dict:  # anything else is the decoder's to report
-            rec["id"] = ""
-        templates.append(_sentence_from_generic(rec, where))
-    return tuple(templates)
+    def records():
+        for where, rec in jsonl_records(path):
+            if type(rec) is dict:  # anything else is the decoder's to report
+                rec["id"] = ""
+            yield where, rec
+    return tuple(read_sentences(records()))
 
 
 def _choice(rng, items):

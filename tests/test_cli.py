@@ -137,6 +137,12 @@ _MALFORMED = {
                             "field tokens:"),
     "template-span-inverted": ("template", _template(_record(drop=("id",), head_start=2)),
                                ":2: ", "head span start > end"),
+    "head-cycle": ("jsonl", _jsonl(_record(dep_head=[2, 0, 3])), ":2: ",
+                   "sentence r1: cycle detected"),
+    "tacred-head-cycle": ("tacred", _tacred(_record(tacred=True, dep_head=[2, 0, 3])),
+                          ": record 1: ", "sentence r1: cycle detected"),
+    "template-cycle": ("template", _template(_record(drop=("id",), dep_head=[2, 0, 3])),
+                       ":2: ", "cycle detected"),
 }
 
 
@@ -266,6 +272,26 @@ def test_out_of_range_grid_is_usage_error(capsys, tmp_path, corpus_dir, case, va
         cfg.write_text("corpus = %s\nout = %s\ngrid = %s\n" % (corpus_dir, out, value))
         argv = ["suite", "--config", str(cfg)]
         expected = "error: config key 'grid': %s in %s:3\n" % (problem, cfg)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", expected)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ("0", "-3", "-2", "x", "1.5", ""))
+@pytest.mark.parametrize("case", ("jobs", "--jobs"))
+def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value):
+    out = str(tmp_path / "o")
+    cfg = tmp_path / "j.cfg"
+    body = "corpus = %s\nout = %s\nsources = length\ntasks = SentLen\n" % (corpus_dir, out)
+    if case == "--jobs":
+        cfg.write_text(body + "jobs = 2\n")
+        argv = ["suite", "--config", str(cfg), "--jobs", value]
+        expected = "error: --jobs: expected an integer >= 1, got %r\n" % value
+    else:
+        cfg.write_text(body + "jobs = %s\n" % value)
+        argv = ["suite", "--config", str(cfg)]
+        expected = "error: config key 'jobs': expected an integer >= 1, got %r in %s:5\n" % (
+            value, cfg)
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", expected)
     assert not os.path.exists(out)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 from dataclasses import replace
@@ -319,3 +320,109 @@ def test_contextual_truncated_is_value_error_unless_at_record_boundary(tmp_path)
         else:
             with pytest.raises(ValueError, match=re.escape(cut)):
                 load_contextual(cut)
+
+
+# ---------------------------------------------- loader error order and text
+# Trees are checked once per split file, the other checks once per record;
+# the error still names the first bad record in file order, in the words of
+# the per-record check.
+
+_CYCLIC = {"dep_head": [2, 0, 3]}  # token 3 heads itself
+_TACRED_KEYS = dict(zip(_record(), ("id", "token", "stanford_pos", "stanford_ner",
+                                    "stanford_head", "stanford_deprel", "subj_start",
+                                    "subj_end", "obj_start", "obj_end", "relation")))
+
+
+def _records(bad):
+    """Five records r0..r4; bad maps a record's index to a dict of its
+    overrides, or to what replaces it: a raw line, or a JSON value."""
+    return [_record(**{"id": "r%d" % i, **bad.get(i, {})}) if type(bad.get(i, {})) is dict
+            else bad[i] for i in range(5)]
+
+
+def _write_split(tmp_path, records, tacred):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    if tacred:
+        path = d / "train.json"
+        body = json.dumps([{_TACRED_KEYS[k]: v for k, v in rec.items()} if type(rec) is dict
+                           else rec for rec in records]).encode()
+    else:
+        path = d / "train.jsonl"
+        body = b"".join((rec if isinstance(rec, bytes) else
+                         (rec if isinstance(rec, str) else json.dumps(rec)).encode()) + b"\n"
+                        for rec in records)
+    path.write_bytes(body)
+    return str(d), str(path)
+
+
+def _load_error(tmp_path, bad, tacred=False):
+    d, path = _write_split(tmp_path, _records(bad), tacred)
+    with pytest.raises(CorpusFormatError) as e:
+        load_corpus(d, "tacred-json" if tacred else "generic-jsonl")
+    return str(e.value), path
+
+
+_LATER = {  # a non-tree problem in record 4, of each kind the reader checks
+    "not-json": "{not json",
+    "not-utf8": b'{"id": "r4", "tokens": ["Ba\xffer"]}',
+    "wrong-type": {"tokens": 5},
+    "missing-field": "{}",
+    "not-object": "[1, 2]",
+    "span-inverted": {"head_start": 2, "head_end": 1},
+}
+
+
+@pytest.mark.parametrize("later", sorted(_LATER))
+def test_jsonl_tree_problem_before_a_later_record_problem_is_reported(tmp_path, later):
+    message, path = _load_error(tmp_path, {2: _CYCLIC, 4: _LATER[later]})
+    assert message == "%s:3: sentence r2: cycle detected" % path
+
+
+@pytest.mark.parametrize("later", ("wrong-type", "not-object", "span-inverted"))
+def test_tacred_tree_problem_before_a_later_record_problem_is_reported(tmp_path, later):
+    bad = _LATER[later]
+    message, path = _load_error(tmp_path, {2: _CYCLIC, 4: [1, 2] if type(bad) is str else bad},
+                                tacred=True)
+    assert message == "%s: record 2: sentence r2: cycle detected" % path
+
+
+@pytest.mark.parametrize("tacred", (False, True))
+def test_record_problem_before_a_later_tree_problem_is_reported(tmp_path, tacred):
+    message, path = _load_error(tmp_path, {1: {"tokens": 5}, 3: _CYCLIC}, tacred)
+    where = "%s: record 1" % path if tacred else "%s:2" % path
+    field = "token" if tacred else "tokens"
+    assert message == "%s: field %s: expected array, got integer" % (where, field)
+
+
+@pytest.mark.parametrize("tacred", (False, True))
+def test_first_of_several_tree_problems_is_reported(tmp_path, tacred):
+    message, path = _load_error(tmp_path, {1: {"dep_head": [2, 3, 1]}, 3: _CYCLIC}, tacred)
+    where = "%s: record 1" % path if tacred else "%s:2" % path
+    assert message == "%s: sentence r1: no root token; cycle detected" % where
+
+
+@pytest.mark.parametrize("tacred", (False, True))
+def test_annotation_and_tree_problems_keep_the_joined_message(tmp_path, tacred):
+    message, path = _load_error(tmp_path, {2: {"head_start": 2, "head_end": 1,
+                                               "dep_head": [0, 0, 4]}}, tacred)
+    where = "%s: record 2" % path if tacred else "%s:3" % path
+    assert message == ("%s: sentence r2: head span start > end; multiple root tokens; "
+                       "dep_head value out of range" % where)
+
+
+@pytest.mark.parametrize("tacred", (False, True))
+def test_tree_problem_is_reported_before_a_duplicate_id(tmp_path, tacred):
+    message, path = _load_error(tmp_path, {1: {"id": "r0"}, 3: _CYCLIC}, tacred)
+    where = "%s: record 3" % path if tacred else "%s:4" % path
+    assert message == "%s: sentence r3: cycle detected" % where
+
+
+def test_tree_problem_in_a_later_split_names_that_file(tmp_path):
+    d, _ = _write_split(tmp_path, _records({}), False)
+    with open(os.path.join(d, "test.jsonl"), "w") as f:
+        f.write(json.dumps(_record(id="t0", dep_head=[0, 1, 1])) + "\n")
+        f.write(json.dumps(_record(id="t1", dep_head=[3, 0, 1])) + "\n")
+    with pytest.raises(CorpusFormatError) as e:
+        load_corpus(d)
+    assert str(e.value) == "%s:2: sentence t1: cycle detected" % os.path.join(d, "test.jsonl")

@@ -1,7 +1,7 @@
 """Each sentence's derived inputs are prepared once per run: trees in
 probegen.build_tasks (depth tasks), model inputs in REModel.featurize, whose
-forward pass gives the same logits as before. GCN featurization builds no
-DepTree: it runs deptree's array passes over the whole pack."""
+forward pass gives the same logits as before. Neither builds a DepTree: both
+run deptree's array passes over a whole split or pack."""
 
 import numpy as np
 import pytest
@@ -84,12 +84,23 @@ def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
     assert sorted(calls) == sorted(s.id for s in corpus.train + corpus.validation)
 
 
-def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_builds):
+def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_builds, monkeypatch):
+    """One deptree.pack_trees pass per split packs each sentence's tree once."""
+    packed = []
+    real = deptree.pack_trees
+
+    def counting(dep_heads):
+        packed.append(list(dep_heads))
+        return real(dep_heads)
+
+    monkeypatch.setattr(deptree, "pack_trees", counting)
     probegen.build_all(corpus)
-    assert len(tree_builds) == len(corpus.all_sentences())
-    del tree_builds[:]
-    probegen.build_tasks(["SentLen", "ArgOrd", "PosHeadL"], corpus)
+    assert packed == [[s.dep_head for s in split]
+                      for split in (corpus.train, corpus.validation, corpus.test)]
     assert len(tree_builds) == 0
+    del packed[:]
+    probegen.build_tasks(["SentLen", "ArgOrd", "PosHeadL"], corpus)
+    assert packed == []
 
 
 # ---------------------------------------------------------- pinned logits

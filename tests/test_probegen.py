@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -6,11 +8,11 @@ import pytest
 
 from relprobe import deptree, probegen, synth
 from relprobe.corpus import Span
-from relprobe.probegen import (BinSpec, build_all, build_tasks,
+from relprobe.probegen import (BinSpec, build_all, build_tasks, depth_values,
                                extract, load_dataset, quantile_bins,
                                save_dataset)
 
-from conftest import make_sentence
+from conftest import make_sentence, random_parents
 
 
 # ---------------------------------------------------------------- binning
@@ -62,63 +64,133 @@ def _rich_sentence():
     return make_sentence([2, 0, 6, 6, 6, 2], head=Span(0, 0), tail=Span(5, 5))
 
 
-def _tree(s):
-    return deptree.build_tree(s.dep_head)
-
-
 def test_extract_sentlen_and_argdist():
     s = _rich_sentence()
-    assert extract("SentLen", s, _tree(s)) == 6
-    assert extract("ArgDist", s, _tree(s)) == 4
+    assert extract("SentLen", s) == 6
+    assert extract("ArgDist", s) == 4
 
 
 def test_argdist_adjacent_spans_is_zero():
     s = make_sentence([2, 0, 2], head=Span(0, 0), tail=Span(1, 1))
-    assert extract("ArgDist", s, _tree(s)) == 0
+    assert extract("ArgDist", s) == 0
 
 
 def test_argdist_symmetric_in_order():
     fwd = make_sentence([2, 0, 2, 2], head=Span(0, 0), tail=Span(3, 3))
     rev = make_sentence([2, 0, 2, 2], head=Span(3, 3), tail=Span(0, 0))
-    assert extract("ArgDist", fwd, _tree(fwd)) == extract("ArgDist", rev, _tree(rev)) == 2
+    assert extract("ArgDist", fwd) == extract("ArgDist", rev) == 2
 
 
 def test_extract_entexist():
     from dataclasses import replace
     s = _rich_sentence()
-    assert extract("EntExist", s, _tree(s)) == "no"
+    assert extract("EntExist", s) == "no"
     marked = replace(s, ner=("O", "O", "O", "ORG", "O", "O"))
-    assert extract("EntExist", marked, _tree(marked)) == "yes"
+    assert extract("EntExist", marked) == "yes"
 
 
 def test_extract_argord():
     s = _rich_sentence()
-    assert extract("ArgOrd", s, _tree(s)) == "head-first"
+    assert extract("ArgOrd", s) == "head-first"
     swapped = make_sentence([2, 0, 2], head=Span(2, 2), tail=Span(0, 0))
-    assert extract("ArgOrd", swapped, _tree(swapped)) == "tail-first"
+    assert extract("ArgOrd", swapped) == "tail-first"
 
 
 def test_extract_depth_tasks():
     # chain of depth 3; args at the two ends
     s = make_sentence([0, 1, 2, 3], head=Span(0, 0), tail=Span(3, 3))
-    assert extract("TreeDepth", s, _tree(s)) == 3
-    assert extract("SDPTreeDepth", s, _tree(s)) == 3
+    assert depth_values([s]) == ([3], [3])
 
 
 def test_tree_depth_clamped():
     n = 25
     s = make_sentence([i for i in range(n)], head=Span(0, 0), tail=Span(n - 1, n - 1))
-    assert extract("TreeDepth", s, _tree(s)) == probegen.TREE_DEPTH_CLAMP
+    assert depth_values([s])[0] == [probegen.TREE_DEPTH_CLAMP]
+
+
+def _per_sentence_depths(s):
+    """TreeDepth and SDPTreeDepth of one sentence from its DepTree."""
+    tree = deptree.build_tree(s.dep_head)
+    roots = (deptree.span_root(s.dep_head, s.head), deptree.span_root(s.dep_head, s.tail))
+    depth = min(deptree.tree_depth(tree), probegen.TREE_DEPTH_CLAMP)
+    return depth, deptree.sdp(tree, *roots).depth
+
+
+def _oracle_check(sentences):
+    expected = [_per_sentence_depths(s) for s in sentences]
+    assert depth_values(sentences) == tuple(map(list, zip(*expected)))
+
+
+def test_depth_values_equal_per_sentence_trees_on_every_template():
+    templates = synth.default_templates() + synth.type_pair_templates()
+    _oracle_check(templates)
+    cfg = synth.SynthConfig(n_train=400, n_val=0, n_test=0, templates=templates,
+                            lexicons=synth.default_lexicons(), seed=3, pad_max=8)
+    train = synth.generate(cfg).train
+    assert {len(s) for s in train} > {len(t) for t in templates}  # padded, deeper trees
+    _oracle_check(train)
+
+
+def _random_span_pair(rng, n):
+    """Two disjoint spans in n tokens (one token shared when n == 1)."""
+    if n == 1:
+        return Span(0, 0), Span(0, 0)
+    cut = int(rng.integers(1, n))
+    left = sorted(rng.integers(0, cut, size=2).tolist())
+    right = sorted(rng.integers(cut, n, size=2).tolist())
+    pair = (Span(*left), Span(*right))
+    return pair if rng.random() < 0.5 else pair[::-1]
+
+
+def test_depth_values_equal_per_sentence_trees_on_random_trees():
+    rng = np.random.default_rng(11)
+    sentences = []
+    for i in range(1200):
+        n = int(rng.integers(1, 40))
+        dep_head = random_parents(rng, n) if i % 10 else [j for j in range(n)]  # some chains
+        head, tail = _random_span_pair(rng, n)
+        sentences.append(make_sentence(dep_head, head=head, tail=tail, sid="r%d" % i))
+    projective = sum(not _crossing(s.dep_head) for s in sentences)
+    assert 0 < projective < len(sentences)
+    assert max(_per_sentence_depths(s)[0] for s in sentences) == probegen.TREE_DEPTH_CLAMP
+    _oracle_check(sentences)
+    for part in (sentences[:1], sentences[5:9], sentences[::7]):  # packed in other groups
+        _oracle_check(part)
+
+
+def _crossing(dep_head):
+    """Whether two arcs of the tree cross (the tree is non-projective)."""
+    arcs = [tuple(sorted((i, h - 1))) for i, h in enumerate(dep_head) if h]
+    return any(a < c < b < d for a, b in arcs for c, d in arcs)
+
+
+@pytest.mark.parametrize("dep_head, problem", (([2, 3, 1], "no root token; cycle detected"),
+                                               ([0, 3, 2], "cycle detected"),
+                                               ([0, 0, 2], "multiple root tokens"),
+                                               ([0, 9, 1], "dep_head value out of range")))
+def test_depth_tasks_name_a_sentence_that_is_not_one_tree(bin_corpus, dep_head, problem):
+    from dataclasses import replace
+    bad = make_sentence(dep_head, head=Span(0, 0), tail=Span(2, 2), sid="bad")
+    corpus = replace(bin_corpus, validation=bin_corpus.validation[:3] + (bad,))
+    with pytest.raises(ValueError, match="^sentence bad: %s$" % problem):
+        build_tasks(["SDPTreeDepth"], corpus, "tacred")
+    assert build_tasks(["SentLen"], corpus, "tacred")  # no tree read
+
+
+def test_depth_tasks_name_a_sentence_with_too_few_heads():
+    from dataclasses import replace
+    s = replace(make_sentence([2, 0, 2]), dep_head=(2, 0), id="short")
+    with pytest.raises(ValueError, match="^2 dep_head values for the 3 tokens of sentence short$"):
+        depth_values([s])
 
 
 def test_extract_pos_neighbors():
     from dataclasses import replace
     s = replace(_rich_sentence(), pos=("NNP", "VBD", "DT", "NNP", "NN", "NNP"))
-    t = _tree(s)
-    assert extract("PosHeadL", s, t) == probegen.BOUNDARY_LEFT
-    assert extract("PosHeadR", s, t) == "VBD"
-    assert extract("PosTailL", s, t) == "NN"
-    assert extract("PosTailR", s, t) == probegen.BOUNDARY_RIGHT
+    assert extract("PosHeadL", s) == probegen.BOUNDARY_LEFT
+    assert extract("PosHeadR", s) == "VBD"
+    assert extract("PosTailL", s) == "NN"
+    assert extract("PosTailR", s) == probegen.BOUNDARY_RIGHT
 
 
 def test_extract_types_and_roles():
@@ -126,22 +198,21 @@ def test_extract_types_and_roles():
     s = replace(_rich_sentence(),
                 ner=("PER", "O", "O", "ORG", "O", "PER"),
                 dep_label=("nsubj", "root", "det", "compound", "compound", "dobj"))
-    t = _tree(s)
-    assert extract("TypeHead", s, t) == "PER"
-    assert extract("TypeTail", s, t) == "PER"
-    assert extract("GRHead", s, t) == "nsubj"
-    assert extract("GRTail", s, t) == "dobj"
+    assert extract("TypeHead", s) == "PER"
+    assert extract("TypeTail", s) == "PER"
+    assert extract("GRHead", s) == "nsubj"
+    assert extract("GRTail", s) == "dobj"
 
 
 def test_gr_non_core_role_maps_to_other():
     from dataclasses import replace
     s = replace(make_sentence([2, 0, 2]), dep_label=("nmod", "root", "dobj"))
-    assert extract("GRHead", s, _tree(s)) == "other"
+    assert extract("GRHead", s) == "other"
 
 
 def test_extract_unknown_task():
     with pytest.raises(ValueError, match="unknown task"):
-        extract("Nope", _rich_sentence(), _tree(_rich_sentence()))
+        extract("Nope", _rich_sentence())
 
 
 # ----------------------------------------------------------- build_tasks
@@ -207,3 +278,87 @@ def test_dataset_roundtrip(tmp_path, bin_corpus):
         p = str(tmp_path / ("%s.jsonl" % task))
         save_dataset(ds, p)
         assert load_dataset(p) == ds
+
+
+# ------------------------------------------------------- dataset bytes
+
+# sha256 of each save_dataset file of build_all on _pinned_corpus()
+_PINNED = {
+    "tacred": {
+        "SentLen": "34fc58d34826b51fd0bbcd3b083d24edb8e38cd51b017ad09eb4446f6ec3a32b",
+        "ArgDist": "4e2e126b3fd733e2ad3331a0f955d417c8295b2884485ec697b1daf2e4c19307",
+        "EntExist": "ea7da026e4bfee908e75dd3414ab1317dc9466cb68fc1e1ff046ae9cfcc74d71",
+        "TreeDepth": "3f15d5e43721710370624fd5e49fa85eaa699bf283ee106a3083d27b96e9f469",
+        "SDPTreeDepth": "40afb748d75617508c8e6462f72304ad03a9a4dcc8a0fec40039241b4b0b00f2",
+        "ArgOrd": "e7fc51dd8be0d37d2b26e2d81f2f01ddc448f91169974da647269eca8b0986f9",
+        "PosHeadL": "d5b5f99999fe3b3749d97620ed54cabc2b5ef7a7ec18423f51d20b33e9a406cc",
+        "PosHeadR": "db6fa01d1e58723b55e02203af03eb172d950b34e8af2ad17b28a53790770665",
+        "PosTailL": "2ee8b25df981a094527e3fb03acfb58fd479e14b2dbd71352fae571888e65215",
+        "PosTailR": "d352cccff58211b0054f907a1a3ca1dfbd7141083952a2947c5565d3bb0d92e7",
+        "TypeHead": "e4a099d14a956cddea895bc9331121b84d10e208a74cbd04611fa21750994b70",
+        "TypeTail": "791f7a41263f7b2d89d97c5470a1c4cbc4f54ba656ca43a72c5e7a7f1824a811",
+        "GRHead": "bf07624d732fb7734d344ed5eaa1537f2d9b51af97e5d8f88f87e118856fab16",
+        "GRTail": "4714a4d15af81c367c6453caefb4d9a18e2079edf135b74883f24ec3b8cba7fd",
+    },
+    "semeval": {
+        "SentLen": "282370a4ce7d2ebbf549358ac2cb3c854628aeffd6c19bca13dce64c794cec59",
+        "ArgDist": "abfc5936970e722c1fcf5843303b87007fd9e9fa9ca21bac9c5107e637167980",
+        "TreeDepth": "54bf5187a7530c22ddcfbedd1f34b48804076901a033539b176398ea0ac12ea8",
+        "SDPTreeDepth": "40afb748d75617508c8e6462f72304ad03a9a4dcc8a0fec40039241b4b0b00f2",
+        "PosHeadL": "d5b5f99999fe3b3749d97620ed54cabc2b5ef7a7ec18423f51d20b33e9a406cc",
+        "PosHeadR": "db6fa01d1e58723b55e02203af03eb172d950b34e8af2ad17b28a53790770665",
+        "PosTailL": "2ee8b25df981a094527e3fb03acfb58fd479e14b2dbd71352fae571888e65215",
+        "PosTailR": "d352cccff58211b0054f907a1a3ca1dfbd7141083952a2947c5565d3bb0d92e7",
+        "TypeHead": "e4a099d14a956cddea895bc9331121b84d10e208a74cbd04611fa21750994b70",
+        "TypeTail": "791f7a41263f7b2d89d97c5470a1c4cbc4f54ba656ca43a72c5e7a7f1824a811",
+        "GRHead": "bf07624d732fb7734d344ed5eaa1537f2d9b51af97e5d8f88f87e118856fab16",
+        "GRTail": "4714a4d15af81c367c6453caefb4d9a18e2079edf135b74883f24ec3b8cba7fd",
+    },
+}
+
+
+def _pinned_corpus():
+    return synth.generate(synth.SynthConfig(
+        n_train=200, n_val=50, n_test=50, templates=synth.default_templates(),
+        lexicons=synth.default_lexicons(), seed=20, pad_max=8))
+
+
+@pytest.mark.parametrize("profile", sorted(_PINNED))
+def test_dataset_files_are_pinned(tmp_path, profile):
+    got = {}
+    for ds in build_all(_pinned_corpus(), profile):
+        path = tmp_path / (ds.task + ".jsonl")
+        save_dataset(ds, str(path))
+        got[ds.task] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == _PINNED[profile]
+
+
+def _json_lines(ds):
+    """The lines save_dataset writes, as json.dumps of one dict per split."""
+    lines = []
+    for split in probegen.SPLITS:
+        rec = {"task": ds.task, "labels": list(ds.labels), "split": split,
+               "items": [{"id": sid, "label": label} for sid, label in ds.splits[split]]}
+        if ds.bin_spec is not None:
+            rec["boundaries"] = [b if math.isfinite(b) else "inf" for b in ds.bin_spec.boundaries]
+        lines.append(json.dumps(rec) + "\n")
+    return lines
+
+
+_AWKWARD = ('plain', 'say "hi"', 'back\\slash', 'tab\there', 'nl\nand\rcr', '\x00\x1f\x7f',
+            'café', '日本', 'emoji \U0001f600', '\ud800 lone', '</S>', '')
+
+
+@pytest.mark.parametrize("bins", (None, BinSpec((0, 2.5, 7, math.inf))))
+def test_save_dataset_lines_equal_json_dumps(tmp_path, bins):
+    labels = tuple(sorted(set(_AWKWARD)))
+    items = tuple(("%s-%d" % (text, i), labels[i % len(labels)])
+                  for i, text in enumerate(_AWKWARD))
+    for splits in ({"train": items, "validation": items[:3], "test": items[::-1]},
+                   {"train": items, "validation": (), "test": ()}):
+        ds = probegen.ProbingDataset(task='Ta"ské', labels=labels, splits=splits,
+                                     bin_spec=bins)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, str(path))
+        with open(path, encoding="utf-8") as f:
+            assert f.readlines() == _json_lines(ds)
