@@ -43,21 +43,29 @@ def _grid(text):
     return grid
 
 
-def _jobs(text):
-    jobs = int(text)
-    if jobs < 1:
+def _count(text):
+    n = int(text)
+    if n < 0:
         raise ValueError(text)
-    return jobs
+    return n
+
+
+def _positive(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
 
 
 _EXPECTED = {int: "an integer", _bool: "true/false, yes/no or 1/0",
-             _grid: "comma-separated numbers", _jobs: "an integer >= 1"}
+             _grid: "comma-separated numbers", _count: "an integer >= 0",
+             _positive: "an integer >= 1"}
 
 
 def _parse_value(text, kind, name, where=None):
-    """text as `kind` (str, int, _bool, _grid or _jobs); a value that does not parse,
-    or that _grid rejects, is a UsageError naming `name` and, when given,
-    `where` it was read."""
+    """text as `kind` (str, int, _bool, _grid, _count or _positive); a value
+    that does not parse, or that _grid rejects, is a UsageError naming `name`
+    and, when given, `where` it was read."""
     try:
         return kind(text)
     except ValueError:
@@ -72,8 +80,8 @@ KNOWN_KEYS = {
     "corpus": str, "corpus_format": str, "profile": str, "encoder": str, "masking": _bool,
     "word_dim": int, "pos_dim": int, "max_offset": int, "embeddings": str,
     "embeddings_dim": int, "contextual": str, "seed": int, "out": str, "task_profile": str,
-    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": _jobs,
-    "boe_dim": int, "boe_seed": int,
+    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": _positive,
+    "boe_dim": _positive, "boe_seed": int,
 }
 
 
@@ -125,6 +133,9 @@ def cmd_validate(args):
 
 
 def cmd_synth(args):
+    n_train, n_val, n_test, pad_max = (
+        _parse_value(getattr(args, name), _count, "--" + name.replace("_", "-"))
+        for name in ("n_train", "n_val", "n_test", "pad_max"))
     lexicons = synth.default_lexicons()
     if args.templates == "default":
         templates = synth.default_templates()
@@ -134,9 +145,9 @@ def cmd_synth(args):
         templates = ()
     else:
         templates = synth.load_templates(args.templates)
-    cfg = synth.SynthConfig(n_train=args.n_train, n_val=args.n_val, n_test=args.n_test,
+    cfg = synth.SynthConfig(n_train=n_train, n_val=n_val, n_test=n_test,
                             templates=templates, lexicons=lexicons, seed=args.seed,
-                            pad_max=args.pad_max)
+                            pad_max=pad_max)
     if args.templates == "order-controlled":
         corpus = synth.generate_order_controlled(cfg)
     else:
@@ -222,10 +233,11 @@ def _boe_table(embeddings_path, dim, seed, sentences):
 
 
 def cmd_extract(args):
+    boe_dim = _parse_value(args.boe_dim, _positive, "--boe-dim")
     corpus = load_corpus(args.corpus, args.format)
     sentences = corpus.split(args.split)
     if args.baseline:
-        table = _boe_table(args.embeddings, args.boe_dim, args.boe_seed,
+        table = _boe_table(args.embeddings, boe_dim, args.boe_seed,
                            corpus.all_sentences()) if args.baseline == "boe" else None
         rep = baseline_reps(args.baseline, sentences, table)
     else:
@@ -263,7 +275,8 @@ def cmd_probe(args):
 
 def cmd_suite(args):
     cfg = read_config(args.config)
-    jobs = cfg.get("jobs", 1) if args.jobs is None else _parse_value(args.jobs, _jobs, "--jobs")
+    jobs = cfg.get("jobs", 1) if args.jobs is None \
+        else _parse_value(args.jobs, _positive, "--jobs")
     standardize = cfg.get("standardize", False)
     corpus = _load_corpus_cfg(cfg)
     seed = _seed_from(cfg)
@@ -326,11 +339,16 @@ def cmd_gradcheck(args):
 
 
 def cmd_report(args):
-    with open(args.csv, encoding="utf-8") as f:
-        lines = [l.rstrip("\n") for l in f if l.strip()]
-    header = lines[0].split(",")
-    rows = [l.split(",") for l in lines[1:]]
-    print(render_text_table(header, rows), end="")
+    lines = [(lineno, line.rstrip("\r\n").split(","))
+             for lineno, line in read_lines(args.csv) if line.strip()]
+    if not lines:
+        raise ValueError("%s: no header row" % args.csv)
+    header = lines[0][1]
+    for lineno, row in lines[1:]:
+        if len(row) != len(header):
+            raise ValueError("%s:%d: expected %d fields like the header, got %d"
+                             % (args.csv, lineno, len(header), len(row)))
+    print(render_text_table(header, [row for _, row in lines[1:]]), end="")
     return 0
 
 
@@ -349,11 +367,11 @@ def build_parser():
     s.add_argument("--out", required=True)
     s.add_argument("--templates", default="default",
                    help="default | type-pair | order-controlled | path to jsonl")
-    s.add_argument("--n-train", type=int, default=64)
-    s.add_argument("--n-val", type=int, default=16)
-    s.add_argument("--n-test", type=int, default=32)
+    s.add_argument("--n-train", default=64)
+    s.add_argument("--n-val", default=16)
+    s.add_argument("--n-test", default=32)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--pad-max", type=int, default=0)
+    s.add_argument("--pad-max", default=0)
     s.set_defaults(func=cmd_synth)
 
     g = sub.add_parser("probegen", help="generate probing-task datasets")
@@ -378,7 +396,7 @@ def build_parser():
     e.add_argument("--checkpoint")
     e.add_argument("--baseline", choices=probing.BASELINES)
     e.add_argument("--embeddings")
-    e.add_argument("--boe-dim", type=int, default=16)
+    e.add_argument("--boe-dim", default=16)
     e.add_argument("--boe-seed", type=int, default=0)
     e.add_argument("--contextual")
     e.add_argument("--out", required=True)

@@ -440,13 +440,13 @@ class REModel:
     def _encode_cnn(self, x, starts):
         enc = self.enc_cfg
         act = ad.tanh if enc.cnn_activation == "tanh" else ad.relu
-        lengths = (starts[1:] - starts[:-1]).tolist()
+        lengths = np.diff(starts)
         pools = []
         for k in enc.cnn_sizes:
             h = act(ad.conv1d(x, self.params["cnn_w%d" % k], self.params["cnn_b%d" % k],
                               starts=starts))
             # segment starts of conv1d's rows: max(len - k + 1, 1) windows per sentence
-            windows = [0, *itertools.accumulate(max(n - k + 1, 1) for n in lengths)]
+            windows = np.concatenate(([0], np.maximum(lengths - k + 1, 1).cumsum()))
             pools.append(ad.amax(h, starts=windows))
         return ad.concat(pools, axis=1) if len(pools) > 1 else pools[0]
 

@@ -62,6 +62,9 @@ def op_checks(seed=0, eps=1e-5):
         check("amax", {"a": (6, 4)}, lambda p: _squares(ad.amax(p["a"])))
         check("amax:segments", {"a": (6, 3)},
               lambda p: _squares(ad.amax(p["a"], starts=(0, 1, 4, 6))))
+        # rows wider than amax's reduceat crossover: one max per segment
+        check("amax:wide", {"a": (7, ad._REDUCEAT_MAX_WIDTH + 1)},
+              lambda p: _squares(ad.amax(p["a"], starts=(0, 2, 3, 7))))
         check("sum_all", {"a": (3, 4)}, lambda p: ad.sum_all(p["a"]))
         check("sum_axis", {"a": (4, 3)}, lambda p: _squares(ad.sum_axis(p["a"])))
         check("sum_axis:segments", {"a": (5, 3)},

@@ -297,6 +297,31 @@ def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("option,value,kind", (
+    ("--n-train", "-5", "an integer >= 0"), ("--n-val", "-1", "an integer >= 0"),
+    ("--n-test", "x", "an integer >= 0"), ("--pad-max", "-2", "an integer >= 0"),
+    ("--boe-dim", "0", "an integer >= 1"), ("--boe-dim", "-3", "an integer >= 1"),
+    ("boe_dim", "0", "an integer >= 1")))
+def test_bad_size_is_usage_error(capsys, tmp_path, corpus_dir, option, value, kind):
+    out = str(tmp_path / "o")
+    if option == "boe_dim":
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("corpus = %s\nout = %s\nboe_dim = %s\n" % (corpus_dir, out, value))
+        argv = ["suite", "--config", str(cfg)]
+        expected = "error: config key 'boe_dim': expected %s, got %r in %s:3\n" % (
+            kind, value, cfg)
+    else:
+        if option == "--boe-dim":
+            argv = ["extract", "--corpus", corpus_dir, "--baseline", "boe", "--out", out]
+        else:
+            argv = ["synth", "--out", out]
+        argv += [option, value]
+        expected = "error: %s: expected %s, got %r\n" % (option, kind, value)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", expected)
+    assert not os.path.exists(out)
+
+
 def test_config_bad_utf8_names_path_and_line(capsys, tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_bytes(b"corpus = /nowhere\nout = r\xffn\n")
@@ -600,6 +625,17 @@ def test_report_is_deterministic(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0].split() == ["source", "SentLen"]
+
+
+@pytest.mark.parametrize("text,problem", (
+    ("", ": no header row"), ("\n  \n", ": no header row"),
+    ("a,b\n1\n", ":2: expected 2 fields like the header, got 1"),
+    ("a,b\n\n1,2\n3,4,5\n", ":4: expected 2 fields like the header, got 3")))
+def test_report_bad_csv_names_the_line(capsys, tmp_path, text, problem):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    code, out, err = run(capsys, "report", "--csv", str(p))
+    assert (code, out, err) == (1, "", "error: %s%s\n" % (p, problem))
 
 
 def test_gradcheck_command(capsys):

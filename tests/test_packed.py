@@ -82,7 +82,7 @@ def test_no_tape_records_nothing_and_computes_the_same():
 def test_gradcheck_registry_covers_every_segment_op():
     results = op_checks()
     names = ("conv1d:segments", "conv1d:short-segments", "gather_rows:grouped",
-             "amax:segments", "sum_axis:segments", "segment_matmul",
+             "amax:segments", "amax:wide", "sum_axis:segments", "segment_matmul",
              "lstm_sequence:segments", "lstm_sequence:segments:reverse",
              "lstm_sequence:segments:rmask", "multihead_attention:segments")
     assert set(names) <= set(results)
