@@ -78,8 +78,8 @@ def _parse_value(text, kind, name, where=None):
 # config key -> kind of its value
 KNOWN_KEYS = {
     "corpus": str, "corpus_format": str, "profile": str, "encoder": str, "masking": _bool,
-    "word_dim": int, "pos_dim": int, "max_offset": int, "embeddings": str,
-    "embeddings_dim": int, "contextual": str, "seed": int, "out": str, "task_profile": str,
+    "word_dim": _positive, "pos_dim": _count, "max_offset": _positive, "embeddings": str,
+    "embeddings_dim": _positive, "contextual": str, "seed": int, "out": str, "task_profile": str,
     "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": _positive,
     "boe_dim": _positive, "boe_seed": int,
 }

@@ -156,9 +156,9 @@ def depth_values(sentences):
     roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
     a, b = roots.reshape(2, -1)
     path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])
-    tree_depth = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
+    deepest = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
     sdp_depth = (path_rows - 1 + np.abs(depth[a] - depth[b])) // 2
-    return tree_depth.tolist(), sdp_depth.tolist()
+    return deepest.tolist(), sdp_depth.tolist()
 
 
 def build_tasks(tasks, corpus, profile="tacred"):

@@ -20,6 +20,7 @@ from relprobe import deptree
 from relprobe.corpus import masked_tokens
 from relprobe.encoders import UNK, REModel
 
+import reference_trees
 from reference_ops import slice_rows
 
 SentenceFeatures = namedtuple("SentenceFeatures", "ids offsets ctx graph")
@@ -55,12 +56,12 @@ def featurize(self, sentence, ctx_row=None):
                         for span in (sentence.head, sentence.tail))
     graph = None
     if enc.kind == "gcn":
-        tree = deptree.build_tree(sentence.dep_head)
+        tree = reference_trees.build_tree(sentence.dep_head)
         roots = [deptree.span_root(sentence.dep_head, span)
                  for span in (sentence.head, sentence.tail)]
-        path = deptree.sdp(tree, *roots)
+        path = reference_trees.sdp(tree, *roots)
         k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k
-        kept = sorted(deptree.prune(tree, path, k))
+        kept = sorted(reference_trees.prune(tree, path, k))
         pos = {tok: i for i, tok in enumerate(kept)}
         adj = np.eye(len(kept), dtype=ad.current_dtype())
         for tok in kept:

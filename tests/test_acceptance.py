@@ -24,6 +24,7 @@ from relprobe.training import (desk_encoder_config, desk_input_config,
                                train_re)
 from relprobe.verify import gradcheck_all
 
+import reference_trees
 from conftest import random_parents
 
 
@@ -46,80 +47,37 @@ def test_criterion_1_gradcheck():
 
 # --------------------------------------------------------------- criterion 2
 
-def _fw_oracle(dep_head):
-    """Vectorized Floyd-Warshall with path reconstruction."""
-    n = len(dep_head)
-    dist = np.full((n, n), np.inf)
-    nxt = np.full((n, n), -1, dtype=int)
-    np.fill_diagonal(dist, 0)
-    nxt[np.arange(n), np.arange(n)] = np.arange(n)
-    for i, h in enumerate(dep_head):
-        if h > 0:
-            j = h - 1
-            dist[i, j] = dist[j, i] = 1
-            nxt[i, j] = j
-            nxt[j, i] = i
-    for k in range(n):
-        alt = dist[:, k, None] + dist[None, k, :]
-        better = alt < dist
-        dist = np.where(better, alt, dist)
-        nxt = np.where(better, nxt[:, k, None], nxt)
-    return dist, nxt
-
-
-def _fw_path(nxt, a, b):
-    path = [a]
-    while path[-1] != b:
-        path.append(int(nxt[path[-1], b]))
-    return path
-
-
-def _bfs_filter(dep_head, path_nodes, k):
-    n = len(dep_head)
-    adj = [[] for _ in range(n)]
-    for i, h in enumerate(dep_head):
-        if h > 0:
-            adj[i].append(h - 1)
-            adj[h - 1].append(i)
-    kept = set()
-    for src in path_nodes:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        kept |= {v for v, d in dist.items() if d <= k}
-    return kept
-
-
 def test_criterion_2_tree_oracles():
+    """The per-sentence oracle and the packed passes the pipeline runs, each
+    against Floyd-Warshall paths, tree depth and a BFS distance filter."""
     rng = np.random.default_rng(42)
     failures = 0
     for _ in range(1000):
         n = int(rng.integers(5, 41))
         dep_head = random_parents(rng, n)
-        tree = deptree.build_tree(dep_head)
+        tree = reference_trees.build_tree(dep_head)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         a, b = min(a, b), max(a, b)
-        res = deptree.sdp(tree, a, b)
-        dist, nxt = _fw_oracle(dep_head)
-        if list(res.path) != _fw_path(nxt, a, b):
+        res = reference_trees.sdp(tree, a, b)
+        fw_path = reference_trees.floyd_warshall_path(dep_head, a, b)[0]
+        parent, depth, _ = deptree.packed_trees(dep_head, np.array([0, n]))
+        mask = deptree.path_mask(parent, depth, np.array([a]), np.array([b]))
+        packed_sdp_depth = (mask.sum() - 1 + abs(depth[a] - depth[b])) // 2
+        if list(res.path) != fw_path or np.flatnonzero(mask).tolist() != sorted(fw_path):
             failures += 1
             continue
-        if res.depth > deptree.tree_depth(tree):
+        if res.depth > reference_trees.tree_depth(tree) or packed_sdp_depth > depth.max():
             failures += 1
             continue
         for k in (0, 1, 2):
-            if deptree.prune(tree, res, k) != _bfs_filter(dep_head, res.path, k):
+            kept = reference_trees.bfs_filter(dep_head, res.path, k)
+            if (reference_trees.prune(tree, res, k) != kept
+                    or set(np.flatnonzero(deptree.grow(mask, parent, k)).tolist()) != kept):
                 failures += 1
                 break
     report(2, failures == 0,
-           "1000 random trees: sdp/prune/depth vs oracles, %d failures" % failures)
+           "1000 random trees: sdp/prune/depth and path_mask/grow/packed depth vs oracles,"
+           " %d failures" % failures)
 
 
 # ------------------------------------------------------- shared big corpus

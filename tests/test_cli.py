@@ -245,7 +245,7 @@ def test_unparsable_value_is_usage_error(capsys, monkeypatch, tmp_path, corpus_d
         argv = ["train", "--config", str(cfg)]
         expected = "error: RELPROBE_SEED: expected an integer, got 'x'\n"
     else:
-        value, command, kind = {"word_dim": ("abc", "train", "an integer"),
+        value, command, kind = {"word_dim": ("abc", "train", "an integer >= 1"),
                                 "grid": ("0.1,x", "suite", "comma-separated numbers")}[case]
         cfg.write_text(body + "%s = %s\n" % (case, value))
         argv = [command, "--config", str(cfg)]
@@ -278,8 +278,10 @@ def test_out_of_range_grid_is_usage_error(capsys, tmp_path, corpus_dir, case, va
 
 
 @pytest.mark.parametrize("value", ("0", "-3", "-2", "x", "1.5", ""))
-@pytest.mark.parametrize("case", ("jobs", "--jobs"))
+@pytest.mark.parametrize("case", ("jobs", "--jobs", "word_dim", "max_offset", "embeddings_dim"))
 def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value):
+    """--jobs and the config keys that take an integer >= 1, which every
+    command's config reader checks before it runs anything."""
     out = str(tmp_path / "o")
     cfg = tmp_path / "j.cfg"
     body = "corpus = %s\nout = %s\nsources = length\ntasks = SentLen\n" % (corpus_dir, out)
@@ -288,10 +290,10 @@ def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value
         argv = ["suite", "--config", str(cfg), "--jobs", value]
         expected = "error: --jobs: expected an integer >= 1, got %r\n" % value
     else:
-        cfg.write_text(body + "jobs = %s\n" % value)
+        cfg.write_text(body + "%s = %s\n" % (case, value))
         argv = ["suite", "--config", str(cfg)]
-        expected = "error: config key 'jobs': expected an integer >= 1, got %r in %s:5\n" % (
-            value, cfg)
+        expected = "error: config key %r: expected an integer >= 1, got %r in %s:5\n" % (
+            case, value, cfg)
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", expected)
     assert not os.path.exists(out)
@@ -301,15 +303,16 @@ def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value
     ("--n-train", "-5", "an integer >= 0"), ("--n-val", "-1", "an integer >= 0"),
     ("--n-test", "x", "an integer >= 0"), ("--pad-max", "-2", "an integer >= 0"),
     ("--boe-dim", "0", "an integer >= 1"), ("--boe-dim", "-3", "an integer >= 1"),
-    ("boe_dim", "0", "an integer >= 1")))
+    ("boe_dim", "0", "an integer >= 1"), ("pos_dim", "-1", "an integer >= 0"),
+    ("pos_dim", "x", "an integer >= 0")))
 def test_bad_size_is_usage_error(capsys, tmp_path, corpus_dir, option, value, kind):
     out = str(tmp_path / "o")
-    if option == "boe_dim":
+    if not option.startswith("--"):  # a config key
         cfg = tmp_path / "b.cfg"
-        cfg.write_text("corpus = %s\nout = %s\nboe_dim = %s\n" % (corpus_dir, out, value))
+        cfg.write_text("corpus = %s\nout = %s\n%s = %s\n" % (corpus_dir, out, option, value))
         argv = ["suite", "--config", str(cfg)]
-        expected = "error: config key 'boe_dim': expected %s, got %r in %s:3\n" % (
-            kind, value, cfg)
+        expected = "error: config key %r: expected %s, got %r in %s:3\n" % (
+            option, kind, value, cfg)
     else:
         if option == "--boe-dim":
             argv = ["extract", "--corpus", corpus_dir, "--baseline", "boe", "--out", out]

@@ -1,3 +1,6 @@
+"""relprobe.deptree's checks and packed passes, and the per-sentence oracle
+of tests/reference_trees.py that they are compared with."""
+
 import math
 from collections import Counter
 
@@ -5,39 +8,14 @@ import numpy as np
 import pytest
 
 from relprobe.corpus import Span
-from relprobe.deptree import (build_tree, head_problems, packed_trees, path_mask, prune, sdp,
-                              span_root, span_roots, tree_depth)
+from relprobe.deptree import head_problems, packed_trees, path_mask, span_root, span_roots
 
 from conftest import random_parents
+from reference_trees import (bfs_filter, build_tree, floyd_warshall_path, prune, sdp,
+                             tree_depth)
 
 
 # ------------------------------------------------------------------ oracles
-
-def floyd_warshall_path(dep_head, a, b):
-    """All-pairs shortest path on the undirected tree; returns node list."""
-    n = len(dep_head)
-    dist = np.full((n, n), np.inf)
-    nxt = np.full((n, n), -1, dtype=int)
-    for i in range(n):
-        dist[i, i] = 0
-        nxt[i, i] = i
-    for i, h in enumerate(dep_head):
-        if h > 0:
-            j = h - 1
-            dist[i, j] = dist[j, i] = 1
-            nxt[i, j] = j
-            nxt[j, i] = i
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if dist[i, k] + dist[k, j] < dist[i, j]:
-                    dist[i, j] = dist[i, k] + dist[k, j]
-                    nxt[i, j] = nxt[i, k]
-    path = [a]
-    while path[-1] != b:
-        path.append(int(nxt[path[-1], b]))
-    return path, dist
-
 
 def bfs_depth_oracle(dep_head):
     """Max root-to-leaf edge count via breadth-first search."""
@@ -281,29 +259,6 @@ def test_sdp_depth_bounded_by_tree_depth():
 
 # ------------------------------------------------------------------- prune
 
-def _bfs_distance_filter(dep_head, path_nodes, k):
-    n = len(dep_head)
-    adj = [[] for _ in range(n)]
-    for i, h in enumerate(dep_head):
-        if h > 0:
-            adj[i].append(h - 1)
-            adj[h - 1].append(i)
-    kept = set()
-    for src in path_nodes:
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        kept |= {v for v, d in dist.items() if d <= k}
-    return kept
-
-
 def test_prune_k0_is_path():
     t = build_tree([2, 0, 2, 1])
     r = sdp(t, 0, 2)
@@ -326,7 +281,7 @@ def test_prune_matches_bfs_filter():
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         r = sdp(t, min(a, b), max(a, b))
         for k in (0, 1, 2, 3, n):  # n: farther than any two tokens are apart
-            assert prune(t, r, k) == _bfs_distance_filter(dep_head, r.path, k)
+            assert prune(t, r, k) == bfs_filter(dep_head, r.path, k)
 
 
 def test_prune_monotone_in_k():

@@ -1,7 +1,7 @@
 """Each sentence's derived inputs are prepared once per run: trees in
 probegen.build_tasks (depth tasks), model inputs in REModel.featurize, whose
-forward pass gives the same logits as before. Neither builds a DepTree: both
-run deptree's array passes over a whole split or pack."""
+forward pass gives the same logits as before. Both get their trees from one
+deptree.pack_trees pass over a whole split or batch."""
 
 import numpy as np
 import pytest
@@ -9,26 +9,27 @@ import pytest
 from relprobe import autodiff as ad
 from relprobe import deptree, encoders, probegen
 from relprobe.corpus import Corpus, Sentence, Span, masked_tokens
-from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
+from relprobe.encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import extract_reps
 from relprobe.training import (HyperProfile, desk_encoder_config, desk_input_config,
                                train_re)
 
-# ------------------------------------------------------------ tree builds
+# ------------------------------------------------------------ tree packs
 
 
 @pytest.fixture
-def tree_builds(monkeypatch):
-    """Counts deptree.build_tree calls made through the module attribute."""
-    calls = []
-    real = deptree.build_tree
+def tree_packs(monkeypatch):
+    """The dep_head lists of each deptree.pack_trees call made through the
+    module attribute, which sentence_trees also calls."""
+    packs = []
+    real = deptree.pack_trees
 
-    def counting(dep_head):
-        calls.append(1)
-        return real(dep_head)
+    def counting(dep_heads):
+        packs.append(list(dep_heads))
+        return real(dep_heads)
 
-    monkeypatch.setattr(deptree, "build_tree", counting)
-    return calls
+    monkeypatch.setattr(deptree, "pack_trees", counting)
+    return packs
 
 
 @pytest.fixture(scope="module")
@@ -43,30 +44,33 @@ def _profile(epochs):
 
 
 @pytest.mark.parametrize("masking", (False, True), ids=("unmasked", "masked"))
-def test_cnn_training_builds_no_tree(corpus, tree_builds, masking):
-    """Masking reads span roots off dep_head: only GCN builds trees."""
+def test_cnn_training_builds_no_tree(corpus, tree_packs, masking):
+    """Masking reads span roots off dep_head: only GCN packs trees."""
     model, _ = train_re(corpus, desk_input_config(masking=masking),
                         desk_encoder_config("cnn"), _profile(2))
     extract_reps(model, corpus.test)
-    assert len(tree_builds) == 0
+    assert tree_packs == []
 
 
-def test_masked_gcn_training_builds_independent_of_epochs(corpus, tree_builds):
-    counts = []
+def test_masked_gcn_training_builds_independent_of_epochs(corpus, tree_packs):
+    """Training packs the train split once and the validation split once,
+    however many epochs it runs."""
     for epochs in (1, 3):
-        del tree_builds[:]
+        del tree_packs[:]
         train_re(corpus, desk_input_config(masking=True), desk_encoder_config("gcn"),
                  _profile(epochs))
-        counts.append(len(tree_builds))
-    assert counts == [0, 0]
+        assert tree_packs == [[s.dep_head for s in split]
+                              for split in (corpus.train, corpus.validation)]
 
 
-def test_extract_builds_each_tree_once(corpus, tree_builds):
+def test_extract_builds_each_tree_once(corpus, tree_packs):
+    """Extraction packs each chunk of EVAL_BATCH sentences once."""
     model, _ = train_re(corpus, desk_input_config(masking=True),
                         desk_encoder_config("gcn"), _profile(1))
-    del tree_builds[:]
+    del tree_packs[:]
     extract_reps(model, corpus.test)
-    assert len(tree_builds) <= len(corpus.test)
+    assert tree_packs == [[s.dep_head for s in corpus.test[lo:lo + EVAL_BATCH]]
+                          for lo in range(0, len(corpus.test), EVAL_BATCH)]
 
 
 @pytest.mark.parametrize("kind", ("boe", "gcn"))
@@ -84,23 +88,14 @@ def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
     assert sorted(calls) == sorted(s.id for s in corpus.train + corpus.validation)
 
 
-def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_builds, monkeypatch):
+def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_packs):
     """One deptree.pack_trees pass per split packs each sentence's tree once."""
-    packed = []
-    real = deptree.pack_trees
-
-    def counting(dep_heads):
-        packed.append(list(dep_heads))
-        return real(dep_heads)
-
-    monkeypatch.setattr(deptree, "pack_trees", counting)
     probegen.build_all(corpus)
-    assert packed == [[s.dep_head for s in split]
-                      for split in (corpus.train, corpus.validation, corpus.test)]
-    assert len(tree_builds) == 0
-    del packed[:]
+    assert tree_packs == [[s.dep_head for s in split]
+                          for split in (corpus.train, corpus.validation, corpus.test)]
+    del tree_packs[:]
     probegen.build_tasks(["SentLen", "ArgOrd", "PosHeadL"], corpus)
-    assert packed == []
+    assert tree_packs == []
 
 
 # ---------------------------------------------------------- pinned logits

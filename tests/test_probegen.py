@@ -12,6 +12,7 @@ from relprobe.probegen import (BinSpec, build_all, build_tasks, depth_values,
                                extract, load_dataset, quantile_bins,
                                save_dataset)
 
+import reference_trees
 from conftest import make_sentence, random_parents
 
 
@@ -110,10 +111,10 @@ def test_tree_depth_clamped():
 
 def _per_sentence_depths(s):
     """TreeDepth and SDPTreeDepth of one sentence from its DepTree."""
-    tree = deptree.build_tree(s.dep_head)
+    tree = reference_trees.build_tree(s.dep_head)
     roots = (deptree.span_root(s.dep_head, s.head), deptree.span_root(s.dep_head, s.tail))
-    depth = min(deptree.tree_depth(tree), probegen.TREE_DEPTH_CLAMP)
-    return depth, deptree.sdp(tree, *roots).depth
+    depth = min(reference_trees.tree_depth(tree), probegen.TREE_DEPTH_CLAMP)
+    return depth, reference_trees.sdp(tree, *roots).depth
 
 
 def _oracle_check(sentences):
