@@ -114,7 +114,7 @@ class Tensor:
 
     def _accum(self, g):
         if self._grad is None:
-            # a copy: add and reshape pass one g (or a view) to several tensors
+            # a copy: an op such as add passes one g (or a view) to several tensors
             self._grad = np.empty_like(self.data)
             self._grad[...] = g
         else:
@@ -299,17 +299,6 @@ def relu(a):
             a._accum(g * mask)
 
     return Tensor(out_data, parents=(a,), backward=back)
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    in_shape = a.data.shape
-
-    def back(g):
-        if a.requires_grad:
-            a._accum(g.reshape(in_shape))
-
-    return Tensor(a.data.reshape(shape), parents=(a,), backward=back)
 
 
 def concat(tensors, axis=0):

@@ -204,6 +204,8 @@ def cmd_train(args):
     contextual = None
     if "contextual" in cfg:
         contextual = load_contextual(cfg["contextual"])
+        if not contextual.matrices:
+            raise ValueError("%s: no contextual vectors" % cfg["contextual"])
         contextual.check_against(corpus.all_sentences())
         input_kwargs["use_contextual"] = True
         input_kwargs["contextual_dim"] = next(iter(contextual.matrices.values())).shape[1]

@@ -4,9 +4,9 @@ The pipeline works on whole splits or batches at once, as 0-based packed
 parent rows (-1 for a root): pack_trees checks and packs them, and
 span_roots, path_mask and grow answer for every sentence of the pack with a
 few numpy passes. The corpus loader, probegen's depth tasks and GCN
-featurization all go through pack_trees. head_problems words why one
-sentence's dep_head is not a tree, and span_root finds one span's root for
-masking and the type and role tasks.
+featurization all go through pack_trees. head_problems words the faults the
+same pass finds in one sentence, on the error path and for synth templates;
+span_root finds one span's root for masking and the type and role tasks.
 """
 
 from __future__ import annotations
@@ -19,30 +19,14 @@ import numpy as np
 
 def head_problems(dep_head):
     """Why 1-based parent indices (0 marks the root) are not one tree; empty
-    if they are. O(n): all tokens must be reachable from a root (no cycles)."""
-    n = len(dep_head)
-    if n == 0:
+    if they are. Words the faults packed_trees finds in a one-sentence pack."""
+    if len(dep_head) == 0:
         return ["empty dep_head"]
-    problems = []
-    roots = [i for i, h in enumerate(dep_head) if h == 0]
-    if not roots:
-        problems.append("no root token")
-    elif len(roots) > 1:
-        problems.append("multiple root tokens")
-    if not all(0 <= h <= n for h in dep_head):
+    roots, outside, cycle = (fact[0] for fact in _tree_pass(*_pack([dep_head]))[2:])
+    problems = ["no root token"] if roots == 0 else ["multiple root tokens"] if roots > 1 else []
+    if outside:
         return problems + ["dep_head value out of range"]
-    children = [[] for _ in range(n)]
-    for i, h in enumerate(dep_head):
-        if h:
-            children[h - 1].append(i)
-    stack, reached = roots, len(roots)
-    while stack:
-        below = children[stack.pop()]
-        reached += len(below)
-        stack.extend(below)
-    if reached < n:
-        problems.append("cycle detected")
-    return problems
+    return problems + ["cycle detected"] * bool(cycle)
 
 
 def span_root(dep_head, span) -> int:
@@ -61,15 +45,25 @@ def span_root(dep_head, span) -> int:
 # ------------------------------------------------- packed sentences
 
 
+def _pack(dep_heads):
+    """(heads, starts) of pack_trees: the sequences concatenated as int64."""
+    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    values = itertools.chain.from_iterable
+    try:
+        heads = np.fromiter(values(dep_heads), dtype=np.int64, count=starts[-1])
+    except OverflowError:  # a value outside int64 reads as -1, out of range
+        heads = np.fromiter((h if -2**63 <= h < 2**63 else -1 for h in values(dep_heads)),
+                            dtype=np.int64, count=starts[-1])
+    return heads, starts
+
+
 def pack_trees(dep_heads):
     """(starts, parent, depth, bad): the 1-based dep_head sequences dep_heads
     packed row after row, sequence i owning rows [starts[i], starts[i+1]),
     and packed_trees of them."""
-    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
-    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
-    heads = np.fromiter(itertools.chain.from_iterable(dep_heads), dtype=np.int64,
-                        count=starts[-1])
+    heads, starts = _pack(dep_heads)
     return (starts, *packed_trees(heads, starts))
 
 
@@ -99,10 +93,17 @@ def packed_trees(heads, starts):
     counts the edges up to the root, by pointer jumping in ceil(log2(T_max))
     rounds (Hillis & Steele 1986, CACM 29(12)): after round j each row
     points 2**j edges up, or at its root. bad lists, in order, the sentences
-    that are not one tree: a head outside 0..len, no root or several, or a
-    row those rounds leave off a root (a cycle). An out-of-range head reads
-    as a root, so no row points into another sentence.
+    that are not one tree: no root or several, a head outside 0..len, or a
+    row those rounds leave off a root (a cycle).
     """
+    parent, depth, roots, outside, cycle = _tree_pass(heads, starts)
+    return parent, depth, np.flatnonzero((roots != 1) | outside | cycle)
+
+
+def _tree_pass(heads, starts):
+    """packed_trees' parent and depth, and per sentence the three facts bad
+    is made of: its root count, whether a head is out of range (it reads as a
+    root, so no row points into another sentence) and whether it has a cycle."""
     heads = np.asarray(heads, dtype=np.int64)
     lengths = np.diff(starts)
     sentence = np.repeat(np.arange(len(lengths)), lengths)
@@ -113,10 +114,9 @@ def packed_trees(heads, starts):
     for _ in range(int(lengths.max(initial=1) - 1).bit_length()):
         depth += depth[up]
         up = up[up]
-    wrong |= parent[up] >= 0
-    bad = np.bincount(sentence[heads == 0], minlength=len(lengths)) != 1
-    bad[sentence[wrong]] = True
-    return parent, depth, np.flatnonzero(bad)
+    roots, outside, cycle = (np.bincount(sentence[rows], minlength=len(lengths))
+                             for rows in (heads == 0, wrong, parent[up] >= 0))
+    return parent, depth, roots, outside > 0, cycle > 0
 
 
 def span_roots(parent, first, last):

@@ -112,7 +112,10 @@ def baseline_features(kind, s, table=None):
 
 
 def baseline_reps(kind, sentences, table=None) -> RepMatrix:
-    rows = np.stack([baseline_features(kind, s, table) for s in sentences])
+    """baseline_features of each sentence; (0, d) rows for no sentences, d
+    the table's dimension for boe and 1 for the others."""
+    rows = np.stack([baseline_features(kind, s, table) for s in sentences]) if sentences \
+        else np.zeros((0, table.dim if kind == "boe" and table is not None else 1))
     return RepMatrix(ids=tuple(s.id for s in sentences), rows=rows.astype(np.float32),
                      source="baseline:%s" % kind)
 

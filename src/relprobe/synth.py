@@ -206,18 +206,17 @@ def generate(config: SynthConfig) -> Corpus:
     """Generate a fully annotated corpus; identical config+seed => identical corpus."""
     if not config.templates:
         raise ValueError("templates must be non-empty")
+    # filling slots and padding (a chain off the root) keep a template's tree
+    # and spans valid, so checking each template checks every sentence
+    for i, tpl in enumerate(config.templates):
+        problems = validate_sentence(tpl)
+        if problems:
+            raise ValueError("template %d: %s" % (i, "; ".join(problems)))
     rng = np.random.default_rng(config.seed)
     splits = {}
     for split, n in (("train", config.n_train), ("val", config.n_val), ("test", config.n_test)):
-        sentences = []
-        for i in range(n):
-            tpl = _choice(rng, config.templates)
-            s = _fill_template(tpl, config, rng, "%s-%05d" % (split, i))
-            problems = validate_sentence(s)
-            if problems:
-                raise ValueError("generated invalid sentence %s: %s" % (s.id, problems))
-            sentences.append(s)
-        splits[split] = tuple(sentences)
+        splits[split] = tuple(_fill_template(_choice(rng, config.templates), config, rng,
+                                             "%s-%05d" % (split, i)) for i in range(n))
     inventory = tuple(sorted({s.relation for s in splits["train"]}))
     return Corpus(train=splits["train"], validation=splits["val"], test=splits["test"],
                   label_inventory=inventory, negative_label=None)

@@ -45,7 +45,6 @@ def op_checks(seed=0, eps=1e-5):
               lambda p: _squares(ad.matmul(p["a"], p["b"])))
         check("tanh", {"a": (3, 4)}, lambda p: ad.sum_all(ad.tanh(p["a"])))
         check("relu", {"a": (3, 4)}, lambda p: ad.sum_all(ad.relu(p["a"])))
-        check("reshape", {"a": (3, 4)}, lambda p: _squares(ad.reshape(p["a"], (4, 3))))
         check("concat", {"a": (2, 3), "b": (2, 3)},
               lambda p: _squares(ad.concat([p["a"], p["b"]], axis=1)))
         # as many ids as rows: the backward scatters into the whole table

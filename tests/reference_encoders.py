@@ -21,7 +21,7 @@ from relprobe.corpus import masked_tokens
 from relprobe.encoders import UNK, REModel
 
 import reference_trees
-from reference_ops import slice_rows
+from reference_ops import reshape, slice_rows
 
 SentenceFeatures = namedtuple("SentenceFeatures", "ids offsets ctx graph")
 
@@ -98,7 +98,7 @@ def conv1d(x, w, b=None):
         x = ad.concat([x, pad], axis=0)
         t = k
     idx = np.arange(t - k + 1)[:, None] + np.arange(k)[None, :]
-    windows = ad.reshape(ad.gather_rows(x, idx), (t - k + 1, k * d))
+    windows = reshape(ad.gather_rows(x, idx), (t - k + 1, k * d))
     return ad.linear(windows, w, b)
 
 
@@ -108,7 +108,7 @@ def encode_cnn(self, x):
     pools = []
     for k in enc.cnn_sizes:
         h = act(conv1d(x, self.params["cnn_w%d" % k], self.params["cnn_b%d" % k]))
-        pools.append(ad.reshape(ad.amax(h), (-1,)))
+        pools.append(reshape(ad.amax(h), (-1,)))
     return ad.concat(pools, axis=0) if len(pools) > 1 else pools[0]
 
 
@@ -125,7 +125,7 @@ def encode_bilstm(self, x, masks):
         fwd = lstm_direction(self, h, layer, "f", masks)
         bwd = lstm_direction(self, h, layer, "b", masks)
         h = ad.concat([fwd, bwd], axis=1)
-    return ad.reshape(ad.amax(h), (-1,))
+    return reshape(ad.amax(h), (-1,))
 
 
 def encode_gcn(self, x, graph, masks):
@@ -138,9 +138,9 @@ def encode_gcn(self, x, graph, masks):
                                            self.params["gcn%d_b" % layer])))
         if layer < enc.gcn_layers - 1:
             h = _dropped(h, masks.get("gcn%d" % layer))
-    pools = [ad.reshape(ad.amax(h), (-1,))]
+    pools = [reshape(ad.amax(h), (-1,))]
     for rows in (head_rows, tail_rows):
-        pools.append(ad.reshape(ad.amax(ad.gather_rows(h, rows)), (-1,)))
+        pools.append(reshape(ad.amax(ad.gather_rows(h, rows)), (-1,)))
     rep = ad.concat(pools, axis=0)
     for j in range(enc.gcn_ff_layers):
         rep = ad.relu(ad.linear(rep, self.params["gcn_ff%d_w" % j],
@@ -164,7 +164,7 @@ def encode_attn(self, x, masks):
         h = ad.add(h, ad.linear(ff, self.params["attn%d_ff2_w" % layer],
                                 self.params["attn%d_ff2_b" % layer]))
     last = h.shape[0] - 1
-    return ad.reshape(slice_rows(h, last, last + 1), (enc.attn_model_dim,))
+    return reshape(slice_rows(h, last, last + 1), (enc.attn_model_dim,))
 
 
 def encode(self, features, train=False):
@@ -184,7 +184,7 @@ def encode(self, features, train=False):
     elif enc.kind == "attn":
         rep = encode_attn(self, x, masks)
     else:
-        rep = ad.reshape(ad.sum_axis(x), (-1,))
+        rep = reshape(ad.sum_axis(x), (-1,))
     mask = masks.get("encoder")
     return _dropped(rep, None if mask is None else mask.reshape(-1))
 
@@ -199,7 +199,7 @@ def _stacked(fn):
     """fn over one SentenceFeatures or a list of them, as (B, width) rows."""
     def method(self, features, train=False):
         single = isinstance(features, SentenceFeatures)
-        rows = [ad.reshape(fn(self, f, train), (1, -1))
+        rows = [reshape(fn(self, f, train), (1, -1))
                 for f in ([features] if single else features)]
         return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
     return method

@@ -1,10 +1,10 @@
 """Autodiff ops that only the test references build graphs from.
 
 The per-head attention of tests/test_attention.py, the per-step LSTM of
-tests/test_lstm_sequence.py, the last-row slice of
-tests/reference_encoders.py and the summed losses of the differential tests
-compose these with the ops of relprobe.autodiff, which carries only what
-the encoders run. Each one is gradchecked in tests/test_autodiff.py.
+tests/test_lstm_sequence.py, the last-row slice and the reshapes of
+tests/reference_encoders.py and conv1d_add_at, and the summed losses of the
+differential tests compose these with the ops of relprobe.autodiff, which
+carries only what the encoders run. Each one is gradchecked in tests/test_autodiff.py.
 
 gather_rows_add_at, amax_add_at and conv1d_add_at are gather_rows, amax
 and conv1d with np.add.at as their scatter-add: tests/test_scatter.py
@@ -14,8 +14,17 @@ for byte.
 
 import numpy as np
 
-from relprobe.autodiff import (Tensor, concat, current_dtype, dropout_mask, linear, mul,
-                               reshape)
+from relprobe.autodiff import Tensor, concat, current_dtype, dropout_mask, linear, mul
+
+
+def reshape(a, shape):
+    in_shape = a.data.shape
+
+    def back(g):
+        if a.requires_grad:
+            a._accum(g.reshape(in_shape))
+
+    return Tensor(a.data.reshape(shape), parents=(a,), backward=back)
 
 
 def scale(a, s):

@@ -498,7 +498,7 @@ def test_gradcheck_registry_names_every_op():
 
 
 @pytest.mark.parametrize("op", ("transpose", "slice_rows", "slice_cols", "softmax", "scale",
-                                "dropout"))
+                                "dropout", "reshape"))
 def test_reference_op_gradients(op):
     fn = {"transpose": reference_ops.transpose,
           "slice_rows": lambda a: reference_ops.slice_rows(a, 1, 4),
@@ -507,7 +507,8 @@ def test_reference_op_gradients(op):
           "scale": lambda a: reference_ops.scale(a, 2.5),
           # a fresh rng per call: every loss evaluation draws the same mask
           "dropout": lambda a: reference_ops.dropout(a, 0.5, np.random.default_rng(1),
-                                                     train=True)}[op]
+                                                     train=True),
+          "reshape": lambda a: reference_ops.reshape(a, (3, 10))}[op]
     with ad.use_dtype(np.float64):
         a = ad.param(np.random.default_rng(4).normal(size=(5, 6)))
         assert ad.gradcheck(lambda: ad.sum_all(ad.mul(fn(a), fn(a))), {"a": a}) < 1e-6

@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from relprobe import cli
+from relprobe.corpus import ContextualStore, write_contextual
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import load_reps
 from relprobe.training import save_checkpoint
@@ -143,6 +144,8 @@ _MALFORMED = {
                           ": record 1: ", "sentence r1: cycle detected"),
     "template-cycle": ("template", _template(_record(drop=("id",), dep_head=[2, 0, 3])),
                        ":2: ", "cycle detected"),
+    "head-beyond-int64": ("jsonl", _jsonl(_record(dep_head=[0, 1, 10**30])), ":2: ",
+                          "sentence r1: dep_head value out of range"),
 }
 
 
@@ -350,6 +353,18 @@ def test_train_desk_small(capsys, tmp_path, corpus_dir):
     history = open(os.path.join(out, "history.csv")).read()
     assert history.startswith("epoch,loss,val_p,val_r,val_f1,lr")
     assert "best validation F1" in stdout
+
+
+def test_train_empty_contextual_file_is_one_error_line(capsys, tmp_path, corpus_dir):
+    ctx = str(tmp_path / "empty.ctxv")
+    write_contextual(ContextualStore({}), ctx)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("corpus = %s\nprofile = desk-small\nencoder = boe\ncontextual = %s\n"
+                   "out = %s\n" % (corpus_dir, ctx, tmp_path / "run"))
+    code, stdout, err = run(capsys, "train", "--config", str(cfg))
+    assert code == 1
+    assert err == "error: %s: no contextual vectors\n" % ctx
+    assert not os.path.exists(str(tmp_path / "run"))
 
 
 def test_extract_baseline_and_probe(capsys, tmp_path, corpus_dir):

@@ -315,11 +315,11 @@ def _oracle_depth(dep_head, i):
     return d
 
 
-def test_packed_trees_flag_exactly_the_sentences_head_problems_flags():
+def test_packed_trees_flag_exactly_the_sentences_the_walk_oracle_flags():
     """Packs of 40 random heads (trees, cycles, zero or several roots, values
-    out of range): bad lists the sentences head_problems rejects, and every
-    valid sentence gets its own parent rows and the walked depth of each
-    token."""
+    out of range): bad lists the sentences walk_problems_oracle rejects, and
+    every valid sentence gets its own parent rows and the walked depth of
+    each token."""
     rng = np.random.default_rng(21)
     for _ in range(30):
         cases = [("tree", "any", "two roots", "cycle", "out of range")[j % 5]
@@ -327,7 +327,7 @@ def test_packed_trees_flag_exactly_the_sentences_head_problems_flags():
         lists = [_random_heads(rng, int(rng.integers(2, 40)), case) for case in cases]
         heads, starts = _pack(lists)
         parent, depth, bad = packed_trees(heads, starts)
-        assert bad.tolist() == [i for i, h in enumerate(lists) if head_problems(h)]
+        assert bad.tolist() == [i for i, h in enumerate(lists) if walk_problems_oracle(h)]
         for i, h in enumerate(lists):
             if i not in bad:
                 rows = slice(starts[i], starts[i + 1])

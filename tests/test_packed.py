@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import reference_encoders as ref
-from reference_ops import scale
+from reference_ops import reshape, scale
 from relprobe import autodiff as ad
 from relprobe import deptree
 from relprobe.corpus import Corpus, Span
@@ -374,7 +374,7 @@ def test_packed_chunk_gradients_match_per_sentence_float64(name):
             want_reps.append(ref.encode(model, f).data)
             out = ref.logits(model, f)
             want_logits.append(out.data)
-            ad.cross_entropy_logits(ad.reshape(out, (1, -1)), [y]).backward()  # gradients add up
+            ad.cross_entropy_logits(reshape(out, (1, -1)), [y]).backward()  # gradients add up
     np.testing.assert_allclose(reps, np.stack(want_reps), rtol=0, atol=1e-10)
     np.testing.assert_allclose(logits.data, np.stack(want_logits), rtol=0, atol=1e-10)
     assert set(packed) == {k for k, p in model.params.items() if p.grad is not None}

@@ -7,7 +7,7 @@ import pytest
 
 from relprobe import autodiff as ad
 from relprobe import probegen, probing
-from relprobe.corpus import random_embeddings
+from relprobe.corpus import EmbeddingTable, random_embeddings
 from relprobe.encoders import EncoderConfig
 from relprobe.probing import (RepMatrix, baseline_features, baseline_reps,
                               extract_reps, load_reps, render_csv,
@@ -490,3 +490,9 @@ def test_baseline_reps_shapes():
     rep = baseline_reps("length", sents)
     assert rep.rows.shape == (4, 1)
     assert rep.source == "baseline:length"
+    # an empty split, as a corpus without validation.jsonl has
+    table = EmbeddingTable(dim=5, vectors={}, unk_vector=np.zeros(5, np.float32))
+    for kind, d in (("length", 1), ("argdist", 1), ("boe", 5)):
+        empty = baseline_reps(kind, [], table)
+        assert empty.rows.shape == (0, d) and empty.rows.dtype == np.float32
+        assert empty.ids == ()

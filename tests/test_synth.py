@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -66,6 +68,28 @@ def test_empty_templates_rejected():
 def test_missing_lexicon_rejected():
     with pytest.raises(ValueError, match="lexicon"):
         synth.generate(_cfg(lexicons={"PER": ("a", "b")}, pad_max=0))
+
+
+@pytest.mark.parametrize("pad_max", (0, 2))
+def test_rootless_template_rejected_before_drawing(pad_max):
+    tpl = replace(synth.default_templates()[0], dep_head=(2, 1, 1, 5, 3, 1))
+    templates = (tpl,) + synth.default_templates()[1:]
+    message = "template 0: no root token; cycle detected"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        synth.generate(_cfg(templates=templates, pad_max=pad_max))
+
+
+def test_generate_validates_each_template_once(monkeypatch):
+    checked = []
+
+    def counting(s):
+        checked.append(s)
+        return validate_sentence(s)
+
+    monkeypatch.setattr(synth, "validate_sentence", counting)
+    corpus = synth.generate(_cfg())
+    assert len(corpus.all_sentences()) == 60
+    assert checked == list(synth.default_templates())
 
 
 def test_templates_roundtrip(tmp_path):
