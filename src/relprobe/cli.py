@@ -111,6 +111,35 @@ def _seed_from(cfg, default=0):
     return cfg.get("seed", default)
 
 
+def _check_contextual(store, path, sentences):
+    """ValueError naming the CTXV file `path` at the first of `sentences`
+    that its `store` holds no vectors for, or not one row per token."""
+    for s in sentences:
+        rows = store.get(s.id)
+        if rows is None:
+            raise ValueError("%s: no contextual vectors for sentence %s" % (path, s.id))
+        if len(rows) != len(s):
+            raise ValueError("%s: %d contextual rows for the %d tokens of sentence %s"
+                             % (path, len(rows), len(s), s.id))
+
+
+def _check_model_contextual(model, checkpoint, store, path, sentences, option):
+    """When the model read from `checkpoint` reads contextual vectors:
+    a UsageError asking for `option` when no CTXV file is given, a
+    ValueError when the file's vectors are not as wide as the model reads,
+    and _check_contextual."""
+    cfg = model.input_cfg
+    if cfg.use_contextual:
+        if store is None:
+            raise UsageError("%s: the model reads contextual vectors; give %s"
+                             % (checkpoint, option))
+        width = next((m.shape[1] for m in store.matrices.values()), cfg.contextual_dim)
+        if width != cfg.contextual_dim:
+            raise ValueError("%s: contextual vectors %d wide, but %s reads %d"
+                             % (path, width, checkpoint, cfg.contextual_dim))
+        _check_contextual(store, path, sentences)
+
+
 def _load_corpus_cfg(cfg):
     if "corpus" not in cfg:
         raise UsageError("config key 'corpus' is required")
@@ -206,7 +235,7 @@ def cmd_train(args):
         contextual = load_contextual(cfg["contextual"])
         if not contextual.matrices:
             raise ValueError("%s: no contextual vectors" % cfg["contextual"])
-        contextual.check_against(corpus.all_sentences())
+        _check_contextual(contextual, cfg["contextual"], corpus.train + corpus.validation)
         input_kwargs["use_contextual"] = True
         input_kwargs["contextual_dim"] = next(iter(contextual.matrices.values())).shape[1]
     if profile_name == "desk-small":
@@ -247,6 +276,8 @@ def cmd_extract(args):
             raise UsageError("either --checkpoint or --baseline is required")
         model = load_checkpoint(args.checkpoint)
         contextual = load_contextual(args.contextual) if args.contextual else None
+        _check_model_contextual(model, args.checkpoint, contextual, args.contextual, sentences,
+                                "--contextual")
         rep = extract_reps(model, sentences, contextual=contextual)
     save_reps(rep, args.out)
     print("wrote %s (%d x %d)" % (args.out, rep.rows.shape[0], rep.rows.shape[1]))
@@ -258,8 +289,15 @@ def cmd_probe(args):
     task = load_dataset(args.task)
     reps = {}
     for split, path in (("train", args.train), ("validation", args.val), ("test", args.test)):
-        reps[split] = load_reps(path)
-        known = set(reps[split].ids)
+        rep = reps[split] = load_reps(path)
+        train = reps["train"]
+        if rep.rows.shape[1] != train.rows.shape[1]:
+            raise ValueError("%s: %d columns, but the train file %s has %d"
+                             % (path, rep.rows.shape[1], args.train, train.rows.shape[1]))
+        if rep.source != train.source:
+            raise ValueError("%s: source %r, but the train file %s has %r"
+                             % (path, rep.source, args.train, train.source))
+        known = set(rep.ids)
         for sid, _ in task.splits[split]:
             if sid not in known:
                 raise ValueError("%s: no representation for sentence %s" % (path, sid))
@@ -307,6 +345,8 @@ def cmd_suite(args):
             sources.append((name, reps))
         elif name.startswith("ck:"):
             model = load_checkpoint(name[3:])
+            _check_model_contextual(model, name[3:], contextual, cfg.get("contextual"),
+                                    corpus.all_sentences(), "the config key 'contextual'")
             label = "encoder:%s" % model.enc_cfg.kind
             reps = {sp: extract_reps(model, ss, source=label, contextual=contextual)
                     for sp, ss in split_sents.items()}

@@ -231,7 +231,7 @@ def _read_tacred_split(path):
 _NEGATIVE_CANDIDATES = ("no_relation", "Other", "NA", "none")
 
 
-def load_corpus(path, format_profile=GENERIC_JSONL, negative_label=None) -> Corpus:
+def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
     """Load and validate a corpus from a directory of split files.
 
     generic-jsonl expects train.jsonl (+ optional validation.jsonl,
@@ -258,14 +258,12 @@ def load_corpus(path, format_profile=GENERIC_JSONL, negative_label=None) -> Corp
                 raise CorpusFormatError("%s: duplicate sentence id: %s" % (p, s.id))
             seen_ids.add(s.id)
     inventory = tuple(sorted({s.relation for s in splits[0]}))
-    if negative_label is None:
-        negative_label = next((c for c in _NEGATIVE_CANDIDATES if c in inventory), None)
     return Corpus(
         train=tuple(splits[0]),
         validation=tuple(splits[1]),
         test=tuple(splits[2]),
         label_inventory=inventory,
-        negative_label=negative_label,
+        negative_label=next((c for c in _NEGATIVE_CANDIDATES if c in inventory), None),
     )
 
 
@@ -423,15 +421,6 @@ class ContextualStore:
 
     def get(self, sid):
         return self.matrices.get(sid)
-
-    def check_against(self, sentences):
-        for s in sentences:
-            m = self.matrices.get(s.id)
-            if m is not None and m.shape[0] != len(s):
-                raise CorpusFormatError(
-                    "contextual row count mismatch for sentence %s: %d != %d"
-                    % (s.id, m.shape[0], len(s))
-                )
 
 
 def load_contextual(path) -> ContextualStore:

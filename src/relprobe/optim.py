@@ -61,9 +61,7 @@ class SGD(Optimizer):
 
 
 class Adagrad(Optimizer):
-    def __init__(self, lr, l2_groups=None, eps=1e-8):
-        super().__init__(lr, l2_groups)
-        self.eps = eps
+    eps = 1e-8
 
     def _accumulator(self, name, p):
         acc = self.state.get(name)
@@ -84,10 +82,8 @@ class Adagrad(Optimizer):
 
 
 class Adadelta(Optimizer):
-    def __init__(self, lr=1.0, l2_groups=None, rho=0.95, eps=1e-8):
-        super().__init__(lr, l2_groups)
-        self.rho = rho
-        self.eps = eps
+    rho = 0.95
+    eps = 1e-8
 
     def _update(self, name, p, g):
         st = self.state.get(name)
@@ -102,17 +98,35 @@ class Adadelta(Optimizer):
         p.data += self.lr * dx
 
 
-class Adam(Optimizer):
-    """Adam with its moments and two scratch buffers allocated on a
-    parameter's first step and updated in place: a step allocates no array
-    when the parameter has a dense gradient of its own dtype and no l2
-    group matches it. Each in-place operation rounds as its term of the
-    textbook update does."""
+def adam_step(p, g, m, v, u, s, lr, t):
+    """Step the array p by Adam in place, given its gradient g, its moments
+    m and v (updated in place), scratch arrays u and s of p's shape, a
+    Python float lr and the 1-based step count t. Allocates no array when
+    all six arrays have p's dtype. Each in-place operation rounds as its
+    term of the textbook update does."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m *= b1                                   # m = b1 * m + (1 - b1) * g
+    m += np.multiply(g, 1 - b1, out=u)
+    v *= b2                                   # v = b2 * v + (1 - b2) * g * g
+    np.multiply(g, 1 - b2, out=u)
+    v += np.multiply(u, g, out=u)
+    np.divide(m, 1 - b1 ** t, out=u)          # u = lr * m_hat
+    u *= lr
+    np.divide(v, 1 - b2 ** t, out=s)          # s = sqrt(v_hat) + eps
+    np.sqrt(s, out=s)
+    s += eps
+    u /= s
+    p -= u
 
-    def __init__(self, lr, l2_groups=None, betas=(0.9, 0.999), eps=1e-8):
+
+class Adam(Optimizer):
+    """adam_step on each parameter, with its moments and two scratch buffers
+    allocated on the parameter's first step: a step allocates no array when
+    the parameter has a dense gradient of its own dtype and no l2 group
+    matches it."""
+
+    def __init__(self, lr, l2_groups=None):
         super().__init__(lr, l2_groups)
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self._scratch = {}
 
@@ -121,32 +135,11 @@ class Adam(Optimizer):
         super().step(params)
 
     def _update(self, name, p, g):
-        b1, b2 = self.betas
         st = self.state.get(name)
         if st is None:
             st = self.state[name] = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
             self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
-        m, v = st["m"], st["v"]
-        u, s = self._scratch[name]
-        m *= b1                                   # m = b1 * m + (1 - b1) * g
-        m += np.multiply(g, 1 - b1, out=u)
-        v *= b2                                   # v = b2 * v + (1 - b2) * g * g
-        np.multiply(g, 1 - b2, out=u)
-        v += np.multiply(u, g, out=u)
-        np.divide(m, 1 - b1 ** self.t, out=u)     # u = lr * m_hat
-        u *= self.lr
-        np.divide(v, 1 - b2 ** self.t, out=s)     # s = sqrt(v_hat) + eps
-        np.sqrt(s, out=s)
-        s += self.eps
-        u /= s
-        p.data -= u
-
-    def keep(self, name, index):
-        """Keep the state entries `index` (a numpy index) of the parameter
-        `name`, whose data the caller cut to the same entries."""
-        st = self.state[name]
-        st["m"], st["v"] = st["m"][index], st["v"][index]
-        self._scratch[name] = (np.empty_like(st["m"]), np.empty_like(st["m"]))
+        adam_step(p.data, g, st["m"], st["v"], *self._scratch[name], self.lr, self.t)
 
 
 _OPTIMIZERS = {"sgd": SGD, "adagrad": Adagrad, "adadelta": Adadelta, "adam": Adam}

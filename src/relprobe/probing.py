@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import probegen
 from .corpus import ExactReader, write_text
-from .optim import Adam
+from .optim import adam_step
 
 L2_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
@@ -152,16 +152,16 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
     Returns one (w, b, last loss, epochs run, whether the loss changed by
     less than tol before max_epochs ran out) per member.
 
-    The members' w and b are the rows of one flat parameter, seen as
-    (G, d*c + c), that one Adam step per epoch updates. A member leaves the
-    stack at the epoch its loss meets tol: its row of the parameter and of
-    Adam's moments is cut out. The l2 terms run if any l2 is non-zero, so a
-    caller stacks l2 == 0 apart from the other values.
+    The members' w and b are the rows of one flat array theta, seen as
+    (G, d*c + c), that `adam_step` updates once per epoch (t = the epoch).
+    A member leaves the stack at the epoch its loss meets tol: its row of
+    theta and of Adam's moments is cut out. The l2 terms run if any l2 is
+    non-zero, so a caller stacks l2 == 0 apart from the other values.
 
     Each member must round as the taped fit in the tests does, byte for
     byte, so only these rewrites are exact:
-    - A member's `w` and `b` are views of its row of the flat parameter, and
-      their gradients views of its row of one flat buffer. Adam's update is
+    - A member's `w` and `b` are views of its row of theta, and their
+      gradients views of its row of one flat buffer. Adam's update is
       elementwise, so one step over the stack rounds as one step per array
       of each member.
     - The 3-D `np.matmul` against the shared x runs one BLAS product per
@@ -196,10 +196,12 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
         rng = np.random.default_rng(init_seed)
         w0 = rng.normal(0, 0.01, size=(d, c))
         b0 = rng.normal(0, 0.01, size=c)
-    theta = ad.param(np.concatenate([w0.ravel(), b0] * len(ys)))
-    params = {"theta": theta}
-    opt = Adam(lr)
-    dtype = theta.data.dtype.type
+    dtype = ad.current_dtype()
+    theta = np.concatenate([w0.ravel(), b0] * len(ys)).astype(dtype)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam's moments
+    lr = float(lr)
+    if lr <= 0:
+        raise ValueError("lr must be positive")
     x = np.asarray(x[mask], dtype=dtype)
     x_t = x.T
     n, n_w = len(x), d * c
@@ -212,14 +214,15 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
     fits = [None] * len(ys)
     epochs = 0
     while True:
-        m = len(live)
-        lead = (m,) if m > 1 else ()  # a lone member runs on 2-D arrays: numpy steps them faster
-        theta.grad = np.empty_like(theta.data)
-        rows, grads = theta.data.reshape(m, -1), theta.grad.reshape(m, -1)
+        n_live = len(live)
+        # a lone member runs on 2-D arrays: numpy steps them faster
+        lead = (n_live,) if n_live > 1 else ()
+        grad, u, s = (np.empty_like(theta) for _ in range(3))  # u, s: Adam's scratch
+        rows, grads = theta.reshape(n_live, -1), grad.reshape(n_live, -1)
         w, b = rows[:, :n_w].reshape(lead + (d, c)), rows[:, n_w:].reshape(lead + (1, c))
         gw, gb = grads[:, :n_w].reshape(lead + (d, c)), grads[:, n_w:].reshape(lead + (c,))
         # flat indices of the label logits
-        picks = (np.arange(m * n).reshape(m, n) * c + ys[live]).reshape(lead + (n,))
+        picks = (np.arange(n_live * n).reshape(n_live, n) * c + ys[live]).reshape(lead + (n,))
         hot = np.zeros(lead + (n, c), dtype)
         hot.reshape(-1)[picks] = 1.0
         z = np.empty(lead + (n, c), dtype)      # logits, shifted logits, log-probabilities
@@ -231,14 +234,14 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
         row_max = row[..., 0]
         total = np.empty(lead, dtype)           # sum of picked log-probabilities, then the l2 terms
         loss = np.empty(lead, dtype)
-        losses = loss.reshape(m)
+        losses = loss.reshape(n_live)
         if penalized:
             l2_t = l2_all[live].reshape(lead)
             l2_wide = np.empty(lead + (d, c), dtype)  # each member's l2 in the shape of its w
             l2_wide[...] = l2_t[..., None, None]
             l2w = np.empty(lead + (d, c), dtype)
             w_sq = l2w.reshape(lead + (n_w,))
-        stop = [False] * m
+        stop = [False] * n_live
         while epochs < max_epochs and not any(stop):
             epochs += 1
             np.matmul(x, w, out=z)
@@ -266,11 +269,11 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
                 np.subtract(total, loss, out=loss)
             else:
                 np.negative(loss, out=loss)
-            opt.step(params)
+            adam_step(theta, grad, m, v, u, s, lr, epochs)
             cur = losses.tolist()
-            stop = [abs(p - v) < tol for p, v in zip(prev, cur)]
+            stop = [abs(old - new) < tol for old, new in zip(prev, cur)]
             prev = cur
-        leave = [True] * m if epochs >= max_epochs else stop
+        leave = [True] * n_live if epochs >= max_epochs else stop
         for k, gone in enumerate(leave):
             if gone:
                 fits[live[k]] = (rows[k, :n_w].reshape(d, c).copy(), rows[k, n_w:].copy(),
@@ -278,10 +281,9 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
         if all(leave):
             return fits
         keep = np.logical_not(leave)
-        live, prev = live[keep], [v for v, s in zip(prev, leave) if not s]
+        live, prev = live[keep], [a for a, gone in zip(prev, leave) if not gone]
         keep = np.repeat(keep, n_w + c)
-        theta.data = theta.data[keep]
-        opt.keep("theta", keep)
+        theta, m, v = theta[keep], m[keep], v[keep]
 
 
 def _accuracy(w, b, x, y):

@@ -4,10 +4,11 @@ import math
 import os
 import struct
 
+import numpy as np
 import pytest
 
 from relprobe import cli
-from relprobe.corpus import ContextualStore, write_contextual
+from relprobe.corpus import ContextualStore, load_corpus, write_contextual
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import load_reps
 from relprobe.training import save_checkpoint
@@ -367,6 +368,80 @@ def test_train_empty_contextual_file_is_one_error_line(capsys, tmp_path, corpus_
     assert not os.path.exists(str(tmp_path / "run"))
 
 
+@pytest.fixture(scope="module")
+def ctx_inputs(corpus_dir, tmp_path_factory):
+    """(the corpus, CTXV files by name, a checkpoint trained with the
+    "trainval" file). The files: "train" holds the train split alone,
+    "trainval" the train and validation splits, 3 wide; "wide" holds every
+    sentence 5 wide, "short" every sentence one row short."""
+    d = tmp_path_factory.mktemp("ctx")
+    corpus = load_corpus(corpus_dir)
+    files = {}
+    for name, sentences, width, short in (
+            ("train", corpus.train, 3, 0), ("trainval", corpus.train + corpus.validation, 3, 0),
+            ("wide", corpus.all_sentences(), 5, 0), ("short", corpus.all_sentences(), 3, 1)):
+        files[name] = str(d / ("%s.ctxv" % name))
+        write_contextual(ContextualStore({s.id: np.full((len(s) - short, width), 0.5, np.float32)
+                                          for s in sentences}), files[name])
+    cfg = d / "train.cfg"
+    cfg.write_text("corpus = %s\nprofile = desk-small\nencoder = boe\ncontextual = %s\n"
+                   "out = %s\n" % (corpus_dir, files["trainval"], d / "run"))
+    assert cli.main(["train", "--config", str(cfg)]) == 0  # no test split needed
+    return corpus, files, str(d / "run" / "checkpoint.rpck")
+
+
+@pytest.mark.parametrize("name", ("train", "short"))
+def test_train_contextual_file_unlike_a_sentence_names_it(capsys, tmp_path, corpus_dir,
+                                                          ctx_inputs, name):
+    corpus, files, _ = ctx_inputs
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("corpus = %s\nprofile = desk-small\nencoder = boe\ncontextual = %s\n"
+                   "out = %s\n" % (corpus_dir, files[name], tmp_path / "run"))
+    code, _, err = run(capsys, "train", "--config", str(cfg))
+    s = corpus.train[0] if name == "short" else corpus.validation[0]
+    problem = "%d contextual rows for the %d tokens of" % (len(s) - 1, len(s)) \
+        if name == "short" else "no contextual vectors for"
+    assert (code, err) == (1, "error: %s: %s sentence %s\n" % (files[name], problem, s.id))
+
+
+def test_extract_contextual_model_checks_the_split_it_reads(capsys, tmp_path, corpus_dir,
+                                                             ctx_inputs):
+    corpus, files, checkpoint = ctx_inputs
+    out = str(tmp_path / "r.repr")
+    extract = ("extract", "--corpus", corpus_dir, "--checkpoint", checkpoint, "--out", out)
+    code, _, err = run(capsys, *extract, "--split", "test")
+    assert code == 2
+    assert err.startswith("error: %s: " % checkpoint) and "--contextual" in err
+    s = corpus.test[0]
+    for name, problem in (
+            ("trainval", "no contextual vectors for sentence %s" % s.id),
+            ("short", "%d contextual rows for the %d tokens of sentence %s"
+             % (len(s) - 1, len(s), s.id)),
+            ("wide", "contextual vectors 5 wide, but %s reads 3" % checkpoint)):
+        code, _, err = run(capsys, *extract, "--split", "test", "--contextual", files[name])
+        assert (code, err) == (1, "error: %s: %s\n" % (files[name], problem))
+    code, _, err = run(capsys, *extract, "--split", "validation", "--contextual",
+                       files["trainval"])
+    assert code == 0, err
+    assert load_reps(out).ids == tuple(s.id for s in corpus.validation)
+
+
+def test_suite_contextual_model_names_the_file_or_the_missing_key(capsys, tmp_path,
+                                                                   corpus_dir, ctx_inputs):
+    corpus, files, checkpoint = ctx_inputs
+    cfg = tmp_path / "s.cfg"
+    text = "corpus = %s\ntasks = SentLen\nsources = ck:%s\ngrid = 0\nout = %s\n" \
+        % (corpus_dir, checkpoint, tmp_path / "s")
+    cfg.write_text(text)
+    code, _, err = run(capsys, "suite", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: %s: " % checkpoint) and "'contextual'" in err
+    cfg.write_text(text + "contextual = %s\n" % files["trainval"])
+    code, _, err = run(capsys, "suite", "--config", str(cfg))
+    assert (code, err) == (1, "error: %s: no contextual vectors for sentence %s\n"
+                           % (files["trainval"], corpus.test[0].id))
+
+
 def test_extract_baseline_and_probe(capsys, tmp_path, corpus_dir):
     tasks = str(tmp_path / "tasks")
     assert cli.main(["probegen", "--corpus", corpus_dir, "--task", "SentLen",
@@ -523,6 +598,25 @@ def test_probe_names_the_reps_file_without_a_task_id(capsys, tmp_path, probe_inp
 
     _, err = _probe_edited_task(capsys, tmp_path, probe_inputs, add_zz)
     assert err == "error: %s: no representation for sentence zz\n" % probe_inputs[1][split]
+
+
+@pytest.mark.parametrize("split", ("validation", "test"))
+@pytest.mark.parametrize("other", ("boe", "argdist"))
+def test_probe_names_a_reps_file_unlike_the_train_file(capsys, tmp_path, corpus_dir,
+                                                       probe_inputs, split, other):
+    """boe has 16 columns to length's 1; argdist has length's width but
+    another source."""
+    task_path, reps = probe_inputs
+    path = str(tmp_path / "other.repr")
+    assert run(capsys, "extract", "--corpus", corpus_dir, "--split", split,
+               "--baseline", other, "--out", path)[0] == 0
+    files = {**reps, split: path}
+    code, stdout, err = run(capsys, "probe", "--task", task_path, "--train", files["train"],
+                            "--val", files["validation"], "--test", files["test"])
+    assert (code, stdout) == (1, "")
+    problem = "16 columns" if other == "boe" else "source 'baseline:argdist'"
+    assert err == "error: %s: %s, but the train file %s has %s\n" % (
+        path, problem, reps["train"], "1" if other == "boe" else "'baseline:length'")
 
 
 @pytest.mark.parametrize("train", ("empty", "unlabelled"))

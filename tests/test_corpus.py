@@ -246,13 +246,6 @@ def test_contextual_non_finite_vector_rejected(tmp_path):
         load_contextual(p)
 
 
-def test_contextual_row_mismatch(tmp_path):
-    store = ContextualStore({"s0": np.zeros((3, 4), np.float32)})
-    s = make_sentence([2, 0, 2, 2])  # T=4
-    with pytest.raises(CorpusFormatError, match="s0"):
-        store.check_against([s])
-
-
 def test_contextual_empty_file(tmp_path):
     p = str(tmp_path / "ctx.bin")
     write_contextual(ContextualStore({}), p)

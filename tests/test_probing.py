@@ -15,7 +15,7 @@ from relprobe.probing import (RepMatrix, baseline_features, baseline_reps,
                               suite_table, train_probe)
 from relprobe.training import desk_input_config
 from relprobe.encoders import REModel, Vocab
-from relprobe.optim import Adam
+from relprobe.optim import Adam, Optimizer
 
 from conftest import make_sentence
 from reference_ops import scale
@@ -310,6 +310,40 @@ def test_probes_fit_without_the_tape(monkeypatch):
     assert len(run_suite(sources, tasks, grid=(0.0, 0.1))) == 4
     reps, task = _separable_setup()
     assert train_probe(reps, task).test_accuracy == 1.0
+
+
+@pytest.mark.parametrize("lr", (0.0, -0.1))
+def test_probe_lr_must_be_positive(lr):
+    reps, task = _separable_setup()
+    with pytest.raises(ValueError, match="lr must be positive"):
+        train_probe(reps, task, lr=lr)
+
+
+def test_fit_softmax_builds_no_tensor_and_steps_no_optimizer(monkeypatch):
+    """The fit updates arrays it owns: no autodiff.Tensor, no Optimizer.step.
+    The taped reference fit shows that the counters see both."""
+    calls = []
+    init, step = ad.Tensor.__init__, Optimizer.step
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("Tensor")
+        init(self, *args, **kwargs)
+
+    def counting_step(self, params):
+        calls.append("step")
+        step(self, params)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(Optimizer, "step", counting_step)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 4)).astype(np.float32)
+    y = rng.integers(0, 3, size=30)
+    _tape_fit_softmax(x, y, 3, 0.1, max_epochs=2)
+    assert calls.count("step") == 2 and "Tensor" in calls
+    del calls[:]
+    fits = probing._fit_softmax(x, [y] * 6, 3, probing.L2_GRID[1:], max_epochs=200)
+    assert len({epochs for _, _, _, epochs, _ in fits}) > 1  # members left the stack
+    assert calls == []
 
 
 def _toy_task(ids_by_split, labels_by_split, task="Toy", labels=None):
