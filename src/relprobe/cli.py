@@ -15,7 +15,7 @@ import sys
 from . import probegen, probing, synth
 from .corpus import (CorpusFormatError, load_contextual, load_corpus,
                      load_embeddings, random_embeddings, read_lines, write_corpus)
-from .encoders import InputConfig
+from .encoders import InputConfig, check_contextual_rows
 from .probegen import TASKS, build_all, build_tasks, load_dataset, save_dataset
 from .probing import (L2_GRID, baseline_reps, check_grid, extract_reps, load_reps,
                       render_csv, render_text_table, run_suite, save_reps,
@@ -112,15 +112,12 @@ def _seed_from(cfg, default=0):
 
 
 def _check_contextual(store, path, sentences):
-    """ValueError naming the CTXV file `path` at the first of `sentences`
-    that its `store` holds no vectors for, or not one row per token."""
-    for s in sentences:
-        rows = store.get(s.id)
-        if rows is None:
-            raise ValueError("%s: no contextual vectors for sentence %s" % (path, s.id))
-        if len(rows) != len(s):
-            raise ValueError("%s: %d contextual rows for the %d tokens of sentence %s"
-                             % (path, len(rows), len(s), s.id))
+    """check_contextual_rows of `sentences` in the CTXV file `path`, read
+    as `store`, its ValueError naming the file."""
+    try:
+        check_contextual_rows(sentences, [store.get(s.id) for s in sentences])
+    except ValueError as e:
+        raise ValueError("%s: %s" % (path, e)) from None
 
 
 def _check_model_contextual(model, checkpoint, store, path, sentences, option):
@@ -267,6 +264,9 @@ def cmd_extract(args):
     boe_dim = _parse_value(args.boe_dim, _positive, "--boe-dim")
     corpus = load_corpus(args.corpus, args.format)
     sentences = corpus.split(args.split)
+    if args.baseline and args.contextual:
+        raise UsageError("--contextual: the %s baseline reads no contextual vectors"
+                         % args.baseline)
     if args.baseline:
         table = _boe_table(args.embeddings, boe_dim, args.boe_seed,
                            corpus.all_sentences()) if args.baseline == "boe" else None
@@ -275,6 +275,9 @@ def cmd_extract(args):
         if not args.checkpoint:
             raise UsageError("either --checkpoint or --baseline is required")
         model = load_checkpoint(args.checkpoint)
+        if args.contextual and not model.input_cfg.use_contextual:
+            raise UsageError("%s: the model reads no contextual vectors; drop --contextual"
+                             % args.checkpoint)
         contextual = load_contextual(args.contextual) if args.contextual else None
         _check_model_contextual(model, args.checkpoint, contextual, args.contextual, sentences,
                                 "--contextual")
@@ -336,15 +339,20 @@ def cmd_suite(args):
     if "boe" in source_names:
         table = _boe_table(cfg.get("embeddings"), boe_dim, cfg.get("boe_seed", seed),
                            corpus.all_sentences())
-    contextual = load_contextual(cfg["contextual"]) if "contextual" in cfg else None
+    models = {name: load_checkpoint(name[3:]) for name in source_names if name.startswith("ck:")}
+    contextual = None
+    if "contextual" in cfg:
+        if not any(m.input_cfg.use_contextual for m in models.values()):
+            raise UsageError("config key 'contextual': no ck: source reads contextual vectors")
+        contextual = load_contextual(cfg["contextual"])
     sources = []
     for name in source_names:
         if name in probing.BASELINES:
             reps = {sp: baseline_reps(name, ss, table)
                     for sp, ss in split_sents.items()}
             sources.append((name, reps))
-        elif name.startswith("ck:"):
-            model = load_checkpoint(name[3:])
+        elif name in models:
+            model = models[name]
             _check_model_contextual(model, name[3:], contextual, cfg.get("contextual"),
                                     corpus.all_sentences(), "the config key 'contextual'")
             label = "encoder:%s" % model.enc_cfg.kind

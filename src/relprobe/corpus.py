@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -289,23 +289,18 @@ def write_corpus(corpus: Corpus, path):
                 f.write(json.dumps(sentence_to_record(s)) + "\n")
 
 
-def mask_entities(s: Sentence) -> Sentence:
-    """Replace argument mention tokens with entity-type/role placeholders.
-
-    Head tokens become SUBJ-<TYPE>, tail tokens OBJ-<TYPE>, where <TYPE> is
-    the NE tag of the span-root token. Length-preserving and idempotent.
-    """
-    return replace(s, tokens=masked_tokens(s))
-
-
-def masked_tokens(s: Sentence) -> tuple:
-    """The tokens of mask_entities(s). Span roots are read off s.dep_head and
-    no tree is built, so an unvalidated cyclic dep_head does not raise."""
-    tokens = list(s.tokens)
-    for prefix, span in (("SUBJ", s.head), ("OBJ", s.tail)):
-        mask = "%s-%s" % (prefix, s.ner[deptree.span_root(s.dep_head, span)])
-        tokens[span.start:span.end + 1] = [mask] * len(span)
-    return tuple(tokens)
+def masked_tokens(sentences) -> list:
+    """The tokens of each sentence with its head tokens replaced by
+    SUBJ-<TYPE> and its tail tokens by OBJ-<TYPE>, <TYPE> the NE tag of the
+    span root (deptree.argument_roots: no tree is built, so an unvalidated
+    cyclic dep_head does not raise). Length-preserving and idempotent."""
+    out = []
+    for s, h, t in zip(sentences, *deptree.argument_roots(sentences).tolist()):
+        tokens = list(s.tokens)
+        for prefix, span, root in (("SUBJ", s.head, h), ("OBJ", s.tail, t)):
+            tokens[span.start:span.end + 1] = ["%s-%s" % (prefix, s.ner[root])] * len(span)
+        out.append(tuple(tokens))
+    return out
 
 
 @dataclass
@@ -415,9 +410,6 @@ class ContextualStore:
 
     def __len__(self):
         return len(self.matrices)
-
-    def __contains__(self, sid):
-        return sid in self.matrices
 
     def get(self, sid):
         return self.matrices.get(sid)

@@ -3,10 +3,10 @@
 The pipeline works on whole splits or batches at once, as 0-based packed
 parent rows (-1 for a root): pack_trees checks and packs them, and
 span_roots, path_mask and grow answer for every sentence of the pack with a
-few numpy passes. The corpus loader, probegen's depth tasks and GCN
+few numpy passes. The corpus loader, probegen's tree tasks and GCN
 featurization all go through pack_trees. head_problems words the faults the
 same pass finds in one sentence, on the error path and for synth templates;
-span_root finds one span's root for masking and the type and role tasks.
+argument_roots finds the span roots that masking reads, with no tree check.
 """
 
 from __future__ import annotations
@@ -27,19 +27,6 @@ def head_problems(dep_head):
     if outside:
         return problems + ["dep_head value out of range"]
     return problems + ["cycle detected"] * bool(cycle)
-
-
-def span_root(dep_head, span) -> int:
-    """Token in the span whose head (1-based dep_head) lies outside it.
-
-    Leftmost such token if the annotation is non-projective; span.end when
-    every token's head is internal (degenerate annotation). The root token
-    (head 0) always counts as outside.
-    """
-    for i in range(span.start, span.end + 1):
-        if not span.start < dep_head[i] <= span.end + 1:
-            return i
-    return span.end
 
 
 # ------------------------------------------------- packed sentences
@@ -72,16 +59,21 @@ def sentence_trees(sentences):
     ValueError naming the first sentence whose dep_head does not hold one
     value per token, else the first that is not one tree."""
     starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
+    _check_lengths(sentences, starts)
+    if len(bad):
+        s = sentences[bad[0]]
+        raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
+    return starts, parent, depth
+
+
+def _check_lengths(sentences, starts):
+    """ValueError naming the first sentence whose dep_head is not one value per token."""
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     mismatch = np.flatnonzero(lengths != np.diff(starts))
     if len(mismatch):
         s = sentences[mismatch[0]]
         raise ValueError("%d dep_head values for the %d tokens of sentence %s"
                          % (len(s.dep_head), len(s), s.id))
-    if len(bad):
-        s = sentences[bad[0]]
-        raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
-    return starts, parent, depth
 
 
 def packed_trees(heads, starts):
@@ -120,15 +112,34 @@ def _tree_pass(heads, starts):
 
 
 def span_roots(parent, first, last):
-    """span_root of every span of packed rows [first[i], last[i]] at once:
+    """The root of every span of packed rows [first[i], last[i]] at once:
     the first row of the span whose parent lies outside it (a root's always
-    does), else last[i]."""
+    does), else last[i], which takes a cycle inside the span."""
     lengths = last - first + 1
     offsets = np.cumsum(lengths) - lengths
     rows = np.arange(lengths.sum()) + np.repeat(first - offsets, lengths)
     lo, hi = np.repeat(first, lengths), np.repeat(last, lengths)
     inside = (parent[rows] >= lo) & (parent[rows] <= hi)
     return np.minimum.reduceat(np.where(inside, hi, rows), offsets)
+
+
+def argument_bounds(sentences, starts):
+    """(4, B) packed rows of each sentence's head start, tail start, head
+    end and tail end, sentence i starting at row starts[i]."""
+    return np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end) for s in sentences],
+                    dtype=np.int64).reshape(-1, 4).T + starts[:-1]
+
+
+def argument_roots(sentences):
+    """(2, B) positions of each sentence's head and tail span roots, by
+    span_roots over its dep_head as it is: head h of a sentence packed from
+    row r stands at row h - 1 + r, inside a span exactly when h is.
+    ValueError as sentence_trees for a dep_head of another length."""
+    heads, starts = _pack([s.dep_head for s in sentences])
+    _check_lengths(sentences, starts)
+    bounds = argument_bounds(sentences, starts)
+    parent = heads - 1 + np.repeat(starts[:-1], np.diff(starts))
+    return span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1) - starts[:-1]
 
 
 def path_mask(parent, depth, a, b):

@@ -53,9 +53,9 @@ class InputConfig:
     def width(self):
         return self.word_dim + 2 * self.pos_dim + (self.contextual_dim if self.use_contextual else 0)
 
-    def tokens(self, sentence):
-        """The tokens a model reads ids from: masked_tokens when masking."""
-        return masked_tokens(sentence) if self.masking else sentence.tokens
+    def tokens(self, sentences):
+        """The token sequences a model reads ids from: masked_tokens when masking."""
+        return masked_tokens(sentences) if self.masking else [s.tokens for s in sentences]
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,17 @@ def _adjacencies(keep, parent, starts):
     return adjs
 
 
+def check_contextual_rows(sentences, ctx_rows):
+    """ValueError naming the first sentence whose contextual rows, given in
+    order by ctx_rows, are None or not one row per token."""
+    for s, rows in zip(sentences, ctx_rows):
+        if rows is None:
+            raise ValueError("no contextual vectors for sentence %s" % s.id)
+        if len(rows) != len(s):
+            raise ValueError("%d contextual rows for the %d tokens of sentence %s"
+                             % (len(rows), len(s), s.id))
+
+
 def _dropped(x, mask):
     """x times a dropout mask, or x itself when the mask is None."""
     return x if mask is None else ad.mul(x, ad.constant(mask))
@@ -320,7 +331,7 @@ class REModel:
         kept tokens of the head and tail spans, from a few array passes of
         deptree over the whole pack; ValueError names the first sentence
         whose dep_head is not one tree."""
-        return self._featurize_tokens(sentences, ctx_rows, map(self.input_cfg.tokens, sentences))
+        return self._featurize_tokens(sentences, ctx_rows, self.input_cfg.tokens(sentences))
 
     def _featurize_tokens(self, sentences, ctx_rows, token_lists):
         """featurize_batch, given the input_cfg.tokens of the sentences."""
@@ -328,19 +339,12 @@ class REModel:
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
         if cfg.use_contextual:
-            for s, row in zip(sentences, ctx_rows):
-                if row is None:
-                    raise ValueError("missing contextual vectors for sentence %s" % s.id)
-                if len(row) != len(s):
-                    raise ValueError("%d contextual rows for the %d tokens of sentence %s"
-                                     % (len(row), len(s), s.id))
+            check_contextual_rows(sentences, ctx_rows)
         lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
-        # head start, tail start, head end, tail end of each sentence, in packed rows
-        bounds = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
-                           for s in sentences], dtype=np.int64).reshape(n, 4).T + starts[:-1]
+        bounds = deptree.argument_bounds(sentences, starts)
         rows = bounds.repeat(lengths, axis=1)
         off = position_offsets(Span(rows[:2], rows[2:]), starts[-1], cfg.max_offset)
         offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()

@@ -23,8 +23,8 @@ TASKS = (
 
 BINNED_TASKS = ("SentLen", "ArgDist", "TreeDepth", "SDPTreeDepth")
 
-# tasks whose raw label depth_values computes; extract reads the others off annotations
-TREE_TASKS = ("TreeDepth", "SDPTreeDepth")
+# tasks whose raw labels tree_values computes; extract reads the others off annotations
+TREE_TASKS = ("TreeDepth", "SDPTreeDepth", "TypeHead", "TypeTail", "GRHead", "GRTail")
 
 # grammatical roles kept verbatim; everything else maps to "other"
 GR_CLASSES = ("nsubj", "nsubjpass", "dobj", "iobj")
@@ -105,7 +105,7 @@ class ProbingDataset:
 
 def extract(task, s):
     """Raw probing label of one sentence for a task outside TREE_TASKS, from
-    its annotations; depth_values computes the others for a whole split."""
+    its annotations; tree_values computes the others for a whole split."""
     if task == "SentLen":
         return len(s)
     if task == "ArgDist":
@@ -121,13 +121,6 @@ def extract(task, s):
         if task.endswith("L"):
             return s.pos[span.start - 1] if span.start > 0 else BOUNDARY_LEFT
         return s.pos[span.end + 1] if span.end + 1 < len(s) else BOUNDARY_RIGHT
-    if task in ("TypeHead", "TypeTail"):
-        span = s.head if task == "TypeHead" else s.tail
-        return s.ner[deptree.span_root(s.dep_head, span)]
-    if task in ("GRHead", "GRTail"):
-        span = s.head if task == "GRHead" else s.tail
-        label = s.dep_label[deptree.span_root(s.dep_head, span)]
-        return label if label in GR_CLASSES else "other"
     raise ValueError("unknown task: %s" % task)
 
 
@@ -138,32 +131,34 @@ def _arg_distance(s):
     return s.head.start - s.tail.end - 1
 
 
-def depth_values(sentences):
-    """Raw TreeDepth and SDPTreeDepth values of each sentence, as two lists,
-    from one deptree.sentence_trees pass over all of them (ValueError naming
-    the first sentence whose dep_head is not one tree over its tokens).
+def tree_values(sentences):
+    """Raw values of the TREE_TASKS of each sentence, one list per task in
+    that order, from one deptree.sentence_trees pass over all of them
+    (ValueError naming the first sentence whose dep_head is not one tree
+    over its tokens).
 
     TreeDepth is a sentence's deepest row, clamped at TREE_DEPTH_CLAMP.
     SDPTreeDepth is the longer of the two legs of the shortest dependency
     path between the span roots a and b of head and tail: with P rows on
-    that path, (P - 1 + |depth[a] - depth[b]|) // 2.
+    that path, (P - 1 + |depth[a] - depth[b]|) // 2. TypeHead/Tail are the
+    NE tags at a and b, GRHead/Tail their labels ("other" outside GR_CLASSES).
     """
-    if not sentences:
-        return [], []
     starts, parent, depth = deptree.sentence_trees(sentences)
-    bounds = np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end)
-                       for s in sentences], dtype=np.int64).T + starts[:-1]
-    roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
-    a, b = roots.reshape(2, -1)
+    bounds = deptree.argument_bounds(sentences, starts)
+    a, b = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1)
     path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])
     deepest = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
     sdp_depth = (path_rows - 1 + np.abs(depth[a] - depth[b])) // 2
-    return deepest.tolist(), sdp_depth.tolist()
+    at = [list(zip(sentences, (root - starts[:-1]).tolist())) for root in (a, b)]
+    types = [[s.ner[i] for s, i in pairs] for pairs in at]
+    roles = [[s.dep_label[i] if s.dep_label[i] in GR_CLASSES else "other" for s, i in pairs]
+             for pairs in at]
+    return (deepest.tolist(), sdp_depth.tolist(), *types, *roles)
 
 
 def build_tasks(tasks, corpus, profile="tacred"):
-    """Probing datasets for `tasks`, in the order given. The depth tasks of a
-    split come from one depth_values pass, the others from extract, one
+    """Probing datasets for `tasks`, in the order given. The TREE_TASKS of a
+    split come from one tree_values pass, the others from extract, one
     sentence at a time. Bins are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
@@ -180,9 +175,9 @@ def build_tasks(tasks, corpus, profile="tacred"):
     ids = {}
     for name, split in splits:
         ids[name] = [s.id for s in split]
-        depths = dict(zip(TREE_TASKS, depth_values(split))) if needs_tree else {}
+        trees = dict(zip(TREE_TASKS, tree_values(split))) if needs_tree else {}
         for task in tasks:
-            raw[task][name] = depths[task] if task in depths else [extract(task, s) for s in split]
+            raw[task][name] = trees[task] if task in trees else [extract(task, s) for s in split]
     return [_dataset(task, raw[task], ids, bin_counts) for task in tasks]
 
 

@@ -197,7 +197,7 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     train_sentences = corpus.train
     if not train_sentences:
         raise ValueError("the corpus has no training sentences")
-    token_lists = list(map(input_cfg.tokens, train_sentences))
+    token_lists = input_cfg.tokens(train_sentences)
     vocab = Vocab.from_tokens(token_lists)
     model = REModel(vocab, corpus.label_inventory, input_cfg, enc_cfg, seed=seed,
                     embeddings=embeddings, negative_label=corpus.negative_label)

@@ -16,8 +16,6 @@ from collections import namedtuple
 import numpy as np
 
 from relprobe import autodiff as ad
-from relprobe import deptree
-from relprobe.corpus import masked_tokens
 from relprobe.encoders import UNK, REModel
 
 import reference_trees
@@ -49,7 +47,7 @@ def featurize(self, sentence, ctx_row=None):
     cfg, enc = self.input_cfg, self.enc_cfg
     if cfg.use_contextual and ctx_row is None:
         raise ValueError("missing contextual vectors for sentence %s" % sentence.id)
-    tokens = masked_tokens(sentence) if cfg.masking else sentence.tokens
+    tokens = reference_trees.masked_tokens(sentence) if cfg.masking else sentence.tokens
     offsets = ()
     if cfg.pos_dim > 0:
         offsets = tuple(position_offsets(span, len(sentence), cfg.max_offset) + cfg.max_offset
@@ -57,7 +55,7 @@ def featurize(self, sentence, ctx_row=None):
     graph = None
     if enc.kind == "gcn":
         tree = reference_trees.build_tree(sentence.dep_head)
-        roots = [deptree.span_root(sentence.dep_head, span)
+        roots = [reference_trees.span_root(sentence.dep_head, span)
                  for span in (sentence.head, sentence.tail)]
         path = reference_trees.sdp(tree, *roots)
         k = math.inf if enc.gcn_prune_k in (None, math.inf) else enc.gcn_prune_k

@@ -2,11 +2,13 @@
 
 The pipeline packs whole splits or batches of sentences and answers for all
 of them at once (relprobe.deptree: packed_trees, span_roots, path_mask,
-grow). DepTree and the functions that take one (build_tree, tree_depth, sdp,
-prune) work one sentence at a time, as the pipeline once did; they are the
-oracle the packed passes are tested against, and tests/reference_encoders.py
-builds its GCN graphs with them. floyd_warshall_path and bfs_filter are the
-brute-force oracles both implementations are checked against in turn.
+grow, argument_roots). DepTree and the functions that take one (build_tree,
+tree_depth, sdp, prune), span_root and the entity masking built on it
+(masked_tokens) work one sentence at a time, as the pipeline once did; they
+are the oracle the packed passes are tested against, and
+tests/reference_encoders.py builds its inputs with them. floyd_warshall_path
+and bfs_filter are the brute-force oracles both implementations are checked
+against in turn.
 """
 
 from __future__ import annotations
@@ -55,6 +57,30 @@ def build_tree(dep_head):
             children[p].append(i)
     return DepTree(root=parent.index(None), parent=parent,
                    children=tuple(map(tuple, children)))
+
+
+def span_root(dep_head, span) -> int:
+    """Token in the span whose head (1-based dep_head) lies outside it.
+
+    Leftmost such token if the annotation is non-projective; span.end when
+    every token's head is internal (degenerate annotation). The root token
+    (head 0) always counts as outside.
+    """
+    for i in range(span.start, span.end + 1):
+        if not span.start < dep_head[i] <= span.end + 1:
+            return i
+    return span.end
+
+
+def masked_tokens(s) -> tuple:
+    """The tokens of one sentence with head tokens replaced by SUBJ-<TYPE>
+    and tail tokens by OBJ-<TYPE>, <TYPE> the NE tag of the span_root; read
+    off s.dep_head with no tree built, so a cyclic dep_head does not raise."""
+    tokens = list(s.tokens)
+    for prefix, span in (("SUBJ", s.head), ("OBJ", s.tail)):
+        mask = "%s-%s" % (prefix, s.ner[span_root(s.dep_head, span)])
+        tokens[span.start:span.end + 1] = [mask] * len(span)
+    return tuple(tokens)
 
 
 def tree_depth(t: DepTree) -> int:

@@ -253,12 +253,12 @@ def _swap_mentions(corpus):
 
 
 def test_criterion_10_mask_independence():
-    from relprobe.corpus import mask_entities
+    from relprobe.corpus import masked_tokens
     cfg = synth.SynthConfig(n_train=40, n_val=10, n_test=10,
                             templates=synth.default_templates(),
                             lexicons=synth.default_lexicons(), seed=17, pad_max=4)
     corpus = synth.generate(cfg)
-    vocab = Vocab.from_sentences([mask_entities(s) for s in corpus.train])
+    vocab = Vocab.from_tokens(masked_tokens(corpus.train))
     model = REModel(vocab, corpus.label_inventory,
                     desk_input_config(masking=True), desk_encoder_config("cnn"),
                     seed=0)

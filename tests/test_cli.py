@@ -442,6 +442,52 @@ def test_suite_contextual_model_names_the_file_or_the_missing_key(capsys, tmp_pa
                            % (files["trainval"], corpus.test[0].id))
 
 
+@pytest.fixture(scope="module")
+def plain_checkpoint(tmp_path_factory):
+    """A boe checkpoint that reads no contextual vectors."""
+    path = str(tmp_path_factory.mktemp("plain") / "plain.rpck")
+    save_checkpoint(REModel(Vocab(["a"]), ("x", "y"),
+                            InputConfig(word_dim=2, pos_dim=1, max_offset=1),
+                            EncoderConfig(kind="boe")), path)
+    return path
+
+
+def test_extract_contextual_file_nothing_reads_is_usage_error(capsys, tmp_path, corpus_dir,
+                                                              ctx_inputs, plain_checkpoint):
+    _, files, _ = ctx_inputs
+    out = str(tmp_path / "r.repr")
+    extract = ("extract", "--corpus", corpus_dir, "--contextual", files["trainval"], "--out", out)
+    code, _, err = run(capsys, *extract, "--checkpoint", plain_checkpoint)
+    assert code == 2
+    assert err.startswith("error: %s: " % plain_checkpoint) and "--contextual" in err
+    for baseline in ("length", "boe"):
+        code, _, err = run(capsys, *extract, "--baseline", baseline)
+        assert code == 2
+        assert err.startswith("error: --contextual: ") and baseline in err
+    assert not os.path.exists(out)
+
+
+def test_suite_contextual_key_no_source_reads_is_usage_error(capsys, tmp_path, corpus_dir,
+                                                             ctx_inputs, plain_checkpoint):
+    corpus, files, checkpoint = ctx_inputs
+    cfg, out = tmp_path / "s.cfg", tmp_path / "s"
+    text = "corpus = %s\ntasks = SentLen\ngrid = 0\nout = %s\nsources = %%s\ncontextual = %%s\n" \
+        % (corpus_dir, out)
+    for sources in ("length", "length,ck:%s" % plain_checkpoint):
+        cfg.write_text(text % (sources, files["trainval"]))
+        code, _, err = run(capsys, "suite", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: config key 'contextual': ") and "ck:" in err
+    assert not os.path.exists(str(out))
+    # beside a model that reads contextual vectors, one that reads none is fine
+    full = str(tmp_path / "full.ctxv")
+    write_contextual(ContextualStore({s.id: np.full((len(s), 3), 0.5, np.float32)
+                                      for s in corpus.all_sentences()}), full)
+    cfg.write_text(text % ("ck:%s,ck:%s" % (plain_checkpoint, checkpoint), full))
+    code, _, err = run(capsys, "suite", "--config", str(cfg))
+    assert code == 0, err
+
+
 def test_extract_baseline_and_probe(capsys, tmp_path, corpus_dir):
     tasks = str(tmp_path / "tasks")
     assert cli.main(["probegen", "--corpus", corpus_dir, "--task", "SentLen",

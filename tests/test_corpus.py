@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relprobe import deptree
 from relprobe.corpus import (CTX_MAGIC, ContextualStore, CorpusFormatError, Sentence, Span,
                              load_contextual, load_corpus, load_embeddings,
-                             mask_entities, validate_sentence, write_contextual,
+                             masked_tokens, validate_sentence, write_contextual,
                              write_corpus, write_text)
 
-from conftest import make_sentence
+import reference_trees
+from conftest import make_sentence, random_parents
 
 
 def _record(**overrides):
@@ -145,8 +147,7 @@ def _aerolineas():
 
 
 def test_mask_entities_basic():
-    m = mask_entities(_aerolineas())
-    assert m.tokens == ("SUBJ-ORGANIZATION", "bought", "OBJ-ORGANIZATION")
+    assert masked_tokens([_aerolineas()]) == [("SUBJ-ORGANIZATION", "bought", "OBJ-ORGANIZATION")]
 
 
 def test_mask_entities_multi_token_span():
@@ -161,27 +162,81 @@ def test_mask_entities_multi_token_span():
         tail=Span(3, 3),
         relation="per:employee_of",
     )
-    m = mask_entities(s)
-    assert m.tokens == ("SUBJ-PERSON", "SUBJ-PERSON", "joined", "OBJ-ORGANIZATION")
+    (m,) = masked_tokens([s])
+    assert m == ("SUBJ-PERSON", "SUBJ-PERSON", "joined", "OBJ-ORGANIZATION")
     assert len(m) == len(s)
 
 
 def test_mask_entities_idempotent():
-    once = mask_entities(_aerolineas())
-    assert mask_entities(once) == once
+    once = replace(_aerolineas(), tokens=masked_tokens([_aerolineas()])[0])
+    assert masked_tokens([once]) == [once.tokens]
 
 
 def test_mask_entities_reads_heads_without_a_tree():
     # a cyclic dep_head, which validate_sentence rejects, masks without raising
     s = replace(_aerolineas(), dep_head=(3, 3, 1))
-    assert mask_entities(s).tokens == ("SUBJ-ORGANIZATION", "bought", "OBJ-ORGANIZATION")
+    assert masked_tokens([s]) == [("SUBJ-ORGANIZATION", "bought", "OBJ-ORGANIZATION")]
 
 
 def test_mask_entities_preserves_annotations():
     s = _aerolineas()
-    m = mask_entities(s)
-    for field in ("pos", "ner", "dep_head", "dep_label", "head", "tail", "relation"):
-        assert getattr(m, field) == getattr(s, field)
+    masked_tokens([s])
+    for field in ("tokens", "pos", "ner", "dep_head", "dep_label", "head", "tail", "relation"):
+        assert getattr(s, field) == getattr(_aerolineas(), field)
+
+
+def test_masking_names_a_sentence_with_another_number_of_heads():
+    # packed, a short dep_head would shift the next sentence's rows
+    s = replace(_aerolineas(), dep_head=(2, 0), id="short")
+    message = "^2 dep_head values for the 3 tokens of sentence short$"
+    for sentences in ([s, _aerolineas()], [_aerolineas(), s]):
+        with pytest.raises(ValueError, match=message):
+            masked_tokens(sentences)
+
+
+def _masking_sentence(rng, i):
+    """A random sentence for masking, its NE tags naming their positions:
+    every third a tree, the others heads in -2..len+2 (cycles, zero or
+    several roots, values out of range), every 40th with one head beyond
+    int64; two disjoint spans of 1-4 tokens, head or tail first (one shared
+    token when len is 1)."""
+    n = int(rng.integers(1, 16))
+    heads = random_parents(rng, n) if i % 3 == 0 else rng.integers(-2, n + 3, size=n).tolist()
+    if i % 40 == 1:
+        heads[int(rng.integers(n))] = (2**64, -2**70, 2**63)[i // 40 % 3]
+    head = tail = Span(0, 0)
+    if n > 1:
+        cut = int(rng.integers(1, n))
+        head = Span(max(0, cut - int(rng.integers(1, 5))), cut - 1)
+        tail = Span(cut, min(n - 1, cut + int(rng.integers(0, 4))))
+        if rng.random() < 0.5:
+            head, tail = tail, head
+    return Sentence("m%d" % i, tuple("tok%d" % j for j in range(n)), ("NN",) * n,
+                    tuple("E%d" % j for j in range(n)), tuple(heads), ("dep",) * n,
+                    head, tail, "rel")
+
+
+def test_masked_tokens_equal_per_sentence_masking_on_any_heads():
+    """One packed pass masks as the per-sentence oracle does, whatever the
+    heads: the NE tags name their positions, so the masks show the roots."""
+    rng = np.random.default_rng(25)
+    sentences = [_masking_sentence(rng, i) for i in range(3000)]
+    assert sum(bool(deptree.head_problems(s.dep_head)) for s in sentences) > 1500
+    assert sum(max(map(abs, s.dep_head)) >= 2**63 for s in sentences) > 70
+    assert sum(len(s.head) > 1 and len(s.tail) > 1 for s in sentences) > 500
+    assert 1000 < sum(s.head.start < s.tail.start for s in sentences) < 2000
+    inside = lambda s, span: all(span.start < s.dep_head[j] <= span.end + 1  # noqa: E731
+                                 for j in range(span.start, span.end + 1))
+    fallback = sum(len(span) > 1 and inside(s, span) for s in sentences for span in (s.head, s.tail))
+    assert fallback > 20  # every head of a span inside it: span.end is its root
+    want = [reference_trees.masked_tokens(s) for s in sentences]
+    assert masked_tokens(sentences) == want
+    assert deptree.argument_roots(sentences).tolist() == [
+        [reference_trees.span_root(s.dep_head, s.head) for s in sentences],
+        [reference_trees.span_root(s.dep_head, s.tail) for s in sentences]]
+    for part in (sentences[:1], sentences[7:19], sentences[::13]):  # packed in other groups
+        assert masked_tokens(part) == [reference_trees.masked_tokens(s) for s in part]
+    assert masked_tokens([]) == []
 
 
 # -------------------------------------------------------------- embeddings

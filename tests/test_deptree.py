@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from relprobe.corpus import Span
-from relprobe.deptree import head_problems, packed_trees, path_mask, span_root, span_roots
+from relprobe.deptree import head_problems, packed_trees, path_mask, span_roots
 
 from conftest import random_parents
 from reference_trees import (bfs_filter, build_tree, floyd_warshall_path, prune, sdp,
-                             tree_depth)
+                             span_root, tree_depth)
 
 
 # ------------------------------------------------------------------ oracles

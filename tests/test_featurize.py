@@ -1,5 +1,5 @@
 """Each sentence's derived inputs are prepared once per run: trees in
-probegen.build_tasks (depth tasks), model inputs in REModel.featurize, whose
+probegen.build_tasks (tree tasks), model inputs in REModel.featurize, whose
 forward pass gives the same logits as before. Both get their trees from one
 deptree.pack_trees pass over a whole split or batch."""
 
@@ -79,9 +79,9 @@ def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
     the packed ids alike, and each validation sentence once."""
     calls = []
 
-    def counting(s):
-        calls.append(s.id)
-        return masked_tokens(s)
+    def counting(sentences):
+        calls.extend(s.id for s in sentences)
+        return masked_tokens(sentences)
 
     monkeypatch.setattr(encoders, "masked_tokens", counting)
     train_re(corpus, desk_input_config(masking=True), desk_encoder_config(kind), _profile(2))
@@ -91,6 +91,10 @@ def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
 def test_build_tasks_builds_each_tree_once_and_only_when_read(corpus, tree_packs):
     """One deptree.pack_trees pass per split packs each sentence's tree once."""
     probegen.build_all(corpus)
+    assert tree_packs == [[s.dep_head for s in split]
+                          for split in (corpus.train, corpus.validation, corpus.test)]
+    del tree_packs[:]
+    probegen.build_tasks(["TypeHead"], corpus)
     assert tree_packs == [[s.dep_head for s in split]
                           for split in (corpus.train, corpus.validation, corpus.test)]
     del tree_packs[:]

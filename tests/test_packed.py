@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import reference_encoders as ref
+import reference_trees
 from reference_ops import reshape, scale
 from relprobe import autodiff as ad
 from relprobe import deptree
@@ -270,7 +271,7 @@ def test_gcn_graph_of_a_pack_matches_per_sentence_reference(k, dtype):
     overlap = [s.head.start <= s.tail.end and s.tail.start <= s.head.end for s in sentences]
     assert sum(overlap[3:]) > 5 and sum(map(_crossing, (s.dep_head for s in sentences))) > 5
     assert sum(s.dep_head.index(0) in s.head for s in sentences[3:]) > 10
-    assert sum(len(s.head) > 1 and deptree.span_root(s.dep_head, s.head) == s.head.end
+    assert sum(len(s.head) > 1 and reference_trees.span_root(s.dep_head, s.head) == s.head.end
                for s in sentences) > 10
     assert sum(s.tail.start == s.head.end + 1 for s in sentences) > 10
     with ad.use_dtype(dtype):

@@ -6,11 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from relprobe import deptree, probegen, synth
+from relprobe import probegen, synth
 from relprobe.corpus import Span
-from relprobe.probegen import (BinSpec, build_all, build_tasks, depth_values,
-                               extract, load_dataset, quantile_bins,
-                               save_dataset)
+from relprobe.probegen import (BinSpec, build_all, build_tasks, extract, load_dataset,
+                               quantile_bins, save_dataset, tree_values)
 
 import reference_trees
 from conftest import make_sentence, random_parents
@@ -100,26 +99,30 @@ def test_extract_argord():
 def test_extract_depth_tasks():
     # chain of depth 3; args at the two ends
     s = make_sentence([0, 1, 2, 3], head=Span(0, 0), tail=Span(3, 3))
-    assert depth_values([s]) == ([3], [3])
+    assert tree_values([s])[:2] == ([3], [3])
 
 
 def test_tree_depth_clamped():
     n = 25
     s = make_sentence([i for i in range(n)], head=Span(0, 0), tail=Span(n - 1, n - 1))
-    assert depth_values([s])[0] == [probegen.TREE_DEPTH_CLAMP]
+    assert tree_values([s])[0] == [probegen.TREE_DEPTH_CLAMP]
 
 
-def _per_sentence_depths(s):
-    """TreeDepth and SDPTreeDepth of one sentence from its DepTree."""
+def _per_sentence_values(s):
+    """The TREE_TASKS values of one sentence from its DepTree and the
+    span_root oracle: the NE tag and the dependency label at each span
+    root, a label outside GR_CLASSES read as "other"."""
     tree = reference_trees.build_tree(s.dep_head)
-    roots = (deptree.span_root(s.dep_head, s.head), deptree.span_root(s.dep_head, s.tail))
+    roots = (reference_trees.span_root(s.dep_head, s.head),
+             reference_trees.span_root(s.dep_head, s.tail))
     depth = min(reference_trees.tree_depth(tree), probegen.TREE_DEPTH_CLAMP)
-    return depth, reference_trees.sdp(tree, *roots).depth
+    roles = [s.dep_label[r] if s.dep_label[r] in probegen.GR_CLASSES else "other" for r in roots]
+    return (depth, reference_trees.sdp(tree, *roots).depth, *(s.ner[r] for r in roots), *roles)
 
 
 def _oracle_check(sentences):
-    expected = [_per_sentence_depths(s) for s in sentences]
-    assert depth_values(sentences) == tuple(map(list, zip(*expected)))
+    expected = [_per_sentence_values(s) for s in sentences]
+    assert tree_values(sentences) == tuple(map(list, zip(*expected)))
 
 
 def test_depth_values_equal_per_sentence_trees_on_every_template():
@@ -143,20 +146,57 @@ def _random_span_pair(rng, n):
     return pair if rng.random() < 0.5 else pair[::-1]
 
 
-def test_depth_values_equal_per_sentence_trees_on_random_trees():
+ROLES = probegen.GR_CLASSES + ("nmod", "amod", "dep")
+
+
+def _random_tree_sentences():
+    """1200 sentences of random trees (every tenth a chain) and span pairs;
+    NE tag j names token j, and the dependency labels cycle through
+    GR_CLASSES and three other roles."""
+    from dataclasses import replace
     rng = np.random.default_rng(11)
     sentences = []
     for i in range(1200):
         n = int(rng.integers(1, 40))
         dep_head = random_parents(rng, n) if i % 10 else [j for j in range(n)]  # some chains
         head, tail = _random_span_pair(rng, n)
-        sentences.append(make_sentence(dep_head, head=head, tail=tail, sid="r%d" % i))
+        s = make_sentence(dep_head, head=head, tail=tail, sid="r%d" % i)
+        sentences.append(replace(s, ner=tuple("E%d" % j for j in range(n)),
+                                 dep_label=tuple(ROLES[(i + j) % len(ROLES)] for j in range(n))))
+    return sentences
+
+
+def test_depth_values_equal_per_sentence_trees_on_random_trees():
+    sentences = _random_tree_sentences()
     projective = sum(not _crossing(s.dep_head) for s in sentences)
     assert 0 < projective < len(sentences)
-    assert max(_per_sentence_depths(s)[0] for s in sentences) == probegen.TREE_DEPTH_CLAMP
+    assert max(_per_sentence_values(s)[0] for s in sentences) == probegen.TREE_DEPTH_CLAMP
     _oracle_check(sentences)
     for part in (sentences[:1], sentences[5:9], sentences[::7]):  # packed in other groups
         _oracle_check(part)
+
+
+def test_type_and_role_tasks_read_the_oracle_span_roots(bin_corpus):
+    """build_tasks labels TypeHead/Tail with the NE tag at the span_root
+    oracle's root and GRHead/Tail with the dependency label there, a role
+    outside GR_CLASSES reading "other"."""
+    from dataclasses import replace
+    sentences = _random_tree_sentences()
+    corpus = replace(bin_corpus, train=tuple(sentences[:800]),
+                     validation=tuple(sentences[800:1000]), test=tuple(sentences[1000:]))
+    datasets = build_tasks(["TypeHead", "TypeTail", "GRHead", "GRTail"], corpus, "tacred")
+    for ds in datasets:
+        arg = "head" if "Head" in ds.task else "tail"
+        values = {s.id: (s.ner if ds.task.startswith("Type") else s.dep_label)[
+            reference_trees.span_root(s.dep_head, getattr(s, arg))] for s in sentences}
+        if ds.task.startswith("GR"):
+            assert set(ds.labels) == set(probegen.GR_CLASSES) | {"other"}
+            values = {sid: v if v in probegen.GR_CLASSES else "other"
+                      for sid, v in values.items()}
+        else:
+            assert ds.labels == tuple(sorted({values[s.id] for s in corpus.train}))
+        for split in ("train", "validation", "test"):
+            assert ds.splits[split] == tuple((s.id, values[s.id]) for s in corpus.split(split))
 
 
 def _crossing(dep_head):
@@ -170,11 +210,13 @@ def _crossing(dep_head):
                                                ([0, 0, 2], "multiple root tokens"),
                                                ([0, 9, 1], "dep_head value out of range")))
 def test_depth_tasks_name_a_sentence_that_is_not_one_tree(bin_corpus, dep_head, problem):
+    """A depth task, a type task and a role task: each reads the tree."""
     from dataclasses import replace
     bad = make_sentence(dep_head, head=Span(0, 0), tail=Span(2, 2), sid="bad")
     corpus = replace(bin_corpus, validation=bin_corpus.validation[:3] + (bad,))
-    with pytest.raises(ValueError, match="^sentence bad: %s$" % problem):
-        build_tasks(["SDPTreeDepth"], corpus, "tacred")
+    for task in ("SDPTreeDepth", "TypeTail", "GRHead"):
+        with pytest.raises(ValueError, match="^sentence bad: %s$" % problem):
+            build_tasks([task], corpus, "tacred")
     assert build_tasks(["SentLen"], corpus, "tacred")  # no tree read
 
 
@@ -182,7 +224,7 @@ def test_depth_tasks_name_a_sentence_with_too_few_heads():
     from dataclasses import replace
     s = replace(make_sentence([2, 0, 2]), dep_head=(2, 0), id="short")
     with pytest.raises(ValueError, match="^2 dep_head values for the 3 tokens of sentence short$"):
-        depth_values([s])
+        tree_values([s])
 
 
 def test_extract_pos_neighbors():
@@ -194,21 +236,25 @@ def test_extract_pos_neighbors():
     assert extract("PosTailR", s) == probegen.BOUNDARY_RIGHT
 
 
+def _tree_value(task, s):
+    return tree_values([s])[probegen.TREE_TASKS.index(task)][0]
+
+
 def test_extract_types_and_roles():
     from dataclasses import replace
     s = replace(_rich_sentence(),
                 ner=("PER", "O", "O", "ORG", "O", "PER"),
                 dep_label=("nsubj", "root", "det", "compound", "compound", "dobj"))
-    assert extract("TypeHead", s) == "PER"
-    assert extract("TypeTail", s) == "PER"
-    assert extract("GRHead", s) == "nsubj"
-    assert extract("GRTail", s) == "dobj"
+    assert _tree_value("TypeHead", s) == "PER"
+    assert _tree_value("TypeTail", s) == "PER"
+    assert _tree_value("GRHead", s) == "nsubj"
+    assert _tree_value("GRTail", s) == "dobj"
 
 
 def test_gr_non_core_role_maps_to_other():
     from dataclasses import replace
     s = replace(make_sentence([2, 0, 2]), dep_label=("nmod", "root", "dobj"))
-    assert extract("GRHead", s) == "other"
+    assert _tree_value("GRHead", s) == "other"
 
 
 def test_extract_unknown_task():

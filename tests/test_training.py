@@ -172,8 +172,8 @@ def test_masked_training_vocab_hides_mentions(tiny_corpus):
     model, _ = train_re(tiny_corpus, desk_input_config(masking=True),
                         EncoderConfig(kind="boe"), _profile(epochs=1))
     assert any(t.startswith("SUBJ-") for t in model.vocab.itos)
-    from relprobe.corpus import mask_entities
-    expected = {t for s in tiny_corpus.train for t in mask_entities(s).tokens}
+    from relprobe.corpus import masked_tokens
+    expected = {t for tokens in masked_tokens(tiny_corpus.train) for t in tokens}
     assert set(model.vocab.itos) - {"<PAD>", "<UNK>"} == expected
 
 
