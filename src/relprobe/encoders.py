@@ -110,9 +110,14 @@ class Vocab:
 
     @classmethod
     def from_itos(cls, itos):
+        """The vocab of a saved id list; ValueError unless it starts with
+        PAD and UNK and no token repeats."""
         v = cls.__new__(cls)
         v.itos = list(itos)
         v.stoi = {t: i for i, t in enumerate(v.itos)}
+        if v.itos[:2] != [PAD, UNK]:
+            raise ValueError("vocab must start %s, %s" % (PAD, UNK))
+        _check_unique("vocab token", v.itos, v.stoi)
         return v
 
     def ids(self, tokens):
@@ -222,88 +227,96 @@ def _gcn_rows(graph, starts):
 
 
 def _glorot(rng, shape):
-    fan_in, fan_out = (shape[0], shape[-1]) if len(shape) > 1 else (shape[0], shape[0])
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    limit = math.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _dense(w, b, n_in, n_out):
+    """Table entries of an n_in x n_out weight `w` and its bias `b`."""
+    return [(w, (n_in, n_out)), (b, (n_out,))]
+
+
+def _check_unique(what, items, index):
+    """ValueError naming the first repeated item when `index`, each item's
+    last position, is shorter than `items`."""
+    if len(index) < len(items):
+        raise ValueError("repeated %s %r" % (what, next(t for i, t in enumerate(items)
+                                                         if index[t] != i)))
 
 
 class REModel:
     """Sentence encoder + relation classification head over a fixed vocab."""
 
     def __init__(self, vocab, labels, input_cfg: InputConfig, enc_cfg: EncoderConfig,
-                 seed=0, embeddings=None, negative_label=None):
+                 seed=0, embeddings=None, negative_label=None, params=None):
         self.vocab = vocab
         self.labels = tuple(labels)
         self.label_index = {l: i for i, l in enumerate(self.labels)}
+        _check_unique("label", self.labels, self.label_index)
         self.input_cfg = input_cfg
         self.enc_cfg = enc_cfg
         self.negative_label = negative_label
         self.seed = seed
         self.rng = np.random.default_rng(seed)  # dropout rng; reseed per run
-        self.params = {}
-        self._init_params(np.random.default_rng(seed), embeddings)
+        if params is None:  # else a loaded checkpoint's arrays, by table name
+            params = self._init_params(np.random.default_rng(seed), embeddings)
+        self.params = {name: ad.param(data) for name, data in params.items()}
 
     # ---------------------------------------------------------------- setup
 
-    def _add(self, name, data):
-        self.params[name] = ad.param(np.asarray(data, dtype=ad.current_dtype()))
+    def param_shapes(self):
+        """(name, shape) of every parameter, in draw, save and load order."""
+        cfg, enc = self.input_cfg, self.enc_cfg
+        table = [("word_emb", (len(self.vocab), cfg.word_dim))]
+        if cfg.pos_dim > 0:
+            rows = 2 * cfg.max_offset + 1
+            table += [("pos_head_emb", (rows, cfg.pos_dim)), ("pos_tail_emb", (rows, cfg.pos_dim))]
+        d_in = cfg.width
+        if enc.kind == "cnn":
+            for k in enc.cnn_sizes:
+                table += _dense("cnn_w%d" % k, "cnn_b%d" % k, k * d_in, enc.cnn_filters)
+        elif enc.kind == "bilstm":
+            h = enc.lstm_hidden
+            for layer, dirn in itertools.product(range(enc.lstm_layers), "fb"):
+                p = "lstm%d_%s_" % (layer, dirn)
+                table.append((p + "wx", (d_in if layer == 0 else 2 * h, 4 * h)))
+                table += _dense(p + "wh", p + "b", h, 4 * h)
+        elif enc.kind == "gcn":
+            for layer in range(enc.gcn_layers):
+                table += _dense("gcn%d_w" % layer, "gcn%d_b" % layer,
+                                d_in if layer == 0 else enc.gcn_dim, enc.gcn_dim)
+            for j in range(enc.gcn_ff_layers):
+                table += _dense("gcn_ff%d_w" % j, "gcn_ff%d_b" % j,
+                                3 * enc.gcn_dim if j == 0 else enc.gcn_dim, enc.gcn_dim)
+        elif enc.kind == "attn":
+            m, kv, ff = enc.attn_model_dim, enc.attn_kv_dim, enc.attn_ff_dim
+            table += _dense("attn_in_w", "attn_in_b", d_in, m)
+            for layer in range(enc.attn_layers):
+                p = "attn%d_" % layer
+                table += [(p + proj, (m, kv)) for proj in ("wq", "wk", "wv")]
+                table += _dense(p + "wo", p + "bo", kv, m) + _dense(p + "ff1_w", p + "ff1_b", m, ff)
+                table += _dense(p + "ff2_w", p + "ff2_b", ff, m)
+        return table + _dense("cls_w", "cls_b", self.rep_dim, len(self.labels))
 
     def _init_params(self, rng, embeddings):
-        cfg, enc = self.input_cfg, self.enc_cfg
-        word = rng.uniform(-0.1, 0.1, size=(len(self.vocab), cfg.word_dim))
+        """The table drawn in order, then word_emb's pretrained and PAD rows."""
+        params = {}
+        for name, shape in self.param_shapes():
+            if name.endswith("_emb"):
+                params[name] = rng.uniform(-0.1, 0.1, size=shape)
+            elif len(shape) > 1:
+                params[name] = _glorot(rng, shape)
+            else:
+                params[name] = np.zeros(shape)
+                if name.startswith("lstm"):
+                    params[name][shape[0] // 4:shape[0] // 2] = 1.0  # forget-gate bias
         if embeddings is not None:
             for tok, i in self.vocab.stoi.items():
                 vec = embeddings.vectors.get(tok)
                 if vec is not None:
-                    word[i] = vec[: cfg.word_dim]
-        word[0] = 0.0  # PAD row
-        self._add("word_emb", word)
-        if cfg.pos_dim > 0:
-            rows = 2 * cfg.max_offset + 1
-            self._add("pos_head_emb", rng.uniform(-0.1, 0.1, size=(rows, cfg.pos_dim)))
-            self._add("pos_tail_emb", rng.uniform(-0.1, 0.1, size=(rows, cfg.pos_dim)))
-        d_in = cfg.width
-        if enc.kind == "cnn":
-            for k in enc.cnn_sizes:
-                self._add("cnn_w%d" % k, _glorot(rng, (k * d_in, enc.cnn_filters)))
-                self._add("cnn_b%d" % k, np.zeros(enc.cnn_filters))
-        elif enc.kind == "bilstm":
-            size = d_in
-            for layer in range(enc.lstm_layers):
-                for dirn in ("f", "b"):
-                    h = enc.lstm_hidden
-                    self._add("lstm%d_%s_wx" % (layer, dirn), _glorot(rng, (size, 4 * h)))
-                    self._add("lstm%d_%s_wh" % (layer, dirn), _glorot(rng, (h, 4 * h)))
-                    bias = np.zeros(4 * h)
-                    bias[h:2 * h] = 1.0  # forget-gate bias
-                    self._add("lstm%d_%s_b" % (layer, dirn), bias)
-                size = 2 * enc.lstm_hidden
-        elif enc.kind == "gcn":
-            size = d_in
-            for layer in range(enc.gcn_layers):
-                self._add("gcn%d_w" % layer, _glorot(rng, (size, enc.gcn_dim)))
-                self._add("gcn%d_b" % layer, np.zeros(enc.gcn_dim))
-                size = enc.gcn_dim
-            size = 3 * enc.gcn_dim
-            for j in range(enc.gcn_ff_layers):
-                self._add("gcn_ff%d_w" % j, _glorot(rng, (size, enc.gcn_dim)))
-                self._add("gcn_ff%d_b" % j, np.zeros(enc.gcn_dim))
-                size = enc.gcn_dim
-        elif enc.kind == "attn":
-            m = enc.attn_model_dim
-            self._add("attn_in_w", _glorot(rng, (d_in, m)))
-            self._add("attn_in_b", np.zeros(m))
-            for layer in range(enc.attn_layers):
-                for proj in ("wq", "wk", "wv"):
-                    self._add("attn%d_%s" % (layer, proj), _glorot(rng, (m, enc.attn_kv_dim)))
-                self._add("attn%d_wo" % layer, _glorot(rng, (enc.attn_kv_dim, m)))
-                self._add("attn%d_bo" % layer, np.zeros(m))
-                self._add("attn%d_ff1_w" % layer, _glorot(rng, (m, enc.attn_ff_dim)))
-                self._add("attn%d_ff1_b" % layer, np.zeros(enc.attn_ff_dim))
-                self._add("attn%d_ff2_w" % layer, _glorot(rng, (enc.attn_ff_dim, m)))
-                self._add("attn%d_ff2_b" % layer, np.zeros(m))
-        self._add("cls_w", _glorot(rng, (self.rep_dim, len(self.labels))))
-        self._add("cls_b", np.zeros(len(self.labels)))
+                    params["word_emb"][i] = vec[: self.input_cfg.word_dim]
+        params["word_emb"][0] = 0.0  # PAD row
+        return params
 
     @property
     def rep_dim(self):

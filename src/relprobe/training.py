@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -272,22 +273,28 @@ def save_checkpoint(model: REModel, path):
 
 
 def load_checkpoint(path) -> REModel:
-    """Model from an RPCK file; ValueError on a malformed or incomplete one,
-    on a config blob the configs cannot be built from and on a NaN or
-    infinite parameter value."""
+    """Model from an RPCK file, its arrays checked against the configs'
+    parameter table and taken with no draw; ValueError on a malformed or
+    incomplete file, a repeated, unknown or misshapen parameter, a config blob
+    that builds no configs, vocab or labels, and a NaN or infinite value."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         r.header(CKPT_MAGIC, 1)
         (count,) = r.unpack("<I")
         tensors = {}
         for _ in range(count):
+            offset = f.tell()
             name = r.text()
+            if name in tensors:
+                raise ValueError("%s: duplicate parameter %s at byte offset %d"
+                                 % (path, name, offset))
             (rank,) = r.unpack("<I")
             dims = r.unpack("<%dQ" % rank)
             n_values = int(np.prod(dims)) if rank else 1
-            tensors[name] = np.frombuffer(r.read(4 * n_values), dtype="<f4").reshape(dims)
-            if not np.isfinite(tensors[name]).all():
+            data = np.frombuffer(r.read(4 * n_values), dtype="<f4").reshape(dims)
+            if not np.isfinite(data).all():
                 raise ValueError("%s: non-finite value in parameter %s" % (path, name))
+            tensors[name] = data.astype(ad.current_dtype())  # a copy: data views the read buffer
         offset = f.tell()
         try:
             blob = json.loads(f.read().decode("utf-8"))
@@ -301,18 +308,19 @@ def load_checkpoint(path) -> REModel:
                                    for k, v in blob["encoder_cfg"].items()})
         vocab = Vocab.from_itos(blob["vocab"])
         model = REModel(vocab, blob["labels"], input_cfg, enc_cfg, seed=blob.get("seed", 0),
-                        negative_label=blob.get("negative_label"))
+                        negative_label=blob.get("negative_label"), params=tensors)
+        shapes = {name: tuple(map(operator.index, shape)) for name, shape in model.param_shapes()}
     except KeyError as e:
         raise ValueError("%s: bad config blob: missing key %s" % (path, e)) from None
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError("%s: bad config blob: %s" % (path, e)) from None
     for name, data in tensors.items():
-        if name not in model.params:
+        if name not in shapes:
             raise ValueError("%s: checkpoint parameter %s not in model" % (path, name))
-        if model.params[name].data.shape != data.shape:
-            raise ValueError("%s: shape mismatch for %s" % (path, name))
-        model.params[name].data = data.astype(ad.current_dtype())  # a copy: data views the read buffer
-    missing = sorted(set(model.params) - set(tensors))
+        if data.shape != shapes[name]:
+            raise ValueError("%s: shape mismatch for %s: %s in the file, %s by the config"
+                             % (path, name, data.shape, shapes[name]))
+    missing = sorted(set(shapes) - set(tensors))
     if missing:
         raise ValueError("%s: checkpoint lacks parameters %s" % (path, ", ".join(missing)))
     return model

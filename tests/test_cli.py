@@ -692,23 +692,51 @@ _BLOB_DEFECTS = {
     "list-blob": lambda b: [1, 2],
     **{"prune-k-%s" % k: lambda b, k=k: {**b, "encoder_cfg": {**b["encoder_cfg"], "gcn_prune_k": k}}
        for k in ("x", -1, 1.5, math.nan)},
+    "no-unk": lambda b: {**b, "vocab": [t for t in b["vocab"] if t != "<UNK>"]},
+    "repeated-token": lambda b: {**b, "vocab": b["vocab"] + ["a"]},
+    "repeated-label": lambda b: {**b, "labels": b["labels"] + ["x"]},
+}
+
+# RPCK parameter defects: each edits the params saved
+_PARAM_DEFECTS = {
+    "incomplete": lambda params: params.pop("cls_b"),
+    "unknown-param": lambda params: params.update(zzz=params["cls_b"]),
+    "reshaped": lambda params: params.update(cls_b=params["pos_head_emb"]),
+}
+
+# the error lines of the defects that word their fault, after "error: <path>: "
+_CHECKPOINT_ERRORS = {
+    "no-unk": "bad config blob: vocab must start <PAD>, <UNK>",
+    "repeated-token": "bad config blob: repeated vocab token 'a'",
+    "repeated-label": "bad config blob: repeated label 'x'",
+    "unknown-param": "checkpoint parameter zzz not in model",
+    "reshaped": "shape mismatch for cls_b: (3, 1) in the file, (2,) by the config",
+    "duplicate": "duplicate parameter word_emb at byte offset %d",
 }
 
 
-@pytest.mark.parametrize("defect", ("truncated", "incomplete") + tuple(_BLOB_DEFECTS))
+@pytest.mark.parametrize("defect", ("truncated", "duplicate") + tuple(_PARAM_DEFECTS)
+                         + tuple(_BLOB_DEFECTS))
 def test_extract_bad_checkpoint_fails_cleanly(capsys, corpus_dir, tmp_path, defect):
     model = REModel(Vocab(["a"]), ("x", "y"), InputConfig(word_dim=2, pos_dim=1, max_offset=1),
                     EncoderConfig(kind="boe"))
-    if defect == "incomplete":
-        del model.params["cls_b"]
+    if defect in _PARAM_DEFECTS:
+        _PARAM_DEFECTS[defect](model.params)
     path = str(tmp_path / "model.rpck")
     save_checkpoint(model, path)
     raw = open(path, "rb").read()
+    blob = json.dumps(model.config_blob(), sort_keys=True).encode()
+    assert raw.endswith(blob)
+    expected = _CHECKPOINT_ERRORS.get(defect)
     if defect == "truncated":
         raw = raw[:len(raw) // 2]
+    elif defect == "duplicate":  # a second word_emb, of 7.0, after the last parameter
+        (count,) = struct.unpack_from("<I", raw, 8)
+        record = (struct.pack("<I", 8) + b"word_emb" + struct.pack("<IQQ", 2, 3, 2)
+                  + np.full((3, 2), 7.0, dtype="<f4").tobytes())
+        expected %= len(raw) - len(blob)
+        raw = raw[:8] + struct.pack("<I", count + 1) + raw[12:-len(blob)] + record + blob
     elif defect in _BLOB_DEFECTS:
-        blob = json.dumps(model.config_blob(), sort_keys=True).encode()
-        assert raw.endswith(blob)
         raw = raw[:-len(blob)] + json.dumps(_BLOB_DEFECTS[defect](json.loads(blob))).encode()
     with open(path, "wb") as f:
         f.write(raw)
@@ -719,6 +747,8 @@ def test_extract_bad_checkpoint_fails_cleanly(capsys, corpus_dir, tmp_path, defe
     assert err.startswith("error: %s: " % path)
     if defect in _BLOB_DEFECTS:
         assert err.startswith("error: %s: bad config blob: " % path)
+    if expected is not None:
+        assert err == "error: %s: %s\n" % (path, expected)
     assert "Traceback" not in err
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from relprobe import autodiff as ad
 from relprobe.corpus import Span, random_embeddings
 from relprobe.encoders import (EncoderConfig, InputConfig, REModel, Vocab,
                                position_offsets)
+from relprobe.training import desk_encoder_config, desk_input_config, presets
 
 from conftest import make_sentence
 
@@ -274,3 +276,63 @@ def test_same_seed_same_params():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     c = _model("cnn", seed=6)
     assert any(not np.array_equal(a.params[n].data, c.params[n].data) for n in a.params)
+
+
+# sha256 of the names and float64 bytes of the initial parameters, in order,
+# as drawn before the parameter table existed: desk kinds at pos_dim 0 and 8,
+# with and without pretrained vectors for every third token, and the paper
+# presets at word_dim 300
+INITIAL_PARAMS_SHA256 = {
+    "desk-cnn-pos0": "64128b610d5e2c095eb1383ed803cf0a8cef4bac2d8c46123b70835043888c1f",
+    "desk-cnn-pos0-emb": "6831c3f8e4711f9ad976fa678a7a3ae78495cc37793345ae8c229bc235804aa5",
+    "desk-cnn-pos8": "d31226dae08fe2be8f8cd893cbe28e3f7b94dc776cf2f498093938e657ad9cfd",
+    "desk-cnn-pos8-emb": "956ffcfdb7f5bc3d3293013fe424bb933b6caf8fdecab4c7596a4e337242bc58",
+    "desk-bilstm-pos0": "0cc8d4f18efb17819f491bfb8cf41e70b28b88d1037e20e705a88b8e67d2d047",
+    "desk-bilstm-pos0-emb": "db2b4c07b51fe2342d3b8ae699adfb1a9fb134e2e345945b24fd1412e1055f6a",
+    "desk-bilstm-pos8": "b3a2a90709654eb2e5da2014218453d795d6ec9aec68ee7920bc1b655054879d",
+    "desk-bilstm-pos8-emb": "9925894ecc8140b174eeb7daf2ceadf863a9351d358e2bc032027842ff34b326",
+    "desk-gcn-pos0": "8437c972018d90f41b18232dba8bfc3c9c8b66d07777801a3beb7612be1dc9c3",
+    "desk-gcn-pos0-emb": "9e95d3788579dc312b3136d5c632e1eff8fd04023bf8de5a309b9ab7bfd7ff5e",
+    "desk-gcn-pos8": "20e83afc1df8760ae5fd34aef6f14cba50d05fc450ed60f46d4f918a862e1528",
+    "desk-gcn-pos8-emb": "39848116a5bc3624c6816edce351db2ecfe0588e37e3678b09919207bc81e9e3",
+    "desk-attn-pos0": "d48fa0bdf380d9b8fde9210b33dbf86d9956760ca71c92120c8cdd3c68fad40a",
+    "desk-attn-pos0-emb": "abbb9c1e1866e702f6e26bf74ee138e638ba1fa1c9dd7ea26bc95259f7e01184",
+    "desk-attn-pos8": "7ae135c8273cadb3c10e4ded65f2098da30ff5287ee99d0bd37d97b118fa3be4",
+    "desk-attn-pos8-emb": "a8f54d291f251dd5bf5fdc6b790f6c7dccf7fa95267cd5ddca36fe02b4bd691a",
+    "desk-boe-pos0": "a20c5fe9847b6b3b75d382d22c7e2bbd8b2197fa2565f29b916edd40d37bc250",
+    "desk-boe-pos0-emb": "9caa3224ae16e605be65b83f324c79c47477865c00df7f126fe47479760d17b5",
+    "desk-boe-pos8": "76c8a816df7d0d0eb35903945b71ce6f21c42032c569661f0a8e1804700d7594",
+    "desk-boe-pos8-emb": "7e2a16850dae710e7344bb80f59bd14d85d41381749ba324652721dccaae3203",
+    "semeval-attn": "b8b96f9058c349029aeaf7ebc7cb967ff5773b449fb4364a9b55a92651c9bac7",
+    "semeval-bilstm": "c7c2ceb143bee3fa6ff059179c81b6026034ab60fce3cd01276b0dc9d41e66ec",
+    "semeval-cnn": "487c182dc4f2a122ed71f98e865a2d413624baaaf89c6da62b6f4efa8bae3ae8",
+    "semeval-gcn": "34b2b111dedf561d422e607f12e353c51a93982bba65f8c97c9844db20d78801",
+    "tacred-attn": "19aea0a623113c6a57b5dffe59ed57f5928761c30daf16d8ef4ca42205778236",
+    "tacred-bilstm": "b2bb53059c766a8a95c8cfdf9ca8b9ac917f20e668534b20ba0dcbcdca8f13c6",
+    "tacred-cnn": "3da46f934fe996fb2510c1d1f3f4766163b4f9d6d02a2420dfee3a2cc6a6a91f",
+    "tacred-gcn": "2d3eafedbbaffa6a1e1507351271d6fc8ad1d41d7986fb839c4dd61903aaa01b",
+}
+
+
+def _pinned_config(name):
+    """(input config, encoder config, with pretrained vectors) of a pin."""
+    if name.startswith("desk-"):
+        _, kind, pos, *emb = name.split("-")
+        return (desk_input_config(pos_dim=int(pos[3:])), desk_encoder_config(kind), bool(emb))
+    profile, enc_cfg = presets()[name]
+    return InputConfig(word_dim=300, pos_dim=profile.pos_dim), enc_cfg, False
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_PARAMS_SHA256))
+def test_initial_params_are_pinned(name):
+    input_cfg, enc_cfg, pretrained = _pinned_config(name)
+    tokens = ["tok%d" % i for i in range(12)]
+    table = random_embeddings(tokens[::3], input_cfg.word_dim, seed=5) if pretrained else None
+    m = REModel(Vocab(tokens), ("no_relation", "per:x", "org:y"), input_cfg, enc_cfg,
+                seed=11, embeddings=table)
+    assert [(n, p.shape) for n, p in m.params.items()] == m.param_shapes()
+    h = hashlib.sha256()
+    for n, p in m.params.items():
+        h.update(n.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == INITIAL_PARAMS_SHA256[name]

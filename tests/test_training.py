@@ -1,12 +1,15 @@
+import collections
 import dataclasses
+import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from relprobe import autodiff as ad
-from relprobe import synth
+from relprobe import encoders, synth
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.optim import EpochDecay, make_optimizer
 from relprobe.training import (HyperProfile, desk_encoder_config,
@@ -269,6 +272,71 @@ def test_checkpoint_loads_writable_byte_equal_arrays(tmp_path):
         assert data.flags.writeable
         assert data.base is None  # owns its memory: no view of the bytes read
         data += 1.0
+
+
+def _redrawing_load(path):
+    """The loader before the parameter table: it built the model, drawing
+    every initial parameter, and then overwrote each with the file's array."""
+    raw = open(path, "rb").read()
+    (count,), pos, arrays = struct.unpack_from("<I", raw, 8), 12, {}
+    for _ in range(count):
+        (n,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + n].decode()
+        (rank,) = struct.unpack_from("<I", raw, pos + 4 + n)
+        dims = struct.unpack_from("<%dQ" % rank, raw, pos + 8 + n)
+        pos += 8 + n + 8 * rank
+        arrays[name] = np.frombuffer(raw, "<f4", int(np.prod(dims)), pos).reshape(dims)
+        pos += arrays[name].nbytes
+    blob = json.loads(raw[pos:])
+    cfgs = [{k: tuple(v) if isinstance(v, list) else v for k, v in blob[key].items()}
+            for key in ("input_cfg", "encoder_cfg")]
+    model = REModel(Vocab.from_itos(blob["vocab"]), blob["labels"], InputConfig(**cfgs[0]),
+                    EncoderConfig(**cfgs[1]), seed=blob["seed"],
+                    negative_label=blob["negative_label"])
+    for name, data in arrays.items():
+        model.params[name].data = data.astype(ad.current_dtype())
+    return model
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+@pytest.mark.parametrize("pos_dim", (0, 8))
+@pytest.mark.parametrize("kind", ("cnn", "bilstm", "gcn", "attn", "boe"))
+def test_checkpoint_loads_as_the_redrawing_loader_did(tmp_path, kind, pos_dim, dtype):
+    with ad.use_dtype(dtype):
+        model = REModel(Vocab(["a", "b", "c"]), ("x", "y", "z"), desk_input_config(pos_dim=pos_dim),
+                        desk_encoder_config(kind), seed=9, negative_label="x")
+        for p in model.params.values():  # trained-looking values, not the initial ones
+            p.data += np.random.default_rng(1).normal(size=p.data.shape)
+        path = str(tmp_path / "model.rpck")
+        save_checkpoint(model, path)
+        loaded, reference = load_checkpoint(path), _redrawing_load(path)
+    assert list(loaded.params) == list(reference.params) == [n for n, _ in loaded.param_shapes()]
+    for name, p in reference.params.items():
+        data = loaded.params[name].data
+        assert data.dtype == p.data.dtype == dtype and data.tobytes() == p.data.tobytes()
+        assert data.flags.writeable and data.flags.owndata
+    assert loaded.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert loaded.config_blob() == reference.config_blob()
+
+
+def test_load_checkpoint_draws_nothing(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.rpck")
+    save_checkpoint(REModel(Vocab(["a"]), ("x", "y"), desk_input_config(),
+                            desk_encoder_config("cnn")), path)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(encoders, "_glorot", counted("_glorot", encoders._glorot))
+    monkeypatch.setattr(REModel, "_init_params", counted("_init_params", REModel._init_params))
+    load_checkpoint(path)
+    assert calls == {}
+    REModel(Vocab(["a"]), ("x", "y"), desk_input_config(), desk_encoder_config("cnn"))
+    assert calls == {"_init_params": 1, "_glorot": 3}  # cnn_w2, cnn_w3, cls_w
 
 
 def test_checkpoint_truncated_at_any_offset_is_value_error(tmp_path):
