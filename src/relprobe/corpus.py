@@ -14,6 +14,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -305,19 +306,43 @@ def masked_tokens(sentences) -> list:
 
 @dataclass
 class EmbeddingTable:
-    dim: int
-    vectors: dict
-    unk_vector: np.ndarray
+    """Word vectors as one float32 (V + 1, dim) matrix: row index[token] is
+    a token's vector and the last row, unk_row, the vector of every other
+    token, the mean of the V rows (zeros when V is 0)."""
+    matrix: np.ndarray
+    index: dict
+
+    @property
+    def dim(self):
+        return self.matrix.shape[1]
+
+    @property
+    def unk_row(self):
+        return len(self.matrix) - 1
 
     def lookup(self, token):
-        return self.vectors.get(token, self.unk_vector)
+        return self.matrix[self.index.get(token, self.unk_row)]
+
+    def rows(self, tokens):
+        """The matrix row of each token, in one pass."""
+        return np.fromiter(map(self.index.get, tokens, repeat(self.unk_row)), np.intp)
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.index)
+
+
+def _table(tokens, vectors, dim) -> EmbeddingTable:
+    """The table of distinct tokens and their (V, dim) vectors, in order."""
+    matrix = np.zeros((len(tokens) + 1, dim), dtype=np.float32)
+    if len(tokens):
+        matrix[:-1] = vectors
+        matrix[-1] = np.mean(matrix[:-1], axis=0)
+    return EmbeddingTable(matrix=matrix, index=dict(zip(tokens, range(len(tokens)))))
 
 
 def load_embeddings(path, dim) -> EmbeddingTable:
-    """Parse whitespace-separated `token f1 ... fd` lines into a table;
+    """Parse whitespace-separated `token f1 ... fd` lines into a table (a
+    repeated token keeps its first row and its last vector);
     CorpusFormatError naming `path:lineno` on a bad or non-finite value and
     on a byte that is not UTF-8."""
     vectors = {}
@@ -338,19 +363,15 @@ def load_embeddings(path, dim) -> EmbeddingTable:
         if not np.isfinite(vec).all():
             raise CorpusFormatError("%s:%d: non-finite value" % (path, lineno))
         vectors[parts[0]] = vec
-    if vectors:
-        unk = np.mean(np.stack(list(vectors.values())), axis=0).astype(np.float32)
-    else:
-        unk = np.zeros(dim, dtype=np.float32)
-    return EmbeddingTable(dim=dim, vectors=vectors, unk_vector=unk)
+    return _table(list(vectors), list(vectors.values()), dim)
 
 
 def random_embeddings(tokens, dim, seed=0) -> EmbeddingTable:
-    """Deterministic random table; used for synthetic-corpus baselines."""
+    """Deterministic random table of the distinct tokens in sorted order;
+    used for synthetic-corpus baselines."""
+    tokens = sorted(set(tokens))
     rng = np.random.default_rng(seed)
-    vectors = {t: rng.normal(0.0, 1.0, size=dim).astype(np.float32) for t in sorted(set(tokens))}
-    unk = np.mean(np.stack(list(vectors.values())), axis=0).astype(np.float32)
-    return EmbeddingTable(dim=dim, vectors=vectors, unk_vector=unk)
+    return _table(tokens, rng.normal(0.0, 1.0, size=(len(tokens), dim)), dim)
 
 
 class ExactReader:

@@ -123,11 +123,22 @@ def span_roots(parent, first, last):
     return np.minimum.reduceat(np.where(inside, hi, rows), offsets)
 
 
+def token_starts(sentences):
+    """(B + 1,) packed row of each sentence's first token, then the total
+    token count: sentence i owns rows [starts[i], starts[i+1])."""
+    starts = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)),
+              out=starts[1:])
+    return starts
+
+
 def argument_bounds(sentences, starts):
     """(4, B) packed rows of each sentence's head start, tail start, head
     end and tail end, sentence i starting at row starts[i]."""
-    return np.array([(s.head.start, s.tail.start, s.head.end, s.tail.end) for s in sentences],
-                    dtype=np.int64).reshape(-1, 4).T + starts[:-1]
+    bounds = itertools.chain.from_iterable((s.head.start, s.tail.start, s.head.end, s.tail.end)
+                                           for s in sentences)
+    return np.fromiter(bounds, dtype=np.int64, count=4 * len(sentences)).reshape(-1, 4).T \
+        + starts[:-1]
 
 
 def argument_roots(sentences):

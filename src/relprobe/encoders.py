@@ -85,6 +85,8 @@ class EncoderConfig:
             raise ValueError("unknown encoder kind: %s" % self.kind)
         if self.cnn_activation not in ("tanh", "relu"):
             raise ValueError("unknown cnn_activation: %s" % self.cnn_activation)
+        if self.attn_heads < 1:
+            raise ValueError("attn_heads must be >= 1, not %r" % (self.attn_heads,))
         if self.kind == "attn" and self.attn_kv_dim % self.attn_heads != 0:
             raise ValueError("attn_kv_dim must be divisible by attn_heads")
         k = self.gcn_prune_k  # None means inf
@@ -312,9 +314,9 @@ class REModel:
                     params[name][shape[0] // 4:shape[0] // 2] = 1.0  # forget-gate bias
         if embeddings is not None:
             for tok, i in self.vocab.stoi.items():
-                vec = embeddings.vectors.get(tok)
-                if vec is not None:
-                    params["word_emb"][i] = vec[: self.input_cfg.word_dim]
+                row = embeddings.index.get(tok)
+                if row is not None:
+                    params["word_emb"][i] = embeddings.matrix[row, : self.input_cfg.word_dim]
         params["word_emb"][0] = 0.0  # PAD row
         return params
 
@@ -353,9 +355,8 @@ class REModel:
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
         if cfg.use_contextual:
             check_contextual_rows(sentences, ctx_rows)
-        lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
+        starts = deptree.token_starts(sentences)
+        lengths = np.diff(starts)
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
         bounds = deptree.argument_bounds(sentences, starts)
         rows = bounds.repeat(lengths, axis=1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +24,9 @@ TASKS = (
 
 BINNED_TASKS = ("SentLen", "ArgDist", "TreeDepth", "SDPTreeDepth")
 
-# tasks whose raw labels tree_values computes; extract reads the others off annotations
+# tasks whose raw labels tree_values computes; column_values computes the others
 TREE_TASKS = ("TreeDepth", "SDPTreeDepth", "TypeHead", "TypeTail", "GRHead", "GRTail")
+COLUMN_TASKS = tuple(task for task in TASKS if task not in TREE_TASKS)
 
 # grammatical roles kept verbatim; everything else maps to "other"
 GR_CLASSES = ("nsubj", "nsubjpass", "dobj", "iobj")
@@ -103,32 +105,38 @@ class ProbingDataset:
     bin_spec: BinSpec | None = None
 
 
-def extract(task, s):
-    """Raw probing label of one sentence for a task outside TREE_TASKS, from
-    its annotations; tree_values computes the others for a whole split."""
-    if task == "SentLen":
-        return len(s)
-    if task == "ArgDist":
-        return _arg_distance(s)
-    if task == "EntExist":
-        lo = min(s.head.end, s.tail.end) + 1
-        hi = max(s.head.start, s.tail.start)
-        return "yes" if any(s.ner[i] != "O" for i in range(lo, hi)) else "no"
-    if task == "ArgOrd":
-        return "head-first" if s.head.end < s.tail.start else "tail-first"
-    if task in ("PosHeadL", "PosHeadR", "PosTailL", "PosTailR"):
-        span = s.head if "Head" in task else s.tail
-        if task.endswith("L"):
-            return s.pos[span.start - 1] if span.start > 0 else BOUNDARY_LEFT
-        return s.pos[span.end + 1] if span.end + 1 < len(s) else BOUNDARY_RIGHT
-    raise ValueError("unknown task: %s" % task)
+def column_values(sentences):
+    """Raw values of the COLUMN_TASKS of each valid sentence, one list per
+    task in that order, from the split's packed token rows in a few numpy
+    passes.
 
-
-def _arg_distance(s):
-    """Tokens strictly between the two argument spans."""
-    if s.head.end < s.tail.start:
-        return s.tail.start - s.head.end - 1
-    return s.head.start - s.tail.end - 1
+    SentLen is the token count and ArgDist the tokens strictly between the
+    head and tail spans. EntExist is "yes" if one of those tokens has an NE
+    tag other than "O" (a cumulative count of such tags, read at both ends),
+    ArgOrd "head-first" or "tail-first". PosHeadL/R and PosTailL/R are the
+    POS tags just left and right of the head and tail spans, read from one
+    list of every sentence's tags between a BOUNDARY_LEFT and a
+    BOUNDARY_RIGHT row, so a span at either end of its sentence reads the
+    boundary.
+    """
+    starts = deptree.token_starts(sentences)
+    hs, ts, he, te = deptree.argument_bounds(sentences, starts)
+    head_first = he < ts
+    tagged = np.zeros(starts[-1] + 1, dtype=np.int64)
+    ner = np.fromiter(chain.from_iterable(s.ner for s in sentences), dtype=object,
+                      count=starts[-1])
+    np.cumsum(ner != "O", out=tagged[1:])
+    ent_exist = tagged[np.maximum(hs, ts)] > tagged[np.minimum(he, te) + 1]
+    pos = np.fromiter(chain.from_iterable((BOUNDARY_LEFT, *s.pos, BOUNDARY_RIGHT)
+                                          for s in sentences),
+                      dtype=object, count=starts[-1] + 2 * len(sentences))
+    shift = 2 * np.arange(len(sentences))  # rows of boundaries before sentence i's tokens
+    return (np.diff(starts).tolist(),
+            np.where(head_first, ts - he - 1, hs - te - 1).tolist(),
+            np.where(ent_exist, "yes", "no").tolist(),
+            np.where(head_first, "head-first", "tail-first").tolist(),
+            pos[hs + shift].tolist(), pos[he + shift + 2].tolist(),
+            pos[ts + shift].tolist(), pos[te + shift + 2].tolist())
 
 
 def tree_values(sentences):
@@ -157,9 +165,9 @@ def tree_values(sentences):
 
 
 def build_tasks(tasks, corpus, profile="tacred"):
-    """Probing datasets for `tasks`, in the order given. The TREE_TASKS of a
-    split come from one tree_values pass, the others from extract, one
-    sentence at a time. Bins are fitted on train raw values only."""
+    """Probing datasets for `tasks`, in the order given. The tasks of a
+    split come from one tree_values pass (if one is a TREE_TASK) and one
+    column_values pass. Bins are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
     excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
@@ -175,9 +183,11 @@ def build_tasks(tasks, corpus, profile="tacred"):
     ids = {}
     for name, split in splits:
         ids[name] = [s.id for s in split]
-        trees = dict(zip(TREE_TASKS, tree_values(split))) if needs_tree else {}
+        values = dict(zip(COLUMN_TASKS, column_values(split)))
+        if needs_tree:
+            values.update(zip(TREE_TASKS, tree_values(split)))
         for task in tasks:
-            raw[task][name] = trees[task] if task in trees else [extract(task, s) for s in split]
+            raw[task][name] = values[task]
     return [_dataset(task, raw[task], ids, bin_counts) for task in tasks]
 
 

@@ -8,17 +8,20 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import autodiff as ad
-from . import probegen
+from . import deptree, probegen
 from .corpus import ExactReader, write_text
 from .optim import adam_step
 
 L2_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 BASELINES = ("length", "argdist", "boe")
+
+BOE_BLOCK = 512  # sentences whose boe rows are summed together
 
 REP_MAGIC = b"REPR"
 
@@ -98,26 +101,56 @@ def extract_reps(model, sentences, source=None, contextual=None) -> RepMatrix:
                      source=source or "encoder:%s" % model.enc_cfg.kind)
 
 
-def baseline_features(kind, s, table=None):
-    """Per-sentence feature vector for one of the reference baselines."""
-    if kind == "length":
-        return np.asarray([float(len(s))], dtype=np.float32)
-    if kind == "argdist":
-        return np.asarray([float(probegen._arg_distance(s))], dtype=np.float32)
-    if kind == "boe":
-        if table is None:
-            raise ValueError("boe baseline requires an embedding table")
-        return np.sum([table.lookup(t) for t in s.tokens], axis=0).astype(np.float32)
-    raise ValueError("unknown baseline kind: %s" % kind)
-
-
 def baseline_reps(kind, sentences, table=None) -> RepMatrix:
-    """baseline_features of each sentence; (0, d) rows for no sentences, d
-    the table's dimension for boe and 1 for the others."""
-    rows = np.stack([baseline_features(kind, s, table) for s in sentences]) if sentences \
-        else np.zeros((0, table.dim if kind == "boe" and table is not None else 1))
+    """One float32 row per sentence of a reference baseline: length (its
+    token count) and argdist (the tokens strictly between its argument
+    spans) are 1 wide, boe (the sum of its tokens' table rows) table.dim
+    wide. ValueError for an unknown kind and for boe without a table, before
+    any sentence is read."""
+    if kind not in BASELINES:
+        raise ValueError("unknown baseline kind: %s" % kind)
+    if kind == "boe" and table is None:
+        raise ValueError("boe baseline requires an embedding table")
+    starts = deptree.token_starts(sentences)
+    if kind == "length":
+        rows = np.diff(starts)[:, None]
+    elif kind == "argdist":
+        hs, ts, he, te = deptree.argument_bounds(sentences, starts)
+        rows = np.where(he < ts, ts - he - 1, hs - te - 1)[:, None]
+    else:
+        rows = _bag_of_embeddings(sentences, starts, table)
     return RepMatrix(ids=tuple(s.id for s in sentences), rows=rows.astype(np.float32),
                      source="baseline:%s" % kind)
+
+
+def _bag_of_embeddings(sentences, starts, table):
+    """Each sentence's table rows summed in float32 in token order from
+    +0.0, as np.sum of their list along axis 0 sums them (an all -0.0
+    sentence gives +0.0).
+
+    The sentences are stable-sorted by decreasing length and summed
+    BOE_BLOCK at a time into one accumulator, which stays in cache: the n_t
+    sentences longer than t are a prefix of the block, and position t adds
+    the row of each one's token t to that prefix. A 1-wide table sums each
+    sentence on its own, because numpy sums one column pairwise."""
+    ids = table.rows(chain.from_iterable(s.tokens for s in sentences))
+    if table.dim == 1:
+        column = table.matrix[ids, 0]
+        return np.array([np.add.reduce(column[a:b])
+                         for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())],
+                        dtype=np.float32).reshape(-1, 1)
+    lengths = np.diff(starts)
+    out = np.empty((len(sentences), table.dim), dtype=np.float32)
+    order = np.argsort(-lengths, kind="stable")
+    for lo in range(0, len(order), BOE_BLOCK):
+        block = order[lo:lo + BOE_BLOCK]
+        first = starts[block]
+        longer = len(block) - np.cumsum(np.bincount(lengths[block]))  # sentences longer than t
+        acc = np.zeros((len(block), table.dim), dtype=np.float32)
+        for t, n in enumerate(longer[:-1].tolist()):
+            acc[:n] += table.matrix[ids[first[:n] + t]]
+        out[block] = acc
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,21 @@
-"""The probing baselines: the REPR bytes of baseline_reps pinned on two synth
-corpora, and baseline_reps against the per-sentence oracle of
-reference_baselines."""
+"""The probing baselines and the column tasks: the REPR bytes of
+baseline_reps pinned on two synth corpora, and baseline_reps and
+probegen.column_values against the per-sentence oracles of
+reference_columns."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relprobe import synth
-from relprobe.corpus import load_embeddings, random_embeddings
+from relprobe import probing, synth
+from relprobe.corpus import EmbeddingTable, Span, load_embeddings, random_embeddings
+from relprobe.probegen import COLUMN_TASKS, column_values
 from relprobe.probing import BASELINES, baseline_reps, save_reps
+
+from conftest import make_sentence
+from reference_columns import baseline_features, extract
 
 
 def _tacred_corpus():
@@ -88,3 +94,130 @@ def test_baseline_files_are_pinned(tmp_path, name):
             save_reps(baseline_reps(kind, corpus.split(split), table), str(path))
             got["%s/%s" % (kind, split)] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == _PINNED[name]
+
+
+# ------------------------------------------------- against the oracles
+
+def _oracle_rows(kind, sentences, table=None):
+    return np.stack([baseline_features(kind, s, table) for s in sentences]) if sentences \
+        else np.zeros((0, table.dim if kind == "boe" else 1), np.float32)
+
+
+def _assert_as_oracle(kind, sentences, table=None):
+    rep = baseline_reps(kind, sentences, table)
+    want = _oracle_rows(kind, sentences, table)
+    assert rep.rows.dtype == np.float32 and rep.rows.shape == want.shape
+    assert rep.rows.tobytes() == want.tobytes()
+    assert rep.ids == tuple(s.id for s in sentences)
+
+
+def _sentence(tokens, sid, head=None, tail=None):
+    s = make_sentence([0] + [1] * (len(tokens) - 1), head=head, tail=tail, sid=sid)
+    return replace(s, tokens=tuple(tokens))
+
+
+def _table(vectors, dim, unk=None):
+    """A table of the token -> row dict `vectors`; its unk row `unk`."""
+    rows = list(vectors.values()) + [np.zeros(dim) if unk is None else unk]
+    return EmbeddingTable(matrix=np.asarray(rows, dtype=np.float32).reshape(-1, dim),
+                          index=dict(zip(vectors, range(len(vectors)))))
+
+
+def _random_sentences(rng, n, vocab, max_len):
+    """n sentences of 1..max_len tokens drawn from vocab, with tied lengths."""
+    return [_sentence(rng.choice(vocab, int(rng.integers(1, max_len + 1))).tolist(), "r%d" % i)
+            for i in range(n)]
+
+
+_VOCAB = ["w%d" % i for i in range(30)] + ["unknown%d" % i for i in range(5)]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 8, 300))
+def test_boe_rows_equal_the_oracle(dim):
+    """Known and unknown words, tied lengths, one-token sentences, and more
+    sentences than one block, of lengths on both sides of numpy's pairwise
+    summation block of 8 (a 1-wide table sums a column pairwise)."""
+    rng = np.random.default_rng(dim)
+    table = random_embeddings(_VOCAB[:30], dim, seed=dim)
+    sentences = _random_sentences(rng, probing.BOE_BLOCK + 77, _VOCAB, 40)
+    sentences += [_sentence(["w3"], "one"), _sentence(["unknown0"], "one-unknown")]
+    _assert_as_oracle("boe", sentences, table)
+    # scaled so that the order of the additions shows in the last bits
+    table.matrix *= np.float32(10.0) ** rng.integers(-4, 5, size=table.matrix.shape)
+    _assert_as_oracle("boe", sentences, table)
+
+
+def test_boe_of_negative_zero_rows_is_positive_zero():
+    neg = np.full(4, -0.0)
+    table = _table({"z": neg, "y": neg, "a": np.arange(4.0)}, 4, unk=neg)
+    sentences = [_sentence(tokens, "s%d" % i) for i, tokens in enumerate(
+        (["z"], ["z", "y", "z"], ["absent", "z"], ["z", "a", "z"], ["a"]))]
+    rows = baseline_reps("boe", sentences, table).rows
+    assert not np.signbit(rows[:3]).any()
+    _assert_as_oracle("boe", sentences, table)
+
+
+@pytest.mark.parametrize("vectors", ({}, {"w0": np.linspace(-1.0, 1.0, 5)}),
+                         ids=("empty", "one-token"))
+def test_boe_small_tables_equal_the_oracle(vectors):
+    table = _table(vectors, 5, unk=np.full(5, 0.25))
+    assert len(table) == len(vectors)
+    sentences = _random_sentences(np.random.default_rng(1), 40, _VOCAB, 12)
+    _assert_as_oracle("boe", sentences, table)
+
+
+def test_tables_from_both_constructors(tmp_path):
+    """random_embeddings and load_embeddings build the matrix with the unk row
+    last, the mean of the others, and zeros for a table of no tokens."""
+    path = tmp_path / "emb.txt"
+    path.write_text("b 1 2\na 3 4\nb 5 6\n")
+    table = load_embeddings(str(path), 2)
+    assert table.index == {"b": 0, "a": 1}
+    assert table.matrix.tolist() == [[5, 6], [3, 4], [4, 5]]
+    assert table.lookup("absent").tolist() == [4, 5] and table.unk_row == 2
+    path.write_text("\n")
+    for empty in (load_embeddings(str(path), 3), random_embeddings([], 3)):
+        assert empty.matrix.tolist() == [[0, 0, 0]] and len(empty) == 0
+    table = random_embeddings(["y", "x", "y"], 4, seed=2)
+    assert list(table.index) == ["x", "y"] and table.matrix.dtype == np.float32
+    np.testing.assert_array_equal(table.matrix[2], table.matrix[:2].mean(axis=0))
+
+
+@pytest.mark.parametrize("kind", BASELINES)
+def test_empty_split_equals_the_oracle(kind):
+    _assert_as_oracle(kind, [], random_embeddings(["a"], 7))
+
+
+def _spanned_sentences(rng, n):
+    """Sentences of 2..12 tokens with random NE and POS tags and two random
+    spans, one on each side of a random cut, in either order."""
+    out = []
+    for i in range(n):
+        length = int(rng.integers(2, 13))
+        cut = int(rng.integers(1, length))
+        first = Span(*sorted(rng.integers(0, cut, size=2).tolist()))
+        second = Span(*sorted(rng.integers(cut, length, size=2).tolist()))
+        head, tail = (first, second) if rng.random() < 0.5 else (second, first)
+        s = _sentence(["w%d" % j for j in range(length)], "p%d" % i, head, tail)
+        out.append(replace(s, ner=tuple(rng.choice(["O", "O", "PER", "ORG"], length).tolist()),
+                           pos=tuple(rng.choice(["NN", "VB", "DT", "IN"], length).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("kind", ("length", "argdist"))
+def test_length_and_argdist_equal_the_oracle(kind):
+    _assert_as_oracle(kind, _spanned_sentences(np.random.default_rng(5), 300))
+    _assert_as_oracle(kind, list(_tacred_corpus().train))
+
+
+def test_column_values_equal_the_oracle():
+    sentences = _spanned_sentences(np.random.default_rng(6), 500) + list(_tacred_corpus().train)
+    spans = [(s.head, s.tail) for s in sentences]
+    assert any(h.start == 0 for h, _ in spans) and any(t.start == 0 for _, t in spans)
+    assert any(h.end == len(s) - 1 for s, (h, _) in zip(sentences, spans))
+    assert any(t.end == len(s) - 1 for s, (_, t) in zip(sentences, spans))
+    for task, got in zip(COLUMN_TASKS, column_values(sentences)):
+        want = [extract(task, s) for s in sentences]
+        assert got == want, task
+        assert [type(v) for v in got] == [type(v) for v in want], task
+    assert column_values([]) == tuple([] for _ in COLUMN_TASKS)

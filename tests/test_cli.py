@@ -692,6 +692,9 @@ _BLOB_DEFECTS = {
     "list-blob": lambda b: [1, 2],
     **{"prune-k-%s" % k: lambda b, k=k: {**b, "encoder_cfg": {**b["encoder_cfg"], "gcn_prune_k": k}}
        for k in ("x", -1, 1.5, math.nan)},
+    **{"attn-heads-%s" % h: lambda b, h=h: {**b, "encoder_cfg": {**b["encoder_cfg"], "kind": "attn",
+                                                                  "attn_heads": h}}
+       for h in (0, -2)},
     "no-unk": lambda b: {**b, "vocab": [t for t in b["vocab"] if t != "<UNK>"]},
     "repeated-token": lambda b: {**b, "vocab": b["vocab"] + ["a"]},
     "repeated-label": lambda b: {**b, "labels": b["labels"] + ["x"]},
@@ -706,6 +709,8 @@ _PARAM_DEFECTS = {
 
 # the error lines of the defects that word their fault, after "error: <path>: "
 _CHECKPOINT_ERRORS = {
+    "attn-heads-0": "bad config blob: attn_heads must be >= 1, not 0",
+    "attn-heads--2": "bad config blob: attn_heads must be >= 1, not -2",
     "no-unk": "bad config blob: vocab must start <PAD>, <UNK>",
     "repeated-token": "bad config blob: repeated vocab token 'a'",
     "repeated-label": "bad config blob: repeated label 'x'",

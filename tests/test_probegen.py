@@ -8,7 +8,7 @@ import pytest
 
 from relprobe import probegen, synth
 from relprobe.corpus import Span
-from relprobe.probegen import (BinSpec, build_all, build_tasks, extract, load_dataset,
+from relprobe.probegen import (BinSpec, build_all, build_tasks, column_values, load_dataset,
                                quantile_bins, save_dataset, tree_values)
 
 import reference_trees
@@ -58,6 +58,10 @@ def test_quantile_bins_rejects_bad_input():
 
 
 # ----------------------------------------------------------- raw extract
+
+def extract(task, s):
+    return column_values([s])[probegen.COLUMN_TASKS.index(task)][0]
+
 
 def _rich_sentence():
     # alice(0) met the ORG chief bob(5) -> head=alice, tail=bob
@@ -257,9 +261,9 @@ def test_gr_non_core_role_maps_to_other():
     assert _tree_value("GRHead", s) == "other"
 
 
-def test_extract_unknown_task():
-    with pytest.raises(ValueError, match="unknown task"):
-        extract("Nope", _rich_sentence())
+def test_extract_unknown_task(bin_corpus):
+    with pytest.raises(ValueError, match="unknown task: Nope"):
+        build_tasks(["Nope"], bin_corpus)
 
 
 # ----------------------------------------------------------- build_tasks

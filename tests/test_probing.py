@@ -7,9 +7,9 @@ import pytest
 
 from relprobe import autodiff as ad
 from relprobe import probegen, probing
-from relprobe.corpus import EmbeddingTable, random_embeddings
+from relprobe.corpus import random_embeddings
 from relprobe.encoders import EncoderConfig
-from relprobe.probing import (RepMatrix, baseline_features, baseline_reps,
+from relprobe.probing import (RepMatrix, baseline_reps,
                               extract_reps, load_reps, render_csv,
                               render_text_table, run_suite, save_reps,
                               suite_table, train_probe)
@@ -131,23 +131,25 @@ def test_extract_reps_from_model():
 
 def test_length_and_argdist_features():
     s = make_sentence([2, 0, 2, 2, 2])
-    assert baseline_features("length", s) == np.float32(5.0)
-    assert baseline_features("argdist", s) == np.float32(3.0)
+    assert baseline_reps("length", [s]).rows.tolist() == [[5.0]]
+    assert baseline_reps("argdist", [s]).rows.tolist() == [[3.0]]
 
 
 def test_boe_baseline_needs_table():
     s = make_sentence([2, 0, 2])
-    with pytest.raises(ValueError, match="table"):
-        baseline_features("boe", s)
+    for sentences in ([s], []):
+        with pytest.raises(ValueError, match="table"):
+            baseline_reps("boe", sentences)
     table = random_embeddings(s.tokens, 4, seed=0)
-    feat = baseline_features("boe", s, table)
+    feat = baseline_reps("boe", [s], table).rows[0]
     expected = sum(table.lookup(t) for t in s.tokens)
     np.testing.assert_allclose(feat, expected, rtol=1e-6)
 
 
 def test_unknown_baseline():
-    with pytest.raises(ValueError, match="unknown baseline"):
-        baseline_features("tfidf", make_sentence([0]))
+    for sentences in ([make_sentence([0])], []):
+        with pytest.raises(ValueError, match="unknown baseline"):
+            baseline_reps("tfidf", sentences)
 
 
 # ----------------------------------------------------------------- probes
@@ -525,7 +527,7 @@ def test_baseline_reps_shapes():
     assert rep.rows.shape == (4, 1)
     assert rep.source == "baseline:length"
     # an empty split, as a corpus without validation.jsonl has
-    table = EmbeddingTable(dim=5, vectors={}, unk_vector=np.zeros(5, np.float32))
+    table = random_embeddings([], 5)
     for kind, d in (("length", 1), ("argdist", 1), ("boe", 5)):
         empty = baseline_reps(kind, [], table)
         assert empty.rows.shape == (0, d) and empty.rows.dtype == np.float32
