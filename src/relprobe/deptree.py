@@ -32,11 +32,19 @@ def head_problems(dep_head):
 # ------------------------------------------------- packed sentences
 
 
+def packed_starts(sequences):
+    """(B + 1,) starts of sequences packed row after row, then the total
+    length: sequence i owns rows [starts[i], starts[i+1]). Of sentences,
+    these are their token rows."""
+    starts = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences)),
+              out=starts[1:])
+    return starts
+
+
 def _pack(dep_heads):
     """(heads, starts) of pack_trees: the sequences concatenated as int64."""
-    lengths = np.fromiter(map(len, dep_heads), dtype=np.int64, count=len(dep_heads))
-    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
+    starts = packed_starts(dep_heads)
     values = itertools.chain.from_iterable
     try:
         heads = np.fromiter(values(dep_heads), dtype=np.int64, count=starts[-1])
@@ -121,15 +129,6 @@ def span_roots(parent, first, last):
     lo, hi = np.repeat(first, lengths), np.repeat(last, lengths)
     inside = (parent[rows] >= lo) & (parent[rows] <= hi)
     return np.minimum.reduceat(np.where(inside, hi, rows), offsets)
-
-
-def token_starts(sentences):
-    """(B + 1,) packed row of each sentence's first token, then the total
-    token count: sentence i owns rows [starts[i], starts[i+1])."""
-    starts = np.zeros(len(sentences) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences)),
-              out=starts[1:])
-    return starts
 
 
 def argument_bounds(sentences, starts):

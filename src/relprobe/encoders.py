@@ -355,7 +355,7 @@ class REModel:
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
         if cfg.use_contextual:
             check_contextual_rows(sentences, ctx_rows)
-        starts = deptree.token_starts(sentences)
+        starts = deptree.packed_starts(sentences)
         lengths = np.diff(starts)
         ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
         bounds = deptree.argument_bounds(sentences, starts)

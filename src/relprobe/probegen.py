@@ -119,7 +119,7 @@ def column_values(sentences):
     BOUNDARY_RIGHT row, so a span at either end of its sentence reads the
     boundary.
     """
-    starts = deptree.token_starts(sentences)
+    starts = deptree.packed_starts(sentences)
     hs, ts, he, te = deptree.argument_bounds(sentences, starts)
     head_first = he < ts
     tagged = np.zeros(starts[-1] + 1, dtype=np.int64)

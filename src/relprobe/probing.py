@@ -111,7 +111,7 @@ def baseline_reps(kind, sentences, table=None) -> RepMatrix:
         raise ValueError("unknown baseline kind: %s" % kind)
     if kind == "boe" and table is None:
         raise ValueError("boe baseline requires an embedding table")
-    starts = deptree.token_starts(sentences)
+    starts = deptree.packed_starts(sentences)
     if kind == "length":
         rows = np.diff(starts)[:, None]
     elif kind == "argdist":
