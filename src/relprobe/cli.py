@@ -79,9 +79,9 @@ def _parse_value(text, kind, name, where=None):
 KNOWN_KEYS = {
     "corpus": str, "corpus_format": str, "profile": str, "encoder": str, "masking": _bool,
     "word_dim": _positive, "pos_dim": _count, "max_offset": _positive, "embeddings": str,
-    "embeddings_dim": _positive, "contextual": str, "seed": int, "out": str, "task_profile": str,
-    "tasks": str, "sources": str, "grid": _grid, "standardize": _bool, "jobs": _positive,
-    "boe_dim": _positive, "boe_seed": int,
+    "contextual": str, "seed": int, "out": str, "task_profile": str, "tasks": str,
+    "sources": str, "grid": _grid, "standardize": _bool, "jobs": _positive, "boe_dim": _positive,
+    "boe_seed": int,
 }
 
 
@@ -104,37 +104,28 @@ def read_config(path):
     return cfg
 
 
-def _seed_from(cfg, default=0):
+def _seed_from(cfg):
     env = os.environ.get("RELPROBE_SEED")
     if env is not None:
         return _parse_value(env, int, "RELPROBE_SEED")
-    return cfg.get("seed", default)
+    return cfg.get("seed", 0)
 
 
-def _check_contextual(store, path, sentences):
-    """check_contextual_rows of `sentences` in the CTXV file `path`, read
-    as `store`, its ValueError naming the file."""
+def _contextual(store, path, sentences, reader=None, width=None):
+    """`store`, read from the CTXV file `path`, after checking that it holds
+    vectors, `width` wide when `reader` (a checkpoint) reads them, and one
+    row per token of each of `sentences`; else a ValueError naming the file."""
+    if not store.matrices:
+        raise ValueError("%s: no contextual vectors" % path)
+    found = next(iter(store.matrices.values())).shape[1]
+    if width is not None and found != width:
+        raise ValueError("%s: contextual vectors %d wide, but %s reads %d"
+                         % (path, found, reader, width))
     try:
         check_contextual_rows(sentences, [store.get(s.id) for s in sentences])
     except ValueError as e:
         raise ValueError("%s: %s" % (path, e)) from None
-
-
-def _check_model_contextual(model, checkpoint, store, path, sentences, option):
-    """When the model read from `checkpoint` reads contextual vectors:
-    a UsageError asking for `option` when no CTXV file is given, a
-    ValueError when the file's vectors are not as wide as the model reads,
-    and _check_contextual."""
-    cfg = model.input_cfg
-    if cfg.use_contextual:
-        if store is None:
-            raise UsageError("%s: the model reads contextual vectors; give %s"
-                             % (checkpoint, option))
-        width = next((m.shape[1] for m in store.matrices.values()), cfg.contextual_dim)
-        if width != cfg.contextual_dim:
-            raise ValueError("%s: contextual vectors %d wide, but %s reads %d"
-                             % (path, width, checkpoint, cfg.contextual_dim))
-        _check_contextual(store, path, sentences)
+    return store
 
 
 def _load_corpus_cfg(cfg):
@@ -224,15 +215,15 @@ def cmd_train(args):
         input_kwargs["max_offset"] = cfg["max_offset"]
     embeddings = None
     if "embeddings" in cfg:
-        dim = cfg.get("embeddings_dim", cfg.get("word_dim", 300))
-        embeddings = load_embeddings(cfg["embeddings"], dim)
-        input_kwargs.setdefault("word_dim", dim)
+        embeddings = load_embeddings(cfg["embeddings"])
+        input_kwargs.setdefault("word_dim", embeddings.dim)
+        if input_kwargs["word_dim"] > embeddings.dim:
+            raise ValueError("%s: vectors %d wide, narrower than word_dim %d"
+                             % (cfg["embeddings"], embeddings.dim, input_kwargs["word_dim"]))
     contextual = None
     if "contextual" in cfg:
-        contextual = load_contextual(cfg["contextual"])
-        if not contextual.matrices:
-            raise ValueError("%s: no contextual vectors" % cfg["contextual"])
-        _check_contextual(contextual, cfg["contextual"], corpus.train + corpus.validation)
+        contextual = _contextual(load_contextual(cfg["contextual"]), cfg["contextual"],
+                                 corpus.train + corpus.validation)
         input_kwargs["use_contextual"] = True
         input_kwargs["contextual_dim"] = next(iter(contextual.matrices.values())).shape[1]
     if profile_name == "desk-small":
@@ -252,36 +243,65 @@ def cmd_train(args):
     return 0
 
 
-def _boe_table(embeddings_path, dim, seed, sentences):
-    """The BoE baseline's table: the embeddings file if one is given, else a
-    seeded random table over every token of `sentences`."""
-    if embeddings_path:
-        return load_embeddings(embeddings_path, dim)
-    return random_embeddings({t for s in sentences for t in s.tokens}, dim, seed)
+def _boe_table(opts, sentences):
+    """The BoE baseline's table: the embeddings file of opts if it names
+    one, else a random table over every token of `sentences`, boe_dim wide
+    (16 by default) and drawn from boe_seed, by default the seed."""
+    if "embeddings" in opts:
+        if "boe_dim" in opts:
+            raise UsageError("%s: the boe table is read from this file; boe_dim and "
+                             "--boe-dim size only a random table" % opts["embeddings"])
+        return load_embeddings(opts["embeddings"])
+    seed = opts["boe_seed"] if "boe_seed" in opts else _seed_from(opts)
+    return random_embeddings({t for s in sentences for t in s.tokens},
+                             opts.get("boe_dim", 16), seed)
+
+
+def _source(name, corpus, splits, opts, option, stores):
+    """(row label, split -> RepMatrix) of the source `name` over the
+    sentences of each split of `splits`: a baseline (length, argdist, boe)
+    or ck:<checkpoint>. opts gives the BoE table (_boe_table) and
+    contextual, the CTXV file that `option` names, which is read into
+    stores the first time a checkpoint reads it."""
+    if name in probing.BASELINES:
+        table = _boe_table(opts, corpus.all_sentences()) if name == "boe" else None
+        return name, {sp: baseline_reps(name, ss, table) for sp, ss in splits.items()}
+    if not name.startswith("ck:"):
+        raise UsageError("unknown source %r (use length|argdist|boe|ck:<path>)" % name)
+    checkpoint = name[3:]
+    model = load_checkpoint(checkpoint)
+    contextual = None
+    if model.input_cfg.use_contextual:
+        path = opts.get("contextual")
+        if path is None:
+            raise UsageError("%s: the model reads contextual vectors; give %s"
+                             % (checkpoint, option))
+        if path not in stores:
+            stores[path] = load_contextual(path)
+        contextual = _contextual(stores[path], path, [s for ss in splits.values() for s in ss],
+                                 checkpoint, model.input_cfg.contextual_dim)
+    reps = {sp: extract_reps(model, ss, contextual=contextual) for sp, ss in splits.items()}
+    return "encoder:%s" % model.enc_cfg.kind, reps
 
 
 def cmd_extract(args):
-    boe_dim = _parse_value(args.boe_dim, _positive, "--boe-dim")
+    # the options given, by the names of the config keys a suite reads
+    opts = {key: value for key, value in vars(args).items() if value is not None}
+    if "boe_dim" in opts:
+        opts["boe_dim"] = _parse_value(args.boe_dim, _positive, "--boe-dim")
     corpus = load_corpus(args.corpus, args.format)
-    sentences = corpus.split(args.split)
     if args.baseline and args.contextual:
         raise UsageError("--contextual: the %s baseline reads no contextual vectors"
                          % args.baseline)
-    if args.baseline:
-        table = _boe_table(args.embeddings, boe_dim, args.boe_seed,
-                           corpus.all_sentences()) if args.baseline == "boe" else None
-        rep = baseline_reps(args.baseline, sentences, table)
-    else:
-        if not args.checkpoint:
-            raise UsageError("either --checkpoint or --baseline is required")
-        model = load_checkpoint(args.checkpoint)
-        if args.contextual and not model.input_cfg.use_contextual:
-            raise UsageError("%s: the model reads no contextual vectors; drop --contextual"
-                             % args.checkpoint)
-        contextual = load_contextual(args.contextual) if args.contextual else None
-        _check_model_contextual(model, args.checkpoint, contextual, args.contextual, sentences,
-                                "--contextual")
-        rep = extract_reps(model, sentences, contextual=contextual)
+    if not (args.baseline or args.checkpoint):
+        raise UsageError("either --checkpoint or --baseline is required")
+    stores = {}
+    _, reps = _source(args.baseline or "ck:" + args.checkpoint, corpus,
+                      {args.split: corpus.split(args.split)}, opts, "--contextual", stores)
+    if args.contextual and not stores:
+        raise UsageError("%s: the model reads no contextual vectors; drop --contextual"
+                         % args.checkpoint)
+    rep = reps[args.split]
     save_reps(rep, args.out)
     print("wrote %s (%d x %d)" % (args.out, rep.rows.shape[0], rep.rows.shape[1]))
     return 0
@@ -322,45 +342,18 @@ def cmd_suite(args):
         else _parse_value(args.jobs, _positive, "--jobs")
     standardize = cfg.get("standardize", False)
     corpus = _load_corpus_cfg(cfg)
-    seed = _seed_from(cfg)
     task_profile = cfg.get("task_profile", "tacred")
     task_names = cfg.get("tasks", "all")
     if task_names == "all":
         tasks = build_all(corpus, task_profile)
     else:
         tasks = build_tasks([t.strip() for t in task_names.split(",")], corpus, task_profile)
-    split_sents = {"train": corpus.train, "validation": corpus.validation,
-                   "test": corpus.test}
-    source_names = [s.strip() for s in cfg.get("sources", "length,argdist,boe").split(",")]
-    boe_dim = cfg.get("boe_dim", 16)
-    if "embeddings" in cfg:
-        boe_dim = cfg.get("embeddings_dim", boe_dim)
-    table = None
-    if "boe" in source_names:
-        table = _boe_table(cfg.get("embeddings"), boe_dim, cfg.get("boe_seed", seed),
-                           corpus.all_sentences())
-    models = {name: load_checkpoint(name[3:]) for name in source_names if name.startswith("ck:")}
-    contextual = None
-    if "contextual" in cfg:
-        if not any(m.input_cfg.use_contextual for m in models.values()):
-            raise UsageError("config key 'contextual': no ck: source reads contextual vectors")
-        contextual = load_contextual(cfg["contextual"])
-    sources = []
-    for name in source_names:
-        if name in probing.BASELINES:
-            reps = {sp: baseline_reps(name, ss, table)
-                    for sp, ss in split_sents.items()}
-            sources.append((name, reps))
-        elif name in models:
-            model = models[name]
-            _check_model_contextual(model, name[3:], contextual, cfg.get("contextual"),
-                                    corpus.all_sentences(), "the config key 'contextual'")
-            label = "encoder:%s" % model.enc_cfg.kind
-            reps = {sp: extract_reps(model, ss, source=label, contextual=contextual)
-                    for sp, ss in split_sents.items()}
-            sources.append((label, reps))
-        else:
-            raise UsageError("unknown source %r (use length|argdist|boe|ck:<path>)" % name)
+    splits = {"train": corpus.train, "validation": corpus.validation, "test": corpus.test}
+    stores = {}
+    sources = [_source(name.strip(), corpus, splits, cfg, "the config key 'contextual'", stores)
+               for name in cfg.get("sources", "length,argdist,boe").split(",")]
+    if "contextual" in cfg and not stores:
+        raise UsageError("config key 'contextual': no ck: source reads contextual vectors")
     grid = cfg.get("grid", L2_GRID)
     results = run_suite(sources, tasks, grid=grid, standardize=standardize, jobs=jobs)
     header, rows = suite_table(results, sources, tasks)
@@ -446,8 +439,8 @@ def build_parser():
     e.add_argument("--checkpoint")
     e.add_argument("--baseline", choices=probing.BASELINES)
     e.add_argument("--embeddings")
-    e.add_argument("--boe-dim", default=16)
-    e.add_argument("--boe-seed", type=int, default=0)
+    e.add_argument("--boe-dim")
+    e.add_argument("--boe-seed", type=int)
     e.add_argument("--contextual")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_extract)

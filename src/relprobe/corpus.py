@@ -340,16 +340,20 @@ def _table(tokens, vectors, dim) -> EmbeddingTable:
     return EmbeddingTable(matrix=matrix, index=dict(zip(tokens, range(len(tokens)))))
 
 
-def load_embeddings(path, dim) -> EmbeddingTable:
-    """Parse whitespace-separated `token f1 ... fd` lines into a table (a
-    repeated token keeps its first row and its last vector);
-    CorpusFormatError naming `path:lineno` on a bad or non-finite value and
-    on a byte that is not UTF-8."""
-    vectors = {}
+def load_embeddings(path) -> EmbeddingTable:
+    """Parse whitespace-separated `token f1 ... fd` lines into a table, d
+    the width of the first line (a repeated token keeps its first row and
+    its last vector); CorpusFormatError naming `path:lineno` on a line of
+    no value or of another width, on a bad or non-finite value and on a
+    byte that is not UTF-8, and naming `path` when it holds no vector."""
+    vectors, dim = {}, None
     for lineno, line in read_lines(path):
         parts = line.split()
         if not parts:
             continue
+        dim = dim or len(parts) - 1
+        if not dim:
+            raise CorpusFormatError("%s:%d: no values after %r" % (path, lineno, parts[0]))
         if len(parts) != dim + 1:
             raise CorpusFormatError(
                 "%s:%d: expected %d values, got %d" % (path, lineno, dim, len(parts) - 1)
@@ -363,6 +367,8 @@ def load_embeddings(path, dim) -> EmbeddingTable:
         if not np.isfinite(vec).all():
             raise CorpusFormatError("%s:%d: non-finite value" % (path, lineno))
         vectors[parts[0]] = vec
+    if dim is None:
+        raise CorpusFormatError("%s: no vectors" % path)
     return _table(list(vectors), list(vectors.values()), dim)
 
 

@@ -425,18 +425,12 @@ def run_suite(sources, tasks, grid=L2_GRID, standardize=False, jobs=1):
 
 
 def suite_table(results, sources, tasks):
-    """Accuracy matrix as (header row, data rows) of strings."""
-    task_names = [t.task for t in tasks]
-    header = ["source"] + task_names
-    by_key = {(r.source, r.task): r for r in results}
-    rows = []
-    for name, reps in sources:
-        row = [name]
-        for t in task_names:
-            r = by_key.get((reps["train"].source, t))
-            row.append("%.4f" % r.test_accuracy if r else "")
-        rows.append(row)
-    return header, rows
+    """Accuracy matrix as (header row, data rows) of strings, one row per
+    source; results are in run_suite's order, each source's tasks in turn."""
+    n = len(tasks)
+    rows = [[name] + ["%.4f" % r.test_accuracy for r in results[i * n:(i + 1) * n]]
+            for i, (name, _) in enumerate(sources)]
+    return ["source"] + [t.task for t in tasks], rows
 
 
 def render_csv(header, rows):

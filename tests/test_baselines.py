@@ -53,7 +53,7 @@ def _pinned_tables(tmp_path):
     path = tmp_path / "emb.txt"
     _write_embeddings(path, _corpus_tokens(semeval), 8, 4)
     return {"tacred": (tacred, random_embeddings(_corpus_tokens(tacred), 16, seed=3)),
-            "semeval": (semeval, load_embeddings(str(path), 8))}
+            "semeval": (semeval, load_embeddings(str(path)))}
 
 
 # sha256 of the save_reps file of each baseline and split on the corpora
@@ -168,16 +168,16 @@ def test_boe_small_tables_equal_the_oracle(vectors):
 
 def test_tables_from_both_constructors(tmp_path):
     """random_embeddings and load_embeddings build the matrix with the unk row
-    last, the mean of the others, and zeros for a table of no tokens."""
+    last, the mean of the others; random_embeddings gives zeros for a table of
+    no tokens, and load_embeddings fails on a file of no vector."""
     path = tmp_path / "emb.txt"
     path.write_text("b 1 2\na 3 4\nb 5 6\n")
-    table = load_embeddings(str(path), 2)
+    table = load_embeddings(str(path))
     assert table.index == {"b": 0, "a": 1}
     assert table.matrix.tolist() == [[5, 6], [3, 4], [4, 5]]
     assert table.lookup("absent").tolist() == [4, 5] and table.unk_row == 2
-    path.write_text("\n")
-    for empty in (load_embeddings(str(path), 3), random_embeddings([], 3)):
-        assert empty.matrix.tolist() == [[0, 0, 0]] and len(empty) == 0
+    empty = random_embeddings([], 3)
+    assert empty.matrix.tolist() == [[0, 0, 0]] and len(empty) == 0
     table = random_embeddings(["y", "x", "y"], 4, seed=2)
     assert list(table.index) == ["x", "y"] and table.matrix.dtype == np.float32
     np.testing.assert_array_equal(table.matrix[2], table.matrix[:2].mean(axis=0))

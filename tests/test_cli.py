@@ -11,7 +11,7 @@ from relprobe import cli
 from relprobe.corpus import ContextualStore, load_corpus, write_contextual
 from relprobe.encoders import EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import load_reps
-from relprobe.training import save_checkpoint
+from relprobe.training import load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -285,7 +285,8 @@ def test_out_of_range_grid_is_usage_error(capsys, tmp_path, corpus_dir, case, va
 @pytest.mark.parametrize("case", ("jobs", "--jobs", "word_dim", "max_offset", "embeddings_dim"))
 def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value):
     """--jobs and the config keys that take an integer >= 1, which every
-    command's config reader checks before it runs anything."""
+    command's config reader checks before it runs anything; embeddings_dim,
+    a key no more, is unknown whatever its value."""
     out = str(tmp_path / "o")
     cfg = tmp_path / "j.cfg"
     body = "corpus = %s\nout = %s\nsources = length\ntasks = SentLen\n" % (corpus_dir, out)
@@ -293,6 +294,10 @@ def test_jobs_below_one_is_usage_error(capsys, tmp_path, corpus_dir, case, value
         cfg.write_text(body + "jobs = 2\n")
         argv = ["suite", "--config", str(cfg), "--jobs", value]
         expected = "error: --jobs: expected an integer >= 1, got %r\n" % value
+    elif case == "embeddings_dim":
+        cfg.write_text(body + "%s = %s\n" % (case, value))
+        argv = ["suite", "--config", str(cfg)]
+        expected = "error: %s:5: unknown config key 'embeddings_dim'\n" % cfg
     else:
         cfg.write_text(body + "%s = %s\n" % (case, value))
         argv = ["suite", "--config", str(cfg)]
@@ -329,6 +334,63 @@ def test_bad_size_is_usage_error(capsys, tmp_path, corpus_dir, option, value, ki
     assert not os.path.exists(out)
 
 
+def _embeddings_file(path, corpus_dir, width):
+    """Every other token of corpus_dir's sentences with a random vector of
+    `width` values, one line each."""
+    tokens = sorted({t for s in load_corpus(corpus_dir).all_sentences() for t in s.tokens})
+    rng = np.random.default_rng(0)
+    path.write_text("".join("%s %s\n" % (t, " ".join("%.6g" % v for v in rng.normal(0, 1, width)))
+                            for t in tokens[::2]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("extract", "suite"))
+def test_boe_dim_with_an_embeddings_file_is_usage_error(capsys, tmp_path, corpus_dir, command):
+    """boe_dim and --boe-dim size the random table alone; the width of a
+    table read from a file is the file's."""
+    emb = _embeddings_file(tmp_path / "emb.txt", corpus_dir, 4)
+    out = str(tmp_path / "o")
+    if command == "extract":
+        argv = ["extract", "--corpus", corpus_dir, "--baseline", "boe", "--embeddings", emb,
+                "--boe-dim", "4", "--out", out]
+    else:
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("corpus = %s\nsources = boe\ntasks = SentLen\nembeddings = %s\n"
+                       "boe_dim = 4\nout = %s\n" % (corpus_dir, emb, out))
+        argv = ["suite", "--config", str(cfg)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: %s: the boe table is read from this file; boe_dim and --boe-dim "
+                   "size only a random table\n" % emb)
+    assert not os.path.exists(out)
+
+
+def _extract_boe(corpus_dir, out, *options):
+    assert cli.main(["extract", "--corpus", corpus_dir, "--baseline", "boe", "--out", out]
+                    + list(options)) == 0
+    with open(out, "rb") as f:
+        return f.read()
+
+
+# sha256 of `extract --baseline boe` of corpus_dir's train split with no
+# --boe-seed and no RELPROBE_SEED, as written when --boe-seed defaulted to 0
+BOE_EXTRACT_SHA256 = "4303dcc53c186dd14e8b6800c0d13d91bd228e53eca67c9da3b4df1bf740f20b"
+
+
+def test_extract_boe_seed_defaults_to_the_effective_seed(monkeypatch, tmp_path, corpus_dir):
+    monkeypatch.delenv("RELPROBE_SEED", raising=False)
+    out = str(tmp_path / "boe.repr")
+    plain = _extract_boe(corpus_dir, out)
+    assert hashlib.sha256(plain).hexdigest() == BOE_EXTRACT_SHA256
+    assert plain == _extract_boe(corpus_dir, out, "--boe-seed", "0")
+    seeded = _extract_boe(corpus_dir, out, "--boe-seed", "5")
+    three = _extract_boe(corpus_dir, out, "--boe-seed", "3")
+    assert len({plain, seeded, three}) == 3
+    monkeypatch.setenv("RELPROBE_SEED", "5")
+    assert _extract_boe(corpus_dir, out) == seeded
+    assert _extract_boe(corpus_dir, out, "--boe-seed", "3") == three
+
+
 def test_config_bad_utf8_names_path_and_line(capsys, tmp_path):
     cfg = tmp_path / "u.cfg"
     cfg.write_bytes(b"corpus = /nowhere\nout = r\xffn\n")
@@ -354,6 +416,26 @@ def test_train_desk_small(capsys, tmp_path, corpus_dir):
     history = open(os.path.join(out, "history.csv")).read()
     assert history.startswith("epoch,loss,val_p,val_r,val_f1,lr")
     assert "best validation F1" in stdout
+
+
+@pytest.mark.parametrize("word_dim", (None, 3, 4, 16))
+def test_train_word_dim_from_the_embeddings_file(capsys, tmp_path, corpus_dir, word_dim):
+    """word_dim defaults to the width of the embeddings file, a narrower one
+    is kept, and a wider one fails naming the file and both widths."""
+    emb = _embeddings_file(tmp_path / "emb.txt", corpus_dir, 4)
+    out = str(tmp_path / "run")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("corpus = %s\nprofile = desk-small\nencoder = boe\nembeddings = %s\n"
+                   "out = %s\n%s" % (corpus_dir, emb, out,
+                                     "" if word_dim is None else "word_dim = %d\n" % word_dim))
+    code, _, err = run(capsys, "train", "--config", str(cfg))
+    if word_dim == 16:
+        assert (code, err) == (1, "error: %s: vectors 4 wide, narrower than word_dim 16\n" % emb)
+        assert not os.path.exists(out)
+        return
+    assert code == 0, err
+    model = load_checkpoint(os.path.join(out, "checkpoint.rpck"))
+    assert model.input_cfg.word_dim == (word_dim or 4)
 
 
 def test_train_empty_contextual_file_is_one_error_line(capsys, tmp_path, corpus_dir):
@@ -440,6 +522,27 @@ def test_suite_contextual_model_names_the_file_or_the_missing_key(capsys, tmp_pa
     code, _, err = run(capsys, "suite", "--config", str(cfg))
     assert (code, err) == (1, "error: %s: no contextual vectors for sentence %s\n"
                            % (files["trainval"], corpus.test[0].id))
+
+
+@pytest.mark.parametrize("command", ("extract", "suite"))
+def test_empty_contextual_file_is_one_error_line(capsys, tmp_path, corpus_dir, ctx_inputs,
+                                                 command):
+    """The error train gives for a CTXV file of no vector, in the commands
+    that read one for a checkpoint."""
+    _, _, checkpoint = ctx_inputs
+    ctx, out = str(tmp_path / "empty.ctxv"), str(tmp_path / "o")
+    write_contextual(ContextualStore({}), ctx)
+    if command == "extract":
+        argv = ["extract", "--corpus", corpus_dir, "--checkpoint", checkpoint,
+                "--contextual", ctx, "--out", out]
+    else:
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("corpus = %s\ntasks = SentLen\nsources = ck:%s\ngrid = 0\n"
+                       "contextual = %s\nout = %s\n" % (corpus_dir, checkpoint, ctx, out))
+        argv = ["suite", "--config", str(cfg)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (1, "", "error: %s: no contextual vectors\n" % ctx)
+    assert not os.path.exists(out)
 
 
 @pytest.fixture(scope="module")
@@ -788,6 +891,35 @@ def test_full_grid_suite_csv_is_pinned(capsys, tmp_path, corpus_dir, jobs):
     assert code == 0, err
     with open(tmp_path / "s" / "suite.csv", "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == FULL_GRID_SUITE_SHA256
+
+
+def test_suite_rows_of_same_kind_checkpoints_are_their_own(capsys, tmp_path, corpus_dir):
+    """Two gcn checkpoints, trained masked and unmasked as the paper compares
+    them, share the row label encoder:gcn; in one suite each row still
+    reads its own checkpoint's accuracies."""
+    checkpoints = []
+    for masking in ("true", "false"):
+        run_dir = tmp_path / ("gcn-" + masking)
+        cfg = tmp_path / ("train-%s.cfg" % masking)
+        cfg.write_text("corpus = %s\nprofile = desk-small\nencoder = gcn\nmasking = %s\n"
+                       "seed = 1\nout = %s\n" % (corpus_dir, masking, run_dir))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        checkpoints.append("ck:%s" % (run_dir / "checkpoint.rpck"))
+    capsys.readouterr()
+
+    def suite_rows(*sources):
+        out = tmp_path / ("suite-%d" % len(sources))
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("corpus = %s\ntasks = TreeDepth,SentLen,ArgDist\ngrid = 0\n"
+                       "sources = %s\nout = %s\n" % (corpus_dir, ",".join(sources), out))
+        code, _, err = run(capsys, "suite", "--config", str(cfg))
+        assert code == 0, err
+        return (out / "suite.csv").read_text().splitlines()[1:]
+
+    alone = [suite_rows(ck) for ck in checkpoints]
+    assert all(len(rows) == 1 and rows[0].startswith("encoder:gcn,") for rows in alone)
+    assert alone[0] != alone[1]
+    assert suite_rows(*checkpoints) == alone[0] + alone[1]
 
 
 def test_suite_without_boe_reads_no_embeddings(capsys, tmp_path, corpus_dir):

@@ -244,16 +244,27 @@ def test_masked_tokens_equal_per_sentence_masking_on_any_heads():
 def test_load_embeddings(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0 3.0 4.0\ndog 5.0 6.0 7.0 8.0\n")
-    table = load_embeddings(str(p), 4)
+    table = load_embeddings(str(p))
     assert len(table) == 2
     np.testing.assert_allclose(table.lookup("cat"), [1, 2, 3, 4])
 
 
 def test_load_embeddings_dim_mismatch(tmp_path):
+    """The first vector line sets the width; a narrower later line fails."""
     p = tmp_path / "emb.txt"
-    p.write_text("cat 1.0 2.0 3.0\n")
-    with pytest.raises(CorpusFormatError, match=":1"):
-        load_embeddings(str(p), 4)
+    p.write_text("cat 1.0 2.0 3.0 4.0\ndog 1.0 2.0 3.0\n")
+    with pytest.raises(CorpusFormatError,
+                       match=re.escape("%s:2: expected 4 values, got 3" % p)):
+        load_embeddings(str(p))
+
+
+@pytest.mark.parametrize("text,problem", (("", ": no vectors"), ("\n  \n", ": no vectors"),
+                                          ("\ncat\n", ":2: no values after 'cat'")))
+def test_load_embeddings_without_a_vector_fails(tmp_path, text, problem):
+    p = tmp_path / "emb.txt"
+    p.write_text(text)
+    with pytest.raises(CorpusFormatError, match="^%s$" % re.escape(str(p) + problem)):
+        load_embeddings(str(p))
 
 
 @pytest.mark.parametrize("line", ("foo nan inf", "foo 1.0 x", "foo 1e39 0"))
@@ -261,7 +272,7 @@ def test_load_embeddings_rejects_bad_values(tmp_path, line):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0\n%s\n" % line)
     with pytest.raises(CorpusFormatError, match=re.escape("%s:2: " % p)):
-        load_embeddings(str(p), 2)
+        load_embeddings(str(p))
 
 
 def test_load_embeddings_bad_utf8_names_line(tmp_path):
@@ -269,13 +280,13 @@ def test_load_embeddings_bad_utf8_names_line(tmp_path):
     p.write_bytes(b"cat 1.0 2.0\nd\xffg 3.0 4.0\n")
     with pytest.raises(CorpusFormatError,
                        match=re.escape("%s:2: 'utf-8' codec can't decode byte 0xff" % p)):
-        load_embeddings(str(p), 2)
+        load_embeddings(str(p))
 
 
 def test_unknown_token_maps_to_mean(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("cat 1.0 2.0 3.0 4.0\ndog 5.0 6.0 7.0 8.0\n")
-    table = load_embeddings(str(p), 4)
+    table = load_embeddings(str(p))
     # independent mean by summation
     expected = (np.array([1.0, 2, 3, 4]) + np.array([5.0, 6, 7, 8])) / 2
     np.testing.assert_allclose(table.lookup("absent"), expected)
