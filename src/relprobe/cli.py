@@ -153,6 +153,7 @@ def cmd_synth(args):
     n_train, n_val, n_test, pad_max = (
         _parse_value(getattr(args, name), _count, "--" + name.replace("_", "-"))
         for name in ("n_train", "n_val", "n_test", "pad_max"))
+    seed = _parse_value(args.seed, int, "--seed")
     lexicons = synth.default_lexicons()
     if args.templates == "default":
         templates = synth.default_templates()
@@ -163,7 +164,7 @@ def cmd_synth(args):
     else:
         templates = synth.load_templates(args.templates)
     cfg = synth.SynthConfig(n_train=n_train, n_val=n_val, n_test=n_test,
-                            templates=templates, lexicons=lexicons, seed=args.seed,
+                            templates=templates, lexicons=lexicons, seed=seed,
                             pad_max=pad_max)
     if args.templates == "order-controlled":
         corpus = synth.generate_order_controlled(cfg)
@@ -287,8 +288,9 @@ def _source(name, corpus, splits, opts, option, stores):
 def cmd_extract(args):
     # the options given, by the names of the config keys a suite reads
     opts = {key: value for key, value in vars(args).items() if value is not None}
-    if "boe_dim" in opts:
-        opts["boe_dim"] = _parse_value(args.boe_dim, _positive, "--boe-dim")
+    for key, kind in (("boe_dim", _positive), ("boe_seed", int)):
+        if key in opts:
+            opts[key] = _parse_value(opts[key], kind, "--" + key.replace("_", "-"))
     corpus = load_corpus(args.corpus, args.format)
     if args.baseline and args.contextual:
         raise UsageError("--contextual: the %s baseline reads no contextual vectors"
@@ -413,7 +415,7 @@ def build_parser():
     s.add_argument("--n-train", default=64)
     s.add_argument("--n-val", default=16)
     s.add_argument("--n-test", default=32)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", default=0)
     s.add_argument("--pad-max", default=0)
     s.set_defaults(func=cmd_synth)
 
@@ -440,7 +442,7 @@ def build_parser():
     e.add_argument("--baseline", choices=probing.BASELINES)
     e.add_argument("--embeddings")
     e.add_argument("--boe-dim")
-    e.add_argument("--boe-seed", type=int)
+    e.add_argument("--boe-seed")
     e.add_argument("--contextual")
     e.add_argument("--out", required=True)
     e.set_defaults(func=cmd_extract)

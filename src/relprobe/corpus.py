@@ -5,7 +5,8 @@ Sentences carry tokens, POS/NER tags, a dependency tree (1-based heads,
 profiles are supported: generic-jsonl (one record per line) and tacred-json
 (one array per split file, TACRED field names). Their records, and synth's
 template files, become Sentences through one decoder that checks JSON types
-and validates each sentence.
+and validates each sentence. One load keeps one object per distinct string:
+its tokens, tags and relations come from one string table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ GENERIC_JSONL = "generic-jsonl"
 TACRED_JSON = "tacred-json"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     start: int
     end: int
@@ -37,7 +38,7 @@ class Span:
         return self.end - self.start + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     id: str
     tokens: tuple
@@ -129,8 +130,20 @@ def _type_problem(keys, values):
                     key, i, _JSON_NAMES[item_type], _JSON_NAMES[type(item)])
 
 
-def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
-    """The Sentence a decoded JSON record holds under the key names `keys`;
+class _Strings(dict):
+    """A string table: table[x] is the one stored str equal to x, stored on
+    its first lookup; TypeError for anything but a str."""
+
+    def __missing__(self, key):
+        if type(key) is not str:
+            raise TypeError(key)
+        self[key] = key
+        return key
+
+
+def _sentence_from_generic(rec, where, keys, strings):
+    """The Sentence a decoded JSON record holds under the key names `keys`,
+    its tokens, tags and relation taken from the string table `strings`;
     CorpusFormatError prefixed with `where`, the record's place, if the record
     is not an object, lacks a key, holds a value of another JSON type (none is
     coerced) or fails validate_sentence for another reason than its tree,
@@ -143,19 +156,21 @@ def _sentence_from_generic(rec, where, keys=GENERIC_KEYS):
     except KeyError as e:  # the first key missing, in field order
         raise CorpusFormatError("%s: missing field %s" % (where, e.args[0])) from None
     sid, tokens, pos, ner, dep_head, dep_label, hs, he, ts, te, relation = values
-    try:
-        "".join(tokens + pos + ner + dep_label)  # TypeError unless all are strings
-        ok = ((type(sid) is str or type(sid) is int) and type(relation) is str
-              and type(hs) is int and type(he) is int and type(ts) is int and type(te) is int
-              and type(tokens) is list and type(pos) is list and type(ner) is list
-              and type(dep_label) is list and type(dep_head) is list
-              and {int}.issuperset(map(type, dep_head)))
-    except TypeError:
-        ok = False
-    if not ok:
+    s = None
+    if ((type(sid) is str or type(sid) is int) and type(relation) is str
+            and type(hs) is int and type(he) is int and type(ts) is int and type(te) is int
+            and type(tokens) is list and type(pos) is list and type(ner) is list
+            and type(dep_label) is list and type(dep_head) is list
+            and {int}.issuperset(map(type, dep_head))):
+        get = strings.__getitem__
+        try:  # TypeError unless every item is a string
+            s = Sentence(str(sid), tuple(map(get, tokens)), tuple(map(get, pos)),
+                         tuple(map(get, ner)), tuple(dep_head), tuple(map(get, dep_label)),
+                         Span(hs, he), Span(ts, te), get(relation))
+        except TypeError:
+            pass
+    if s is None:
         raise CorpusFormatError("%s: %s" % (where, _type_problem(keys, values)))
-    s = Sentence(str(sid), tuple(tokens), tuple(pos), tuple(ner), tuple(dep_head),
-                 tuple(dep_label), Span(hs, he), Span(ts, te), relation)
     if _annotation_problems(s):
         _invalid(s, where)
     return s
@@ -166,16 +181,18 @@ def _invalid(s, where):
     raise CorpusFormatError("%s: %s%s" % (where, subject, "; ".join(validate_sentence(s))))
 
 
-def read_sentences(records, keys=GENERIC_KEYS):
+def read_sentences(records, keys=GENERIC_KEYS, strings=None):
     """The Sentences of ("where", record) pairs, as _sentence_from_generic
-    decodes them, with the trees of all of them checked in one
-    deptree.pack_trees pass. The CorpusFormatError still names the first bad
-    record in order: when record j fails (or `records` raises at it), the
-    trees of the records before j are checked first."""
+    decodes them from one string table (`strings`, else a new one), with the
+    trees of all of them checked in one deptree.pack_trees pass. The
+    CorpusFormatError still names the first bad record in order: when record
+    j fails (or `records` raises at it), the trees of the records before j
+    are checked first."""
     sentences, places, error = [], [], None
+    strings = _Strings() if strings is None else strings
     try:
         for where, rec in records:
-            sentences.append(_sentence_from_generic(rec, where, keys))
+            sentences.append(_sentence_from_generic(rec, where, keys, strings))
             places.append(where)
     except CorpusFormatError as e:
         error = e
@@ -199,24 +216,34 @@ def read_lines(path, error=CorpusFormatError):
             yield lineno, line
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def jsonl_records(path):
     """Yield ("path:lineno", record) for each non-blank line of a JSONL file;
-    CorpusFormatError on a line that is not UTF-8 JSON."""
+    CorpusFormatError on a line that is not UTF-8 JSON. Each line is decoded
+    once; json.loads reads it again only to word a fault."""
     for lineno, line in read_lines(path):
         line = line.strip()
         if line:
             try:
-                rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep
-                raise CorpusFormatError("%s:%d: malformed json (%s)" % (path, lineno, e)) from None
+                rec, end = _raw_decode(line)
+            except (json.JSONDecodeError, RecursionError):  # also nesting too deep
+                end = None
+            if end != len(line):  # a fault, or data after the value
+                try:
+                    rec = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as e:
+                    raise CorpusFormatError("%s:%d: malformed json (%s)"
+                                            % (path, lineno, e)) from None
             yield "%s:%d" % (path, lineno), rec
 
 
-def _read_jsonl_split(path):
-    return read_sentences(jsonl_records(path))
+def _read_jsonl_split(path, strings):
+    return read_sentences(jsonl_records(path), strings=strings)
 
 
-def _read_tacred_split(path):
+def _read_tacred_split(path, strings):
     with open(path, "rb") as f:
         try:
             records = json.loads(f.read().decode("utf-8"))
@@ -226,7 +253,7 @@ def _read_tacred_split(path):
         raise CorpusFormatError("%s: expected a JSON array, got %s"
                                 % (path, _JSON_NAMES[type(records)]))
     return read_sentences((("%s: record %d" % (path, i), rec) for i, rec in enumerate(records)),
-                          TACRED_KEYS)
+                          TACRED_KEYS, strings)
 
 
 _NEGATIVE_CANDIDATES = ("no_relation", "Other", "NA", "none")
@@ -237,7 +264,7 @@ def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
 
     generic-jsonl expects train.jsonl (+ optional validation.jsonl,
     test.jsonl); tacred-json expects train.json (+ optional dev.json,
-    test.json).
+    test.json). The splits share one string table.
     """
     if format_profile == GENERIC_JSONL:
         reader, names = _read_jsonl_split, ("train.jsonl", "validation.jsonl", "test.jsonl")
@@ -245,11 +272,11 @@ def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
         reader, names = _read_tacred_split, ("train.json", "dev.json", "test.json")
     else:
         raise CorpusFormatError("unknown format profile: %s" % format_profile)
-    splits, seen_ids = [], set()
+    splits, seen_ids, strings = [], set(), _Strings()
     for i, name in enumerate(names):
         p = os.path.join(path, name)
         if os.path.exists(p):
-            splits.append(reader(p))
+            splits.append(reader(p, strings))
         elif i == 0:
             raise CorpusFormatError("missing train split file: %s" % p)
         else:

@@ -100,6 +100,25 @@ _MALFORMED = {
     "line-array": ("jsonl", _jsonl(b"[1, 2]"), ":2: ", "expected a JSON object, got array"),
     "line-not-json": ("jsonl", _jsonl(b"{not json"), ":2: ", "malformed json"),
     "line-nested-too-deep": ("jsonl", _jsonl(b"[" * 100000), ":2: ", "malformed json"),
+    "line-bom": ("jsonl", _jsonl(b"\xef\xbb\xbf" + json.dumps(_record()).encode()), ":2: ",
+                 "malformed json (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                 "line 1 column 1 (char 0))"),
+    "line-trailing-data": ("jsonl", _jsonl(json.dumps(_record()).encode() + b" x"), ":2: ",
+                           "malformed json (Extra data: line 1 column 268 (char 267))"),
+    "tokens-item-number": ("jsonl", _jsonl(_record(tokens=["Bayer", 2.5, "Monsanto"])), ":2: ",
+                           "field tokens: item 1: expected string, got number"),
+    "pos-item-true": ("jsonl", _jsonl(_record(pos=["NNP", True, "NNP"])), ":2: ",
+                      "field pos: item 1: expected string, got boolean"),
+    "ner-item-array": ("jsonl", _jsonl(_record(ner=["ORG", ["O"], "ORG"])), ":2: ",
+                       "field ner: item 1: expected string, got array"),
+    "label-item-object": ("jsonl", _jsonl(_record(dep_label=["nsubj", {"x": 1}, "dobj"])),
+                          ":2: ", "field dep_label: item 1: expected string, got object"),
+    "tacred-pos-item-true": ("tacred", _tacred(_record(tacred=True, pos=["NNP", True, "NNP"])),
+                             ": record 1: ", "field stanford_pos: item 1: expected string, "
+                             "got boolean"),
+    "template-ner-item-array": ("template", _template(_record(drop=("id",), ner=["ORG", ["O"],
+                                                                                "ORG"])),
+                                ":2: ", "field ner: item 1: expected string, got array"),
     "head-null": ("jsonl", _jsonl(_record(dep_head=[None, 0, 2])), ":2: ", "field dep_head:"),
     "head-float": ("jsonl", _jsonl(_record(dep_head=[2.7, 0, 2])), ":2: ", "field dep_head:"),
     "head-numeric-strings": ("jsonl", _jsonl(_record(dep_head=["2", "0", "2"])), ":2: ",
@@ -331,6 +350,20 @@ def test_bad_size_is_usage_error(capsys, tmp_path, corpus_dir, option, value, ki
         expected = "error: %s: expected %s, got %r\n" % (option, kind, value)
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", expected)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("option,value", (("--seed", "x"), ("--seed", "1.5"),
+                                          ("--boe-seed", "x"), ("--boe-seed", "")))
+def test_bad_seed_option_is_one_error_line(capsys, tmp_path, corpus_dir, option, value):
+    out = str(tmp_path / "o")
+    if option == "--seed":
+        argv = ["synth", "--out", out]
+    else:
+        argv = ["extract", "--corpus", corpus_dir, "--baseline", "boe", "--out", out]
+    code, stdout, err = run(capsys, *argv, option, value)
+    assert (code, stdout, err) == (2, "", "error: %s: expected an integer, got %r\n"
+                                   % (option, value))
     assert not os.path.exists(out)
 
 

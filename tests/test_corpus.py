@@ -2,16 +2,16 @@ import json
 import os
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from relprobe import deptree
-from relprobe.corpus import (CTX_MAGIC, ContextualStore, CorpusFormatError, Sentence, Span,
-                             load_contextual, load_corpus, load_embeddings,
-                             masked_tokens, validate_sentence, write_contextual,
-                             write_corpus, write_text)
+from relprobe.corpus import (CTX_MAGIC, TACRED_KEYS, ContextualStore, CorpusFormatError,
+                             Sentence, Span, load_contextual, load_corpus, load_embeddings,
+                             masked_tokens, sentence_to_record, validate_sentence,
+                             write_contextual, write_corpus, write_text)
 
 import reference_trees
 from conftest import make_sentence, random_parents
@@ -105,6 +105,62 @@ def test_tacred_profile(tmp_path):
     corpus = load_corpus(str(d), "tacred-json")
     assert corpus.train[0].tokens == ("Bayer", "acquired", "Monsanto")
     assert corpus.negative_label == "no_relation"
+
+
+def _write_profile(corpus, path, profile):
+    """The corpus as split files of `profile`; tacred-json from the records
+    of write_corpus under TACRED key names."""
+    if profile == "generic-jsonl":
+        write_corpus(corpus, path)
+        return
+    os.makedirs(path)
+    for name, sentences in (("train.json", corpus.train), ("dev.json", corpus.validation),
+                            ("test.json", corpus.test)):
+        with open(os.path.join(path, name), "w") as f:
+            json.dump([dict(zip(TACRED_KEYS, sentence_to_record(s).values()))
+                       for s in sentences], f)
+
+
+@pytest.mark.parametrize("profile", ("generic-jsonl", "tacred-json"))
+def test_both_profiles_load_equal_to_the_generated_corpus(tmp_path, small_corpus, profile):
+    _write_profile(small_corpus, str(tmp_path / "c"), profile)
+    assert load_corpus(str(tmp_path / "c"), profile) == small_corpus
+
+
+@pytest.mark.parametrize("profile", ("generic-jsonl", "tacred-json"))
+def test_one_load_keeps_one_object_per_distinct_string(tmp_path, small_corpus, profile):
+    _write_profile(small_corpus, str(tmp_path / "c"), profile)
+    corpus = load_corpus(str(tmp_path / "c"), profile)
+    first, uses = {}, 0
+    for split in (corpus.train, corpus.validation, corpus.test):
+        for s in split:
+            for x in s.tokens + s.pos + s.ner + s.dep_label + (s.relation,):
+                assert first.setdefault(x, x) is x, x  # across sentences, splits and fields
+                uses += 1
+    assert uses > 10 * len(first)
+    assert all(first[label] is label for label in corpus.label_inventory)
+    # the splits share tokens, so the check above spans splits
+    assert {x for s in corpus.train for x in s.tokens} & {x for s in corpus.test for x in s.tokens}
+
+
+def test_records_have_slots_and_keep_dataclass_behaviour(small_corpus):
+    s = small_corpus.train[0]
+    assert not hasattr(s, "__dict__") and not hasattr(s.head, "__dict__")
+    fresh = json.loads(json.dumps(sentence_to_record(s)))  # equal strings, other objects
+    same = replace(s, id=fresh["id"], tokens=tuple(fresh["tokens"]))
+    assert same.tokens[0] is not s.tokens[0]
+    assert same == s and hash(same) == hash(s)
+    assert hash(s) == hash(tuple(getattr(s, f.name) for f in fields(Sentence)))
+    assert hash(Span(2, 5)) == hash((2, 5)) and Span(2, 5) == Span(2, 5) != Span(2, 6)
+    other = replace(s, relation="other:rel", head=replace(s.head, end=s.head.start))
+    assert other.relation == "other:rel" and other.tokens is s.tokens and other != s
+    assert other.head == Span(s.head.start, s.head.start)
+    with pytest.raises(FrozenInstanceError):
+        s.relation = "x"
+    # a name that is no field: TypeError on CPython 3.11, whose generated
+    # __setattr__ calls super() with the class that slots=True replaced
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 1
 
 
 # -------------------------------------------------------------- validation
