@@ -216,26 +216,16 @@ def read_lines(path, error=CorpusFormatError):
             yield lineno, line
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def jsonl_records(path):
     """Yield ("path:lineno", record) for each non-blank line of a JSONL file;
-    CorpusFormatError on a line that is not UTF-8 JSON. Each line is decoded
-    once; json.loads reads it again only to word a fault."""
+    CorpusFormatError on a line that is not UTF-8 JSON."""
     for lineno, line in read_lines(path):
         line = line.strip()
         if line:
             try:
-                rec, end = _raw_decode(line)
-            except (json.JSONDecodeError, RecursionError):  # also nesting too deep
-                end = None
-            if end != len(line):  # a fault, or data after the value
-                try:
-                    rec = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as e:
-                    raise CorpusFormatError("%s:%d: malformed json (%s)"
-                                            % (path, lineno, e)) from None
+                rec = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep
+                raise CorpusFormatError("%s:%d: malformed json (%s)" % (path, lineno, e)) from None
             yield "%s:%d" % (path, lineno), rec
 
 
