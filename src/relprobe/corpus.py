@@ -224,7 +224,7 @@ def jsonl_records(path):
         if line:
             try:
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep
+            except (ValueError, RecursionError) as e:  # also too many digits, nesting too deep
                 raise CorpusFormatError("%s:%d: malformed json (%s)" % (path, lineno, e)) from None
             yield "%s:%d" % (path, lineno), rec
 
@@ -307,16 +307,26 @@ def write_corpus(corpus: Corpus, path):
                 f.write(json.dumps(sentence_to_record(s)) + "\n")
 
 
+def entity_masks(sentences, roots) -> list:
+    """The masking rule: [SUBJ-<TYPE> of each sentence, OBJ-<TYPE> of each
+    sentence], the tokens that replace its head and its tail tokens, <TYPE>
+    the NE tag at the span root; roots holds the (2, B) root positions of
+    deptree.argument_roots."""
+    return [["%s-%s" % (prefix, s.ner[root]) for s, root in zip(sentences, at)]
+            for prefix, at in zip(("SUBJ", "OBJ"), roots.tolist())]
+
+
 def masked_tokens(sentences) -> list:
-    """The tokens of each sentence with its head tokens replaced by
-    SUBJ-<TYPE> and its tail tokens by OBJ-<TYPE>, <TYPE> the NE tag of the
-    span root (deptree.argument_roots: no tree is built, so an unvalidated
-    cyclic dep_head does not raise). Length-preserving and idempotent."""
+    """The tokens of each sentence with its head and tail tokens replaced by
+    their entity_masks, the span roots read by deptree.argument_roots (no
+    tree is built, so an unvalidated cyclic dep_head does not raise).
+    Length-preserving and idempotent. REModel.featurize_batch applies the
+    same rule to vocab ids."""
     out = []
-    for s, h, t in zip(sentences, *deptree.argument_roots(sentences).tolist()):
+    for s, subj, obj in zip(sentences, *entity_masks(sentences, deptree.argument_roots(sentences))):
         tokens = list(s.tokens)
-        for prefix, span, root in (("SUBJ", s.head, h), ("OBJ", s.tail, t)):
-            tokens[span.start:span.end + 1] = ["%s-%s" % (prefix, s.ner[root])] * len(span)
+        tokens[s.head.start:s.head.end + 1] = [subj] * len(s.head)
+        tokens[s.tail.start:s.tail.end + 1] = [obj] * len(s.tail)
         out.append(tuple(tokens))
     return out
 

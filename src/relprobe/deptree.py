@@ -6,7 +6,8 @@ span_roots, path_mask and grow answer for every sentence of the pack with a
 few numpy passes. The corpus loader, probegen's tree tasks and GCN
 featurization all go through pack_trees. head_problems words the faults the
 same pass finds in one sentence, on the error path and for synth templates;
-argument_roots finds the span roots that masking reads, with no tree check.
+argument_roots finds the span roots that masking reads, with no tree check
+(masked GCN featurization reads them off its tree instead).
 """
 
 from __future__ import annotations
@@ -62,22 +63,24 @@ def pack_trees(dep_heads):
     return (starts, *packed_trees(heads, starts))
 
 
-def sentence_trees(sentences):
-    """(starts, parent, depth) of pack_trees over the sentences' dep_head;
-    ValueError naming the first sentence whose dep_head does not hold one
-    value per token, else the first that is not one tree."""
-    starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
-    _check_lengths(sentences, starts)
+def sentence_trees(sentences, starts):
+    """(parent, depth) of pack_trees over the sentences' dep_head, starts
+    being the sentences' packed_starts; ValueError naming the first sentence
+    whose dep_head does not hold one value per token, else the first that is
+    not one tree."""
+    head_starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
+    _check_lengths(sentences, head_starts, starts)
     if len(bad):
         s = sentences[bad[0]]
         raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
-    return starts, parent, depth
+    return parent, depth
 
 
-def _check_lengths(sentences, starts):
-    """ValueError naming the first sentence whose dep_head is not one value per token."""
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    mismatch = np.flatnonzero(lengths != np.diff(starts))
+def _check_lengths(sentences, head_starts, starts):
+    """ValueError naming the first sentence whose dep_head is not one value
+    per token: the first whose end in head_starts, the packed starts of the
+    dep_heads, differs from its end in starts, those of the tokens."""
+    mismatch = np.flatnonzero(head_starts[1:] != starts[1:])
     if len(mismatch):
         s = sentences[mismatch[0]]
         raise ValueError("%d dep_head values for the %d tokens of sentence %s"
@@ -140,14 +143,18 @@ def argument_bounds(sentences, starts):
         + starts[:-1]
 
 
-def argument_roots(sentences):
+def argument_roots(sentences, starts=None, bounds=None):
     """(2, B) positions of each sentence's head and tail span roots, by
     span_roots over its dep_head as it is: head h of a sentence packed from
-    row r stands at row h - 1 + r, inside a span exactly when h is.
-    ValueError as sentence_trees for a dep_head of another length."""
-    heads, starts = _pack([s.dep_head for s in sentences])
-    _check_lengths(sentences, starts)
-    bounds = argument_bounds(sentences, starts)
+    row r stands at row h - 1 + r, inside a span exactly when h is. starts
+    and bounds are the sentences' packed_starts and argument_bounds, computed
+    here when not given. ValueError as sentence_trees for a dep_head of
+    another length."""
+    if starts is None:
+        starts = packed_starts(sentences)
+        bounds = argument_bounds(sentences, starts)
+    heads, head_starts = _pack([s.dep_head for s in sentences])
+    _check_lengths(sentences, head_starts, starts)
     parent = heads - 1 + np.repeat(starts[:-1], np.diff(starts))
     return span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1) - starts[:-1]
 

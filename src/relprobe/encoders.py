@@ -4,6 +4,9 @@ classification head.
 
 REModel.featurize_batch turns B sentences into one packed Features record
 once per run: their token rows one after another, with segment starts.
+With entity masking it overwrites each span's rows with the id of its
+SUBJ-/OBJ- token (corpus.entity_masks, the rule masked_tokens applies to
+the strings that train_re builds its vocabulary and training ids from).
 Every token is then embedded as the concatenation of its word vector, a
 learned head-offset embedding, a learned tail-offset embedding and
 (optionally) a precomputed contextual vector. Encoders map the resulting
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import deptree
-from .corpus import Span, masked_tokens
+from .corpus import Span, entity_masks, masked_tokens
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -54,7 +57,8 @@ class InputConfig:
         return self.word_dim + 2 * self.pos_dim + (self.contextual_dim if self.use_contextual else 0)
 
     def tokens(self, sentences):
-        """The token sequences a model reads ids from: masked_tokens when masking."""
+        """The token sequences train_re builds its vocabulary from and reads
+        the training ids off: masked_tokens when masking."""
         return masked_tokens(sentences) if self.masking else [s.tokens for s in sentences]
 
 
@@ -341,15 +345,18 @@ class REModel:
 
     def featurize_batch(self, sentences, ctx_rows=None):
         """The packed Features of a sequence of sentences, computed once and
-        reused by every forward pass. For GCN: the tokens kept around each
-        SDP, their row-normalized adjacency (self loops included) and the
-        kept tokens of the head and tail spans, from a few array passes of
-        deptree over the whole pack; ValueError names the first sentence
-        whose dep_head is not one tree."""
-        return self._featurize_tokens(sentences, ctx_rows, self.input_cfg.tokens(sentences))
+        reused by every forward pass. With masking, each head span's rows
+        take the id of its SUBJ- token, then each tail span's rows that of
+        its OBJ- token, the span roots read off the GCN tree when there is
+        one. For GCN: the tokens kept around each SDP, their row-normalized
+        adjacency (self loops included) and the kept tokens of the head and
+        tail spans, from a few array passes of deptree over the whole pack;
+        ValueError names the first sentence whose dep_head is not one tree."""
+        return self._featurize_tokens(sentences, ctx_rows)
 
-    def _featurize_tokens(self, sentences, ctx_rows, token_lists):
-        """featurize_batch, given the input_cfg.tokens of the sentences."""
+    def _featurize_tokens(self, sentences, ctx_rows, token_lists=None):
+        """featurize_batch, reading the ids off token_lists when given (the
+        input_cfg.tokens of the sentences, already masked when masking)."""
         cfg, enc = self.input_cfg, self.enc_cfg
         n = len(sentences)
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
@@ -357,20 +364,28 @@ class REModel:
             check_contextual_rows(sentences, ctx_rows)
         starts = deptree.packed_starts(sentences)
         lengths = np.diff(starts)
-        ids = self.vocab.ids(itertools.chain.from_iterable(token_lists))
+        tokens = (s.tokens for s in sentences) if token_lists is None else token_lists
+        ids = self.vocab.ids(itertools.chain.from_iterable(tokens))
         bounds = deptree.argument_bounds(sentences, starts)
         rows = bounds.repeat(lengths, axis=1)
         off = position_offsets(Span(rows[:2], rows[2:]), starts[-1], cfg.max_offset)
+        spans = off == 0  # the head and the tail span rows: off is 0 inside a span
         offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()
-        graph = None
+        graph = roots = None
         if enc.kind == "gcn":
-            _, parent, depth = deptree.sentence_trees(sentences)
+            parent, depth = deptree.sentence_trees(sentences, starts)
             roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
             k = enc.gcn_prune_k
             keep = deptree.grow(deptree.path_mask(parent, depth, roots[:n], roots[n:]),
                                 parent, math.inf if k is None else k)
-            graph = (keep, *(keep & (off == 0)),  # off is 0 inside a span
-                     _adjacencies(keep, parent, starts))
+            graph = (keep, *(keep & spans), _adjacencies(keep, parent, starts))
+            roots = roots.reshape(2, -1) - starts[:-1]  # positions, as argument_roots
+        if cfg.masking and token_lists is None:
+            if roots is None:
+                roots = deptree.argument_roots(sentences, starts, bounds)
+            span_lengths = bounds[2:] - bounds[:2] + 1
+            for span, masks, count in zip(spans, entity_masks(sentences, roots), span_lengths):
+                ids[span] = self.vocab.ids(masks).repeat(count)
         ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
         return Features(ids, offsets, ctx, graph, starts)
 

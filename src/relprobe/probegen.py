@@ -151,7 +151,8 @@ def tree_values(sentences):
     that path, (P - 1 + |depth[a] - depth[b]|) // 2. TypeHead/Tail are the
     NE tags at a and b, GRHead/Tail their labels ("other" outside GR_CLASSES).
     """
-    starts, parent, depth = deptree.sentence_trees(sentences)
+    starts = deptree.packed_starts(sentences)
+    parent, depth = deptree.sentence_trees(sentences, starts)
     bounds = deptree.argument_bounds(sentences, starts)
     a, b = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1)
     path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])

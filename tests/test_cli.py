@@ -84,13 +84,19 @@ def _jsonl(second):
 
 
 def _template(second):
+    """Two lines, the first a good template; `second` is a record or raw bytes."""
     good = dict(_GOOD)
     del good["id"]
-    return json.dumps(good).encode() + b"\n" + json.dumps(second).encode() + b"\n"
+    if not isinstance(second, bytes):
+        second = json.dumps(second).encode()
+    return json.dumps(good).encode() + b"\n" + second + b"\n"
 
 
 def _tacred(*records):
     return json.dumps([_record(tacred=True, id="r0")] + list(records)).encode()
+
+
+_LONG_INT = b"7" * 5001  # beyond Python's int-string conversion limit of 4,300 digits
 
 
 # (input kind, file bytes, where the error says the problem is, what it says)
@@ -164,6 +170,14 @@ _MALFORMED = {
                           ": record 1: ", "sentence r1: cycle detected"),
     "template-cycle": ("template", _template(_record(drop=("id",), dep_head=[2, 0, 3])),
                        ":2: ", "cycle detected"),
+    "id-long-int": ("jsonl", _jsonl(json.dumps(_record()).encode().replace(b'"r1"', _LONG_INT)),
+                    ":2: ", "malformed json"),
+    "template-long-int": ("template", _template(json.dumps(_record(drop=("id",))).encode()
+                                                .replace(b'"head_start": 0',
+                                                         b'"head_start": ' + _LONG_INT)),
+                          ":2: ", "malformed json"),
+    "tacred-long-int": ("tacred", _tacred(_record(tacred=True)).replace(b'"r1"', _LONG_INT), ": ",
+                        "malformed json (Exceeds the limit (4300 digits)"),
     "head-beyond-int64": ("jsonl", _jsonl(_record(dep_head=[0, 1, 10**30])), ":2: ",
                           "sentence r1: dep_head value out of range"),
 }

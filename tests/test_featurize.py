@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from relprobe import autodiff as ad
+from relprobe import corpus as corpus_module
 from relprobe import deptree, encoders, probegen
-from relprobe.corpus import Corpus, Sentence, Span, masked_tokens
+from relprobe.corpus import Corpus, Sentence, Span, entity_masks
 from relprobe.encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import extract_reps
 from relprobe.training import (HyperProfile, desk_encoder_config, desk_input_config,
@@ -76,14 +77,16 @@ def test_extract_builds_each_tree_once(corpus, tree_packs):
 @pytest.mark.parametrize("kind", ("boe", "gcn"))
 def test_masked_training_masks_each_sentence_once(corpus, monkeypatch, kind):
     """train_re masks each training sentence once, for the vocabulary and
-    the packed ids alike, and each validation sentence once."""
+    the packed ids alike (masked_tokens), and each validation sentence once
+    (on ids): one entity_masks pass over the root tags of each."""
     calls = []
 
-    def counting(sentences):
+    def counting(sentences, roots):
         calls.extend(s.id for s in sentences)
-        return masked_tokens(sentences)
+        return entity_masks(sentences, roots)
 
-    monkeypatch.setattr(encoders, "masked_tokens", counting)
+    for module in (corpus_module, encoders):
+        monkeypatch.setattr(module, "entity_masks", counting)
     train_re(corpus, desk_input_config(masking=True), desk_encoder_config(kind), _profile(2))
     assert sorted(calls) == sorted(s.id for s in corpus.train + corpus.validation)
 

@@ -20,7 +20,7 @@ import reference_trees
 from reference_ops import reshape, scale
 from relprobe import autodiff as ad
 from relprobe import deptree
-from relprobe.corpus import Corpus, Span
+from relprobe.corpus import Corpus, Span, masked_tokens
 from relprobe.encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
 from relprobe.probing import extract_reps
 from relprobe.training import HyperProfile, train_re
@@ -124,10 +124,11 @@ def _contextual(sentences):
     return {s.id: rng.normal(size=(len(s), CTX_DIM)) for s in sentences}
 
 
-def _model(kind, masking, enc_cfg=None, **dropout):
+def _model(kind, masking, enc_cfg=None, vocab=None, **dropout):
     cfg = InputConfig(word_dim=4, pos_dim=2, max_offset=3, masking=masking,
                       use_contextual=True, contextual_dim=CTX_DIM, **dropout)
-    vocab = Vocab(["tok%d" % i for i in range(0, 12, 2)] + ["SUBJ-O"])
+    if vocab is None:
+        vocab = Vocab(["tok%d" % i for i in range(0, 12, 2)] + ["SUBJ-O"])
     return REModel(vocab, LABELS, cfg, enc_cfg or ENCODERS[kind], seed=4)
 
 
@@ -167,6 +168,73 @@ def test_featurize_batch_packs_per_sentence_features(kind, masking):
         np.testing.assert_array_equal(packed.ctx[rows], want.ctx)
         if kind == "gcn":
             _assert_graph_is_reference(packed, i, want)
+
+
+def _assert_same_features(got, want):
+    """got and want hold the same arrays, field by field, byte for byte."""
+    pairs = [("ids", got.ids, want.ids), ("starts", got.starts, want.starts),
+             ("ctx", got.ctx, want.ctx)]
+    assert len(got.offsets) == len(want.offsets)
+    pairs += [("offsets", a, b) for a, b in zip(got.offsets, want.offsets)]
+    assert (got.graph is None) == (want.graph is None)
+    if got.graph is not None:
+        *masks, adjs = got.graph
+        *want_masks, want_adjs = want.graph
+        assert len(adjs) == len(want_adjs)
+        pairs += [("graph", a, b) for a, b in zip(masks + adjs, want_masks + want_adjs)]
+    for field, a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+def _masking_cases(kind, small_corpus):
+    """(model, sentences) pairs for masking on ids: spans on a sentence's
+    and the pack's first and last tokens and a one-token sentence, a synth
+    split under a vocabulary of half the masked training tokens, and for
+    all but gcn the any-heads sentences of the masking oracle test."""
+    from test_corpus import _masking_sentence
+
+    masked_train = sorted({t for ts in masked_tokens(small_corpus.train) for t in ts})
+    cases = [(_model(kind, masking=True), _sentences(12)),
+             (_model(kind, masking=True, vocab=Vocab(masked_train[::2])), small_corpus.test)]
+    if kind != "gcn":  # heads that are not one tree: gcn rejects them
+        rng = np.random.default_rng(30)
+        tags = ["%s-E%d" % (p, j) for p in ("SUBJ", "OBJ") for j in range(0, 16, 3)]
+        vocab = Vocab(["tok%d" % j for j in range(0, 16, 2)] + tags)
+        cases.append((_model(kind, masking=True, vocab=vocab),
+                      [_masking_sentence(rng, i) for i in range(300)]))
+    return cases
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_masking_on_ids_equals_featurizing_masked_tokens(kind, small_corpus):
+    """Masked featurize_batch, which masks on vocab ids, gives the Features
+    of the masked_tokens strings byte for byte, also for tokens that are
+    already masked, whose ids it leaves as they are; a mask token missing
+    from the vocab reads as UNK on both paths."""
+    for model, sentences in _masking_cases(kind, small_corpus):
+        again = [dataclasses.replace(s, tokens=tokens)
+                 for s, tokens in zip(sentences, masked_tokens(sentences))]
+        ctx = _contextual(sentences)
+        rows = [ctx[s.id] for s in sentences]
+        got = model.featurize_batch(sentences, rows)
+        want = model._featurize_tokens(sentences, rows, masked_tokens(sentences))
+        _assert_same_features(got, want)
+        assert (want.ids == model.vocab.stoi["<UNK>"]).any()
+        twice = model.featurize_batch(again, rows)
+        _assert_same_features(twice, model._featurize_tokens(again, rows, masked_tokens(again)))
+        _assert_same_features(twice, got)
+
+
+@pytest.mark.parametrize("kind", ("cnn", "gcn"))
+@pytest.mark.parametrize("where", (0, 4))
+def test_masked_featurization_names_dep_head_of_another_length(kind, where):
+    sentences = _sentences(9)
+    s = sentences[where]
+    sentences[where] = dataclasses.replace(s, dep_head=s.dep_head + (1,))
+    message = "^%d dep_head values for the %d tokens of sentence %s$" % (len(s) + 1, len(s), s.id)
+    model = _model(kind, masking=True)
+    with pytest.raises(ValueError, match=message):
+        model.featurize_batch(sentences, [_contextual(sentences)[x.id] for x in sentences])
 
 
 def _sentence_graph(features, i):
