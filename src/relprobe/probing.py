@@ -177,29 +177,38 @@ def _targets(items, labels):
 
 def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_seed=None):
     """A stack of full-batch multinomial logistic regressions on the same
-    rows x, one per member k: labels ys[k] and penalty l2s[k]. Rows labelled
-    -1 are left out, and every member must leave out the same rows. Each
-    fits by adaptive-moment updates on the closed-form gradient of mean
-    cross-entropy + l2 * sum(w**2).
+    rows x, one per member k: labels ys[k], class count n_classes[k] (or
+    one int for all) and penalty l2s[k]. Rows labelled -1 are left out, and
+    every member must leave out the same rows. Each fits by adaptive-moment
+    updates on the closed-form gradient of mean cross-entropy +
+    l2 * sum(w**2).
 
     Returns one (w, b, last loss, epochs run, whether the loss changed by
-    less than tol before max_epochs ran out) per member.
+    less than tol before max_epochs ran out) per member, in the order given.
 
-    The members' w and b are the rows of one flat array theta, seen as
-    (G, d*c + c), that `adam_step` updates once per epoch (t = the epoch).
-    A member leaves the stack at the epoch its loss meets tol: its row of
-    theta and of Adam's moments is cut out. The l2 terms run if any l2 is
-    non-zero, so a caller stacks l2 == 0 apart from the other values.
+    The members run ordered by class count. Their parameters are one flat
+    array theta: every member's w, then every member's b. `adam_step`
+    updates it once per epoch (t = the epoch). The members of one class
+    count c are a group, whose w and b are (G, d, c) and (G, 1, c) views of
+    theta. The logits, exponentials and one-hot labels of all groups share
+    one flat buffer, and the row terms another. A member leaves the stack
+    at the epoch its loss meets tol: its w, b and Adam moments are cut out
+    and the buffers rebuilt for the members left. The l2 terms run if any
+    l2 is non-zero, so a caller stacks l2 == 0 apart from the other values.
 
     Each member must round as the taped fit in the tests does, byte for
     byte, so only these rewrites are exact:
-    - A member's `w` and `b` are views of its row of theta, and their
-      gradients views of its row of one flat buffer. Adam's update is
-      elementwise, so one step over the stack rounds as one step per array
-      of each member.
-    - The 3-D `np.matmul` against the shared x runs one BLAS product per
-      member, as the 2-D product does on that member alone. A stack of one
-      runs on the 2-D arrays themselves.
+    - A member's `w` and `b` are views of theta, and their gradients views
+      of one flat buffer in the same layout. Adam's update and every pass
+      over a whole flat buffer (`exp`, `log`, the one-hot subtraction, the
+      scaling by 1/n, the l2 products and additions) are elementwise: each
+      element rounds as it would in an array of its member alone, wherever
+      it is stored.
+    - The forward and backward products, the row maxima and sums and the
+      `b` and `w**2` sums run once per group, on arrays of the shapes a
+      stack of that class count alone has. The 3-D `np.matmul` against the
+      shared x runs one BLAS product per member, as the 2-D product does on
+      that member alone. A group of one runs on the 2-D arrays themselves.
     - Results go to preallocated buffers (`out=`, in-place operators): where
       a result is stored does not change how it rounds.
     - The row maxima are taken over a class-major copy of the logits. A
@@ -210,7 +219,8 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
     - Every sum stays an `np.add.reduce` over the same axis of each member's
       block, in the same layout, as the `ndarray.sum` of the 2-D fit:
       numpy's summation order, and so the rounding, depends on the axis and
-      the layout.
+      the layout. The picked log-probabilities of all members are one
+      (members, n) array summed along its rows.
     - The loss is the sum of the picked log-probabilities divided by an
       `np.intp` count, as `ndarray.mean` divides it (in float64, then
       rounded to the dtype), and negated. With the l2 term it is taken as
@@ -218,104 +228,127 @@ def _fit_softmax(x, ys, n_classes, l2s, lr=0.1, max_epochs=500, tol=1e-6, init_s
       -quotient + term. The loss must stay bytewise equal: through `tol` it
       decides how many epochs a fit runs.
     """
-    ys = np.asarray(ys, dtype=np.intp)
-    mask = ys[0] >= 0
-    ys = ys[:, mask]
-    d, c = x.shape[1], n_classes
-    if init_seed is None:
-        w0 = np.zeros((d, c))
-        b0 = np.zeros(c)
-    else:
-        rng = np.random.default_rng(init_seed)
-        w0 = rng.normal(0, 0.01, size=(d, c))
-        b0 = rng.normal(0, 0.01, size=c)
-    dtype = ad.current_dtype()
-    theta = np.concatenate([w0.ravel(), b0] * len(ys)).astype(dtype)
-    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam's moments
     lr = float(lr)
     if lr <= 0:
         raise ValueError("lr must be positive")
-    x = np.asarray(x[mask], dtype=dtype)
+    ys = np.asarray(ys, dtype=np.intp)
+    mask = ys[0] >= 0
+    ys = ys[:, mask]
+    d = x.shape[1]
+    cs = np.broadcast_to(np.asarray(n_classes, dtype=np.intp), len(ys))
+    live = np.argsort(cs, kind="stable")  # the members still in the stack, by class count
+    inits = {}
+    for c in set(cs.tolist()):
+        if init_seed is None:
+            inits[c] = (np.zeros(d * c), np.zeros(c))
+        else:
+            rng = np.random.default_rng(init_seed)
+            inits[c] = (rng.normal(0, 0.01, size=(d, c)).ravel(), rng.normal(0, 0.01, size=c))
+    dtype = ad.current_dtype()
+    order = cs[live].tolist()
+    theta = np.concatenate([inits[c][0] for c in order] + [inits[c][1] for c in order]).astype(dtype)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)  # Adam's moments
+    # the fit only reads x: all-labelled C-contiguous rows of the fit dtype are not copied
+    x = np.ascontiguousarray(x if mask.all() else x[mask], dtype)
     x_t = x.T
-    n, n_w = len(x), d * c
+    n = len(x)
     n_items = np.intp(n)
     inv_n = dtype(1.0) / n
     penalized = any(l2s)
     l2_all = np.asarray(l2s, dtype)
-    live = np.arange(len(ys))      # the members still in the stack
     prev = [math.inf] * len(ys)    # each live member's last loss
     fits = [None] * len(ys)
     epochs = 0
     while True:
         n_live = len(live)
-        # a lone member runs on 2-D arrays: numpy steps them faster
-        lead = (n_live,) if n_live > 1 else ()
+        c_live = cs[live]
+        ends = np.cumsum(c_live)      # each live member's end in the class-wise layout
+        firsts = ends - c_live
+        n_w = d * int(ends[-1])       # theta is every w, then every b
         grad, u, s = (np.empty_like(theta) for _ in range(3))  # u, s: Adam's scratch
-        rows, grads = theta.reshape(n_live, -1), grad.reshape(n_live, -1)
-        w, b = rows[:, :n_w].reshape(lead + (d, c)), rows[:, n_w:].reshape(lead + (1, c))
-        gw, gb = grads[:, :n_w].reshape(lead + (d, c)), grads[:, n_w:].reshape(lead + (c,))
+        w_all, gw_all = theta[:n_w], grad[:n_w]
+        z_all = np.empty(n * int(ends[-1]), dtype)  # logits, shifted logits, log-probabilities
+        e_all = np.empty_like(z_all)                # exp(shifted), then the gradient
         # flat indices of the label logits
-        picks = (np.arange(n_live * n).reshape(n_live, n) * c + ys[live]).reshape(lead + (n,))
-        hot = np.zeros(lead + (n, c), dtype)
-        hot.reshape(-1)[picks] = 1.0
-        z = np.empty(lead + (n, c), dtype)      # logits, shifted logits, log-probabilities
-        z_flat = z.reshape(-1)
-        z_t = np.empty(lead + (c, n), dtype)    # the logits class-major, for the row maxima
-        z_cm = np.swapaxes(z, -1, -2)
-        e = np.empty_like(z)                    # exp(shifted), then the gradient
-        row = np.empty(lead + (n, 1), dtype)    # row maxima, then log of the row sums
-        row_max = row[..., 0]
-        total = np.empty(lead, dtype)           # sum of picked log-probabilities, then the l2 terms
-        loss = np.empty(lead, dtype)
-        losses = loss.reshape(n_live)
+        picks = (n * firsts)[:, None] + np.arange(n) * c_live[:, None] + ys[live]
+        hot = np.zeros_like(z_all)
+        hot[picks] = 1.0
+        row_all = np.empty(n_live * n, dtype)  # row maxima, then log of the row sums
+        total = np.empty(n_live, dtype)        # sum of picked log-probabilities, then the l2 terms
+        loss = np.empty(n_live, dtype)
         if penalized:
-            l2_t = l2_all[live].reshape(lead)
-            l2_wide = np.empty(lead + (d, c), dtype)  # each member's l2 in the shape of its w
-            l2_wide[...] = l2_t[..., None, None]
-            l2w = np.empty(lead + (d, c), dtype)
-            w_sq = l2w.reshape(lead + (n_w,))
+            l2_t = l2_all[live]
+            l2_wide = np.repeat(l2_t, d * c_live)  # each member's l2 in the layout of its w
+            l2w = np.empty(n_w, dtype)
+        # one entry per class-count group, for the calls that keep its shapes
+        fwd, sums, subs, back, sq = [], [], [], [], []
+        bounds = [0] + (np.flatnonzero(np.diff(c_live)) + 1).tolist() + [n_live]
+        for k0, k1 in zip(bounds[:-1], bounds[1:]):
+            c, lo, hi = int(c_live[k0]), int(firsts[k0]), int(ends[k1 - 1])
+            # a group of one runs on 2-D arrays: numpy steps them faster
+            lead = (k1 - k0,) if k1 - k0 > 1 else ()
+            z = z_all[n * lo:n * hi].reshape(lead + (n, c))
+            e = e_all[n * lo:n * hi].reshape(lead + (n, c))
+            row = row_all[n * k0:n * k1].reshape(lead + (n, 1))
+            z_t = np.empty(lead + (c, n), dtype)  # the logits class-major, for the row maxima
+            fwd.append((w_all[d * lo:d * hi].reshape(lead + (d, c)),
+                        theta[n_w + lo:n_w + hi].reshape(lead + (1, c)),
+                        z, z_t, np.swapaxes(z, -1, -2), row, row[..., 0]))
+            sums.append((e, row))
+            subs.append((z, row))
+            back.append((e, gw_all[d * lo:d * hi].reshape(lead + (d, c)),
+                         grad[n_w + lo:n_w + hi].reshape(lead + (c,))))
+            if penalized:
+                sq.append((l2w[d * lo:d * hi].reshape(lead + (d * c,)), total[k0:k1].reshape(lead)))
         stop = [False] * n_live
         while epochs < max_epochs and not any(stop):
             epochs += 1
-            np.matmul(x, w, out=z)
-            z += b
-            np.copyto(z_t, z_cm)
-            np.maximum.reduce(z_t, axis=-2, out=row_max)
-            z -= row
-            np.exp(z, out=e)
-            np.add.reduce(e, axis=-1, keepdims=True, out=row)
-            np.log(row, out=row)
-            z -= row
-            np.add.reduce(z_flat[picks], axis=-1, out=total)
+            for w, b, z, z_t, z_cm, row, row_max in fwd:
+                np.matmul(x, w, out=z)
+                z += b
+                np.copyto(z_t, z_cm)
+                np.maximum.reduce(z_t, axis=-2, out=row_max)
+                z -= row
+            np.exp(z_all, out=e_all)
+            for e, row in sums:
+                np.add.reduce(e, axis=-1, keepdims=True, out=row)
+            np.log(row_all, out=row_all)
+            for z, row in subs:
+                z -= row
+            np.add.reduce(z_all[picks], axis=-1, out=total)
             np.divide(total, n_items, out=loss, casting="same_kind")  # -loss, rounded
-            g = np.exp(z, out=e)
+            g = np.exp(z_all, out=e_all)
             g -= hot
             g *= inv_n
-            np.matmul(x_t, g, out=gw)
-            np.add.reduce(g, axis=-2, out=gb)
+            for e, gw, gb in back:
+                np.matmul(x_t, e, out=gw)
+                np.add.reduce(e, axis=-2, out=gb)
             if penalized:
-                np.multiply(w, l2_wide, out=l2w)
-                gw += l2w  # once per factor of w*w, rounded as the chain rule adds it
-                gw += l2w
-                np.multiply(w, w, out=l2w)
-                np.multiply(np.add.reduce(w_sq, axis=-1, out=total), l2_t, out=total)
+                np.multiply(w_all, l2_wide, out=l2w)
+                gw_all += l2w  # once per factor of w*w, rounded as the chain rule adds it
+                gw_all += l2w
+                np.multiply(w_all, w_all, out=l2w)
+                for w_sq, t in sq:
+                    np.add.reduce(w_sq, axis=-1, out=t)
+                np.multiply(total, l2_t, out=total)
                 np.subtract(total, loss, out=loss)
             else:
                 np.negative(loss, out=loss)
             adam_step(theta, grad, m, v, u, s, lr, epochs)
-            cur = losses.tolist()
+            cur = loss.tolist()
             stop = [abs(old - new) < tol for old, new in zip(prev, cur)]
             prev = cur
         leave = [True] * n_live if epochs >= max_epochs else stop
         for k, gone in enumerate(leave):
             if gone:
-                fits[live[k]] = (rows[k, :n_w].reshape(d, c).copy(), rows[k, n_w:].copy(),
-                                 prev[k], epochs, stop[k])
+                lo, hi = int(firsts[k]), int(ends[k])
+                fits[live[k]] = (w_all[d * lo:d * hi].reshape(d, hi - lo).copy(),
+                                 theta[n_w + lo:n_w + hi].copy(), prev[k], epochs, stop[k])
         if all(leave):
             return fits
         keep = np.logical_not(leave)
         live, prev = live[keep], [a for a, gone in zip(prev, leave) if not gone]
-        keep = np.repeat(keep, n_w + c)
+        keep = np.concatenate([np.repeat(keep, d * c_live), np.repeat(keep, c_live)])
         theta, m, v = theta[keep], m[keep], v[keep]
 
 
@@ -342,9 +375,10 @@ def _probe_all(pairs, grid, standardize, jobs=1, **fit):
     penalty on validation accuracy (ties -> smaller l2).
 
     The (pair, l2) fits run as stacks: fits on the same train RepMatrix and
-    train items, with the same labelled items, the same class count and
-    the same l2 == 0 flag are one _fit_softmax call on one shared x. Stacks
-    run on `jobs` threads."""
+    train items, with the same labelled items and the same l2 == 0 flag are
+    one _fit_softmax call on one shared x, whatever their class counts.
+    Stacks run on `jobs` threads. The train rows, and the validation and
+    test rows, are gathered and standardized once per RepMatrix and items."""
     check_grid(grid)
     grid = sorted(grid)
     trains, stacks, targets = {}, {}, []
@@ -366,13 +400,13 @@ def _probe_all(pairs, grid, standardize, jobs=1, **fit):
             raise ValueError("task %s: no train item has one of its labels" % task.task)
         targets.append((src, y))
         for j, l2 in enumerate(grid):
-            key = (src, fitted.tobytes(), len(task.labels), l2 == 0)
+            key = (src, fitted.tobytes(), l2 == 0)
             stacks.setdefault(key, []).append((i, j))
 
     def run(key):
-        src, _, n_classes, _ = key
         members = stacks[key]
-        return _fit_softmax(trains[src][0], [targets[i][1] for i, _ in members], n_classes,
+        return _fit_softmax(trains[key[0]][0], [targets[i][1] for i, _ in members],
+                            [len(pairs[i][1].labels) for i, _ in members],
                             [grid[j] for _, j in members], **fit)
 
     if jobs > 1:
@@ -383,14 +417,18 @@ def _probe_all(pairs, grid, standardize, jobs=1, **fit):
     fits = {}
     for members, out in zip(stacks.values(), outs):
         fits.update(zip(members, out))
-    results = []
+    results, held = [], {}
     for i, (reps, task) in enumerate(pairs):
-        _, mu, sd = trains[targets[i][0]]
+        src = targets[i][0]
         held_out = []
         for split in ("validation", "test"):
             items = task.splits[split]
-            x = _rows(reps[split], items)
-            held_out.append((x if mu is None else (x - mu) / sd, _targets(items, task.labels)))
+            key = (src, id(reps[split]), tuple(sid for sid, _ in items))
+            if key not in held:
+                _, mu, sd = trains[src]
+                x = _rows(reps[split], items)
+                held[key] = x if mu is None else (x - mu) / sd
+            held_out.append((held[key], _targets(items, task.labels)))
         (x_va, y_va), (x_te, y_te) = held_out
         best = None
         for j, l2 in enumerate(grid):

@@ -218,23 +218,28 @@ def test_fit_softmax_bitwise_equals_tape_fit(n, d, c, unlabeled, init_seed):
 @pytest.mark.parametrize("init_seed", (None, 7))
 def test_stacked_fits_equal_tape_fits(dtype, init_seed):
     """Every member of a stack (two tasks times the whole l2 grid, with
-    unlabelled rows) equals its own taped fit, whichever epoch it leaves at."""
+    unlabelled rows) equals its own taped fit, whichever epoch it leaves at:
+    in stacks of one class count and in one stack that mixes them, given
+    out of class-count order."""
     rng = np.random.default_rng(12)
     x = rng.normal(size=(40, 5)).astype(np.float32)
     unlabeled = rng.random(40) < 0.25
     penalized = [l2 for l2 in probing.L2_GRID if l2]
     assert len(penalized) == len(probing.L2_GRID) - 1  # the grid holds 0.0
+    tasks = [(c, np.where(unlabeled, -1, rng.integers(0, c, size=40)))
+             for c in (1, 3, 12) for _ in range(2)]
+    wants = {}
     left_at, converged = set(), set()
-    for c in (1, 3, 12):
-        ys = [np.where(unlabeled, -1, rng.integers(0, c, size=40)) for _ in range(2)]
+    for stack in ([t for t in tasks if t[0] == c] for c in (1, 3, 12)):
         for grid in ((0.0,), penalized):
-            members = [(y, l2) for y in ys for l2 in grid]
+            members = [(c, y, l2) for c, y in stack for l2 in grid]
             with ad.use_dtype(dtype):
-                got = probing._fit_softmax(x, [y for y, _ in members], c,
-                                           [l2 for _, l2 in members], max_epochs=80,
+                got = probing._fit_softmax(x, [y for _, y, _ in members], members[0][0],
+                                           [l2 for _, _, l2 in members], max_epochs=80,
                                            init_seed=init_seed)
-                for (y, l2), fit in zip(members, got):
+                for (c, y, l2), fit in zip(members, got):
                     want = _tape_fit_softmax(x, y, c, l2, max_epochs=80, init_seed=init_seed)
+                    wants[id(y), l2] = want
                     assert fit[0].dtype == fit[1].dtype == dtype
                     assert fit[0].tobytes() == want[0].tobytes()
                     assert fit[1].tobytes() == want[1].tobytes()
@@ -243,6 +248,44 @@ def test_stacked_fits_equal_tape_fits(dtype, init_seed):
                     left_at.add(fit[3])
                     converged.add(fit[4])
     assert len(left_at) > 5 and 80 in left_at and converged == {True, False}
+    mixed = tasks[4:] + tasks[:2] + tasks[2:4]  # c = 12, 12, 1, 1, 3, 3
+    for grid in ((0.0,), penalized):
+        members = [(c, y, l2) for c, y in mixed for l2 in grid]
+        with ad.use_dtype(dtype):
+            got = probing._fit_softmax(x, [y for _, y, _ in members], [c for c, _, _ in members],
+                                       [l2 for _, _, l2 in members], max_epochs=80,
+                                       init_seed=init_seed)
+        for (c, y, l2), fit in zip(members, got):
+            want = wants[id(y), l2]
+            assert fit[0].shape == (5, c) and fit[0].dtype == fit[1].dtype == dtype
+            assert fit[0].tobytes() == want[0].tobytes()
+            assert fit[1].tobytes() == want[1].tobytes()
+            assert fit[2:] == want[2:]
+            assert math.copysign(1.0, fit[2]) == math.copysign(1.0, want[2])
+
+
+def test_fit_softmax_reads_the_callers_rows_without_a_copy(monkeypatch):
+    """With every row labelled and x of the fit dtype, the products read x
+    itself; otherwise they read a copy of the labelled rows."""
+    seen = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        seen.append(a)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(30, 4)).astype(np.float32)
+    y = rng.integers(0, 2, size=30)  # a label of both the 3-class and the 2-class member
+    some = np.where(np.arange(30) % 4 == 0, -1, y)
+    for ys, dtype, shared in (([y, y], np.float32, True), ([some, some], np.float32, False),
+                              ([y, y], np.float64, False)):
+        del seen[:]
+        with ad.use_dtype(dtype):
+            probing._fit_softmax(x, ys, [3, 2], [0.0, 0.0], max_epochs=3)
+        assert len(seen) == 12  # 3 epochs, 2 class-count groups, forward and backward
+        assert all(np.shares_memory(a, x) == shared for a in seen)
 
 
 def _per_fit_probe(reps, task, grid, standardize):
@@ -488,19 +531,21 @@ def test_run_suite_covers_all_pairs():
 
 
 def test_run_suite_stacks_fits_by_source_and_l2_flag(monkeypatch):
-    """Tasks with the same train items and class count share a stack per
-    source; l2 == 0 runs apart from the other values."""
+    """Tasks with the same train items share a stack per source, whatever
+    their class counts; l2 == 0 runs apart from the other values."""
     calls = []
     fit = probing._fit_softmax
 
     def spy(x, ys, n_classes, l2s, **kwargs):
-        calls.append((len(ys), sorted(l2s)))
+        calls.append((len(ys), sorted(n_classes), sorted(l2s)))
         return fit(x, ys, n_classes, l2s, **kwargs)
 
     monkeypatch.setattr(probing, "_fit_softmax", spy)
     sources, tasks = _suite_inputs()
-    run_suite(sources, tasks, grid=(1.0, 0.0, 0.1))
-    assert calls == [(2, [0.0, 0.0]), (4, [0.1, 0.1, 1.0, 1.0])] * 2
+    tasks.append(replace(tasks[0], task="Toy3", labels=tasks[0].labels + ("other",)))
+    results = run_suite(sources, tasks, grid=(1.0, 0.0, 0.1))
+    assert calls == [(3, [2, 2, 3], [0.0] * 3), (6, [2, 2, 2, 2, 3, 3], [0.1] * 3 + [1.0] * 3)] * 2
+    assert len(results) == 6
 
 
 def test_run_suite_parallel_matches_serial():

@@ -96,6 +96,16 @@ def test_presets_cover_both_corpora():
     assert p["tacred-bilstm"][1].lstm_hidden == 500
     assert p["semeval-bilstm"][1].lstm_hidden == 300
     assert p["tacred-attn"][0].lr == 1e-4
+    # the values PAPER.md states
+    assert (prof.epochs, prof.schedule, prof.l2_groups) == (50, EpochDecay(0.9, 15),
+                                                             (("cnn_w*", 1e-3),))
+    assert (enc.cnn_activation, enc.encoder_dropout) == ("tanh", 0.5)
+    assert (p["semeval-cnn"][0].optimizer, p["semeval-cnn"][0].lr) == ("adadelta", 1.0)
+    for name, (prof, _) in p.items():
+        corpus = name.split("-")[0]
+        if corpus != "desk":
+            assert (prof.batch_size, prof.pos_dim) == {"tacred": (50, 30),
+                                                       "semeval": (30, 50)}[corpus], name
 
 
 def test_desk_encoder_configs():
