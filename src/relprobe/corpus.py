@@ -182,12 +182,13 @@ def _invalid(s, where):
 
 
 def read_sentences(records, keys=GENERIC_KEYS, strings=None):
-    """The Sentences of ("where", record) pairs, as _sentence_from_generic
-    decodes them from one string table (`strings`, else a new one), with the
-    trees of all of them checked in one deptree.pack_trees pass. The
-    CorpusFormatError still names the first bad record in order: when record
-    j fails (or `records` raises at it), the trees of the records before j
-    are checked first."""
+    """The deptree.Packed Sentences of ("where", record) pairs, as
+    _sentence_from_generic decodes them from one string table (`strings`,
+    else a new one), with the trees of all of them checked in one
+    deptree.pack_trees pass, whose starts and tree (as int32) the result
+    keeps. The CorpusFormatError still names the first bad record in order:
+    when record j fails (or `records` raises at it), the trees of the
+    records before j are checked first."""
     sentences, places, error = [], [], None
     strings = _Strings() if strings is None else strings
     try:
@@ -196,12 +197,16 @@ def read_sentences(records, keys=GENERIC_KEYS, strings=None):
             places.append(where)
     except CorpusFormatError as e:
         error = e
-    bad = deptree.pack_trees([s.dep_head for s in sentences])[3]
+    starts, parent, depth, bad = deptree.pack_trees([s.dep_head for s in sentences])
     if len(bad):
         _invalid(sentences[bad[0]], places[bad[0]])
     if error is not None:
         raise error
-    return sentences
+    split = deptree.Packed(sentences)
+    # each dep_head holds one value per token: its starts are the tokens'. A
+    # loaded corpus keeps its trees while it lives, in half the bytes.
+    split.starts, split.tree = starts, (parent.astype(np.int32), depth.astype(np.int32))
+    return split
 
 
 def read_lines(path, error=CorpusFormatError):
@@ -254,7 +259,8 @@ def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
 
     generic-jsonl expects train.jsonl (+ optional validation.jsonl,
     test.jsonl); tacred-json expects train.json (+ optional dev.json,
-    test.json). The splits share one string table.
+    test.json). The splits share one string table; each is a deptree.Packed
+    that keeps the starts and the tree its check computed.
     """
     if format_profile == GENERIC_JSONL:
         reader, names = _read_jsonl_split, ("train.jsonl", "validation.jsonl", "test.jsonl")
@@ -270,16 +276,16 @@ def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
         elif i == 0:
             raise CorpusFormatError("missing train split file: %s" % p)
         else:
-            splits.append([])
+            splits.append(deptree.Packed())
         for s in splits[-1]:
             if s.id in seen_ids:
                 raise CorpusFormatError("%s: duplicate sentence id: %s" % (p, s.id))
             seen_ids.add(s.id)
     inventory = tuple(sorted({s.relation for s in splits[0]}))
     return Corpus(
-        train=tuple(splits[0]),
-        validation=tuple(splits[1]),
-        test=tuple(splits[2]),
+        train=splits[0],
+        validation=splits[1],
+        test=splits[2],
         label_inventory=inventory,
         negative_label=next((c for c in _NEGATIVE_CANDIDATES if c in inventory), None),
     )

@@ -1,19 +1,21 @@
 """Dependency trees of sentences packed row after row.
 
 The pipeline works on whole splits or batches at once, as 0-based packed
-parent rows (-1 for a root): pack_trees checks and packs them, and
-span_roots, path_mask and grow answer for every sentence of the pack with a
-few numpy passes. The corpus loader, probegen's tree tasks and GCN
-featurization all go through pack_trees. head_problems words the faults the
-same pass finds in one sentence, on the error path and for synth templates;
-argument_roots finds the span roots that masking reads, with no tree check
-(masked GCN featurization reads them off its tree instead).
+parent rows (-1 for a root). A Packed split computes their facts once and
+keeps them: token starts, argument bounds, the tree that pack_trees checks
+and packs, and the span roots. load_corpus fills in the starts and the tree
+from its own check; probegen, the baselines and featurization read the
+facts through packed(), which wraps a plain list or a slice on the same
+path. span_roots, path_mask and grow answer for every sentence of the pack
+with a few numpy passes. head_problems words the faults pack_trees finds
+in one sentence, on the error path and for synth templates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -63,24 +65,67 @@ def pack_trees(dep_heads):
     return (starts, *packed_trees(heads, starts))
 
 
-def sentence_trees(sentences, starts):
-    """(parent, depth) of pack_trees over the sentences' dep_head, starts
-    being the sentences' packed_starts; ValueError naming the first sentence
-    whose dep_head does not hold one value per token, else the first that is
-    not one tree."""
-    head_starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
-    _check_lengths(sentences, head_starts, starts)
-    if len(bad):
-        s = sentences[bad[0]]
-        raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
-    return parent, depth
+class Packed(tuple):
+    """Sentences, as a tuple that computes their packed facts on first read
+    and keeps them (a slice is a plain tuple, which keeps none):
+    - starts, the (B + 1,) packed_starts of their tokens;
+    - bounds, the (4, B) packed rows of each one's head start, tail start,
+      head end and tail end;
+    - tree, (parent, depth) of pack_trees over their dep_head, else
+      ValueError naming the first sentence whose dep_head does not hold one
+      value per token, else the first that is not one tree;
+    - roots, the (2, B) packed rows of each one's head and tail span root
+      (span_roots), with no tree check but the lengths': off the tree when
+      it is known, else off the heads of the spans of several tokens alone,
+      as a one-token span's token is its root whatever its head.
+    """
+
+    @cached_property
+    def starts(self):
+        return packed_starts(self)
+
+    @cached_property
+    def bounds(self):
+        bounds = itertools.chain.from_iterable((s.head.start, s.tail.start, s.head.end, s.tail.end)
+                                               for s in self)
+        return np.fromiter(bounds, dtype=np.int64, count=4 * len(self)).reshape(-1, 4).T \
+            + self.starts[:-1]
+
+    @cached_property
+    def tree(self):
+        head_starts, parent, depth, bad = pack_trees([s.dep_head for s in self])
+        _check_lengths(self, head_starts)
+        if len(bad):
+            s = self[bad[0]]
+            raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
+        return parent, depth
+
+    @cached_property
+    def roots(self):
+        first, last = self.bounds[:2].ravel(), self.bounds[2:].ravel()
+        if "tree" in self.__dict__:
+            return span_roots(self.tree[0], first, last).reshape(2, -1)
+        _check_lengths(self, packed_starts([s.dep_head for s in self]))
+        roots, n = first.copy(), len(self)
+        for i in np.flatnonzero(last > first).tolist():  # head spans, then tail spans
+            s = self[i % n]
+            span = s.head if i < n else s.tail
+            inside = [span.start < h <= span.end + 1 for h in s.dep_head[span.start:span.end + 1]]
+            roots[i] += inside.index(False) if False in inside else len(span) - 1
+        return roots.reshape(2, -1)
 
 
-def _check_lengths(sentences, head_starts, starts):
-    """ValueError naming the first sentence whose dep_head is not one value
-    per token: the first whose end in head_starts, the packed starts of the
-    dep_heads, differs from its end in starts, those of the tokens."""
-    mismatch = np.flatnonzero(head_starts[1:] != starts[1:])
+def packed(sentences):
+    """The sentences as a Packed: themselves when they are one, so the facts
+    read are kept with them, else a new one, which computes them again."""
+    return sentences if isinstance(sentences, Packed) else Packed(sentences)
+
+
+def _check_lengths(sentences, head_starts):
+    """ValueError naming the first Packed sentence whose dep_head is not one
+    value per token: the first whose end in head_starts, the packed starts
+    of the dep_heads, differs from its end in the starts of the tokens."""
+    mismatch = np.flatnonzero(head_starts[1:] != sentences.starts[1:])
     if len(mismatch):
         s = sentences[mismatch[0]]
         raise ValueError("%d dep_head values for the %d tokens of sentence %s"
@@ -134,29 +179,11 @@ def span_roots(parent, first, last):
     return np.minimum.reduceat(np.where(inside, hi, rows), offsets)
 
 
-def argument_bounds(sentences, starts):
-    """(4, B) packed rows of each sentence's head start, tail start, head
-    end and tail end, sentence i starting at row starts[i]."""
-    bounds = itertools.chain.from_iterable((s.head.start, s.tail.start, s.head.end, s.tail.end)
-                                           for s in sentences)
-    return np.fromiter(bounds, dtype=np.int64, count=4 * len(sentences)).reshape(-1, 4).T \
-        + starts[:-1]
-
-
-def argument_roots(sentences, starts=None, bounds=None):
-    """(2, B) positions of each sentence's head and tail span roots, by
-    span_roots over its dep_head as it is: head h of a sentence packed from
-    row r stands at row h - 1 + r, inside a span exactly when h is. starts
-    and bounds are the sentences' packed_starts and argument_bounds, computed
-    here when not given. ValueError as sentence_trees for a dep_head of
-    another length."""
-    if starts is None:
-        starts = packed_starts(sentences)
-        bounds = argument_bounds(sentences, starts)
-    heads, head_starts = _pack([s.dep_head for s in sentences])
-    _check_lengths(sentences, head_starts, starts)
-    parent = heads - 1 + np.repeat(starts[:-1], np.diff(starts))
-    return span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1) - starts[:-1]
+def argument_roots(sentences):
+    """(2, B) positions of each sentence's head and tail span roots: the
+    Packed roots, with no tree check, less the sentence starts."""
+    sentences = packed(sentences)
+    return sentences.roots - sentences.starts[:-1]
 
 
 def path_mask(parent, depth, a, b):

@@ -16,7 +16,7 @@ graph products and pools never cross a sentence, so each row is computed
 from its own sentence only. Training passes a minibatch taken from the
 training record (Features.take), with the dropout masks of
 REModel.dropout_masks; eval-mode passes take chunks of EVAL_BATCH
-sentences.
+sentences of a split featurized once (eval_chunks).
 """
 
 from __future__ import annotations
@@ -162,16 +162,31 @@ class Features:
 
     def take(self, indices):
         """The Features of sentences `indices`, in that order, as
-        featurize_batch packs them."""
-        lengths = np.diff(self.starts)[indices]
-        starts = np.concatenate(([0], np.cumsum(lengths)))
-        rows = np.arange(starts[-1]) - (starts[:-1] - self.starts[indices]).repeat(lengths)
+        featurize_batch packs them; a range of consecutive sentences takes
+        views of their rows."""
+        if isinstance(indices, range) and indices.step == 1:
+            lo = self.starts[indices.start]
+            starts = self.starts[indices.start:indices.stop + 1] - lo
+            rows = slice(lo, lo + starts[-1])
+        else:
+            lengths = np.diff(self.starts)[indices]
+            starts = np.concatenate(([0], np.cumsum(lengths)))
+            rows = np.arange(starts[-1]) - (starts[:-1] - self.starts[indices]).repeat(lengths)
         graph = None
         if self.graph is not None:
             *masks, adjs = self.graph
             graph = (*(m[rows] for m in masks), [adjs[i] for i in indices])
         return Features(self.ids[rows], tuple(o[rows] for o in self.offsets),
                         None if self.ctx is None else self.ctx[rows], graph, starts)
+
+
+def eval_chunks(features, n):
+    """The Features of n sentences cut by take into consecutive chunks of
+    EVAL_BATCH sentences, for eval-mode forward passes; at most EVAL_BATCH
+    sentences are one chunk as they are."""
+    if n <= EVAL_BATCH:
+        return [features] if n else []
+    return [features.take(range(lo, min(lo + EVAL_BATCH, n))) for lo in range(0, n, EVAL_BATCH)]
 
 
 def _adjacencies(keep, parent, starts):
@@ -362,40 +377,29 @@ class REModel:
         ctx_rows = (None,) * n if ctx_rows is None else ctx_rows
         if cfg.use_contextual:
             check_contextual_rows(sentences, ctx_rows)
-        starts = deptree.packed_starts(sentences)
+        sentences = deptree.packed(sentences)
+        starts, bounds = sentences.starts, sentences.bounds
         lengths = np.diff(starts)
         tokens = (s.tokens for s in sentences) if token_lists is None else token_lists
         ids = self.vocab.ids(itertools.chain.from_iterable(tokens))
-        bounds = deptree.argument_bounds(sentences, starts)
         rows = bounds.repeat(lengths, axis=1)
         off = position_offsets(Span(rows[:2], rows[2:]), starts[-1], cfg.max_offset)
         spans = off == 0  # the head and the tail span rows: off is 0 inside a span
         offsets = tuple(off + cfg.max_offset) if cfg.pos_dim > 0 else ()
-        graph = roots = None
+        graph = None
         if enc.kind == "gcn":
-            parent, depth = deptree.sentence_trees(sentences, starts)
-            roots = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel())
+            parent, depth = sentences.tree  # read first: the roots then come off it
             k = enc.gcn_prune_k
-            keep = deptree.grow(deptree.path_mask(parent, depth, roots[:n], roots[n:]),
+            keep = deptree.grow(deptree.path_mask(parent, depth, *sentences.roots),
                                 parent, math.inf if k is None else k)
             graph = (keep, *(keep & spans), _adjacencies(keep, parent, starts))
-            roots = roots.reshape(2, -1) - starts[:-1]  # positions, as argument_roots
         if cfg.masking and token_lists is None:
-            if roots is None:
-                roots = deptree.argument_roots(sentences, starts, bounds)
+            roots = sentences.roots - starts[:-1]  # positions, as argument_roots
             span_lengths = bounds[2:] - bounds[:2] + 1
             for span, masks, count in zip(spans, entity_masks(sentences, roots), span_lengths):
                 ids[span] = self.vocab.ids(masks).repeat(count)
         ctx = np.concatenate(ctx_rows) if cfg.use_contextual else None
         return Features(ids, offsets, ctx, graph, starts)
-
-    def featurize_chunks(self, sentences, contextual=None):
-        """Packed Features of consecutive chunks of EVAL_BATCH sentences, for
-        eval-mode forward passes; contextual maps sentence ids to rows."""
-        ctx = {} if contextual is None else contextual
-        for lo in range(0, len(sentences), EVAL_BATCH):
-            chunk = sentences[lo:lo + EVAL_BATCH]
-            yield self.featurize_batch(chunk, [ctx.get(s.id) for s in chunk])
 
     def dropout_masks(self, lengths, kept=None):
         """Train-mode dropout masks, by site, of B sentences of `lengths`

@@ -107,8 +107,8 @@ class ProbingDataset:
 
 def column_values(sentences):
     """Raw values of the COLUMN_TASKS of each valid sentence, one list per
-    task in that order, from the split's packed token rows in a few numpy
-    passes.
+    task in that order, from the split's packed token rows (the
+    deptree.packed starts and bounds) in a few numpy passes.
 
     SentLen is the token count and ArgDist the tokens strictly between the
     head and tail spans. EntExist is "yes" if one of those tokens has an NE
@@ -119,8 +119,9 @@ def column_values(sentences):
     BOUNDARY_RIGHT row, so a span at either end of its sentence reads the
     boundary.
     """
-    starts = deptree.packed_starts(sentences)
-    hs, ts, he, te = deptree.argument_bounds(sentences, starts)
+    sentences = deptree.packed(sentences)
+    starts = sentences.starts
+    hs, ts, he, te = sentences.bounds
     head_first = he < ts
     tagged = np.zeros(starts[-1] + 1, dtype=np.int64)
     ner = np.fromiter(chain.from_iterable(s.ner for s in sentences), dtype=object,
@@ -141,7 +142,7 @@ def column_values(sentences):
 
 def tree_values(sentences):
     """Raw values of the TREE_TASKS of each sentence, one list per task in
-    that order, from one deptree.sentence_trees pass over all of them
+    that order, from the deptree.packed tree and span roots of all of them
     (ValueError naming the first sentence whose dep_head is not one tree
     over its tokens).
 
@@ -151,10 +152,10 @@ def tree_values(sentences):
     that path, (P - 1 + |depth[a] - depth[b]|) // 2. TypeHead/Tail are the
     NE tags at a and b, GRHead/Tail their labels ("other" outside GR_CLASSES).
     """
-    starts = deptree.packed_starts(sentences)
-    parent, depth = deptree.sentence_trees(sentences, starts)
-    bounds = deptree.argument_bounds(sentences, starts)
-    a, b = deptree.span_roots(parent, bounds[:2].ravel(), bounds[2:].ravel()).reshape(2, -1)
+    sentences = deptree.packed(sentences)
+    starts = sentences.starts
+    parent, depth = sentences.tree
+    a, b = sentences.roots
     path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])
     deepest = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
     sdp_depth = (path_rows - 1 + np.abs(depth[a] - depth[b])) // 2
@@ -168,7 +169,8 @@ def tree_values(sentences):
 def build_tasks(tasks, corpus, profile="tacred"):
     """Probing datasets for `tasks`, in the order given. The tasks of a
     split come from one tree_values pass (if one is a TREE_TASK) and one
-    column_values pass. Bins are fitted on train raw values only."""
+    column_values pass, which share the split's deptree.packed facts. Bins
+    are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
     excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
@@ -183,6 +185,7 @@ def build_tasks(tasks, corpus, profile="tacred"):
     needs_tree = any(task in TREE_TASKS for task in tasks)
     ids = {}
     for name, split in splits:
+        split = deptree.packed(split)
         ids[name] = [s.id for s in split]
         values = dict(zip(COLUMN_TASKS, column_values(split)))
         if needs_tree:

@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import deptree, probegen
 from .corpus import ExactReader, write_text
+from .encoders import eval_chunks
 from .optim import adam_step
 
 L2_GRID = (0.0, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
@@ -91,10 +92,13 @@ def load_reps(path) -> RepMatrix:
 
 
 def extract_reps(model, sentences, source=None, contextual=None) -> RepMatrix:
-    """Eval-mode (dropout-free) representations for a list of sentences, one
-    tape-free forward pass per packed chunk of EVAL_BATCH sentences."""
+    """Eval-mode (dropout-free) representations for a list of sentences,
+    featurized once, one tape-free forward pass per chunk of EVAL_BATCH
+    sentences (encoders.eval_chunks); contextual maps sentence ids to rows."""
+    ctx = {} if contextual is None else contextual
+    features = model.featurize_batch(sentences, [ctx.get(s.id) for s in sentences])
     with ad.no_tape():
-        rows = [model.encode(f).data for f in model.featurize_chunks(sentences, contextual)]
+        rows = [model.encode(f).data for f in eval_chunks(features, len(sentences))]
     rows = np.concatenate(rows).astype(np.float32) if rows \
         else np.zeros((0, model.rep_dim), np.float32)
     return RepMatrix(ids=tuple(s.id for s in sentences), rows=rows,
@@ -111,11 +115,12 @@ def baseline_reps(kind, sentences, table=None) -> RepMatrix:
         raise ValueError("unknown baseline kind: %s" % kind)
     if kind == "boe" and table is None:
         raise ValueError("boe baseline requires an embedding table")
-    starts = deptree.packed_starts(sentences)
+    sentences = deptree.packed(sentences)
+    starts = sentences.starts
     if kind == "length":
         rows = np.diff(starts)[:, None]
     elif kind == "argdist":
-        hs, ts, he, te = deptree.argument_bounds(sentences, starts)
+        hs, ts, he, te = sentences.bounds
         rows = np.where(he < ts, ts - he - 1, hs - te - 1)[:, None]
     else:
         rows = _bag_of_embeddings(sentences, starts, table)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import (Corpus, Sentence, Span, jsonl_records, read_sentences,
                      sentence_to_record, validate_sentence)
+from .deptree import Packed
 
 _SLOT_RE = re.compile(r"^\[([A-Z_]+)\]$")
 
@@ -203,7 +204,8 @@ def _fill_template(tpl: Sentence, cfg: SynthConfig, rng, sid):
 
 
 def generate(config: SynthConfig) -> Corpus:
-    """Generate a fully annotated corpus; identical config+seed => identical corpus."""
+    """Generate a fully annotated corpus of deptree.Packed splits; identical
+    config+seed => identical corpus."""
     if not config.templates:
         raise ValueError("templates must be non-empty")
     # filling slots and padding (a chain off the root) keep a template's tree
@@ -215,8 +217,8 @@ def generate(config: SynthConfig) -> Corpus:
     rng = np.random.default_rng(config.seed)
     splits = {}
     for split, n in (("train", config.n_train), ("val", config.n_val), ("test", config.n_test)):
-        splits[split] = tuple(_fill_template(_choice(rng, config.templates), config, rng,
-                                             "%s-%05d" % (split, i)) for i in range(n))
+        splits[split] = Packed(_fill_template(_choice(rng, config.templates), config, rng,
+                                              "%s-%05d" % (split, i)) for i in range(n))
     inventory = tuple(sorted({s.relation for s in splits["train"]}))
     return Corpus(train=splits["train"], validation=splits["val"], test=splits["test"],
                   label_inventory=inventory, negative_label=None)
@@ -252,7 +254,7 @@ def generate_order_controlled(config: SynthConfig) -> Corpus:
             rev = Sentence(id="%s-%05d-r" % (split, i), tokens=(t, v, h),
                            head=Span(2, 2), tail=Span(0, 0), **base)
             sentences += [fwd, rev]
-        splits[split] = tuple(sentences)
+        splits[split] = Packed(sentences)
     return Corpus(train=splits["train"], validation=splits["val"], test=splits["test"],
                   label_inventory=("related",), negative_label=None)
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import deptree
 from .corpus import ExactReader, write_text
-from .encoders import EVAL_BATCH, EncoderConfig, InputConfig, REModel, Vocab
+from .encoders import EncoderConfig, InputConfig, REModel, Vocab, eval_chunks
 from .optim import EpochDecay, Plateau, Scheduler, make_optimizer
 
 
@@ -191,11 +192,12 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     The training sentences are featurized once per call into one packed
     record. Each shuffled minibatch is taken from it and runs as one packed
     forward pass, one mean cross-entropy and one backward pass. Validation
-    runs packed chunks of EVAL_BATCH sentences of the validation split, or
-    of the training record when the corpus has none. The checkpointed
-    parameters are those of the best validation-F1 epoch.
+    runs chunks of EVAL_BATCH sentences (eval_chunks) of the validation
+    split, featurized once, or of the training record when the corpus has
+    none. The checkpointed parameters are those of the best validation-F1
+    epoch.
     """
-    train_sentences = corpus.train
+    train_sentences = deptree.packed(corpus.train)  # its facts serve masking and featurizing
     if not train_sentences:
         raise ValueError("the corpus has no training sentences")
     token_lists = input_cfg.tokens(train_sentences)
@@ -209,9 +211,10 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
                                     token_lists)  # masks each sentence once
     labels = np.array([model.label_index[s.relation] for s in train_sentences], dtype=np.int64)
     n = len(train_sentences)
-    val_batches = list(model.featurize_chunks(corpus.validation, contextual)) \
-        or [train.take(range(lo, min(lo + EVAL_BATCH, n))) for lo in range(0, n, EVAL_BATCH)]
-    val_golds = [s.relation for s in corpus.validation or train_sentences]
+    val = corpus.validation
+    val_features = model.featurize_batch(val, [ctx.get(s.id) for s in val]) if val else train
+    val_batches = eval_chunks(val_features, len(val or train_sentences))
+    val_golds = [s.relation for s in val or train_sentences]
     order_rng = np.random.default_rng(seed)
     model.rng = np.random.default_rng(seed + 1)  # dropout stream
     history = TrainHistory()
