@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -499,27 +500,111 @@ def conv1d(x, w, b=None, starts=None):
     return linear(_windows(x, idx), w, b)
 
 
-def segment_matmul(mats, x, starts):
-    """Rows [starts[i], starts[i+1]) of x (N, d) multiplied by the constant
-    square matrix mats[i], for each segment i.
+class SegmentPlan(NamedTuple):
+    """segment_matmul's rows and matrices, as segment_plan builds them."""
 
-    Each product is one matmul of the segment's own rows, so the result
-    equals per-segment matmuls bit for bit; no block-diagonal matrix is
-    formed. Gradients flow to x only.
+    blocks: tuple       # the matrix blocks it was built from
+    slots: np.ndarray   # (2, B) block index and item of each segment's matrix
+    starts: np.ndarray  # (B+1,) segment starts
+    rows: np.ndarray    # the rows of the stacks' segments, stack after stack
+    stacks: tuple       # (mats, its slice of rows) per block of m >= 2 segments
+    singles: tuple      # (matrix, its segment's row slice) per block of one segment
+
+
+def segment_plan(blocks, slots, starts):
+    """The plan of segment_matmul over B segments of rows [starts[i],
+    starts[i+1]), each multiplied by its own constant square matrix: item
+    slots[1, i] of blocks[slots[0, i]], an (m, n, n) array of matrices, for
+    segment i, which is n rows long. Built once, a plan serves every
+    segment_matmul over those segments, forward and backward.
+
+    One stable argsort of the block indices groups the segments by block.
+    The m >= 2 segments of a block become a stack: their matrices, by one
+    fancy index or as a view when they are consecutive items, and their
+    rows. A segment alone in its block becomes a single: its matrix and its
+    row slice. ValueError unless the slots name, for each segment, an
+    existing matrix as wide as the segment is long."""
+    _segments(starts, starts[-1])
+    bounds = np.asarray(starts)
+    slots = np.asarray(slots, dtype=np.int64)
+    if slots.shape != (2, len(bounds) - 1):
+        raise ValueError("slots of shape %s for %d segments" % (slots.shape, len(bounds) - 1))
+    order = slots[0].argsort(kind="stable")
+    by_block, items = slots[0][order], slots[1][order]
+    cuts = [0, *((by_block[1:] != by_block[:-1]).nonzero()[0] + 1).tolist(), len(order)]
+    # the rows of each segment, segments grouped by block
+    lo = bounds[order]
+    lengths = bounds[order + 1] - lo
+    ends = lengths.cumsum()
+    rows = np.arange(len(ends) and ends[-1]) + (lo - ends + lengths).repeat(lengths)
+    firsts, lengths, ends = lo.tolist(), lengths.tolist(), [0, *ends.tolist()]
+    named_blocks, named_items = by_block.tolist(), items.tolist()
+    stacks, singles, stacked, top = [], [], [], 0
+    for at, end in zip(cuts, cuts[1:]):
+        b, m, n, named = named_blocks[at], end - at, lengths[at], named_items[at:end]
+        mats = np.asarray(blocks[b], dtype=_DTYPE) if 0 <= b < len(blocks) else None
+        if mats is None or mats.shape[1:] != (n, n) or lengths[at:end].count(n) != m \
+                or min(named) < 0 or max(named) >= len(mats):
+            raise _slot_error(blocks, slots, bounds)
+        if m == 1:
+            singles.append((mats[named[0]], slice(firsts[at], firsts[at] + n)))
+            continue
+        first = named[0]  # consecutive items, as a range of sentences names them: a view
+        stacks.append((mats[first:first + m] if named == [*range(first, first + m)]
+                       else mats[items[at:end]], slice(top, top + m * n)))
+        stacked.append(rows[ends[at]:ends[end]])
+        top += m * n
+    rows = np.concatenate(stacked) if stacked else rows[:0]
+    return SegmentPlan(tuple(blocks), slots, bounds, rows, tuple(stacks), tuple(singles))
+
+
+def _slot_error(blocks, slots, bounds):
+    """The ValueError naming the first segment whose slots name no matrix as
+    wide as the segment is long."""
+    for i, (b, j) in enumerate(slots.T.tolist()):
+        n = int(bounds[i + 1] - bounds[i])
+        if not (0 <= b < len(blocks) and 0 <= j < len(blocks[b])
+                and np.shape(blocks[b])[1:] == (n, n)):
+            return ValueError("segment %d of %d rows names item %d of block %d of %d, "
+                              "not a %dx%d matrix" % (i, n, j, b, len(blocks), n, n))
+
+
+def segment_matmul(plan, x):
+    """Each segment's rows of x (N, d) multiplied by its constant square
+    matrix, by a segment_plan of N rows.
+
+    The rows of the blocks of m >= 2 segments are gathered once, block after
+    block; each block then runs as one batched (m, n, n) @ (m, n, d) matmul
+    on its slice of them, each item of which is the 2-D product of one
+    segment's own rows, and the results are scattered back at once. A block
+    of one segment multiplies its row slice of x. So the result equals
+    per-segment matmuls bit for bit, and no block-diagonal matrix is formed.
+    The backward runs the transposed matrices the same way. Gradients flow
+    to x only.
     """
     x = _as_tensor(x)
-    bounds = _segments(starts, x.data.shape[0])
-    if len(mats) != len(bounds) - 1:
-        raise ValueError("%d matrices for %d segments" % (len(mats), len(bounds) - 1))
-    mats = [np.asarray(m, dtype=_DTYPE) for m in mats]
-    pairs = list(itertools.pairwise(bounds))
-    out_data = np.concatenate([m @ x.data[lo:hi] for m, (lo, hi) in zip(mats, pairs)])
+    if x.data.shape[0] != plan.starts[-1]:
+        raise ValueError("a plan of %d rows for %d rows" % (plan.starts[-1], x.data.shape[0]))
+
+    def apply(transpose, a):
+        out = np.empty_like(a)
+        if plan.stacks:
+            gathered = a[plan.rows]
+            done = np.empty_like(gathered)
+            for mats, rows in plan.stacks:
+                m, n = mats.shape[:2]
+                np.matmul(mats.swapaxes(1, 2) if transpose else mats,
+                          gathered[rows].reshape(m, n, -1), out=done[rows].reshape(m, n, -1))
+            out[plan.rows] = done
+        for mat, rows in plan.singles:
+            np.matmul(mat.T if transpose else mat, a[rows], out=out[rows])
+        return out
 
     def back(g):
         if x.requires_grad:
-            x._accum(np.concatenate([m.T @ g[lo:hi] for m, (lo, hi) in zip(mats, pairs)]))
+            x._accum(apply(True, g))
 
-    return Tensor(out_data, parents=(x,), backward=back)
+    return Tensor(apply(False, x.data), parents=(x,), backward=back)
 
 
 def lstm_sequence(x, wx, wh, b, rmask=None, reverse=False, starts=None):

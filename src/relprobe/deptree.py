@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +66,9 @@ def pack_trees(dep_heads):
 
 class Packed(tuple):
     """Sentences, as a tuple that computes their packed facts on first read
-    and keeps them (a slice is a plain tuple, which keeps none):
+    and keeps them in its __dict__ (a slice is a plain tuple, which keeps
+    none). A fact set on it, as the loader sets starts and tree, is never
+    computed:
     - starts, the (B + 1,) packed_starts of their tokens;
     - bounds, the (4, B) packed rows of each one's head start, tail start,
       head end and tail end;
@@ -78,41 +79,54 @@ class Packed(tuple):
       (span_roots), with no tree check but the lengths': off the tree when
       it is known, else off the heads of the spans of several tokens alone,
       as a one-token span's token is its root whatever its head.
+
+    Each fact is a plain attribute once known, so a read takes no
+    descriptor: __getattr__ runs only for a fact not yet computed.
     """
 
-    @cached_property
-    def starts(self):
-        return packed_starts(self)
+    def __getattr__(self, name):
+        if name == "starts":
+            value = packed_starts(self)
+        elif name == "bounds":
+            value = _bounds(self)
+        elif name == "tree":
+            value = _tree(self)
+        elif name == "roots":
+            value = _roots(self)
+        else:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        self.__dict__[name] = value
+        return value
 
-    @cached_property
-    def bounds(self):
-        bounds = itertools.chain.from_iterable((s.head.start, s.tail.start, s.head.end, s.tail.end)
-                                               for s in self)
-        return np.fromiter(bounds, dtype=np.int64, count=4 * len(self)).reshape(-1, 4).T \
-            + self.starts[:-1]
 
-    @cached_property
-    def tree(self):
-        head_starts, parent, depth, bad = pack_trees([s.dep_head for s in self])
-        _check_lengths(self, head_starts)
-        if len(bad):
-            s = self[bad[0]]
-            raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
-        return parent, depth
+def _bounds(sentences):
+    bounds = itertools.chain.from_iterable((s.head.start, s.tail.start, s.head.end, s.tail.end)
+                                           for s in sentences)
+    return np.fromiter(bounds, dtype=np.int64, count=4 * len(sentences)).reshape(-1, 4).T \
+        + sentences.starts[:-1]
 
-    @cached_property
-    def roots(self):
-        first, last = self.bounds[:2].ravel(), self.bounds[2:].ravel()
-        if "tree" in self.__dict__:
-            return span_roots(self.tree[0], first, last).reshape(2, -1)
-        _check_lengths(self, packed_starts([s.dep_head for s in self]))
-        roots, n = first.copy(), len(self)
-        for i in np.flatnonzero(last > first).tolist():  # head spans, then tail spans
-            s = self[i % n]
-            span = s.head if i < n else s.tail
-            inside = [span.start < h <= span.end + 1 for h in s.dep_head[span.start:span.end + 1]]
-            roots[i] += inside.index(False) if False in inside else len(span) - 1
-        return roots.reshape(2, -1)
+
+def _tree(sentences):
+    head_starts, parent, depth, bad = pack_trees([s.dep_head for s in sentences])
+    _check_lengths(sentences, head_starts)
+    if len(bad):
+        s = sentences[bad[0]]
+        raise ValueError("sentence %s: %s" % (s.id, "; ".join(head_problems(s.dep_head))))
+    return parent, depth
+
+
+def _roots(sentences):
+    first, last = sentences.bounds[:2].ravel(), sentences.bounds[2:].ravel()
+    if "tree" in sentences.__dict__:
+        return span_roots(sentences.tree[0], first, last).reshape(2, -1)
+    _check_lengths(sentences, packed_starts([s.dep_head for s in sentences]))
+    roots, n = first.copy(), len(sentences)
+    for i in np.flatnonzero(last > first).tolist():  # head spans, then tail spans
+        s = sentences[i % n]
+        span = s.head if i < n else s.tail
+        inside = [span.start < h <= span.end + 1 for h in s.dep_head[span.start:span.end + 1]]
+        roots[i] += inside.index(False) if False in inside else len(span) - 1
+    return roots.reshape(2, -1)
 
 
 def packed(sentences):

@@ -148,10 +148,14 @@ class Features:
     REModel.featurize_batch prepares them. Sentence i owns the token rows
     [starts[i], starts[i+1]).
 
-    graph, for gcn only, is (keep, head, tail, adjs): three (ΣT,) bool
-    masks of the token rows, marking the tokens kept around each sentence's
-    SDP and the kept tokens inside its head and tail spans, and one
-    normalized adjacency over each sentence's kept tokens.
+    graph, for gcn only, is (keep, head, tail, blocks, slots): three (ΣT,)
+    bool masks of the token rows, marking the tokens kept around each
+    sentence's SDP and the kept tokens inside its head and tail spans; and
+    the normalized adjacency over each sentence's kept tokens, as item
+    slots[1, i] of blocks[slots[0, i]] for sentence i. featurize_batch
+    builds one (m, n, n) block per kept count n, in increasing n, of the m
+    sentences that keep n tokens, in sentence order; a Features taken from
+    it shares its blocks, and its (2, B) slots name its sentences' items.
     """
 
     ids: np.ndarray          # (ΣT,) vocab ids of the (masked) tokens
@@ -162,20 +166,21 @@ class Features:
 
     def take(self, indices):
         """The Features of sentences `indices`, in that order, as
-        featurize_batch packs them; a range of consecutive sentences takes
-        views of their rows."""
+        featurize_batch packs them, sharing its adjacency blocks; a range of
+        consecutive sentences takes views of their rows."""
         if isinstance(indices, range) and indices.step == 1:
             lo = self.starts[indices.start]
             starts = self.starts[indices.start:indices.stop + 1] - lo
             rows = slice(lo, lo + starts[-1])
+            indices = slice(indices.start, indices.stop)
         else:
             lengths = np.diff(self.starts)[indices]
             starts = np.concatenate(([0], np.cumsum(lengths)))
             rows = np.arange(starts[-1]) - (starts[:-1] - self.starts[indices]).repeat(lengths)
         graph = None
         if self.graph is not None:
-            *masks, adjs = self.graph
-            graph = (*(m[rows] for m in masks), [adjs[i] for i in indices])
+            *masks, blocks, slots = self.graph
+            graph = (*(m[rows] for m in masks), blocks, slots[:, indices])
         return Features(self.ids[rows], tuple(o[rows] for o in self.offsets),
                         None if self.ctx is None else self.ctx[rows], graph, starts)
 
@@ -191,8 +196,8 @@ def eval_chunks(features, n):
 
 def _adjacencies(keep, parent, starts):
     """Row-normalized adjacency (self loops included) over each sentence's
-    kept rows, in kept-row order: one (m, n, n) block for the m sentences
-    that keep n rows, handed out as per-sentence views."""
+    kept rows, in kept-row order: the blocks and slots of Features.graph,
+    one (m, n, n) block for the m sentences that keep n rows."""
     kept = np.flatnonzero(keep)
     bounds = np.searchsorted(kept, starts)
     counts = np.diff(bounds)
@@ -203,20 +208,28 @@ def _adjacencies(keep, parent, starts):
     edge = up >= 0
     edge[edge] = keep[up[edge]]  # kept rows whose parent is kept
     child, up, edge_sentence = where[kept[edge]], where[up[edge]], sentence[edge]
-    edge_count = counts[edge_sentence]
-    adjs = [None] * len(counts)
-    for size in np.flatnonzero(np.bincount(counts)).tolist():
-        members = np.flatnonzero(counts == size)
-        block = np.zeros((len(members), size, size), dtype=ad.current_dtype())
-        block.reshape(len(members), -1)[:, ::size + 1] = 1.0
-        sel = edge_count == size
-        slot, c, p = np.searchsorted(members, edge_sentence[sel]), child[sel], up[sel]
-        block[slot, c, p] = 1.0
-        block[slot, p, c] = 1.0
+    # each sentence's block, by its kept count, and its item there
+    order = counts.argsort(kind="stable")
+    by_count = counts[order]
+    new = np.ones(len(counts), dtype=bool)  # the first sentence of its count
+    new[1:] = by_count[1:] != by_count[:-1]
+    slots = np.empty((2, len(counts)), dtype=np.int64)
+    slots[0, order] = new.cumsum() - 1
+    first = np.flatnonzero(new)
+    slots[1, order] = np.arange(len(counts)) - first[slots[0, order]]
+    edge_block, edge_item = slots[0][edge_sentence], slots[1][edge_sentence]
+    blocks = []
+    sizes, members = by_count[first], np.diff(first, append=len(counts))
+    for b, (size, m) in enumerate(zip(sizes.tolist(), members.tolist())):
+        block = np.zeros((m, size, size), dtype=ad.current_dtype())
+        block.reshape(m, -1)[:, ::size + 1] = 1.0
+        sel = edge_block == b
+        item, c, p = edge_item[sel], child[sel], up[sel]
+        block[item, c, p] = 1.0
+        block[item, p, c] = 1.0
         block /= block.sum(axis=2, keepdims=True)
-        for i, adj in zip(members.tolist(), block):
-            adjs[i] = adj
-    return adjs
+        blocks.append(block)
+    return tuple(blocks), slots
 
 
 def check_contextual_rows(sentences, ctx_rows):
@@ -236,15 +249,16 @@ def _dropped(x, mask):
 
 
 def _gcn_rows(graph, starts):
-    """(kept, kept_starts, adjs, pools) of a packed gcn graph: the kept
-    token rows and their segment starts, the adjacencies, and the head and
-    tail pooling rows (positions among the kept rows) with their starts."""
-    keep, head, tail, adjs = graph
+    """(kept, kept_starts, plan, pools) of a packed gcn graph: the kept
+    token rows and their segment starts, the segment_matmul plan of the
+    adjacency blocks over them, and the head and tail pooling rows
+    (positions among the kept rows) with their starts."""
+    keep, head, tail, blocks, slots = graph
     kept = np.flatnonzero(keep)
     kept_starts = np.searchsorted(kept, starts)
     pools = [np.flatnonzero(span[kept]) for span in (head, tail)]
-    return kept, kept_starts, adjs, [(rows, np.searchsorted(rows, kept_starts))
-                                     for rows in pools]
+    return kept, kept_starts, ad.segment_plan(blocks, slots, kept_starts), \
+        [(rows, np.searchsorted(rows, kept_starts)) for rows in pools]
 
 
 def _glorot(rng, shape):
@@ -392,7 +406,7 @@ class REModel:
             k = enc.gcn_prune_k
             keep = deptree.grow(deptree.path_mask(parent, depth, *sentences.roots),
                                 parent, math.inf if k is None else k)
-            graph = (keep, *(keep & spans), _adjacencies(keep, parent, starts))
+            graph = (keep, *(keep & spans), *_adjacencies(keep, parent, starts))
         if cfg.masking and token_lists is None:
             roots = sentences.roots - starts[:-1]  # positions, as argument_roots
             span_lengths = bounds[2:] - bounds[:2] + 1
@@ -505,14 +519,13 @@ class REModel:
         return ad.amax(h, starts=starts)
 
     def _encode_gcn(self, x, graph, masks):
-        """graph: the (kept, kept_starts, adjs, pools) of _gcn_rows."""
+        """graph: the (kept, kept_starts, plan, pools) of _gcn_rows."""
         enc = self.enc_cfg
-        kept, kept_starts, adjs, pools = graph
+        kept, kept_starts, plan, pools = graph
         h = ad.gather_rows(x, kept)
         for layer in range(enc.gcn_layers):
-            h = ad.relu(ad.segment_matmul(adjs, ad.linear(h, self.params["gcn%d_w" % layer],
-                                                          self.params["gcn%d_b" % layer]),
-                                          kept_starts))
+            h = ad.relu(ad.segment_matmul(plan, ad.linear(h, self.params["gcn%d_w" % layer],
+                                                          self.params["gcn%d_b" % layer])))
             h = _dropped(h, masks.get("gcn%d" % layer))  # inner layers only
         rep = ad.concat([ad.amax(h, starts=kept_starts)] +
                         [ad.amax(ad.gather_rows(h, rows), starts=starts) for rows, starts in pools],

@@ -105,10 +105,18 @@ class ProbingDataset:
     bin_spec: BinSpec | None = None
 
 
-def column_values(sentences):
+def ner_column(sentences):
+    """The NE tags of every token of a deptree.Packed split, packed row
+    after row as one object array."""
+    return np.fromiter(chain.from_iterable(s.ner for s in sentences), dtype=object,
+                       count=sentences.starts[-1])
+
+
+def column_values(sentences, ner=None):
     """Raw values of the COLUMN_TASKS of each valid sentence, one list per
     task in that order, from the split's packed token rows (the
-    deptree.packed starts and bounds) in a few numpy passes.
+    deptree.packed starts and bounds and the ner_column, given or built)
+    in a few numpy passes.
 
     SentLen is the token count and ArgDist the tokens strictly between the
     head and tail spans. EntExist is "yes" if one of those tokens has an NE
@@ -124,9 +132,7 @@ def column_values(sentences):
     hs, ts, he, te = sentences.bounds
     head_first = he < ts
     tagged = np.zeros(starts[-1] + 1, dtype=np.int64)
-    ner = np.fromiter(chain.from_iterable(s.ner for s in sentences), dtype=object,
-                      count=starts[-1])
-    np.cumsum(ner != "O", out=tagged[1:])
+    np.cumsum((ner_column(sentences) if ner is None else ner) != "O", out=tagged[1:])
     ent_exist = tagged[np.maximum(hs, ts)] > tagged[np.minimum(he, te) + 1]
     pos = np.fromiter(chain.from_iterable((BOUNDARY_LEFT, *s.pos, BOUNDARY_RIGHT)
                                           for s in sentences),
@@ -140,11 +146,11 @@ def column_values(sentences):
             pos[ts + shift].tolist(), pos[te + shift + 2].tolist())
 
 
-def tree_values(sentences):
+def tree_values(sentences, ner=None):
     """Raw values of the TREE_TASKS of each sentence, one list per task in
     that order, from the deptree.packed tree and span roots of all of them
-    (ValueError naming the first sentence whose dep_head is not one tree
-    over its tokens).
+    and their ner_column, given or built (ValueError naming the first
+    sentence whose dep_head is not one tree over its tokens).
 
     TreeDepth is a sentence's deepest row, clamped at TREE_DEPTH_CLAMP.
     SDPTreeDepth is the longer of the two legs of the shortest dependency
@@ -159,18 +165,17 @@ def tree_values(sentences):
     path_rows = np.add.reduceat(deptree.path_mask(parent, depth, a, b), starts[:-1])
     deepest = np.minimum(np.maximum.reduceat(depth, starts[:-1]), TREE_DEPTH_CLAMP)
     sdp_depth = (path_rows - 1 + np.abs(depth[a] - depth[b])) // 2
-    at = [list(zip(sentences, (root - starts[:-1]).tolist())) for root in (a, b)]
-    types = [[s.ner[i] for s, i in pairs] for pairs in at]
-    roles = [[s.dep_label[i] if s.dep_label[i] in GR_CLASSES else "other" for s, i in pairs]
-             for pairs in at]
-    return (deepest.tolist(), sdp_depth.tolist(), *types, *roles)
+    ner = ner_column(sentences) if ner is None else ner
+    roles = [[s.dep_label[i] if s.dep_label[i] in GR_CLASSES else "other"
+              for s, i in zip(sentences, (root - starts[:-1]).tolist())] for root in (a, b)]
+    return (deepest.tolist(), sdp_depth.tolist(), ner[a].tolist(), ner[b].tolist(), *roles)
 
 
 def build_tasks(tasks, corpus, profile="tacred"):
     """Probing datasets for `tasks`, in the order given. The tasks of a
     split come from one tree_values pass (if one is a TREE_TASK) and one
-    column_values pass, which share the split's deptree.packed facts. Bins
-    are fitted on train raw values only."""
+    column_values pass, which share the split's deptree.packed facts and
+    its ner_column, built once. Bins are fitted on train raw values only."""
     if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError("unknown profile: %s" % profile)
     excluded = EXCLUDED[profile] if isinstance(profile, str) else ()
@@ -187,9 +192,10 @@ def build_tasks(tasks, corpus, profile="tacred"):
     for name, split in splits:
         split = deptree.packed(split)
         ids[name] = [s.id for s in split]
-        values = dict(zip(COLUMN_TASKS, column_values(split)))
+        ner = ner_column(split)
+        values = dict(zip(COLUMN_TASKS, column_values(split, ner)))
         if needs_tree:
-            values.update(zip(TREE_TASKS, tree_values(split)))
+            values.update(zip(TREE_TASKS, tree_values(split, ner)))
         for task in tasks:
             raw[task][name] = values[task]
     return [_dataset(task, raw[task], ids, bin_counts) for task in tasks]

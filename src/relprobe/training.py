@@ -195,7 +195,7 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
     runs chunks of EVAL_BATCH sentences (eval_chunks) of the validation
     split, featurized once, or of the training record when the corpus has
     none. The checkpointed parameters are those of the best validation-F1
-    epoch.
+    epoch: a copy of them when a later epoch runs, else the live ones.
     """
     train_sentences = deptree.packed(corpus.train)  # its facts serve masking and featurizing
     if not train_sentences:
@@ -240,13 +240,15 @@ def train_re(corpus, input_cfg, enc_cfg, profile: HyperProfile, seed=0,
             opt.lr = sched.end_epoch(f1)
         history.epochs.append({"epoch": epoch, "loss": epoch_loss / max(n_batches, 1),
                                "p": p, "r": r, "f1": f1, "lr": opt.lr})
+        last = epoch == profile.epochs or early_stop_f1 is not None and f1 >= early_stop_f1
         if f1 > best_f1:
+            # on the last epoch the best parameters are the live ones: no copy
             best_f1 = f1
-            best_params = {k: t.data.copy() for k, t in model.params.items()}
+            best_params = None if last else {k: t.data.copy() for k, t in model.params.items()}
         if log:
             log("epoch %3d loss %.4f val_f1 %.4f lr %.6f" %
                 (epoch, history.epochs[-1]["loss"], f1, opt.lr))
-        if early_stop_f1 is not None and f1 >= early_stop_f1:
+        if last:
             break
     if best_params is not None:
         for k, t in model.params.items():

@@ -80,9 +80,17 @@ def op_checks(seed=0, eps=1e-5):
         # segments of 1, 4, 2 and 1 rows: three zero-padded windows
         check("conv1d:short-segments", {"x": (8, 2), "w": (6, 2), "b": (2,)},
               lambda p: _squares(ad.conv1d(p["x"], p["w"], p["b"], starts=(0, 1, 5, 7, 8))))
-        mats = [rng.normal(size=(2, 2)), rng.normal(size=(3, 3))]
+        # blocks of one segment each: two row-slice products
+        plan = ad.segment_plan([rng.normal(size=(1, 2, 2)), rng.normal(size=(1, 3, 3))],
+                               [[0, 1], [0, 0]], (0, 2, 5))
         check("segment_matmul", {"x": (5, 2)},
-              lambda p: _squares(ad.segment_matmul(mats, p["x"], (0, 2, 5))))
+              lambda p: _squares(ad.segment_matmul(plan, p["x"])))
+        # segments of 2, 3, 2, 3 and 1 rows: two stacks of two and a single
+        plan = ad.segment_plan([rng.normal(size=(1, 1, 1)), rng.normal(size=(2, 2, 2)),
+                                rng.normal(size=(3, 3, 3))],
+                               [[1, 2, 1, 2, 0], [0, 2, 1, 0, 0]], (0, 2, 5, 7, 10, 11))
+        check("segment_matmul:blocks", {"x": (11, 2)},
+              lambda p: _squares(ad.segment_matmul(plan, p["x"])))
         lstm_shapes = {"wx": (2, 12), "wh": (3, 12), "b": (12,)}
         for t_len, reverse, masked in itertools.product((1, 4), (False, True), (False, True)):
             rmask = rng.uniform(0.0, 2.0, size=(1, 3)) if masked else None

@@ -9,8 +9,11 @@ carries only what the encoders run. Each one is gradchecked in tests/test_autodi
 gather_rows_add_at, amax_add_at and conv1d_add_at are gather_rows, amax
 and conv1d with np.add.at as their scatter-add: tests/test_scatter.py
 compares the gradients of the ops' own scatter kernels with theirs, byte
-for byte.
+for byte. segment_matmul is the op of the same name as one matmul per
+segment, forward and backward, the oracle of its batched blocks.
 """
+
+import itertools
 
 import numpy as np
 
@@ -122,3 +125,18 @@ def conv1d_add_at(x, w, b, starts):
     if shortest < k:
         x = concat([x, Tensor(np.zeros((k - shortest, d)))], axis=0)
     return linear(reshape(gather_rows_add_at(x, idx), (len(idx), k * d)), w, b)
+
+
+def segment_matmul(plan, x):
+    """ad.segment_matmul by one 2-D matmul per segment, in segment order,
+    each segment's matrix read off the plan's blocks at its slots: a drop-in
+    for it."""
+    mats = [np.asarray(plan.blocks[b][j], dtype=current_dtype()) for b, j in plan.slots.T.tolist()]
+    pairs = list(itertools.pairwise(np.asarray(plan.starts).tolist()))
+    out_data = np.concatenate([m @ x.data[lo:hi] for m, (lo, hi) in zip(mats, pairs)])
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(np.concatenate([m.T @ g[lo:hi] for m, (lo, hi) in zip(mats, pairs)]))
+
+    return Tensor(out_data, parents=(x,), backward=back)

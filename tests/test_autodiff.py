@@ -488,7 +488,7 @@ def test_gradcheck_accepts_correct_gradient():
 def test_gradcheck_registry_names_every_op():
     # entries are "<op>" or "<op>:<variant>"
     non_ops = {"current_dtype", "use_dtype", "no_tape", "param", "constant", "gradcheck",
-               "dropout_mask"}
+               "dropout_mask", "segment_plan"}
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_")} - non_ops

@@ -161,9 +161,36 @@ def _four_ways(generated_dir):
 
 
 def _feature_bytes(f):
-    keep = () if f.graph is None else [m.tobytes() for m in f.graph[:3]] + [
-        (a.shape, a.tobytes()) for a in f.graph[3]]
+    """Every array of f as bytes; gcn adjacencies sentence by sentence, each
+    read from its block at its slots."""
+    keep = ()
+    if f.graph is not None:
+        *masks, blocks, slots = f.graph
+        adjs = [blocks[b][j] for b, j in slots.T]
+        keep = [m.tobytes() for m in masks] + [(a.shape, a.tobytes()) for a in adjs]
     return (f.ids.tobytes(), [o.tobytes() for o in f.offsets], f.ctx, keep, f.starts.tobytes())
+
+
+def test_a_packed_split_packs_its_trees_once(generated_dir, tree_packs):
+    """Each Packed runs deptree.pack_trees at most once however often its
+    facts are read; roots read first takes no tree; a loaded split keeps
+    the loader's starts and tree and packs nothing."""
+    cfg, path = generated_dir
+    generated, loaded = synth.generate(cfg).train, load_corpus(path).train
+    heads = [s.dep_head for s in generated]
+    del tree_packs[:]  # the loader's check
+    for split in (generated, deptree.Packed(list(generated))):
+        roots = split.roots
+        assert tree_packs == [] and "tree" not in split.__dict__
+        for _ in range(3):
+            split.tree, split.roots, split.starts, split.bounds
+        assert tree_packs == [heads] and split.roots is roots
+        del tree_packs[:]
+    starts, tree = loaded.starts, loaded.tree
+    loaded.roots, loaded.bounds, probegen.tree_values(loaded)
+    assert tree_packs == [] and loaded.starts is starts and loaded.tree is tree
+    with pytest.raises(AttributeError, match="'Packed' object has no attribute 'depth'"):
+        loaded.depth
 
 
 def test_probing_inputs_are_the_same_bytes_four_ways(generated_dir):

@@ -49,7 +49,8 @@ def test_segment_ops_match_per_segment_ops():
                                       [x[:2].max(axis=0), x[2:].max(axis=0)])
         np.testing.assert_array_equal(ad.sum_axis(x, starts=starts).data,
                                       [x[:2].sum(axis=0), x[2:].sum(axis=0)])
-        np.testing.assert_array_equal(ad.segment_matmul(mats, x, starts).data,
+        plan = ad.segment_plan([mats[0][None], mats[1][None]], [[0, 1], [0, 0]], starts)
+        np.testing.assert_array_equal(ad.segment_matmul(plan, x).data,
                                       np.concatenate([mats[0] @ x[:2], mats[1] @ x[2:]]))
 
 
@@ -61,8 +62,9 @@ def test_segment_ops_reject_an_empty_segment(op):
         "conv1d": lambda: ad.conv1d(x, ad.constant(np.ones((4, 3))), starts=starts),
         "amax": lambda: ad.amax(x, starts=starts),
         "sum_axis": lambda: ad.sum_axis(x, starts=starts),
-        "segment_matmul": lambda: ad.segment_matmul(
-            [np.eye(2), np.eye(0), np.eye(3)], x, starts),
+        "segment_matmul": lambda: ad.segment_matmul(ad.segment_plan(
+            [np.eye(2)[None], np.eye(0)[None], np.eye(3)[None]], [[0, 1, 2], [0, 0, 0]], starts),
+            x),
     }[op]
     with pytest.raises(ValueError, match="empty segment 1"):
         call()
@@ -84,6 +86,7 @@ def test_gradcheck_registry_covers_every_segment_op():
     results = op_checks()
     names = ("conv1d:segments", "conv1d:short-segments", "gather_rows:grouped",
              "amax:segments", "amax:wide", "sum_axis:segments", "segment_matmul",
+             "segment_matmul:blocks",
              "lstm_sequence:segments", "lstm_sequence:segments:reverse",
              "lstm_sequence:segments:rmask", "multihead_attention:segments")
     assert set(names) <= set(results)
@@ -179,10 +182,11 @@ def _assert_same_features(got, want):
     pairs += [("offsets", a, b) for a, b in zip(got.offsets, want.offsets)]
     assert (got.graph is None) == (want.graph is None)
     if got.graph is not None:
-        *masks, adjs = got.graph
-        *want_masks, want_adjs = want.graph
-        assert len(adjs) == len(want_adjs)
-        pairs += [("graph", a, b) for a, b in zip(masks + adjs, want_masks + want_adjs)]
+        *masks, blocks, slots = got.graph
+        *want_masks, want_blocks, want_slots = want.graph
+        assert len(blocks) == len(want_blocks)
+        pairs += [("graph", a, b) for a, b in zip(masks + [slots], want_masks + [want_slots])]
+        pairs += [("blocks", a, b) for a, b in zip(blocks, want_blocks)]
     for field, a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
@@ -238,14 +242,20 @@ def test_masked_featurization_names_dep_head_of_another_length(kind, where):
         model.featurize_batch(sentences, [_contextual(sentences)[x.id] for x in sentences])
 
 
+def _adjacency(features, i):
+    """Sentence i's adjacency: the item of its block that its slots name."""
+    _, _, _, blocks, slots = features.graph
+    return blocks[slots[0, i]][slots[1, i]]
+
+
 def _sentence_graph(features, i):
     """Sentence i's kept tokens, adjacency, and head and tail pooling rows
     (positions among its kept tokens), read off the packed token masks."""
-    keep, head, tail, adjs = features.graph
+    keep, head, tail, blocks, slots = features.graph
     assert not (head & ~keep).any() and not (tail & ~keep).any()
     rows = slice(features.starts[i], features.starts[i + 1])
     kept = keep[rows]
-    return (np.flatnonzero(kept), adjs[i],
+    return (np.flatnonzero(kept), _adjacency(features, i),
             np.flatnonzero(head[rows][kept]), np.flatnonzero(tail[rows][kept]))
 
 
@@ -354,7 +364,7 @@ def test_gcn_graph_of_a_pack_matches_per_sentence_reference(k, dtype):
             rows = slice(packed.starts[i], packed.starts[i + 1])
             for one, many in zip(alone.graph[:3], packed.graph[:3]):
                 np.testing.assert_array_equal(one, many[rows])
-            assert alone.graph[3][0].tobytes() == packed.graph[3][i].tobytes()
+            assert _adjacency(alone, 0).tobytes() == _adjacency(packed, i).tobytes()
 
 
 BAD_HEADS = {"cycle": [2, 3, 2, 0], "out of range": [0, 7, 1], "negative": [0, -1, 1],

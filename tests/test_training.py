@@ -165,6 +165,41 @@ def test_best_epoch_params_restored(tiny_corpus):
     assert f1 == pytest.approx(history.best_f1())
 
 
+def _scripted_run(corpus, monkeypatch, f1s, **kw):
+    """train_re with each epoch's validation F1 taken from f1s. Returns the
+    model, the bytes of its parameters after each epoch, and whether the
+    model's arrays are the ones the last epoch left live."""
+    from relprobe import training
+    after, live = [], []
+
+    def scripted(model, batches, golds):
+        after.append({k: t.data.tobytes() for k, t in model.params.items()})
+        live.append({k: t.data for k, t in model.params.items()})
+        return 0.0, 0.0, f1s[len(after) - 1]
+
+    monkeypatch.setattr(training, "_evaluate", scripted)
+    model, history = _train(corpus, seed=5, **kw)
+    assert [row["f1"] for row in history.epochs] == list(f1s[:len(after)])
+    kept_live = all(t.data is live[-1][k] for k, t in model.params.items())
+    return model, after, kept_live
+
+
+@pytest.mark.parametrize("f1s, best, early_stop_f1", [
+    ((0.2, 0.7, 0.4, 0.1, 0.5), 2, None),   # the best epoch comes earlier
+    ((0.2, 0.3, 0.3, 0.4, 0.6), 5, None),   # the last epoch is the best
+    ((0.2, 0.5, 0.9, 0.1, 0.1), 3, 0.8),    # the early-stop epoch, always the best
+])
+def test_train_returns_the_best_epochs_parameters(tiny_corpus, monkeypatch, f1s, best,
+                                                  early_stop_f1):
+    """The model holds the bytes the parameters had after the best
+    validation-F1 epoch: a copy when a later epoch ran, else the live arrays,
+    which were never copied."""
+    model, after, kept_live = _scripted_run(tiny_corpus, monkeypatch, f1s,
+                                            early_stop_f1=early_stop_f1)
+    assert {k: t.data.tobytes() for k, t in model.params.items()} == after[best - 1]
+    assert kept_live == (best == len(after))
+
+
 def test_early_stop(tiny_corpus):
     _, history = _train(tiny_corpus, seed=0, early_stop_f1=0.0)
     assert len(history.epochs) == 1
