@@ -85,17 +85,9 @@ class Packed(tuple):
     """
 
     def __getattr__(self, name):
-        if name == "starts":
-            value = packed_starts(self)
-        elif name == "bounds":
-            value = _bounds(self)
-        elif name == "tree":
-            value = _tree(self)
-        elif name == "roots":
-            value = _roots(self)
-        else:
+        if name not in _FACTS:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self.__dict__[name] = value
+        value = self.__dict__[name] = _FACTS[name](self)
         return value
 
 
@@ -127,6 +119,9 @@ def _roots(sentences):
         inside = [span.start < h <= span.end + 1 for h in s.dep_head[span.start:span.end + 1]]
         roots[i] += inside.index(False) if False in inside else len(span) - 1
     return roots.reshape(2, -1)
+
+
+_FACTS = {"starts": packed_starts, "bounds": _bounds, "tree": _tree, "roots": _roots}
 
 
 def packed(sentences):
