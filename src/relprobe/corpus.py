@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_ascii
 from operator import itemgetter
 
 import numpy as np
@@ -291,16 +292,51 @@ def load_corpus(path, format_profile=GENERIC_JSONL) -> Corpus:
     )
 
 
-def sentence_to_record(s: Sentence) -> dict:
-    """The generic-jsonl record of a sentence, its keys in GENERIC_KEYS order."""
-    return dict(zip(GENERIC_KEYS, (s.id, list(s.tokens), list(s.pos), list(s.ner),
-                                   list(s.dep_head), list(s.dep_label), s.head.start,
-                                   s.head.end, s.tail.start, s.tail.end, s.relation)))
+# One generic-jsonl line, as json.dumps writes a record with GENERIC_KEYS in order
+_RECORD = ('{"id": %s, "tokens": [%s], "pos": %s, "ner": %s, "dep_head": %s, "dep_label": %s, '
+           '"head_start": %s, "head_end": %s, "tail_start": %s, "tail_end": %s, '
+           '"relation": %s}\n')
+
+
+class _StringTexts(dict):
+    """texts[x] is the JSON text of x, computed on its first lookup and
+    kept for a str alone, so no text is shared across types."""
+
+    def __missing__(self, x):
+        text = json.dumps(x)
+        if type(x) is str:
+            self[x] = text
+        return text
+
+
+def _jsonl_lines(sentences, strings):
+    """The generic-jsonl line of each sentence, in order. Each string's
+    JSON text comes from the table `strings`; each annotation tuple's is
+    computed once per object (generated sentences share theirs), which
+    also keeps equal tuples of other item types apart: True == 1."""
+    string, tuples, alive = strings.__getitem__, {}, []
+    for s in sentences:
+        annotations = []
+        for t in (s.pos, s.ner, s.dep_head, s.dep_label):
+            text = tuples.get(id(t))
+            if text is None:
+                alive.append(t)  # its id stays its own while the texts live
+                text = tuples[id(t)] = json.dumps(t)
+            annotations.append(text)
+        hs, he, ts, te = s.head.start, s.head.end, s.tail.start, s.tail.end
+        if not type(hs) is type(he) is type(ts) is type(te) is int:
+            hs, he, ts, te = map(json.dumps, (hs, he, ts, te))
+        sid = s.id
+        yield _RECORD % (_encode_ascii(sid) if type(sid) is str else json.dumps(sid),
+                         ", ".join(map(string, s.tokens)), *annotations,
+                         hs, he, ts, te, string(s.relation))
 
 
 def write_corpus(corpus: Corpus, path):
-    """Write the corpus as generic-jsonl split files into a directory."""
+    """Write the corpus as generic-jsonl split files into a directory, the
+    bytes json.dumps writes for each record, streamed line by line."""
     os.makedirs(path, exist_ok=True)
+    strings = _StringTexts()
     for name, sentences in (
         ("train.jsonl", corpus.train),
         ("validation.jsonl", corpus.validation),
@@ -309,8 +345,7 @@ def write_corpus(corpus: Corpus, path):
         if name != "train.jsonl" and not sentences:
             continue
         with open(os.path.join(path, name), "w", encoding="utf-8") as f:
-            for s in sentences:
-                f.write(json.dumps(sentence_to_record(s)) + "\n")
+            f.writelines(_jsonl_lines(sentences, strings))
 
 
 def entity_masks(sentences, roots) -> list:

@@ -11,14 +11,13 @@ the Y ...") are appended to vary sentence length and tree depth.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import (Corpus, Sentence, Span, jsonl_records, read_sentences,
-                     sentence_to_record, validate_sentence)
+from .corpus import Corpus, Sentence, Span, jsonl_records, read_sentences, validate_sentence
 from .deptree import Packed
 
 _SLOT_RE = re.compile(r"^\[([A-Z_]+)\]$")
@@ -147,65 +146,100 @@ def load_templates(path):
     return tuple(read_sentences(records()))
 
 
-def _choice(rng, items):
-    return items[int(rng.integers(len(items)))]
+_SPAN = 1 << 32  # the 32-bit words' range
+_BLOCK = 1 << 12  # 64-bit outputs the draw source reads at a time
 
 
-def _fill_template(tpl: Sentence, cfg: SynthConfig, rng, sid):
-    tokens = list(tpl.tokens)
-    ner = list(tpl.ner)
-    for i, tok in enumerate(tokens):
+def _integers(rng):
+    """A function draw(n) that returns, draw after draw, what rng.integers(n)
+    would, for 1 <= n <= 2**32, and consumes the same bits: numpy's bounded
+    draw for n - 1 < 2**32, Lemire's multiply-and-reject (Lemire 2019), on
+    the generator's 32-bit words (the low half of each 64-bit output
+    first), which it reads in blocks. n == 1 consumes no word."""
+    raw = rng.bit_generator.random_raw
+    words = chain.from_iterable(map(
+        lambda _: raw(_BLOCK).astype("<u8", copy=False).view("<u4").tolist(), repeat(None)))
+    word = words.__next__
+
+    def draw(n):
+        if not 1 < n <= _SPAN:
+            if n == 1:
+                return 0
+            raise ValueError("draw bound %r is not in 1..2**32" % (n,))
+        m = word() * n
+        if m & 0xFFFFFFFF < n:  # only then can the low part be below the threshold
+            threshold = (_SPAN - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = word() * n
+        return m >> 32
+    return draw
+
+
+def _lexicon(lexicons, slot):
+    """The non-empty lexicon of a slot, else ValueError naming the slot."""
+    lexicon = lexicons.get(slot)
+    if lexicon is None:
+        raise ValueError("no lexicon for slot %s" % slot)
+    if not len(lexicon):
+        raise ValueError("lexicon for slot %s is empty" % slot)
+    return lexicon
+
+
+_ANY = "ANY"  # the slot whose entity type is drawn too
+
+
+def _slot_plan(tpl: Sentence, lexicons):
+    """The (position, slot, lexicon, its size) of each slot marker of a
+    template, in token order; size 0 for [ANY] and for a slot with no
+    lexicon or an empty one, which _lexicon reports when the template is
+    drawn."""
+    plan = []
+    for i, tok in enumerate(tpl.tokens):
         m = _SLOT_RE.match(tok)
-        if not m:
-            continue
-        slot = m.group(1)
-        if slot == "ANY":
-            slot = _choice(rng, cfg.entity_types)
-            ner[i] = slot
-        if slot not in cfg.lexicons:
-            raise ValueError("no lexicon for slot %s" % slot)
-        tokens[i] = _choice(rng, cfg.lexicons[slot])
+        if m:
+            slot = m.group(1)
+            lexicon = lexicons.get(slot) if slot != _ANY else None
+            plan.append((i, slot, lexicon, 0 if lexicon is None else len(lexicon)))
+    return tuple(plan)
+
+
+def _annotations(tpl: Sentence, any_at, types, n_units):
+    """(pos, ner, dep_head, dep_label, relation) of a template whose [ANY]
+    slots at any_at drew `types`, with n_units padding units: "in the X (of
+    the Y)*", a chain hanging off the root token."""
+    ner = list(tpl.ner)
+    for i, t in zip(any_at, types):
+        ner[i] = t
     relation = tpl.relation
     if "{head}" in relation or "{tail}" in relation:
-        head_type = ner[tpl.head.start]
-        tail_type = ner[tpl.tail.start]
-        relation = relation.replace("{head}", head_type).replace("{tail}", tail_type)
-    pos = list(tpl.pos)
-    dep_head = list(tpl.dep_head)
-    dep_label = list(tpl.dep_label)
-    # padding clause: "in the X (of the Y)*" hanging off the root token
-    if cfg.pad_max > 0:
-        n_units = int(rng.integers(0, cfg.pad_max + 1))
-        nouns = cfg.lexicons.get("NOUN", ("thing",))
-        root_idx = dep_head.index(0)
-        attach = root_idx + 1  # 1-based head of the first padding noun
-        for u in range(n_units):
-            prep = "in" if u == 0 else "of"
-            noun = _choice(rng, nouns)
-            base = len(tokens)
-            tokens += [prep, "the", noun]
-            pos += ["IN", "DT", "NN"]
-            ner += ["O", "O", "O"]
-            noun_1b = base + 3
-            dep_head += [noun_1b, noun_1b, attach]
-            dep_label += ["case", "det", "nmod"]
-            attach = noun_1b
-    return Sentence(
-        id=sid,
-        tokens=tuple(tokens),
-        pos=tuple(pos),
-        ner=tuple(ner),
-        dep_head=tuple(dep_head),
-        dep_label=tuple(dep_label),
-        head=tpl.head,
-        tail=tpl.tail,
-        relation=relation,
-    )
+        relation = relation.replace("{head}", ner[tpl.head.start]).replace(
+            "{tail}", ner[tpl.tail.start])
+    pos, dep_head, dep_label = list(tpl.pos), list(tpl.dep_head), list(tpl.dep_label)
+    attach = dep_head.index(0) + 1  # 1-based head of the first padding noun
+    for _ in range(n_units):
+        noun = len(pos) + 3
+        pos += ("IN", "DT", "NN")
+        ner += ("O", "O", "O")
+        dep_head += (noun, noun, attach)
+        dep_label += ("case", "det", "nmod")
+        attach = noun
+    return tuple(pos), tuple(ner), tuple(dep_head), tuple(dep_label), relation
+
+
+def _split_sizes(config):
+    return (("train", config.n_train), ("val", config.n_val), ("test", config.n_test))
 
 
 def generate(config: SynthConfig) -> Corpus:
     """Generate a fully annotated corpus of deptree.Packed splits; identical
-    config+seed => identical corpus."""
+    config+seed => identical corpus.
+
+    Each sentence draws, through one _integers source, a template, then
+    for each slot in token order its entity type if [ANY] and its filler,
+    then (pad_max > 0) its number of padding units and their nouns.
+    Sentences of one template, one drawn entity-type sequence and one
+    number of padding units share their annotation tuples; only the tokens
+    are built per sentence."""
     if not config.templates:
         raise ValueError("templates must be non-empty")
     # filling slots and padding (a chain off the root) keep a template's tree
@@ -214,13 +248,48 @@ def generate(config: SynthConfig) -> Corpus:
         problems = validate_sentence(tpl)
         if problems:
             raise ValueError("template %d: %s" % (i, "; ".join(problems)))
-    rng = np.random.default_rng(config.seed)
-    splits = {}
-    for split, n in (("train", config.n_train), ("val", config.n_val), ("test", config.n_test)):
-        splits[split] = Packed(_fill_template(_choice(rng, config.templates), config, rng,
-                                              "%s-%05d" % (split, i)) for i in range(n))
-    inventory = tuple(sorted({s.relation for s in splits["train"]}))
-    return Corpus(train=splits["train"], validation=splits["val"], test=splits["test"],
+    templates, lexicons, types = config.templates, config.lexicons, config.entity_types
+    plans = [_slot_plan(tpl, lexicons) for tpl in templates]
+    any_at = [tuple(i for i, slot, _, _ in plan if slot == _ANY) for plan in plans]
+    nouns = lexicons.get("NOUN", ("thing",))
+    n_templates, n_types, n_nouns, pad_max = len(templates), len(types), len(nouns), config.pad_max
+    draw = _integers(np.random.default_rng(config.seed))
+    shared = {}  # (template, drawn types, padding units) -> annotations
+
+    def sentence(sid):
+        k = draw(n_templates)
+        tpl = templates[k]
+        tokens = list(tpl.tokens)
+        drawn = ()
+        for i, slot, lexicon, size in plans[k]:
+            if not size:  # [ANY], or a lexicon fault to report
+                if slot == _ANY:
+                    if not n_types:
+                        raise ValueError("entity_types for slot ANY is empty")
+                    slot = types[draw(n_types)]
+                    drawn += (slot,)
+                lexicon = _lexicon(lexicons, slot)
+                size = len(lexicon)
+            tokens[i] = lexicon[draw(size)]
+        n_units = draw(pad_max + 1) if pad_max > 0 else 0
+        if n_units:
+            if not n_nouns:
+                raise ValueError("lexicon for slot NOUN is empty")
+            tokens += ("in", "the", nouns[draw(n_nouns)])
+            for _ in range(n_units - 1):
+                tokens += ("of", "the", nouns[draw(n_nouns)])
+        key = (k, drawn, n_units)
+        ann = shared.get(key)
+        if ann is None:
+            ann = shared[key] = _annotations(tpl, any_at[k], drawn, n_units)
+        pos, ner, dep_head, dep_label, relation = ann
+        return Sentence(sid, tuple(tokens), pos, ner, dep_head, dep_label, tpl.head, tpl.tail,
+                        relation)
+
+    splits = [Packed(sentence("%s-%05d" % (split, i)) for i in range(n))
+              for split, n in _split_sizes(config)]
+    inventory = tuple(sorted({s.relation for s in splits[0]}))
+    return Corpus(train=splits[0], validation=splits[1], test=splits[2],
                   label_inventory=inventory, negative_label=None)
 
 
@@ -228,40 +297,30 @@ def generate_order_controlled(config: SynthConfig) -> Corpus:
     """Corpus of sentence pairs with identical token multisets but swapped
     argument order; argument-order labels are balanced exactly 50/50.
 
-    n_train/n_val/n_test count pairs (two sentences each).
+    n_train/n_val/n_test count pairs (two sentences each). Each pair draws
+    its head entity, its tail entity among the others and its verb.
     """
-    rng = np.random.default_rng(config.seed)
     ents = config.lexicons.get("ORG") or config.lexicons.get("PER")
     verbs = config.lexicons.get("VERB", ("acquired",))
-    if not ents or len(ents) < 2:
-        raise ValueError("no lexicon with at least 2 entities for slot ORG/PER")
-    splits = {}
-    for split, n in (("train", config.n_train), ("val", config.n_val), ("test", config.n_test)):
+    if not ents or len(set(ents)) < 2:
+        raise ValueError("no lexicon with at least 2 distinct entities for slot ORG/PER")
+    if not len(verbs):
+        raise ValueError("lexicon for slot VERB is empty")
+    draw = _integers(np.random.default_rng(config.seed))
+    ann = (("NNP", "VBD", "NNP"), ("ORG", "O", "ORG"), (2, 0, 2), ("nsubj", "root", "dobj"))
+    first, last = Span(0, 0), Span(2, 2)
+    splits = []
+    for split, n in _split_sizes(config):
         sentences = []
         for i in range(n):
-            h = _choice(rng, ents)
-            t = _choice(rng, [e for e in ents if e != h])
-            v = _choice(rng, verbs)
-            base = dict(
-                pos=("NNP", "VBD", "NNP"),
-                ner=("ORG", "O", "ORG"),
-                dep_head=(2, 0, 2),
-                dep_label=("nsubj", "root", "dobj"),
-                relation="related",
-            )
-            fwd = Sentence(id="%s-%05d-f" % (split, i), tokens=(h, v, t),
-                           head=Span(0, 0), tail=Span(2, 2), **base)
-            rev = Sentence(id="%s-%05d-r" % (split, i), tokens=(t, v, h),
-                           head=Span(2, 2), tail=Span(0, 0), **base)
-            sentences += [fwd, rev]
-        splits[split] = Packed(sentences)
-    return Corpus(train=splits["train"], validation=splits["val"], test=splits["test"],
+            h = ents[draw(len(ents))]
+            tails = [e for e in ents if e != h]
+            t = tails[draw(len(tails))]
+            v = verbs[draw(len(verbs))]
+            sentences += (Sentence("%s-%05d-f" % (split, i), (h, v, t), *ann, first, last,
+                                   "related"),
+                          Sentence("%s-%05d-r" % (split, i), (t, v, h), *ann, last, first,
+                                   "related"))
+        splits.append(Packed(sentences))
+    return Corpus(train=splits[0], validation=splits[1], test=splits[2],
                   label_inventory=("related",), negative_label=None)
-
-
-def write_templates(templates, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for tpl in templates:
-            rec = sentence_to_record(tpl)
-            del rec["id"]
-            f.write(json.dumps(rec) + "\n")

@@ -34,6 +34,35 @@ def test_synth_writes_splits(corpus_dir):
         assert os.path.exists(os.path.join(corpus_dir, name))
 
 
+# sha256 of the train, validation and test files of `synth --n-train 200
+# --n-val 50 --n-test 50 --seed 7 --pad-max 6` per --templates, as written
+# when each draw called Generator.integers and each line json.dumps
+SYNTH_SHA256 = {
+    "default": ("dd23d3d44402fe337aa8fbc00405b600673014431ae15330c2983c75e71d37cc",
+                "112ad74212afa97c88dfe07f5341c1ed23fed42dd062b390e28108c3ab4d32ff",
+                "6230509a74cd17c8df02165c6cb7ef19280e142533cfb9c6a66bb842a3e51855"),
+    "type-pair": ("8f757970a3b47005ae66694a9b4a6cf1953440e58e49aaf557fe300187723372",
+                  "f5959221278152d5dae47a65095745fd9c9613217375b4a68222ba0a488ccb4b",
+                  "557d9f3a605bac65aedfd4c70e9e95d652cdd1820edcfc786f9587ea9466d793"),
+    "order-controlled": ("f8f79eb14948981194835c6be74aa5f56b29bf5f6825ce087a9369a2ac4c72b8",
+                         "bcd472c48231292bb2d10eaa8272ae6ebf154989a9e359b99e8f8703b9c8ff81",
+                         "3ceea5ade3682211b539b3d6aa9fc8b6588f458b498c7007b486c239ff3327a6"),
+}
+
+
+@pytest.mark.parametrize("templates", sorted(SYNTH_SHA256))
+def test_synth_files_are_pinned(capsys, tmp_path, templates):
+    out = str(tmp_path / templates)
+    code, _, err = run(capsys, "synth", "--out", out, "--templates", templates, "--n-train", "200",
+                       "--n-val", "50", "--n-test", "50", "--seed", "7", "--pad-max", "6")
+    assert code == 0, err
+    got = []
+    for name in ("train.jsonl", "validation.jsonl", "test.jsonl"):
+        with open(os.path.join(out, name), "rb") as f:
+            got.append(hashlib.sha256(f.read()).hexdigest())
+    assert tuple(got) == SYNTH_SHA256[templates]
+
+
 def test_validate_ok(capsys, corpus_dir):
     code, out, err = run(capsys, "validate", "--corpus", corpus_dir)
     assert code == 0

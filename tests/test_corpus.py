@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from relprobe import deptree
-from relprobe.corpus import (CTX_MAGIC, TACRED_KEYS, ContextualStore, CorpusFormatError,
-                             Sentence, Span, load_contextual, load_corpus, load_embeddings,
-                             masked_tokens, sentence_to_record, validate_sentence,
-                             write_contextual, write_corpus, write_text)
+from relprobe.corpus import (CTX_MAGIC, TACRED_KEYS, ContextualStore, Corpus,
+                             CorpusFormatError, Sentence, Span, load_contextual, load_corpus, load_embeddings,
+                             masked_tokens, validate_sentence, write_contextual, write_corpus,
+                             write_text)
 
 import reference_trees
+from reference_synth import sentence_to_record
 from conftest import make_sentence, random_parents
 
 
@@ -84,6 +85,68 @@ def test_roundtrip_generic_jsonl(tmp_path, small_corpus):
     write_corpus(small_corpus, out)
     reloaded = load_corpus(out)
     assert reloaded == small_corpus
+
+
+def _oracle_lines(sentences):
+    return "".join(json.dumps(sentence_to_record(s)) + "\n" for s in sentences).encode()
+
+
+def _assert_written_as_json_dumps(corpus, path):
+    write_corpus(corpus, path)
+    assert sorted(os.listdir(path)) == sorted(
+        name for name, split in (("train.jsonl", corpus.train),
+                                 ("validation.jsonl", corpus.validation),
+                                 ("test.jsonl", corpus.test))
+        if split or name == "train.jsonl")
+    for name, split in (("train.jsonl", corpus.train), ("validation.jsonl", corpus.validation),
+                        ("test.jsonl", corpus.test)):
+        if os.path.exists(os.path.join(path, name)):
+            with open(os.path.join(path, name), "rb") as f:
+                assert f.read() == _oracle_lines(split), name
+
+
+def test_written_lines_are_json_dumps_of_each_record(tmp_path, small_corpus):
+    _assert_written_as_json_dumps(small_corpus, str(tmp_path / "synthetic"))
+    write_corpus(small_corpus, str(tmp_path / "again"))
+    _assert_written_as_json_dumps(load_corpus(str(tmp_path / "again")), str(tmp_path / "loaded"))
+
+
+def _odd_sentence(sid, tokens, **overrides):
+    s = make_sentence([2, 0, 2][:len(tokens)] if len(tokens) == 3 else [0], sid=sid)
+    return replace(s, tokens=tuple(tokens), **overrides)
+
+
+def test_written_lines_escape_as_json_dumps(tmp_path):
+    odd = ("caf\u00e9", "\u6771\u4eac", "say \"hi\"", "back\\slash", "tab\there",
+           "nl\nline", "\x00\x1f\x7f", "\ud83d\ude00", "\U0001f600",
+           "\u2028", "")
+    sentences = [_odd_sentence("s%d" % i, (odd[i], odd[-1 - i], "x"),
+                               relation=odd[(i + 3) % len(odd)])
+                 for i in range(len(odd))]
+    sentences.append(_odd_sentence("\u00fc-\"id\"", ("a", "b", "c")))
+    corpus = Corpus(train=tuple(sentences), validation=(), test=tuple(sentences[:2]),
+                    label_inventory=())
+    _assert_written_as_json_dumps(corpus, str(tmp_path / "c"))
+    assert not os.path.exists(tmp_path / "c" / "validation.jsonl")
+
+
+def test_written_texts_do_not_cross_types(tmp_path):
+    """Equal tuples and values of other types (True == 1, 1.0 == 1) keep
+    their own JSON text, in either order."""
+    ints = _odd_sentence("i", ("a",), dep_head=(0,), head=Span(0, 0), tail=Span(0, 0))
+    kinds = [replace(ints, id="b", dep_head=(False,), head=Span(False, False)),
+             replace(ints, id="f", dep_head=(0.0,), tail=Span(0.0, 0)),
+             replace(ints, id="s", tokens=(1,), pos=(True,), relation=1)]
+    for order in (0, 1):
+        sentences = [ints] + kinds if order == 0 else kinds + [ints]
+        # the same objects for the ints, one per type, a shared one again
+        sentences += [replace(ints, id="j%d" % order), replace(ints, id="k", dep_head=(0,))]
+        corpus = Corpus(train=tuple(sentences), validation=(), test=(), label_inventory=())
+        _assert_written_as_json_dumps(corpus, str(tmp_path / ("c%d" % order)))
+    with open(tmp_path / "c0" / "train.jsonl") as f:
+        text = f.read()
+    assert '"dep_head": [false]' in text and '"dep_head": [0.0]' in text
+    assert '"dep_head": [0]' in text and '"pos": [true]' in text
 
 
 def test_tacred_profile(tmp_path):
